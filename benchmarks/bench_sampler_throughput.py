@@ -503,9 +503,10 @@ def test_service_replicated_durability_operating_point(throughput, tmp_path):
     """Warm-standby replication overhead at batch size 100k (process pool).
 
     Both services run a process-backed pool with a WAL; the second also
-    keeps a warm standby current by shipping committed log frames every few
-    batches (``ReplicationConfig(ship_interval=...)``) and running the
-    failure detector after each dispatch. Measured back to back in one
+    keeps a warm standby — a base cut of every shard, retaken every few
+    batches (``ReplicationConfig(ship_interval=...)``) and at each
+    checkpoint, plus the committed log beyond it — and runs the failure
+    detector after each dispatch. Measured back to back in one
     process, the ratio is a within-run comparison; the recorded operating
     points additionally feed the cross-run ``compare_bench.py --relative``
     gate in CI, whose budget is 20% replication overhead.
@@ -536,7 +537,7 @@ def test_service_replicated_durability_operating_point(throughput, tmp_path):
         best = float("inf")
         for _ in range(rounds):
             # Checkpoint between rounds so each times steady-state logging
-            # (and, replicated, steady-state shipping) over recycled pages.
+            # (and, replicated, steady-state base cuts) over recycled pages.
             service.checkpoint()
             begin = time.perf_counter()
             service.ingest(timed)
@@ -568,8 +569,8 @@ def test_service_replicated_durability_operating_point(throughput, tmp_path):
     assert samples["replicated"] == samples["wal-process"]
     # ... and the standby must stay cheap. The budget is 20%, asserted by
     # the CI relative gate on dedicated runners; the in-run bound is a
-    # coarse tripwire (shipping re-reads committed frames and replays them
-    # through a second sampler set, but off the dispatch critical path).
+    # coarse tripwire (each base cut waits for the workers to reach its
+    # markers and copies every shard's state back to the driver).
     assert overhead <= 2.5, (
         f"warm-standby replication overhead regressed: {overhead:.2f}x the "
         "wal+process ingest latency (budget is 1.2x on dedicated hardware)"

@@ -4,11 +4,12 @@
 ``recover_service`` rebuilds it from the WAL. A pipelined deployment has a
 second failure mode: one shard *worker* of the process pool dies while the
 driver is alive and mid-stream. Passing ``replication=`` to a WAL-enabled
-service closes that gap with a **warm standby**: a full second sampler set
-kept current by shipping committed log frames, promoted automatically when
-a worker crashes or stalls. Because every batch is committed to the log
-*before* it is dispatched, promotion replays exactly the committed tail
-the standby has not yet applied — no batch is lost, none is applied twice,
+service closes that gap with a **warm standby**: a base cut of every shard,
+retaken every ``ship_interval`` batches and at every checkpoint, plus the
+committed log beyond it, promoted automatically when a worker crashes or
+stalls. Because every batch is committed to the log *before* it is
+dispatched, promotion rebuilds the base and replays the committed tail
+beyond it once — no batch is lost, none is applied twice,
 and the post-failover trajectory is bit-identical to a run that never
 crashed, RNG state included.
 
@@ -72,6 +73,8 @@ def main() -> None:
             # The injected clock arms ack-staleness detection; the liveness
             # half (dead child PIDs) needs no clock at all. Modules under
             # repro.* never read ambient time — the caller supplies it.
+            # ship_interval=4 retakes the standby's base every 4 batches,
+            # so a promotion replays at most 4 batches from the log.
             replication=ReplicationConfig(
                 ship_interval=4, clock=time.monotonic, ack_timeout=30.0
             ),
@@ -97,8 +100,8 @@ def main() -> None:
             time.sleep(0.01)  # SIGKILL is in flight; the probe is passive
 
         # Keep streaming as if nothing happened: the standby was promoted
-        # (replaying only the committed tail it had not applied) and a
-        # fresh pool respawns lazily on the next dispatch.
+        # (its base rebuilt, the committed tail beyond it replayed once)
+        # and a fresh pool respawns lazily on the next dispatch.
         service.ingest(
             sensor_batches(NUM_BATCHES - KILL_AFTER, start=KILL_AFTER * BATCH_SIZE)
         )

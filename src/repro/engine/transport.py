@@ -21,8 +21,9 @@ to driver-side callbacks. Each ring is **double-buffered**: the driver fills
 one half while the worker reads the other, and flipping halves waits only
 for the other half's acknowledgements — driver-side routing of the next
 batch overlaps worker-side ingest of the previous one. ``drain()`` is the
-barrier; reads (samples, checkpoints, stats) drain first, so observable
-state is always exact. ``apply``'s ``scatters`` parameter gathers selected
+barrier; reads (samples, checkpoints, stats) instead enqueue snapshot
+markers (:meth:`ShardWorkerPool.snapshot_async`) that cut every worker at
+one pipeline position, so observable state is exact without a drain. ``apply``'s ``scatters`` parameter gathers selected
 rows of a source array *directly into the ring* (one fused pass), which is
 how the service scatters per-shard sub-batches without intermediate copies.
 

@@ -27,8 +27,9 @@ a long-running service:
   last checkpoint plus log replay, on any executor backend;
 * :mod:`repro.service.replication` — warm-standby replicas over the same
   log: :class:`ReplicationConfig` (``replication=`` on the service) keeps
-  a driver-side standby current by shipping committed WAL frames, and a
-  worker crash (or failed health probe) promotes it in place — pipelined
+  a driver-side standby as a periodic base cut plus the committed WAL
+  beyond it, and a worker crash (or failed health probe) promotes it in
+  place (base rebuilt, log tail replayed once) — pipelined
   ingest resumes without dropping a batch, bit-identical to an
   uninterrupted run.
 """
@@ -58,7 +59,6 @@ from repro.service.replication import (
 )
 from repro.service.service import SamplerService, ServiceSnapshot
 from repro.service.wal import (
-    LogShipper,
     WALError,
     WALLayoutError,
     WriteAheadLog,
@@ -74,7 +74,6 @@ __all__ = [
     "WALError",
     "WALLayoutError",
     "WriteAheadLog",
-    "LogShipper",
     "ReplicationConfig",
     "ShardReplicaSet",
     "FailureDetector",

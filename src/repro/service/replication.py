@@ -1,4 +1,4 @@
-"""Warm-standby shard replicas: WAL log shipping plus supervised failover.
+"""Warm-standby shard replicas: a base cut plus the log, and supervised failover.
 
 A WAL-enabled :class:`~repro.service.service.SamplerService` already
 recovers bit-identically after a crash — but *offline*: a
@@ -7,12 +7,15 @@ someone restarts the process and calls
 :func:`~repro.service.wal.recover_service`. This module keeps the service
 *serving through* the crash. Three pieces:
 
-* :class:`ShardReplicaSet` — a warm standby: one driver-side replica
-  sampler per shard, fed committed WAL frames by a
-  :class:`~repro.service.wal.LogShipper` and applied through the ordinary
-  ``process_stream`` replay path, so the standby is bit-identical to the
-  primary at every committed watermark (the same argument that makes
-  offline recovery exact).
+* :class:`ShardReplicaSet` — the warm standby, kept as a *base* (the
+  per-shard states of a committed-watermark snapshot cut, plus the
+  reserved RNG states that cut implies) and the committed log beyond it.
+  The service retakes the base every ``ship_interval`` batches and at
+  every paired checkpoint; the standby does no per-batch work. Promotion
+  rebuilds the samplers from the base and replays ``(base, committed]``
+  once through :meth:`~repro.service.wal.WriteAheadLog.collect_replay` —
+  the reader, and the checkpoint-plus-replay argument, of offline
+  recovery.
 * :class:`FailureDetector` — declares the worker pool failed from two
   passive signals: process liveness (the driver-side mirror of the
   workers' orphan watchdog) and acknowledgement staleness (the pool's ack
@@ -31,25 +34,29 @@ Why promotion is safe (the watermark argument)
 *before* a batch is dispatched to any worker. So every batch the driver
 has ever observed as ingested is durably committed in the log, no matter
 how far the pipelined workers got with it. Failover therefore never
-salvages worker state: the pool is discarded wholesale, the standby
-replays exactly the committed-but-unapplied tail ``(applied, committed]``,
-and the promoted samplers are bit-identical to an uninterrupted run
-through the last committed batch — independent of *when* the failure was
-detected, with no batch dropped and none double-applied.
+salvages worker state: the pool is discarded wholesale, the base is
+rebuilt and the committed tail ``(base, committed]`` replayed into it, and
+the promoted samplers are bit-identical to an uninterrupted run through
+the last committed batch — independent of *when* the failure was
+detected, with no batch dropped and none double-applied. The base stays
+valid across a promotion (the promoted trajectory is the same one), so a
+second failure before the next cut promotes from it again. Truncation
+must never drop a frame the base still needs: a paired checkpoint adopts
+its own cut as the base *before* it truncates the log.
 
 RNG reconciliation rule
 -----------------------
 
 The standby must draw the same random numbers the primary would have. Two
-cases: a shard **active at capture time** clones the primary's sampler via
-``state_dict()`` (which embeds the RNG state) and mirrors the primary's
-reserved-stream aliasing; a shard **not yet active** keeps only the
-pristine reserved-stream state, and on its first shipped frame the standby
-hands a clone of that state to the factory — the exact moment, and the
-exact generator state, at which the lazily-creating serial path would have
-invoked it. Promotion then re-aliases the service's reserved streams to
-the standby's generators, so post-failover draws continue the same
-trajectories.
+cases: a shard **active in the base** is rebuilt from its cut state (which
+embeds the RNG state), and when the primary's sampler owns the shard's
+reserved stream the rebuilt sampler's generator becomes that stream
+again; a shard **not yet active** keeps only the pristine reserved-stream
+state, and on its first replayed frame the factory receives a clone of
+that state — the exact moment, and the exact generator state, at which
+the lazily-creating serial path would have invoked it. Promotion then
+re-aliases the service's reserved streams to the rebuilt generators, so
+post-failover draws continue the same trajectories.
 """
 
 from __future__ import annotations
@@ -62,11 +69,11 @@ import numpy as np
 from repro.core.base import Sampler
 from repro.core.random_utils import generator_from_state, generator_state
 from repro.engine.errors import FailoverError
+from repro.service.wal import WALError, WriteAheadLog
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
     from repro.engine.transport import ShardWorkerPool
-    from repro.service.service import SamplerService
-    from repro.service.wal import WriteAheadLog
+    from repro.service.service import SamplerService, ServiceSnapshot
 
 __all__ = [
     "ReplicationConfig",
@@ -84,12 +91,13 @@ class ReplicationConfig:
     Parameters
     ----------
     ship_interval:
-        Ship committed frames to the standby once its lag reaches this many
-        batches. ``1`` keeps the standby hot at the cost of applying every
-        batch twice; larger values amortize shipping but lengthen the
-        replay burst a failover performs. Shipping also always happens at
-        every checkpoint (truncation must never outrun the standby) and at
-        promotion itself.
+        Cut cadence: retake the standby's base (a state-bearing snapshot
+        cut of every shard) once this many committed batches lie beyond
+        it. It bounds how many batches a promotion replays from the log;
+        ``1`` cuts after every batch, larger values take fewer cuts but
+        lengthen the replay a failover performs. Every paired checkpoint
+        also retakes the base (truncation must never drop a frame the base
+        needs).
     clock:
         Injectable monotonic clock (e.g. ``time.monotonic`` passed in by
         the deployment) enabling acknowledgement-staleness detection. With
@@ -124,137 +132,150 @@ class ReplicationConfig:
 
 
 class ShardReplicaSet:
-    """The warm standby: one replica sampler per shard, fed from the WAL.
+    """The warm standby: a base cut of every shard plus the committed log.
 
-    Replicas live driver-side (the driver survives worker crashes — the
-    failure domain replication defends against is the worker pool) and are
-    advanced only by :meth:`catch_up`, which ships committed frames and
-    applies them through ``process_stream`` — the identical replay path
-    offline recovery uses, so replica trajectories are bit-identical to
-    the primary's at every applied watermark.
+    The base lives driver-side (the driver survives worker crashes — the
+    failure domain replication defends against is the worker pool) and is
+    never advanced batch by batch: the service replaces the whole replica
+    set with a fresh :meth:`capture` on cadence and at every paired
+    checkpoint. :meth:`catch_up` rebuilds the samplers from the base and
+    replays the committed tail beyond it through ``process_stream`` — the
+    identical replay path offline recovery uses, so the rebuilt samplers
+    are bit-identical to the primary's at the replayed watermark.
     """
 
     def __init__(
         self,
         factory: Callable[[np.random.Generator], Sampler],
-        num_shards: int,
-        wal: "WriteAheadLog",
-        applied_seq: int = -1,
+        wal: WriteAheadLog,
+        base_seq: int,
+        states: dict[int, dict[str, Any]],
+        rng_states: dict[int, dict[str, Any]],
+        aliased: frozenset[int],
     ) -> None:
         self._factory = factory
-        self.num_shards = int(num_shards)
-        self._shipper = wal.open_shipper()
-        #: Global sequence number of the last batch applied to the standby.
-        self.applied_seq = int(applied_seq)
-        #: Replica samplers for shards active on the standby, by shard id.
+        self._wal = wal
+        #: Global sequence number of the last batch the base covers.
+        self.base_seq = int(base_seq)
+        #: ``state_dict()`` of every shard active at the base, by shard id.
+        self._states = states
+        #: Reserved-stream states of the shards whose sampler does not own
+        #: its stream — every shard not yet active (pristine states, handed
+        #: to the factory on a first replayed frame) and any active shard
+        #: whose sampler keeps a generator of its own.
+        self._rng_states = rng_states
+        #: Active shards whose sampler *is* its reserved stream's owner.
+        self._aliased = aliased
+        #: Samplers and reserved streams rebuilt by :meth:`catch_up`, by
+        #: shard id; handed over (and cleared) by :meth:`promote`.
         self.samplers: dict[int, Sampler] = {}
-        #: Each active replica shard's reserved RNG stream — the generator
-        #: handed to (or reconciled with) its sampler; adopted into the
-        #: service's ``_shard_rngs`` on promotion.
         self.rngs: dict[int, np.random.Generator] = {}
-        #: Pristine reserved-stream states for shards with no data yet;
-        #: consumed by the lazy factory call on the first shipped frame.
-        self._pristine: dict[int, dict[str, Any]] = {}
 
     @classmethod
-    def capture(
-        cls, service: "SamplerService", wal: "WriteAheadLog", applied_seq: int
-    ) -> "ShardReplicaSet":
-        """Build a standby mirroring ``service``'s current (synced) state.
+    def capture(cls, service: "SamplerService", cut: "ServiceSnapshot") -> "ShardReplicaSet":
+        """Take ``cut`` — a state-bearing cut at the committed watermark — as the base.
 
-        The caller must have synced the service first (``_sync()``), so the
-        driver-side samplers are authoritative. Active shards are cloned
-        through the ``state_dict()`` round trip; shards with no data yet
-        contribute only their pristine reserved-stream state (see the RNG
-        reconciliation rule in the module docstring).
+        The caller holds the service lock and took ``cut`` with
+        ``include_state=True`` at the current watermark, so the service's
+        reserved-stream bookkeeping describes the same moment. The cut's
+        states are kept as they are (cuts are immutable); shards without a
+        view contribute only their pristine reserved-stream state (see the
+        RNG reconciliation rule in the module docstring).
         """
-        replica = cls(
-            service._factory, service.num_shards, wal, applied_seq=applied_seq
-        )
+        assert service._wal is not None  # replication requires a WAL
+        states: dict[int, dict[str, Any]] = {}
+        rng_states: dict[int, dict[str, Any]] = {}
+        aliased: set[int] = set()
         for shard_id in range(service.num_shards):
-            if shard_id in service._activated:
-                source = service._shards[shard_id]
-                clone = Sampler.from_state_dict(source.state_dict())
-                replica.samplers[shard_id] = clone
-                source_rng = getattr(source, "_rng", None)
-                clone_rng = getattr(clone, "_rng", None)
-                if (
-                    source_rng is service._shard_rngs[shard_id]
-                    and clone_rng is not None
-                ):
-                    # The primary's sampler and reserved stream are one
-                    # object (the usual factory pattern); mirror the
-                    # aliasing so the replica's reserved stream advances as
-                    # its sampler draws, exactly like the primary's.
-                    replica.rngs[shard_id] = clone_rng
-                else:
-                    replica.rngs[shard_id] = generator_from_state(
-                        generator_state(service._shard_rngs[shard_id])
+            view = cut.views.get(shard_id)
+            if view is not None:
+                if view.state is None:
+                    raise ValueError(
+                        "a standby base needs a state-bearing cut; take the "
+                        "snapshot with include_state=True"
                     )
-            else:
-                replica._pristine[shard_id] = generator_state(
-                    service._shard_rngs[shard_id]
-                )
-        return replica
+                states[shard_id] = view.state
+                if service._owns_reserved_stream(shard_id):
+                    aliased.add(shard_id)
+                    continue
+            rng_states[shard_id] = generator_state(service._shard_rngs[shard_id])
+        return cls(
+            service._factory,
+            service._wal,
+            cut.watermark,
+            states,
+            rng_states,
+            frozenset(aliased),
+        )
 
     def lag(self, committed_seq: int) -> int:
-        """How many committed batches the standby has not applied yet."""
-        return int(committed_seq) - self.applied_seq
-
-    def _get_or_create(self, shard_id: int) -> Sampler:
-        sampler = self.samplers.get(shard_id)
-        if sampler is None:
-            clone = generator_from_state(self._pristine.pop(shard_id))
-            sampler = self._factory(clone)
-            if not isinstance(sampler, Sampler):
-                raise TypeError(
-                    "sampler_factory must return a repro.core.base.Sampler, "
-                    f"got {type(sampler).__name__}"
-                )
-            self.samplers[shard_id] = sampler
-            self.rngs[shard_id] = clone
-        return sampler
+        """How many committed batches lie beyond the base."""
+        return int(committed_seq) - self.base_seq
 
     def catch_up(self, through_seq: int) -> set[int]:
-        """Apply every committed batch up to ``through_seq``; return touched shards.
+        """Rebuild the samplers from the base and replay ``(base, through_seq]``.
 
-        Ships the frames in ``(applied_seq, through_seq]`` and verifies the
-        shipment is gap-free against the commit records before applying
-        anything: a missing commit means frames the standby never saw were
-        truncated away (or the log is damaged), and promoting such a
-        standby would silently lose batches — that is a
-        :class:`~repro.engine.errors.FailoverError`, never a quiet gap.
+        Returns the shards the replay touched. ``through_seq`` is the
+        driver's committed sequence number; the log must end exactly there
+        and hold every commit beyond the base. A missing commit means
+        frames the base needs were truncated away (or the log is damaged),
+        and promoting such a standby would silently lose batches — that is
+        a :class:`~repro.engine.errors.FailoverError`, never a quiet gap.
         """
         through_seq = int(through_seq)
-        if through_seq <= self.applied_seq:
-            return set()
-        shipped = self._shipper.poll(self.applied_seq, through_seq)
-        shipped_seqs = [record.seq for record in shipped.commits]
-        expected = list(range(self.applied_seq + 1, through_seq + 1))
-        if shipped_seqs != expected:
+        try:
+            plan = self._wal.collect_replay(self.base_seq)
+        except WALError as error:
             raise FailoverError(
-                f"the standby needs committed batches {expected[0]}.."
-                f"{expected[-1]} but the commit log ships "
-                f"{shipped_seqs or 'nothing'}; committed frames left the log "
-                "before the standby applied them (truncation must catch the "
-                "standby up first) or the log is damaged — restore offline "
+                f"the standby's base is batch {self.base_seq}, but the log "
+                f"cannot replay the committed tail beyond it ({error}); "
+                "restore offline from the last checkpoint"
+            ) from error
+        if plan.last_seq != through_seq:
+            raise FailoverError(
+                f"the log's last commit is batch {plan.last_seq}, but the "
+                f"driver committed through batch {through_seq}; committed "
+                "frames left the log (truncated past the standby's base "
+                f"{self.base_seq}) or the log is damaged — restore offline "
                 "from the last checkpoint"
             )
-        for shard_id in sorted(shipped.per_shard):
-            batches, times = shipped.per_shard[shard_id]
-            self._get_or_create(shard_id).process_stream(batches, times=times)
-        self.applied_seq = through_seq
-        return set(shipped.per_shard)
+        samplers: dict[int, Sampler] = {}
+        rngs: dict[int, np.random.Generator] = {}
+        for shard_id in sorted(self._states):
+            sampler = Sampler.from_state_dict(self._states[shard_id])
+            samplers[shard_id] = sampler
+            rngs[shard_id] = (
+                sampler._rng
+                if shard_id in self._aliased
+                else generator_from_state(self._rng_states[shard_id])
+            )
+        for shard_id in sorted(plan.per_shard):
+            sampler = samplers.get(shard_id)
+            if sampler is None:
+                clone = generator_from_state(self._rng_states[shard_id])
+                sampler = self._factory(clone)
+                if not isinstance(sampler, Sampler):
+                    raise TypeError(
+                        "sampler_factory must return a repro.core.base.Sampler, "
+                        f"got {type(sampler).__name__}"
+                    )
+                samplers[shard_id] = sampler
+                rngs[shard_id] = clone
+            batches, times = plan.per_shard[shard_id]
+            sampler.process_stream(batches, times=times)
+        self.samplers, self.rngs = samplers, rngs
+        return set(plan.per_shard)
 
     def promote(self) -> tuple[dict[int, Sampler], dict[int, np.random.Generator]]:
-        """Hand over the standby's samplers and reserved streams.
+        """Hand over the samplers and reserved streams :meth:`catch_up` rebuilt.
 
         The caller (the service's failover) adopts them as the new
-        primaries; the replica set is consumed — a fresh standby is
-        captured from the promoted state afterwards.
+        primaries. The base is kept: it still describes the promoted
+        trajectory, so a later promotion replays from it again until the
+        next cut replaces it.
         """
         samplers, rngs = self.samplers, self.rngs
-        self.samplers, self.rngs, self._pristine = {}, {}, {}
+        self.samplers, self.rngs = {}, {}
         return samplers, rngs
 
 

@@ -263,15 +263,17 @@ class SamplerService:
         — fastest, replay lag bounded by the last flush.
     replication:
         Optional :class:`~repro.service.replication.ReplicationConfig`
-        enabling a warm standby: every shard gets a driver-side replica
-        kept current by shipping committed WAL frames, and a
+        enabling a warm standby: a driver-side base cut of every shard,
+        retaken every ``ship_interval`` batches and at every checkpoint,
+        plus the committed WAL beyond it. A
         :class:`~repro.engine.errors.WorkerCrashError` (or a failed health
-        probe) promotes the standby *in place* — the committed-but-unapplied
-        log tail is replayed, RNG streams are reconciled, and pipelined
-        ingest resumes on a fresh worker pool without dropping a batch;
-        post-failover trajectories are bit-identical to an uninterrupted
-        run. Requires ``wal_dir`` (the log is the shipping medium and the
-        promotion-safety argument rests on its commit watermark).
+        probe) promotes the standby *in place* — the base is rebuilt, the
+        committed log tail beyond it is replayed, RNG streams are
+        reconciled, and pipelined ingest resumes on a fresh worker pool
+        without dropping a batch; post-failover trajectories are
+        bit-identical to an uninterrupted run. Requires ``wal_dir`` (the
+        promotion replays the log, and its safety argument rests on the
+        log's commit watermark).
 
     Examples
     --------
@@ -299,8 +301,8 @@ class SamplerService:
             raise ValueError(f"num_shards must be positive, got {num_shards}")
         if replication is not None and wal_dir is None:
             raise ValueError(
-                "replication requires a write-ahead log (the committed log is "
-                "what ships to the standby); pass wal_dir= as well"
+                "replication requires a write-ahead log (promotion replays the "
+                "committed log beyond the standby's base); pass wal_dir= as well"
             )
         self._factory = sampler_factory
         self.num_shards = int(num_shards)
@@ -648,7 +650,7 @@ class SamplerService:
             None
             if rt is None
             else {
-                "standby_applied_seq": rt.replica.applied_seq,
+                "standby_base_seq": rt.replica.base_seq,
                 "standby_lag_batches": rt.replica.lag(self._batches_seen - 1),
                 "ship_interval": rt.config.ship_interval,
                 "failovers": rt.failovers,
@@ -901,6 +903,9 @@ class SamplerService:
             self._dispatch(pending)
             pending.clear()
             buffered = 0
+            # The standby's cut must see every logged batch dispatched, so
+            # buffered batches only meet the replication tick here.
+            self._replication_tick()
 
         try:
             for batch in batches:
@@ -936,13 +941,12 @@ class SamplerService:
                 routed = self._route(items, batch_keys)
                 time = self._advance_time(time)
                 self._wal_log(routed, time)
-                self._replication_tick()
                 for shard_id, sub_batch in routed:
                     sub_batches, sub_times = pending.setdefault(shard_id, ([], []))
                     sub_batches.append(sub_batch)
                     sub_times.append(time)
                 buffered += 1
-                if buffered >= window:
+                if buffered >= window or self._standby_cut_due():
                     flush()
                     release()
         except BaseException:
@@ -1095,11 +1099,10 @@ class SamplerService:
                 self._ckpt_dirty.clear()
                 self._wal_watermark = watermark
                 if self._replication is not None:
-                    # Truncation recycles the segments the standby ships
-                    # from; the standby must hold every committed frame
-                    # first, or a later promotion would find its log tail
-                    # gone.
-                    self._replication.replica.catch_up(watermark)
+                    # Truncation drops every frame at or below the
+                    # watermark; promotion replays from the standby's base,
+                    # so the base moves up to this very cut first.
+                    self._replication.replica = ShardReplicaSet.capture(self, cut)
                 self._wal.truncate(watermark)
 
     # ------------------------------------------------------------------
@@ -1406,9 +1409,9 @@ class SamplerService:
         """Capture a warm standby of the current state and start supervising.
 
         Called from the constructor (``replication=``) and by
-        :func:`~repro.service.wal.recover_service`. The standby is captured
-        at the current committed watermark, so from the next batch on it
-        trails the primary only by shipped-but-unapplied log frames.
+        :func:`~repro.service.wal.recover_service`. The standby's first base
+        is a cut at the current committed watermark; from then on it trails
+        the primary only by the committed log beyond its base.
         """
         if self._wal is None:
             raise ValueError(
@@ -1417,34 +1420,51 @@ class SamplerService:
             )
         if self._replication is not None:
             raise ValueError("replication is already enabled on this service")
-        # The standby is captured from the same committed-watermark cut the
-        # checkpoint path serializes: a state-bearing snapshot refreshed
-        # into the driver, not a drain barrier.
+        # The base is the same committed-watermark cut the checkpoint path
+        # serializes: a state-bearing snapshot, not a drain barrier.
         cut = self.snapshot(include_items=False, include_state=True)
-        self._refresh_driver_cut(cut)
-        replica = ShardReplicaSet.capture(self, self._wal, cut.watermark)
         self._replication = ReplicationRuntime(
             config=config,
-            replica=replica,
+            replica=ShardReplicaSet.capture(self, cut),
             detector=FailureDetector(
                 clock=config.clock, ack_timeout=config.ack_timeout
             ),
         )
 
-    def _replication_tick(self) -> None:
-        """Per-batch replication upkeep: ship on cadence, probe the workers.
+    def _standby_cut_due(self) -> bool:
+        """Whether ``ship_interval`` committed batches lie beyond the base."""
+        rt = self._replication
+        return rt is not None and (
+            rt.replica.lag(self._batches_seen - 1) >= rt.config.ship_interval
+        )
 
-        Runs *after* a batch is committed (and, on the transport backend,
-        dispatched) — never between commit and dispatch, where a promotion
-        would replay the batch into the standby and the still-pending
-        dispatch would then double-apply it.
+    def _owns_reserved_stream(self, shard_id: int) -> bool:
+        """Whether shard ``shard_id``'s sampler draws from its reserved stream.
+
+        Answers for the moment of a cut taken under the service lock: the
+        transport backend recorded the aliasing when it attached the shard;
+        in-process backends hold the live sampler.
+        """
+        if self._transport_attached:
+            return self._retained_rng.get(shard_id, False)
+        return getattr(self._shards.get(shard_id), "_rng", None) is self._shard_rngs[shard_id]
+
+    def _replication_tick(self) -> None:
+        """Per-batch replication upkeep: retake the base on cadence, probe the workers.
+
+        Runs *after* a batch is committed and dispatched — never between
+        commit and dispatch, where a promotion would replay the batch into
+        the promoted samplers and the still-pending dispatch would then
+        double-apply it, and where a cut would miss the batch. A crash found
+        by the cadence cut promotes from the previous base inside
+        :meth:`snapshot`; the cut it returns is then the promoted state.
         """
         rt = self._replication
         if rt is None:
             return
-        committed = self._batches_seen - 1
-        if rt.replica.lag(committed) >= rt.config.ship_interval:
-            rt.replica.catch_up(committed)
+        if self._standby_cut_due():
+            cut = self.snapshot(include_items=False, include_state=True)
+            rt.replica = ShardReplicaSet.capture(self, cut)
         if self._transport_attached:
             verdict = rt.detector.check(self._executor.transport)
             if verdict.failed:
@@ -1482,9 +1502,10 @@ class SamplerService:
         """Dispatch one routed batch, failing over on a worker crash.
 
         The batch was WAL-committed before this call, so when the pool dies
-        mid-dispatch the promotion's log replay delivers it to the standby —
-        the dispatch is simply abandoned, and the per-shard counts come
-        from the routing result instead of worker acknowledgements.
+        mid-dispatch the promotion's log replay delivers it to the promoted
+        samplers — the dispatch is simply abandoned, and the per-shard
+        counts come from the routing result instead of worker
+        acknowledgements.
         """
         try:
             self._dispatch_routed(batch, routed_batch, time, counts_sink=counts_sink)
@@ -1516,9 +1537,10 @@ class SamplerService:
         """Promote the warm standby over the (dead or condemned) worker pool.
 
         The safety argument: every batch the driver ever observed as
-        ingested was committed to the WAL *before* dispatch, so the standby
-        — caught up through the last committed sequence number — is
-        bit-identical to an uninterrupted run through that batch. Worker
+        ingested was committed to the WAL *before* dispatch, so the
+        standby's base plus the committed log beyond it — replayed through
+        the last committed sequence number — is bit-identical to an
+        uninterrupted run through that batch. Worker
         state is therefore never salvaged: the pool is discarded wholesale,
         whatever pipeline position it died at, and no batch is dropped or
         double-applied regardless of when the failure was detected.
@@ -1554,8 +1576,9 @@ class SamplerService:
         # Cached cuts may reference the condemned pool's shard states.
         self._snapshot_cache = None
         self._executor.shutdown()
-        # 2. Catch the standby up through the last committed batch, then
-        # promote its samplers and reserved RNG streams in place.
+        # 2. Rebuild the base, replay the log through the last committed
+        # batch, then promote the samplers and reserved RNG streams in
+        # place. The base stays: it describes this same trajectory.
         committed = self._batches_seen - 1
         rt.replica.catch_up(committed)
         samplers, rngs = rt.replica.promote()
@@ -1573,21 +1596,20 @@ class SamplerService:
             + (str(error) if error is not None else "operator-forced promotion")
         )
         rt.detector.reset()
-        # 3. Respawn a fresh standby behind the new primaries.
-        assert self._wal is not None  # replication requires a WAL
-        rt.replica = ShardReplicaSet.capture(self, self._wal, committed)
 
     def failover(self) -> None:
         """Promote the warm standby now (operator-forced).
 
         Runs the exact promotion the failure detector performs on a worker
         crash: the current (possibly healthy) worker pool is discarded,
-        the standby replays the committed log tail, and the service
+        the standby's base is rebuilt and the committed log tail beyond it
+        replayed, and the service
         continues on the promoted samplers — bit-identically to never
         having failed over, on any backend. Requires ``replication=``;
         raises :class:`~repro.engine.errors.FailoverError` otherwise.
         """
-        self._failover(None)
+        with self._lock:
+            self._failover(None)
 
     def check_health(self) -> dict[str, Any]:
         """Probe the worker pool; with replication enabled, fail over on failure.
@@ -1817,7 +1839,7 @@ class SamplerService:
             except WorkerCrashError as error:
                 if self._replication is None:
                     raise
-                # The checkpoint above already caught the standby up, so
+                # The checkpoint above made its cut the standby's base, so
                 # promotion loses nothing; the reshard proceeds on the
                 # promoted samplers.
                 self._failover(error)
@@ -1873,14 +1895,10 @@ class SamplerService:
             # *post*-reshard deployment.
             self._wal.reset_layout(new_count)
             self._ckpt_dirty = set(new_shards)
+            # The checkpoint also makes the re-homed state the standby's
+            # base, replacing the old layout's.
             self.checkpoint()
             if self._replication is not None:
-                # The old standby mirrors the old layout (and its shipper
-                # predates the segment swap); capture a fresh one from the
-                # re-homed, just-checkpointed state.
-                self._replication.replica = ShardReplicaSet.capture(
-                    self, self._wal, self._batches_seen - 1
-                )
                 self._replication.detector.reset()
 
     # ------------------------------------------------------------------

@@ -64,18 +64,6 @@ shard records without a commit log — raises :class:`WALLayoutError` on
 :meth:`WriteAheadLog.attach` instead of silently recovering less than was
 committed.
 
-Log shipping
-------------
-
-:class:`LogShipper` (``WriteAheadLog.open_shipper()``) is the replication
-feed: an incremental, byte-offset-based reader that returns the committed
-frames appended since its last poll, never reading past the caller's
-committed horizon, a segment terminator, or a torn tail. Truncation and
-layout changes bump the WAL's *shipping epoch*; the shipper notices, rewinds
-to the segment heads, and relies on the caller's applied watermark to skip
-frames it already delivered. :mod:`repro.service.replication` drives it to
-keep a warm standby bit-identical at every committed watermark.
-
 Fsync policy
 ------------
 
@@ -104,8 +92,6 @@ __all__ = [
     "WALError",
     "WALLayoutError",
     "WriteAheadLog",
-    "LogShipper",
-    "ShippedFrames",
     "recover_service",
     "read_log_records",
 ]
@@ -219,13 +205,19 @@ def _encode_payload(array: np.ndarray) -> tuple[int, list[bytes | memoryview]]:
     return _ENC_NPY, [struct.pack("<Q", len(data)), data]
 
 
-def _decode_payload(encoding: int, body: bytes, offset: int, where: str) -> np.ndarray:
-    """Decode one payload array from a record body (raises :class:`WALError`)."""
+def _decode_payload(
+    encoding: int, body: memoryview, offset: int, where: str
+) -> np.ndarray:
+    """Decode one payload array from a record body (raises :class:`WALError`).
+
+    ``body`` is a view into the log bytes; a raw payload is copied exactly
+    once, out of the view into the returned array.
+    """
     try:
         if encoding == _ENC_RAW:
             (dtype_len,) = struct.unpack_from("<B", body, offset)
             offset += 1
-            dtype = np.dtype(body[offset : offset + dtype_len].decode("ascii"))
+            dtype = np.dtype(bytes(body[offset : offset + dtype_len]).decode("ascii"))
             offset += dtype_len
             (ndim,) = struct.unpack_from("<B", body, offset)
             offset += 1
@@ -240,7 +232,7 @@ def _decode_payload(encoding: int, body: bytes, offset: int, where: str) -> np.n
         if encoding == _ENC_JSON:
             (length,) = struct.unpack_from("<Q", body, offset)
             offset += 8
-            items = json.loads(body[offset : offset + length].decode("utf-8"))
+            items = json.loads(bytes(body[offset : offset + length]).decode("utf-8"))
             out = np.empty(len(items), dtype=object)
             for index, item in enumerate(items):
                 out[index] = item
@@ -331,6 +323,7 @@ def read_log_records(path: str | os.PathLike, strict: bool = False) -> LogScan:
         scan = LogScan(kind=kind, shard_id=shard_field, num_shards=0)
     position = _HEADER.size
     previous_seq = -1
+    view = memoryview(data)
     while position < len(data):
         remaining = len(data) - position
         if remaining < _FRAME.size:
@@ -354,7 +347,7 @@ def read_log_records(path: str | os.PathLike, strict: bool = False) -> LogScan:
                 f"{len(data) - body_start} remain",
             )
             break
-        body = data[body_start : body_start + length]
+        body = view[body_start : body_start + length]
         if zlib.crc32(body) != crc:
             raise WALError(
                 f"{path}: CRC mismatch at offset {position} (record after "
@@ -386,79 +379,6 @@ def read_log_records(path: str | os.PathLike, strict: bool = False) -> LogScan:
             f"{path}: torn write at offset {scan.torn.offset}: {scan.torn.reason}"
         )
     return scan
-
-
-def _scan_frames_from(
-    path: str, kind: int, offset: int, after_seq: int, through_seq: int
-) -> tuple[list[LogRecord], int]:
-    """Incrementally scan one log's frames starting at byte ``offset``.
-
-    The shipping primitive behind :class:`LogShipper`: decodes records with
-    ``after_seq < seq <= through_seq`` and returns them with the byte offset
-    the next scan should resume from. The cursor advances over skipped
-    (already-shipped) frames but stops — *without* advancing — at the
-    recycled-segment terminator, at a torn tail (an append may still be in
-    flight; the frame is re-examined next poll), and at the first frame
-    beyond ``through_seq`` (present on disk but not yet in the caller's
-    committed horizon). Payload bodies are only decoded for frames actually
-    shipped; a CRC mismatch on any fully-present frame raises
-    :class:`WALError` as usual.
-    """
-    try:
-        with open(path, "rb") as fh:
-            fh.seek(offset)
-            data = fh.read()
-    except FileNotFoundError:
-        return [], offset
-    records: list[LogRecord] = []
-    position = 0
-    while position < len(data):
-        if len(data) - position < _FRAME.size:
-            break  # in-flight or torn tail: retry from here next poll
-        length, crc = _FRAME.unpack_from(data, position)
-        if length == 0:
-            break  # recycled-segment terminator: logical end (for now)
-        body_start = position + _FRAME.size
-        if length > len(data) - body_start:
-            break  # torn tail
-        body = data[body_start : body_start + length]
-        where = f"{path} @ offset {offset + position}"
-        if zlib.crc32(body) != crc:
-            raise WALError(
-                f"{where}: CRC mismatch on a shipped frame; the log is "
-                "corrupt — restore from a replica or truncate at this offset"
-            )
-        try:
-            if kind == _KIND_COMMIT:
-                seq, time, flags = _COMMIT_BODY.unpack_from(body, 0)
-                payload_offset = None
-            else:
-                seq, time = _SHARD_BODY.unpack_from(body, 0)
-                flags = int(body[_SHARD_BODY.size])
-                payload_offset = _SHARD_BODY.size + 1
-        except (struct.error, IndexError) as error:
-            raise WALError(f"{where}: malformed record body ({error})") from error
-        if seq > through_seq:
-            break
-        end = body_start + length
-        if seq > after_seq:
-            payload = (
-                None
-                if payload_offset is None
-                else _decode_payload(flags, body, payload_offset, where)
-            )
-            records.append(
-                LogRecord(
-                    int(seq),
-                    float(time),
-                    int(flags),
-                    payload,
-                    offset + position,
-                    offset + end,
-                )
-            )
-        position = end
-    return records, offset + position
 
 
 # ----------------------------------------------------------------------
@@ -692,11 +612,6 @@ class WriteAheadLog:
         self.directory = os.fspath(directory)
         self.num_shards = int(num_shards)
         self.fsync = fsync
-        #: Bumped whenever the byte layout of the segments changes under a
-        #: reader's feet (truncation, orphan drop, layout reset); a
-        #: :class:`LogShipper` whose epoch no longer matches rewinds its
-        #: cursors and dedupes by its caller's applied watermark.
-        self._shipping_epoch = 0
         self._commit = _LogFile(
             os.path.join(self.directory, _COMMIT_NAME), _KIND_COMMIT, self.num_shards
         )
@@ -944,11 +859,10 @@ class WriteAheadLog:
         Called after a delta checkpoint lands: everything at or below the
         watermark is durable in the checkpoint, so the logs shrink back to
         the replay tail (usually nothing). Crash-safe: replay filters by the
-        manifest watermark regardless. A replication caller must catch its
-        standby up *through* the watermark first — truncated frames are gone
-        from the shipping feed (the shipping epoch advances here).
+        manifest watermark regardless. A replication caller must move its
+        standby's base up to the watermark first — promotion replays from
+        the base, and truncated frames are gone.
         """
-        self._shipping_epoch += 1
         for log in (*self._shards.values(), self._commit):
             log.rewrite_keeping(lambda record: record.seq > watermark)
 
@@ -959,7 +873,6 @@ class WriteAheadLog:
         records; recovery discards them so the next live append (which reuses
         their sequence numbers) cannot produce an out-of-order log.
         """
-        self._shipping_epoch += 1
         for log in self._shards.values():
             log.rewrite_keeping(lambda record: record.seq <= last_committed)
 
@@ -976,7 +889,6 @@ class WriteAheadLog:
         normalizes.
         """
         self.close()
-        self._shipping_epoch += 1
         self.num_shards = int(num_shards)
         for shard_id in range(self.num_shards):
             _replace_with_header(
@@ -1002,11 +914,6 @@ class WriteAheadLog:
             )
             for shard_id in range(self.num_shards)
         }
-
-    # -- log shipping --------------------------------------------------
-    def open_shipper(self) -> "LogShipper":
-        """A fresh incremental reader of this WAL's committed frames."""
-        return LogShipper(self)
 
     # -- recovery ------------------------------------------------------
     def collect_replay(self, watermark: int) -> ReplayPlan:
@@ -1075,87 +982,6 @@ class WriteAheadLog:
             orphaned_shards=sorted(orphaned),
             torn=torn,
         )
-
-
-@dataclass
-class ShippedFrames:
-    """One incremental shipment of committed WAL frames.
-
-    ``commits`` lists the commit records shipped, in sequence order;
-    ``per_shard`` maps each shard id to its shipped sub-batches and arrival
-    times, in batch order — exactly the shape ``process_stream`` replays.
-    """
-
-    commits: list[LogRecord]
-    per_shard: dict[int, tuple[list[np.ndarray], list[float]]]
-
-    @property
-    def batches(self) -> int:
-        return len(self.commits)
-
-
-#: Cursor key for the commit log in a shipper's offset table (shard logs use
-#: their non-negative shard ids).
-_COMMIT_CURSOR = -1
-
-
-class LogShipper:
-    """Incremental, byte-offset-based reader of committed frames.
-
-    The replication feed: each :meth:`poll` returns the frames appended
-    since the previous one, bounded by the caller's committed horizon.
-    Cursors are byte offsets into each segment, so a poll costs one
-    ``open`` + ``read`` of only the new bytes per log. The shipper stops —
-    without advancing — at segment terminators, torn tails (an interrupted
-    append is re-examined next poll once the frame is whole), and frames
-    beyond ``through_seq``. When the WAL's shipping epoch moves (truncation,
-    orphan drop, layout reset rewrote the segments) the cursors rewind to
-    the segment heads and ``after_seq`` dedupes frames already delivered.
-    """
-
-    def __init__(self, wal: WriteAheadLog) -> None:
-        self._wal = wal
-        self._epoch = wal._shipping_epoch
-        self._offsets: dict[int, int] = {}
-
-    def poll(self, after_seq: int, through_seq: int) -> ShippedFrames:
-        """Ship every committed frame with ``after_seq < seq <= through_seq``.
-
-        ``after_seq`` is the caller's applied watermark (frames at or below
-        it were delivered by earlier polls); ``through_seq`` is the caller's
-        committed horizon — frames beyond it may already sit in the log
-        (an append races the caller's bookkeeping) and are left for a later
-        poll. The commit records come back alongside the shard frames so the
-        caller can verify the shipment is gap-free before applying it.
-        """
-        wal = self._wal
-        if wal._shipping_epoch != self._epoch:
-            self._offsets.clear()
-            self._epoch = wal._shipping_epoch
-        commits, next_offset = _scan_frames_from(
-            wal._commit.path,
-            _KIND_COMMIT,
-            self._offsets.get(_COMMIT_CURSOR, _HEADER.size),
-            after_seq,
-            through_seq,
-        )
-        self._offsets[_COMMIT_CURSOR] = next_offset
-        per_shard: dict[int, tuple[list[np.ndarray], list[float]]] = {}
-        for shard_id in range(wal.num_shards):
-            records, next_offset = _scan_frames_from(
-                wal._shards[shard_id].path,
-                _KIND_SHARD,
-                self._offsets.get(shard_id, _HEADER.size),
-                after_seq,
-                through_seq,
-            )
-            self._offsets[shard_id] = next_offset
-            if records:
-                per_shard[shard_id] = (
-                    [record.payload for record in records],  # type: ignore[misc]
-                    [record.time for record in records],
-                )
-        return ShippedFrames(commits=commits, per_shard=per_shard)
 
 
 def recover_service(

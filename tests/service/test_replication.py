@@ -1,14 +1,17 @@
-"""Warm-standby replication: log shipping, failover, and the layout guards.
+"""Warm-standby replication: base cuts, failover, and the layout guards.
 
-Covers the replication module's three layers plus the two robustness
-satellites that ride with it:
+Covers the replication module's layers plus the robustness satellites
+that ride with it:
 
-* :class:`~repro.service.wal.LogShipper` edge cases — torn final frames,
-  shipping across a ``truncate`` segment recycle, and a standby lagging
-  far behind the primary;
-* :class:`~repro.service.replication.ShardReplicaSet` bit-identity and
-  gap detection, and :class:`FailureDetector` verdicts under an injected
+* :class:`~repro.service.replication.ShardReplicaSet` bit-identity (a base
+  cut plus one replay of the committed log), long tails, and gap
+  detection, and :class:`FailureDetector` verdicts under an injected
   clock;
+* the standby's base on ``serial`` and ``process:2``, each run ending
+  bit-identical to ``tests/faults.py::golden_state``: shards that first
+  activate after the base, a worker killed while a cadence cut's markers
+  are in flight, and a crash right after ``checkpoint()`` truncated the
+  log;
 * forced failover on every backend (serial and thread here; the process
   backend's SIGKILL sweep lives in ``test_replication_chaos.py``);
 * ``close()`` idempotency after a worker crash (satellite: double-close
@@ -28,7 +31,6 @@ import numpy as np
 import pytest
 
 from repro.core import RTBS
-from repro.core.base import Sampler
 from repro.engine import FailoverError, WorkerCrashError
 from repro.service import (
     ReplicationConfig,
@@ -38,9 +40,11 @@ from repro.service import (
     WriteAheadLog,
     recover_service,
 )
+from repro.core.random_utils import generator_state
 from repro.service.replication import FailureDetector
 from repro.service.wal import read_log_records
 
+from tests import faults
 from tests.faults import assert_states_equal
 
 
@@ -61,107 +65,22 @@ def _routed(batch: np.ndarray, num_shards: int = 2) -> list:
 
 
 # ----------------------------------------------------------------------
-# LogShipper edge cases (satellite 3)
-# ----------------------------------------------------------------------
-class TestLogShipper:
-    def test_polls_ship_incrementally_and_respect_the_horizon(self, tmp_path):
-        wal = WriteAheadLog.create(tmp_path / "wal", num_shards=2)
-        shipper = wal.open_shipper()
-        for seq in range(3):
-            wal.append_batch(
-                seq, float(seq + 1), _routed(np.arange(10) + seq), explicit_keys=False
-            )
-        # The horizon caps the shipment even though seq 2 is already on disk.
-        shipped = shipper.poll(-1, 1)
-        assert [r.seq for r in shipped.commits] == [0, 1]
-        assert set(shipped.per_shard) == {0, 1}
-        assert all(len(frames) == 2 for frames, _ in shipped.per_shard.values())
-        # The next poll picks up exactly the remainder — no re-delivery.
-        shipped = shipper.poll(1, 2)
-        assert [r.seq for r in shipped.commits] == [2]
-        assert all(len(frames) == 1 for frames, _ in shipped.per_shard.values())
-        wal.close()
-
-    def test_torn_final_frame_stops_without_advancing_then_resumes(self, tmp_path):
-        wal = WriteAheadLog.create(tmp_path / "wal", num_shards=1)
-        shipper = wal.open_shipper()
-        wal.append_batch(0, 1.0, [(0, np.arange(20))], explicit_keys=False)
-        wal.append_batch(1, 2.0, [(0, np.arange(20, 40))], explicit_keys=False)
-        wal.flush()
-        path = os.path.join(wal.directory, "shard-00000.wal")
-        whole = open(path, "rb").read()
-        records = read_log_records(path).records
-        # Tear the final frame mid-body, as an interrupted append would.
-        cut = records[-1].start + 7
-        os.truncate(path, cut)
-        shipped = shipper.poll(-1, 1)
-        # The commit log vouches for both batches, but the torn shard frame
-        # is not shipped — and the cursor must NOT advance past it.
-        assert [r.seq for r in shipped.commits] == [0, 1]
-        (frames, times) = shipped.per_shard[0]
-        assert len(frames) == 1 and times == [1.0]
-        # The append completes (the missing bytes land); the next poll
-        # resumes from the un-advanced cursor and ships the whole frame.
-        with open(path, "r+b") as fh:
-            fh.seek(cut)
-            fh.write(whole[cut:])
-        shipped = shipper.poll(0, 1)
-        (frames, times) = shipped.per_shard[0]
-        assert len(frames) == 1 and times == [2.0]
-        assert frames[0].tolist() == list(range(20, 40))
-        wal.close()
-
-    def test_shipping_across_a_truncate_recycle_never_redelivers(self, tmp_path):
-        wal = WriteAheadLog.create(tmp_path / "wal", num_shards=2)
-        shipper = wal.open_shipper()
-        for seq in range(4):
-            wal.append_batch(
-                seq, float(seq + 1), _routed(np.arange(8) * (seq + 1)), explicit_keys=False
-            )
-        assert shipper.poll(-1, 3).batches == 4
-        # Checkpoint-style recycle: everything applied so far leaves the log.
-        wal.truncate(3)
-        wal.append_batch(4, 5.0, _routed(np.arange(8) * 5), explicit_keys=False)
-        shipped = shipper.poll(3, 4)
-        # The cursors rewound to the recycled segment heads; after_seq
-        # dedupes, so exactly the new batch arrives — nothing re-delivered,
-        # nothing skipped.
-        assert [r.seq for r in shipped.commits] == [4]
-        for frames, times in shipped.per_shard.values():
-            assert len(frames) == 1 and times == [5.0]
-        wal.close()
-
-    def test_standby_lagging_many_batches_catches_up_in_one_poll(self, tmp_path):
-        wal = WriteAheadLog.create(tmp_path / "wal", num_shards=2)
-        shipper = wal.open_shipper()
-        batches = _batches(100)
-        for seq, batch in enumerate(batches):
-            wal.append_batch(
-                seq, float(seq + 1), _routed(batch), explicit_keys=False
-            )
-        shipped = shipper.poll(-1, 99)
-        assert shipped.batches == 100
-        # Replaying the shipment reproduces a direct serial run bit for bit.
-        replica = RTBS(n=40, lambda_=0.15, rng=7)
-        frames, times = shipped.per_shard[0]
-        replica.process_stream(frames, times=times)
-        reference = RTBS(n=40, lambda_=0.15, rng=7)
-        reference.process_stream(
-            [b[0::2] for b in batches], times=[float(s + 1) for s in range(100)]
-        )
-        assert_states_equal(replica.state_dict(), reference.state_dict())
-        wal.close()
-
-
-# ----------------------------------------------------------------------
 # ShardReplicaSet
 # ----------------------------------------------------------------------
+def _base(service: SamplerService) -> ShardReplicaSet:
+    return ShardReplicaSet.capture(
+        service, service.snapshot(include_items=False, include_state=True)
+    )
+
+
 class TestShardReplicaSet:
-    def test_standby_is_bit_identical_at_every_shipped_watermark(self, tmp_path):
+    def test_rebuilt_standby_is_bit_identical_at_every_committed_watermark(
+        self, tmp_path
+    ):
         service = SamplerService(
             _factory(), num_shards=3, rng=11, wal_dir=tmp_path / "wal"
         )
-        replica = ShardReplicaSet.capture(service, service._wal, -1)
+        replica = _base(service)
         for seq, batch in enumerate(_batches(12)):
             service.ingest_batch(batch)
             replica.catch_up(seq)
@@ -172,18 +91,38 @@ class TestShardReplicaSet:
                 )
         service.close()
 
+    def test_promotion_replays_a_long_tail_in_one_pass(self, tmp_path):
+        batches = _batches(100)
+        service = SamplerService(
+            _factory(), num_shards=2, rng=7, wal_dir=tmp_path / "wal"
+        )
+        replica = _base(service)
+        for batch in batches:
+            service.ingest_batch(batch)
+        assert replica.catch_up(99) == {0, 1}
+        reference = SamplerService(_factory(), num_shards=2, rng=7)
+        reference.ingest(batches)
+        for shard_id in reference.active_shards:
+            assert_states_equal(
+                replica.samplers[shard_id].state_dict(),
+                reference.shard(shard_id).state_dict(),
+            )
+        service.close()
+
     def test_catch_up_refuses_a_gap_in_the_committed_tail(self, tmp_path):
         service = SamplerService(
             _factory(), num_shards=2, rng=11, wal_dir=tmp_path / "wal"
         )
+        # A base taken before any batch, left behind while the primary
+        # checkpointed and truncated, has lost the frames it needs:
+        # promotion from it would silently drop batches, so it must refuse
+        # — whether or not newer commits follow the truncation.
+        replica = _base(service)
         for batch in _batches(5):
             service.ingest_batch(batch)
-        # A replica captured at -1 that never applied anything, after the
-        # primary checkpointed and truncated, has lost its tail: promotion
-        # from it would silently drop batches, so it must refuse.
-        replica = ShardReplicaSet.capture(service, service._wal, -1)
-        replica.applied_seq = -1
         service.checkpoint()
+        with pytest.raises(FailoverError, match="truncat"):
+            replica.catch_up(service.batches_seen - 1)
         service.ingest_batch(_batches(1, start=5)[0])
         with pytest.raises(FailoverError, match="truncat"):
             replica.catch_up(service.batches_seen - 1)
@@ -354,18 +293,180 @@ class TestForcedFailover:
 
 
 # ----------------------------------------------------------------------
-# close() idempotency after a worker crash (satellite 1)
+# The standby's base: cadence cuts, checkpoint cuts, late activation
 # ----------------------------------------------------------------------
-def _wait_for_death(pid: float, timeout: float = 10.0) -> None:
-    deadline = time.monotonic() + timeout
-    while time.monotonic() < deadline:
-        try:
-            os.kill(pid, 0)
-        except ProcessLookupError:
-            return
+BASE_BACKENDS = [None, "process:2"]
+BASE_IDS = ["serial", "process"]
+
+
+def _replicated(tmp_path, backend, ship_interval, factory=None):
+    return SamplerService(
+        factory or faults.make_factory(),
+        num_shards=faults.NUM_SHARDS,
+        rng=faults.SEED,
+        executor=backend,
+        wal_dir=tmp_path / "wal",
+        replication=ReplicationConfig(ship_interval=ship_interval),
+    )
+
+
+def _replication_stats(service: SamplerService) -> dict:
+    return service.stats()["durability"]["replication"]
+
+
+def _kill_worker(service: SamplerService, worker: int = 0) -> None:
+    """SIGKILL one pool worker and wait until it is dead (and reaped)."""
+    process = service.executor.transport.workers[worker].process
+    os.kill(process.pid, signal.SIGKILL)
+    deadline = time.monotonic() + 10.0
+    while process.is_alive() and time.monotonic() < deadline:
         time.sleep(0.01)
 
 
+class TestStandbyBase:
+    @pytest.mark.parametrize("backend", BASE_BACKENDS, ids=BASE_IDS)
+    def test_bulk_ingest_cuts_see_every_dispatched_batch(self, tmp_path, backend):
+        """In-process bulk ingest buffers a window; the cut waits for its dispatch."""
+        batches = faults.workload_batches()
+        service = _replicated(tmp_path, backend, ship_interval=3)
+        try:
+            service.ingest(batches[:17], window=5)
+            assert _replication_stats(service)["standby_lag_batches"] < 3
+            service.failover()
+            service.ingest(batches[17:], window=5)
+            assert_states_equal(service.state_dict(), faults.golden_state())
+        finally:
+            service.close()
+
+    @pytest.mark.parametrize("backend", BASE_BACKENDS, ids=BASE_IDS)
+    def test_shards_first_active_after_the_base_get_pristine_streams(
+        self, tmp_path, backend
+    ):
+        pristine = [
+            generator_state(rng)
+            for rng in SamplerService(
+                faults.make_factory(), faults.NUM_SHARDS, rng=faults.SEED
+            )._shard_rngs
+        ]
+        inner = faults.make_factory()
+        promoting: list[bool] = []
+        handed: list[dict] = []
+
+        def factory(rng):
+            if promoting:
+                handed.append(generator_state(rng))
+            return inner(rng)
+
+        # No cadence cut and no checkpoint: the base stays the empty cut
+        # the constructor took, so every shard first activates during the
+        # promotion's replay.
+        service = _replicated(
+            tmp_path, backend, ship_interval=faults.NUM_BATCHES + 1, factory=factory
+        )
+        try:
+            for index, batch in enumerate(faults.workload_batches()):
+                service.ingest_batch(batch)
+                if index == 2:
+                    assert _replication_stats(service)["standby_base_seq"] == -1
+                    promoting.append(True)
+                    service.failover()
+                    promoting.clear()
+            # The factory ran once per shard, at its first replayed frame,
+            # on a clone of the shard's pristine reserved stream.
+            assert handed == pristine
+            assert_states_equal(service.state_dict(), faults.golden_state())
+        finally:
+            service.close()
+
+    def test_worker_killed_with_cut_markers_in_flight(self, tmp_path, monkeypatch):
+        from repro.engine.transport import ShardWorkerPool
+
+        service = _replicated(tmp_path, "process:2", ship_interval=4)
+        cuts: list[int] = []
+        snapshots_during_failover: list[int] = []
+        promoted_from: list[int] = []
+        in_failover: list[bool] = []
+        snapshot_async = ShardWorkerPool.snapshot_async
+        snapshot = SamplerService.snapshot
+        catch_up = ShardReplicaSet.catch_up
+        failover = SamplerService._failover
+
+        def cut_then_kill(pool, fn, kwargs=None):
+            markers = snapshot_async(pool, fn, kwargs)
+            cuts.append(service.batches_seen - 1)
+            if len(cuts) == 2:
+                # The second cadence cut: its markers are enqueued, and the
+                # worker dies before answering them.
+                _kill_worker(service)
+            return markers
+
+        def recording_snapshot(svc, *args, **kwargs):
+            if in_failover:
+                snapshots_during_failover.append(svc.batches_seen - 1)
+            return snapshot(svc, *args, **kwargs)
+
+        def recording_catch_up(replica, through_seq):
+            promoted_from.append(replica.base_seq)
+            return catch_up(replica, through_seq)
+
+        def recording_failover(svc, error):
+            in_failover.append(True)
+            try:
+                return failover(svc, error)
+            finally:
+                in_failover.pop()
+
+        monkeypatch.setattr(ShardWorkerPool, "snapshot_async", cut_then_kill)
+        monkeypatch.setattr(SamplerService, "snapshot", recording_snapshot)
+        monkeypatch.setattr(ShardReplicaSet, "catch_up", recording_catch_up)
+        monkeypatch.setattr(SamplerService, "_failover", recording_failover)
+        try:
+            for batch in faults.workload_batches():
+                service.ingest_batch(batch)
+            # Cadence cuts after batches 3 and 7; the second found the
+            # pool dead, promoted from the first's base (batch 3) without
+            # taking another cut, and its tick adopted the promoted state.
+            assert cuts[:2] == [3, 7]
+            assert promoted_from == [3]
+            assert snapshots_during_failover == []
+            assert _replication_stats(service)["failovers"] == 1
+            assert_states_equal(service.state_dict(), faults.golden_state())
+        finally:
+            monkeypatch.undo()
+            service.close()
+
+    @pytest.mark.parametrize("backend", BASE_BACKENDS, ids=BASE_IDS)
+    def test_crash_after_checkpoint_promotes_from_the_checkpoint_cut(
+        self, tmp_path, backend
+    ):
+        # No cadence cut: only the checkpoints move the base.
+        service = _replicated(tmp_path, backend, ship_interval=faults.NUM_BATCHES + 1)
+        try:
+            for index, batch in enumerate(faults.workload_batches()):
+                service.ingest_batch(batch)
+                if (index + 1) % faults.CKPT_EVERY == 0:
+                    service.checkpoint()
+                if index == 2 * faults.CKPT_EVERY - 1:
+                    # The checkpoint truncated every frame, and its own cut
+                    # is the base: promotion needs nothing truncation took.
+                    commit_log = os.path.join(service.wal_dir, "commit.wal")
+                    assert read_log_records(commit_log).records == []
+                    stats = service.stats()["durability"]
+                    assert stats["replication"]["standby_base_seq"] == index
+                    assert stats["checkpoint_watermark"] == index
+                    if backend is None:
+                        service.failover()
+                    else:
+                        _kill_worker(service, worker=1)
+            assert _replication_stats(service)["failovers"] == 1
+            assert_states_equal(service.state_dict(), faults.golden_state())
+        finally:
+            service.close()
+
+
+# ----------------------------------------------------------------------
+# close() idempotency after a worker crash (satellite 1)
+# ----------------------------------------------------------------------
 class TestCloseAfterCrash:
     def test_close_raises_once_then_is_idempotent(self, tmp_path):
         service = SamplerService(
@@ -376,9 +477,7 @@ class TestCloseAfterCrash:
             wal_dir=tmp_path / "wal",
         )
         service.ingest_batch(np.arange(50))
-        victim = service.executor.transport.workers[0].process.pid
-        os.kill(victim, signal.SIGKILL)
-        _wait_for_death(victim)
+        _kill_worker(service, worker=0)
         with pytest.raises(WorkerCrashError):
             service.close()
         # The first close already tore the pool down and closed the log;
@@ -408,9 +507,7 @@ class TestCloseAfterCrash:
         )
         for batch in batches:
             service.ingest_batch(batch)
-        victim = service.executor.transport.workers[1].process.pid
-        os.kill(victim, signal.SIGKILL)
-        _wait_for_death(victim)
+        _kill_worker(service, worker=1)
         service.close()  # promotes; must not raise
         assert service.stats()["durability"]["replication"]["failovers"] == 1
         # The promoted service remains fully queryable after close.
@@ -429,9 +526,7 @@ class TestCloseAfterCrash:
             replication=ReplicationConfig(),
         ) as service:
             service.ingest_batch(np.arange(40))
-            victim = service.executor.transport.workers[0].process.pid
-            os.kill(victim, signal.SIGKILL)
-            _wait_for_death(victim)
+            _kill_worker(service, worker=0)
         assert service.stats()["durability"]["replication"]["failovers"] == 1
 
     def test_wal_close_is_idempotent(self, tmp_path):
