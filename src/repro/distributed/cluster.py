@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from typing import Callable, Sequence, TypeVar
 
 from repro.distributed.costmodel import CostModel
-from repro.engine.executors import Executor, SerialExecutor
+from repro.engine.executors import Executor, SerialExecutor, require_in_place_backend
 
 __all__ = ["StageCost", "SimulatedCluster"]
 
@@ -87,17 +87,8 @@ class SimulatedCluster(Executor):
         super().__init__()
         if num_workers <= 0:
             raise ValueError(f"num_workers must be positive, got {num_workers}")
-        if (
-            backend is not None
-            and backend.ships_state
-            and not getattr(backend, "provides_transport", False)
-        ):
-            raise ValueError(
-                "the simulated cluster needs an in-process backend (serial or "
-                "thread) or a transport-capable process backend; a plain "
-                "state-shipping backend cannot mutate the driver-held "
-                "reservoir partitions"
-            )
+        if backend is not None:
+            require_in_place_backend(backend, "the simulated cluster")
         self.num_workers = int(num_workers)
         self.cost_model = cost_model if cost_model is not None else CostModel()
         self.backend = backend if backend is not None else SerialExecutor()

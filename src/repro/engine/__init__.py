@@ -7,17 +7,17 @@ D-R-TBS/D-T-TBS algorithms, the benchmarks — runs through this package's
 
 * :mod:`repro.engine.executors` — :class:`SerialExecutor`,
   :class:`ThreadPoolExecutor` and :class:`ProcessPoolExecutor` backends, the
-  :class:`StageRecord` bookkeeping they share, and the :func:`get_executor`
-  spec resolver (``"serial"`` / ``"thread[:N]"`` / ``"process[:N]"``);
+  :class:`StageRecord` bookkeeping they share, the :func:`get_executor`
+  spec resolver, and :func:`require_in_place_backend`, which refuses a
+  state-shipping backend without a transport;
 * :mod:`repro.engine.transport` — the persistent-worker shared-memory
   transport behind the process backend: resident shard state (shipped once
   on attach), per-worker ring buffers for zero-copy array frames, pipelined
   dispatch with acknowledgement-driven backpressure, and
   :class:`~repro.engine.errors.EngineError` failure semantics;
-* :mod:`repro.engine.shards` — process-safe shard work units built on the
-  ``state_dict()`` snapshot protocol (the process backend ships shard
-  state, never pickled closures), including the worker-side
-  :func:`service_ingest_frame` routing hot path;
+* :mod:`repro.engine.shards` — shard work units: in-process ingest, and
+  the transport's attach/snapshot hooks and worker-side
+  :func:`service_ingest_routed`, built on the ``state_dict()`` protocol;
 * :class:`~repro.distributed.cluster.SimulatedCluster` — the fourth
   implementation of the protocol, living with the distributed layer: it
   *prices* stages with the paper's calibrated cost model instead of
@@ -45,15 +45,14 @@ from repro.engine.executors import (
     StageRecord,
     ThreadPoolExecutor,
     get_executor,
+    require_in_place_backend,
 )
 from repro.engine.shards import (
     ShardTask,
     group_by_destination,
     ingest_shard_inplace,
-    ingest_shard_state,
     merge_samples,
     restore_sampler,
-    service_ingest_frame,
     service_ingest_routed,
     service_snapshot_views,
     snapshot_sampler,
@@ -70,16 +69,15 @@ __all__ = [
     "ProcessPoolExecutor",
     "StageRecord",
     "get_executor",
+    "require_in_place_backend",
     "map_partitions",
     "reduce_merge",
     "ShardTask",
-    "ingest_shard_state",
     "ingest_shard_inplace",
     "merge_samples",
     "group_by_destination",
     "restore_sampler",
     "snapshot_sampler",
-    "service_ingest_frame",
     "service_ingest_routed",
     "service_snapshot_views",
     "ShardWorkerPool",

@@ -51,6 +51,7 @@ __all__ = [
     "ThreadPoolExecutor",
     "ProcessPoolExecutor",
     "get_executor",
+    "require_in_place_backend",
 ]
 
 
@@ -297,3 +298,19 @@ def get_executor(spec: "Executor | str | None") -> Executor:
         f"unknown executor backend {spec!r}; expected 'serial', 'thread[:N]' "
         "or 'process[:N]'"
     )
+
+
+def require_in_place_backend(backend: Executor, caller: str) -> None:
+    """Raise ``ValueError`` for a backend that ships state without a transport.
+
+    The sampler service and the simulated cluster mutate their partitions
+    in place (serial/thread) or keep them resident in transport workers; a
+    plain state-shipping backend would run every task on a copy.
+    """
+    if backend.ships_state and not backend.provides_transport:
+        raise ValueError(
+            f"{caller} needs an in-process backend (serial or thread) or a "
+            "transport-capable process backend; a plain state-shipping "
+            f"backend ({backend.name!r}) cannot mutate driver-held state in "
+            "place"
+        )

@@ -1,16 +1,15 @@
-"""Process-safe shard work units for the sampler stack.
+"""Shard work units for the sampler stack.
 
-These module-level functions are the task payloads the
-:class:`~repro.engine.executors.ProcessPoolExecutor` backend runs: they must
-be importable by a worker process (no closures) and their arguments must be
-picklable. The discipline mirrors a real cluster: what crosses the boundary
-is shard *state* — the pickle-free ``state_dict()`` snapshot of scalars and
-NumPy arrays every sampler implements — plus the sub-batches to ingest,
-never live objects or code.
-
-The in-process variant (:func:`ingest_shard_inplace`) runs the same ingest
-against a live sampler and is used by the serial/thread backends, where
-shipping state would be pure overhead.
+These module-level functions are the task payloads the engine backends
+run. The in-process task (:func:`ingest_shard_inplace`) ingests a
+sub-stream into a live shard sampler on the serial and thread backends. The
+rest run in the process backend's persistent workers, so they must be
+importable by a worker process (no closures) and take picklable arguments.
+The discipline mirrors a real cluster: what crosses the boundary is shard
+*state* — the pickle-free ``state_dict()`` snapshot of scalars and NumPy
+arrays every sampler implements, shipped once on attach and back on
+snapshot or detach — plus the per-batch array frames, never live objects
+or code.
 """
 
 from __future__ import annotations
@@ -24,37 +23,18 @@ from repro.core.base import Sampler, SamplerSnapshotView
 
 __all__ = [
     "ShardTask",
-    "ingest_shard_state",
     "ingest_shard_inplace",
     "merge_samples",
     "group_by_destination",
     "restore_sampler",
     "snapshot_sampler",
-    "service_ingest_frame",
     "service_ingest_routed",
     "service_snapshot_views",
 ]
 
-#: One shard's work unit: ``(sampler_or_state, batches, times)``. ``times``
-#: may be ``None`` for the default ``t+1, t+2, ...`` arrival clock.
+#: One shard's work unit: ``(sampler, batches, times)``. ``times`` may be
+#: ``None`` for the default ``t+1, t+2, ...`` arrival clock.
 ShardTask = tuple[Any, Sequence[Any], Sequence[float] | None]
-
-
-def ingest_shard_state(task: ShardTask) -> dict[str, Any]:
-    """Restore a shard from its snapshot, ingest its sub-stream, re-snapshot.
-
-    The process-pool work unit: ``task`` carries a ``state_dict()`` snapshot
-    (not a live sampler), the shard's buffered sub-batches, and their
-    arrival times. Returns the post-ingest snapshot for the driver to
-    restore. Restore → ingest → snapshot is bit-exact (config, RNG stream,
-    payload all round-trip), so a shard that travelled through a worker
-    process continues the identical trajectory it would have followed
-    in-process.
-    """
-    state, batches, times = task
-    sampler = Sampler.from_state_dict(state)
-    sampler.process_stream(batches, times=times)
-    return sampler.state_dict()
 
 
 def ingest_shard_inplace(task: ShardTask) -> None:
@@ -79,54 +59,6 @@ def snapshot_sampler(sampler: Sampler) -> dict[str, Any]:
     return sampler.state_dict()
 
 
-def service_ingest_frame(
-    residents: dict[Any, Any],
-    payload: np.ndarray,
-    time: float,
-    num_shards: int,
-    service_id: int,
-    keys: np.ndarray | None = None,
-    shard_ids: np.ndarray | None = None,
-) -> dict[int, int]:
-    """Worker-side ingest of one broadcast batch frame (the transport hot path).
-
-    The driver ships the whole batch (and optionally its routing keys) once
-    per worker through the shared-memory ring; each worker routes the batch
-    itself — the identical SplitMix64/BLAKE2b hash the driver would use — and
-    feeds each of *its* resident shards the sub-batch selected for it, in
-    ascending shard order. The per-shard sub-batches and their ingestion
-    order are exactly those of the serial path, so trajectories stay
-    bit-identical; the redundant hash per worker is the price of keeping the
-    driver's per-batch work down to one memcpy, and it parallelizes.
-
-    ``shard_ids`` short-circuits worker-side routing for batches the driver
-    had to route itself (``key_fn`` callables, non-numeric keys).
-
-    Returns ``{shard_id: item_count}`` for this worker's shards that
-    received items — the driver uses the counts to track shard activation
-    without ever blocking the pipeline.
-    """
-    if shard_ids is None:
-        from repro.service.routing import shard_ids_for_keys
-
-        source = keys if keys is not None else payload
-        shard_ids = shard_ids_for_keys(source, num_shards)
-    counts: dict[int, int] = {}
-    owned = sorted(
-        key[2]
-        for key in residents
-        if isinstance(key, tuple) and key[:2] == ("svc", service_id)
-    )
-    for shard_id in owned:
-        selection = np.flatnonzero(shard_ids == shard_id)
-        if not len(selection):
-            continue
-        sub_batch = payload[selection]
-        residents[("svc", service_id, shard_id)].process_stream([sub_batch], times=[time])
-        counts[int(shard_id)] = int(len(selection))
-    return counts
-
-
 def service_ingest_routed(
     residents: dict[Any, Any],
     payload: np.ndarray,
@@ -140,9 +72,9 @@ def service_ingest_routed(
     The driver hashes and buckets the batch once, then scatters *only this
     worker's items* into the ring, grouped by shard in ascending shard
     order; ``shard_sizes`` lists ``(shard_id, count)`` in that same order,
-    so each shard's sub-batch is a zero-copy slice of the frame. Unlike
-    :func:`service_ingest_frame` there is no worker-side hashing and no
-    per-shard selection scan — the worker just walks the slices. Sub-batch
+    so each shard's sub-batch is a zero-copy slice of the frame. There is
+    no worker-side hashing and no per-shard selection scan — the worker
+    just walks the slices. Sub-batch
     contents and ingestion order are exactly those of the serial path, so
     trajectories stay bit-identical.
 

@@ -27,35 +27,39 @@ other shards first see data. Per-shard clocks advance only when the shard
 receives items; decay over the skipped interval is exact because the
 samplers decay by the true elapsed gap (see ``Sampler._advance_time``).
 
-Shard ingestion fans out through a pluggable :mod:`repro.engine` executor:
+Every backend takes a batch through one step: route it once (hash, then
+radix-group into a :class:`~repro.service.routing.RoutedBatch`), advance
+the clock, append it to the write-ahead log if durability is on, and only
+then dispatch it through a pluggable :mod:`repro.engine` executor:
 
-* ``"serial"`` (default) and ``"thread"`` ingest in-process; the routing
-  layer hands each per-shard task preassembled contiguous NumPy slices (one
-  radix group-by per batch), so thread tasks spend their time inside
-  GIL-releasing NumPy kernels;
+* ``"serial"`` (default) and ``"thread"`` ingest in-process: one gather
+  through the routed order yields contiguous per-shard NumPy slices (the
+  sub-batches the WAL records), buffered for up to ``window`` batches and
+  handed out as one engine task per shard;
 * ``"process"`` runs the persistent-worker transport
   (:mod:`repro.engine.transport`): shard samplers live *resident* in the
-  worker processes — their state crosses the boundary once on attach and
-  again only on checkpoint/read/close — while each arriving batch is
-  hashed and shard-bucketed once driver-side
-  (:func:`~repro.service.routing.route_batch`) and each worker's items
-  are scattered straight into its double-buffered shared-memory ring
-  (no intermediate per-shard copies). Ingestion is pipelined: ``ingest``
-  returns once the frames are enqueued — routing of batch *k+1* overlaps
-  worker ingest of batch *k*. A dead worker raises
+  worker processes — their state crosses the boundary on attach and again
+  only on checkpoint/read/close — and each worker's items are scattered
+  through the routed order straight into its double-buffered shared-memory
+  ring. Ingestion is pipelined: ``ingest`` returns once the frames are
+  enqueued. A dead worker raises
   :class:`~repro.engine.errors.WorkerCrashError` naming the worker.
 
-Reads are **snapshot-isolated**: :meth:`SamplerService.snapshot` produces a
-:class:`ServiceSnapshot` — one immutable copy-on-write view per active shard
-(:meth:`~repro.core.base.Sampler.snapshot_view`), all cut at the same
-committed batch watermark. On the transport backend the cut is taken by
-enqueuing a snapshot marker into each worker's FIFO command pipe *behind*
-every batch dispatched so far, so the views assemble into a consistent
-service-wide cut without draining the pipeline — ingest of later batches
-proceeds underneath. ``stats()``, ``sample_items()``, ``shard_samples()``
-and ``checkpoint()`` all read from such cuts; none of them creates shards,
-draws randomness, or blocks dispatch (the *pure-read* contract, enforced by
-the ``pure-read`` lint rule).
+A backend that ships state without a transport is refused at construction
+(:func:`~repro.engine.executors.require_in_place_backend`).
+
+Every read takes a **snapshot cut**: :meth:`SamplerService.snapshot`
+produces a :class:`ServiceSnapshot` — one immutable copy-on-write view per
+active shard (:meth:`~repro.core.base.Sampler.snapshot_view`), all cut at
+the same committed batch watermark. On the transport backend a snapshot
+marker is enqueued into each worker's FIFO command pipe *behind* every
+batch dispatched so far, so the views form a consistent cut without
+draining the pipeline. ``stats()``, ``sample_items()``, ``shard_samples()``
+and ``active_shards`` read such cuts and never create shards, draw
+randomness, or block dispatch (the *pure-read* contract, enforced by the
+``pure-read`` lint rule); ``state_dict()`` and ``checkpoint()`` serialize
+from a state-bearing cut. Only :meth:`SamplerService.flush`,
+``ingest_batch``'s barrier, and detaching shards (close, reshard) drain.
 
 Shards are statistically independent with private RNG streams, so every
 backend produces bit-identical samples and checkpoints for a fixed seed.
@@ -93,7 +97,7 @@ from repro.engine import (
     WorkerCrashError,
     get_executor,
     ingest_shard_inplace,
-    ingest_shard_state,
+    require_in_place_backend,
     restore_sampler,
     service_ingest_routed,
     service_snapshot_views,
@@ -111,7 +115,9 @@ from repro.service.routing import (
     SUPPORTED_ROUTING_VERSIONS,
     RoutedBatch,
     shard_ids_for_keys,
-    split_by_shard,
+    # Unused here, but kept bound in this namespace: the benchmark tracer
+    # wraps it by name as a routing layer.
+    split_by_shard,  # noqa: F401
     split_order,
 )
 from repro.service.wal import WriteAheadLog
@@ -308,6 +314,7 @@ class SamplerService:
         self.num_shards = int(num_shards)
         self.key_fn = key_fn
         self._executor = get_executor(executor)
+        require_in_place_backend(self._executor, "SamplerService")
         self._rng = ensure_rng(rng)
         #: The key-encoding version this service's shard layout was computed
         #: under. New services always use the current contract; a restore
@@ -358,11 +365,10 @@ class SamplerService:
         #: ``_shards`` on in-process backends; fed by worker acknowledgements
         #: on the transport backend).
         self._activated: set[int] = set(self._shards)
-        #: Resident shards ingested since their last driver-side snapshot.
-        self._dirty: set[int] = set()
         #: Whether shard k's sampler shares its RNG object with
-        #: ``_shard_rngs[k]`` (the usual factory pattern); governs whether a
-        #: sync refreshes the reserved stream, matching serial bookkeeping.
+        #: ``_shard_rngs[k]`` (the usual factory pattern); governs whether
+        #: pulling the shard's state back refreshes the reserved stream,
+        #: matching serial bookkeeping.
         self._retained_rng: dict[int, bool] = {}
         #: Pristine snapshots of factory-built samplers for shards that have
         #: not seen data yet, so a close/reopen cycle never re-invokes the
@@ -381,9 +387,8 @@ class SamplerService:
         #: Global sequence number of the last batch covered by the paired
         #: delta checkpoint; everything after it lives only in the WAL.
         self._wal_watermark: int = -1
-        #: Shards ingested since the last delta checkpoint. Distinct from
-        #: ``_dirty``, which tracks transport-sync staleness and is cleared
-        #: by every read; this set is cleared only by :meth:`checkpoint`.
+        #: Shards ingested since the last delta checkpoint; cleared only by
+        #: :meth:`checkpoint`.
         self._ckpt_dirty: set[int] = set()
         #: Warm-standby replication state (config + replica + failure
         #: detector), or ``None`` when replication is off.
@@ -424,9 +429,12 @@ class SamplerService:
 
     @property
     def active_shards(self) -> list[int]:
-        """Ids of shards that have received at least one item, ascending."""
-        self._sync()
-        return sorted(self._activated)
+        """Ids of shards that have received at least one item, ascending.
+
+        Read from a scalar-only snapshot cut, so shards activated by batches
+        still in flight on the transport are included without a drain.
+        """
+        return self.snapshot(include_items=False).active_shards
 
     def shard(self, shard_id: int) -> Sampler:
         """The sampler behind one *active* shard — a pure read.
@@ -450,8 +458,6 @@ class SamplerService:
                         self._shard_key(shard_id), snapshot_sampler
                     )
                 except WorkerCrashError as error:
-                    if self._replication is None:
-                        raise
                     self._failover(error)
                 else:
                     sampler = Sampler.from_state_dict(state)
@@ -529,23 +535,12 @@ class SamplerService:
         # exclusion — readers polling at 100+ Hz never queue behind an
         # in-flight ingest window or flush barrier.
         cached = self._snapshot_cache
-        if (
-            cached is not None
-            and max_staleness_batches > 0
-            and self._batches_seen - 1 - cached.watermark <= max_staleness_batches
-            and (not include_items or cached.has_items)
-            and (not include_state or cached.has_state)
-        ):
+        if self._serves(cached, max_staleness_batches, include_items, include_state):
             return cached
         with self._lock:
             cached = self._snapshot_cache
-            if (
-                cached is not None
-                and max_staleness_batches > 0
-                and self._batches_seen - 1 - cached.watermark
-                <= max_staleness_batches
-                and (not include_items or cached.has_items)
-                and (not include_state or cached.has_state)
+            if self._serves(
+                cached, max_staleness_batches, include_items, include_state
             ):
                 return cached
             if self._transport_attached:
@@ -579,6 +574,22 @@ class SamplerService:
             ):
                 self._snapshot_cache = cut
             return cut
+
+    def _serves(
+        self,
+        cached: ServiceSnapshot | None,
+        max_staleness_batches: int,
+        include_items: bool,
+        include_state: bool,
+    ) -> bool:
+        """Whether a cached cut is fresh enough and carries the requested tiers."""
+        return (
+            cached is not None
+            and max_staleness_batches > 0
+            and self._batches_seen - 1 - cached.watermark <= max_staleness_batches
+            and (not include_items or cached.has_items)
+            and (not include_state or cached.has_state)
+        )
 
     def sample_items(self) -> list[Any]:
         """The merged realized sample across all shards (ascending shard id).
@@ -707,48 +718,83 @@ class SamplerService:
         return self._executor
 
     def _dispatch(self, pending: dict[int, tuple[list[Any], list[float]]]) -> None:
-        """Fan buffered per-shard sub-streams out through the executor.
+        """Fan buffered per-shard sub-streams out through an in-process executor.
 
         One engine task per shard, submitted in ascending shard order so
-        every backend sees the same task list. In-process backends get a
-        live shard sampler plus its preassembled sub-batch arrays —
-        contiguous slices out of
-        :func:`~repro.service.routing.split_by_shard`'s single gather — so
-        thread-pool tasks go straight into GIL-releasing NumPy kernels. A
-        plain state-shipping backend (``ships_state`` without a transport)
-        gets ``state_dict()`` snapshots and has the returned post-ingest
-        snapshots restored, the classic :func:`ingest_shard_state` work
-        unit. (The transport backend never reaches here — it takes the
-        resident broadcast-frame path instead.)
+        every backend sees the same task list: the live shard sampler plus
+        its buffered sub-batches — contiguous slices of the per-batch gather
+        in :meth:`_ingest_step` — and their arrival times, so thread-pool
+        tasks go straight into GIL-releasing NumPy kernels. The transport
+        backend never buffers (its step scatters each batch to the workers
+        at once), so ``pending`` is always empty there.
         """
         shard_ids = sorted(pending)
         if not shard_ids:
             return
         begin = perf_counter() if self._profile_enabled else 0.0
         self._ckpt_dirty.update(shard_ids)
-        shards = [self._get_or_create_shard(shard_id) for shard_id in shard_ids]
+        tasks = [
+            (self._get_or_create_shard(shard_id), *pending[shard_id])
+            for shard_id in shard_ids
+        ]
         try:
-            if self._executor.ships_state:
-                tasks = [
-                    (shard.state_dict(), *pending[shard_id])
-                    for shard_id, shard in zip(shard_ids, shards)
-                ]
-                new_states = self._executor.map_partitions(
-                    ingest_shard_state, tasks, description="ingest shard sub-streams"
-                )
-                for shard_id, state in zip(shard_ids, new_states):
-                    self._shards[shard_id] = Sampler.from_state_dict(state)
-                return
-            tasks = [
-                (shard, *pending[shard_id])
-                for shard_id, shard in zip(shard_ids, shards)
-            ]
             self._executor.map_partitions(
                 ingest_shard_inplace, tasks, description="ingest shard sub-streams"
             )
         finally:
             if self._profile_enabled:
                 self._note_phase("dispatch", perf_counter() - begin)
+
+    def _ingest_step(
+        self,
+        batch: np.ndarray,
+        keys: Sequence[Any] | np.ndarray | None,
+        time: float | None,
+        pending: dict[int, tuple[list[Any], list[float]]],
+    ) -> RoutedBatch | None:
+        """Route, advance the clock, log, then dispatch one batch (lock held).
+
+        The one per-batch step of every backend. Routing is validated
+        before the clock advances, so a rejected batch leaves the service
+        untouched, and the batch is logged before any shard sees it. The
+        transport then scatters it to the workers (pipelined); in-process
+        backends buffer each shard's sub-batch in ``pending`` for the
+        caller's next :meth:`_dispatch`. One gather through
+        ``routed.order`` yields the sub-batches the WAL records and the
+        in-process shards ingest (so log replay matches the live run bit for
+        bit); it is skipped when neither needs it. Returns the routing
+        result, ``None`` for an empty batch.
+        """
+        routed = self._route(batch, keys)
+        time = self._advance_time(time)
+        transport = self._executor.provides_transport
+        sub_batches: list[tuple[int, np.ndarray]] = []
+        if routed is not None and (self._wal is not None or not transport):
+            begin = perf_counter() if self._profile_enabled else 0.0
+            gathered = batch[routed.order]
+            offsets = routed.offsets
+            sub_batches = [
+                (shard_id, gathered[offsets[shard_id] : offsets[shard_id + 1]])
+                for shard_id in range(self.num_shards)
+                if routed.counts[shard_id]
+            ]
+            if self._profile_enabled:
+                self._note_phase("split", perf_counter() - begin)
+        self._wal_log(sub_batches, time)
+        if not transport:
+            for shard_id, sub_batch in sub_batches:
+                shard_batches, shard_times = pending.setdefault(shard_id, ([], []))
+                shard_batches.append(sub_batch)
+                shard_times.append(time)
+        elif routed is not None:
+            try:
+                self._dispatch_routed(batch, routed, time)
+            except WorkerCrashError as error:
+                # The batch is already committed to the WAL, so the
+                # promotion's log replay delivers it to the promoted
+                # samplers: the dispatch is simply abandoned.
+                self._failover(error)
+        return routed
 
     def ingest_batch(
         self,
@@ -762,7 +808,12 @@ class SamplerService:
         sub-batch at the batch's absolute arrival time, so a shard that sat
         idle for several batches decays its sample by the full elapsed gap
         on its next arrival — identical bookkeeping to a shard that saw
-        every batch. The per-shard updates run on the configured executor.
+        every batch. The batch takes the same step as in :meth:`ingest`
+        (route, clock, WAL, dispatch), and the call returns only once every
+        shard has ingested it: on the transport backend it waits for the
+        workers (failing over if one died). The counts come from the
+        batch's routing, so they are the same on every backend, failover
+        included.
 
         Routing is validated *before* the service clock advances: a batch
         rejected for bad keys leaves the clock untouched, so the corrected
@@ -770,35 +821,19 @@ class SamplerService:
         """
         batch = as_item_array(items)
         with self._lock:
-            if self._executor.provides_transport:
-                routed_frame = self._route_frame(batch, keys)
-                time = self._advance_time(time)
-                self._wal_log_routed(routed_frame, batch, time)
-                if routed_frame is None:
-                    self._replication_tick()
-                    return {}
-                counts: dict[int, int] = {}
-                self._dispatch_routed_safely(
-                    batch, routed_frame, time, counts_sink=counts
-                )
-                begin = perf_counter() if self._profile_enabled else 0.0
-                self._drain_transport_safely()
-                if self._profile_enabled:
-                    self._note_phase("ack", perf_counter() - begin)
-                self._replication_tick()
-                return dict(sorted(counts.items()))
-            routed = self._route(batch, keys)
-            time = self._advance_time(time)
-            self._wal_log(routed, time)
             pending: dict[int, tuple[list[Any], list[float]]] = {}
-            counts = {}
-            for shard_id, sub_batch in routed:
-                pending[shard_id] = ([sub_batch], [time])
-                counts[shard_id] = len(sub_batch)
-            self._dispatch(pending)
+            routed = self._ingest_step(batch, keys, time, pending)
+            counts: dict[int, int] = {}
+            if routed is not None:
+                self._dispatch(pending)
+                self._drain_transport_safely()
+                counts = {
+                    shard_id: int(count)
+                    for shard_id, count in enumerate(routed.counts)
+                    if count
+                }
             self._replication_tick()
             return counts
-
     def process_batch(
         self,
         batch: Sequence[Any] | Iterable[Any] | np.ndarray,
@@ -833,23 +868,24 @@ class SamplerService:
     ) -> None:
         """Bulk-ingest many batches through the per-shard ``process_stream`` hot path.
 
-        On in-process backends, batches are routed and buffered into one
-        sub-stream (batches + arrival times) per shard; every ``window``
-        batches, each shard ingests its buffered sub-stream in a single
-        :meth:`~repro.core.base.Sampler.process_stream` call, fanned out as
-        one engine task per shard on the configured executor. That keeps the
+        Every batch takes the same per-batch step as in :meth:`ingest_batch`
+        (route, clock, WAL append, dispatch). In-process backends buffer the
+        routed sub-batches into one sub-stream (batches + arrival times) per
+        shard; every ``window`` batches, each shard ingests its buffered
+        sub-stream in a single :meth:`~repro.core.base.Sampler.process_stream`
+        call, fanned out as one engine task per shard. That keeps the
         per-shard amortization of bulk ingest while bounding buffered memory
         to O(``window`` × batch size) — a generator of a million batches
         streams through, it is never materialized whole.
 
-        On the transport (process) backend each batch is hashed and
-        shard-bucketed once driver-side, then each worker's items are
-        scattered straight into its double-buffered shared-memory ring as
-        one pipelined frame; ``window`` is not needed (buffered memory is
-        bounded by the ring capacity, which doubles as backpressure) and
-        the call returns as soon as the frames are enqueued — routing of
-        the next batch overlaps worker ingest of the previous one. Call
-        :meth:`flush` — or any read — to wait for the workers to catch up.
+        On the transport (process) backend the step has already scattered
+        each worker's items into its double-buffered shared-memory ring as
+        one pipelined frame, so the loop flushes after every batch
+        (buffered memory is bounded by the ring capacity, which doubles as
+        backpressure). The call returns as soon as the frames are enqueued —
+        routing of the next batch overlaps worker ingest of the previous
+        one. Call :meth:`flush` to wait for the workers; reads need not,
+        they take snapshot cuts.
 
         If a batch fails mid-stream (bad keys, non-increasing time), every
         batch before it is flushed to the shards and the error is raised;
@@ -874,16 +910,14 @@ class SamplerService:
             raise ValueError(f"window must be positive, got {window}")
         key_iter = iter(keys) if keys is not None else None
         time_iter = iter(times) if times is not None else None
-        use_transport = self._executor.provides_transport
-        pending: dict[int, tuple[list[np.ndarray], list[float]]] = {}
+        flush_every = 1 if self._executor.provides_transport else window
+        pending: dict[int, tuple[list[Any], list[float]]] = {}
         buffered = 0
         # Snapshot consistency: a cut must never observe an advanced service
-        # clock whose batches have not reached the shards yet. Transport
-        # batches dispatch per-iteration, so the lock is held per batch; the
-        # in-process path buffers up to ``window`` batches between
-        # dispatches, so the lock is held from a window's first batch until
-        # its flush — readers see cuts only at window boundaries, where
-        # clock and shard state agree.
+        # clock whose batches have not reached the shards yet. The lock is
+        # held from a window's first batch until its flush, so readers see
+        # cuts only at window boundaries, where clock and shard state agree
+        # (a transport window is one batch: its step already dispatched it).
         held = False
 
         def acquire() -> None:
@@ -929,31 +963,15 @@ class SamplerService:
                         ) from None
                 items = as_item_array(batch)
                 acquire()
-                if use_transport:
-                    routed_frame = self._route_frame(items, batch_keys)
-                    time = self._advance_time(time)
-                    self._wal_log_routed(routed_frame, items, time)
-                    if routed_frame is not None:
-                        self._dispatch_routed_safely(items, routed_frame, time)
-                    self._replication_tick()
-                    release()
-                    continue
-                routed = self._route(items, batch_keys)
-                time = self._advance_time(time)
-                self._wal_log(routed, time)
-                for shard_id, sub_batch in routed:
-                    sub_batches, sub_times = pending.setdefault(shard_id, ([], []))
-                    sub_batches.append(sub_batch)
-                    sub_times.append(time)
+                self._ingest_step(items, batch_keys, time, pending)
                 buffered += 1
-                if buffered >= window or self._standby_cut_due():
+                if buffered >= flush_every or self._standby_cut_due():
                     flush()
                     release()
         except BaseException:
             # Deliver the complete batches routed before the failure, so the
             # observable state is "everything before the bad batch was
             # ingested" — the same semantics as a per-batch ingest loop.
-            # (Transport frames are already enqueued and will land.)
             acquire()
             try:
                 flush()
@@ -975,8 +993,7 @@ class SamplerService:
         far durable under the configured policy.
         """
         with self._lock:
-            if self._executor.provides_transport and self._transport_attached:
-                self._drain_transport_safely()
+            self._drain_transport_safely()
             if self._wal is not None:
                 self._wal.flush()
 
@@ -984,7 +1001,7 @@ class SamplerService:
     # durability (write-ahead log + delta checkpoints)
     # ------------------------------------------------------------------
     def _wal_log(self, routed: list[tuple[int, np.ndarray]], time: float) -> None:
-        """Append one routed batch to the WAL (after the clock advanced)."""
+        """Append one batch's per-shard sub-batches to the WAL (after the clock advanced)."""
         if self._wal is None:
             return
         begin = perf_counter() if self._profile_enabled else 0.0
@@ -993,35 +1010,6 @@ class SamplerService:
         )
         if self._profile_enabled:
             self._note_phase("wal", perf_counter() - begin)
-
-    def _wal_log_routed(
-        self, routed_batch: RoutedBatch | None, batch: np.ndarray, time: float
-    ) -> None:
-        """Append one transport batch to the WAL from its fused routing result.
-
-        The routed permutation already encodes the per-shard partitions —
-        one gather re-materializes them as exactly the contiguous
-        sub-batches the workers will ingest (same items, same within-shard
-        order), which is what makes log replay through ``process_stream``
-        bit-identical to the live run. No re-hash and no second radix
-        pass: the WAL rides the single routing pass the dispatch uses.
-        """
-        if self._wal is None:
-            return
-        if routed_batch is None:
-            self._wal_log([], time)
-            return
-        begin = perf_counter() if self._profile_enabled else 0.0
-        gathered = batch[routed_batch.order]
-        offsets = routed_batch.offsets
-        routed = [
-            (shard_id, gathered[offsets[shard_id] : offsets[shard_id + 1]])
-            for shard_id in range(self.num_shards)
-            if routed_batch.counts[shard_id]
-        ]
-        if self._profile_enabled:
-            self._note_phase("wal", perf_counter() - begin)
-        self._wal_log(routed, time)
 
     @property
     def wal_dir(self) -> str | None:
@@ -1039,11 +1027,7 @@ class SamplerService:
         are in flight (or lost with a crashed worker) and recovery replays
         them from the log rather than trusting the pipeline.
         """
-        if (
-            self._wal is not None
-            and self._executor.provides_transport
-            and self._transport_attached
-        ):
+        if self._wal is not None and self._transport_attached:
             acked = self._executor.transport.acked_through()
             if acked is not None:
                 return acked + 1
@@ -1112,43 +1096,6 @@ class SamplerService:
         """Accumulate one profiled phase's wall time (profiling enabled only)."""
         self._profile_times[phase] = self._profile_times.get(phase, 0.0) + seconds
 
-    def _route_frame(
-        self, batch: np.ndarray, keys: Sequence[Any] | np.ndarray | None
-    ) -> RoutedBatch | None:
-        """Hash and shard-bucket one batch for the fused transport path.
-
-        One driver-side pass produces everything every downstream stage
-        needs — the shard ids, the shard-grouping permutation, and the
-        per-shard counts and offsets — so the WAL and the per-worker ring
-        scatters reuse the same routing result instead of re-touching (or
-        re-hashing) the batch. Raises on malformed keys *before* the
-        caller advances the service clock; returns ``None`` for an empty
-        batch.
-        """
-        keys = self._coerce_keys(keys, batch)
-        explicit = keys is not None
-        if not len(batch):
-            return None
-        if keys is None:
-            if self.key_fn is not None:
-                keys = [self.key_fn(item) for item in batch]
-            else:
-                keys = batch
-        profile = self._profile_enabled
-        begin = perf_counter() if profile else 0.0
-        shard_ids = shard_ids_for_keys(keys, self.num_shards, self._routing_version)
-        if profile:
-            self._note_phase("hash", perf_counter() - begin)
-            begin = perf_counter()
-        order, counts, offsets = split_order(shard_ids, self.num_shards)
-        if profile:
-            self._note_phase("split", perf_counter() - begin)
-        if explicit:
-            # As in _route: recorded only once the keys actually routed
-            # items, never for a rejected batch.
-            self._explicit_keys_used = True
-        return RoutedBatch(shard_ids, order, counts, offsets)
-
     def _shard_key(self, shard_id: int) -> tuple:
         return ("svc", self._service_id, shard_id)
 
@@ -1203,7 +1150,6 @@ class SamplerService:
         for shard_id in counts:
             shard_id = int(shard_id)
             self._activated.add(shard_id)
-            self._dirty.add(shard_id)
             self._ckpt_dirty.add(shard_id)
             self._standby_states.pop(shard_id, None)
             standby_rng = self._standby_rngs.pop(shard_id, None)
@@ -1213,11 +1159,7 @@ class SamplerService:
                 self._shard_rngs[shard_id] = standby_rng
 
     def _dispatch_routed(
-        self,
-        batch: np.ndarray,
-        routed_batch: RoutedBatch,
-        time: float,
-        counts_sink: dict[int, int] | None = None,
+        self, batch: np.ndarray, routed_batch: RoutedBatch, time: float
     ) -> None:
         """Scatter one routed batch into per-worker ring frames (pipelined).
 
@@ -1239,16 +1181,9 @@ class SamplerService:
 
         def on_result(result: Any) -> None:
             if profile:
-                counts_by_shard, seconds = result
+                result, seconds = result
                 self._note_phase("worker_ingest", seconds)
-            else:
-                counts_by_shard = result
-            self._note_counts(counts_by_shard)
-            if counts_sink is not None:
-                counts_sink.update(
-                    (int(shard_id), int(count))
-                    for shard_id, count in counts_by_shard.items()
-                )
+            self._note_counts(result)
 
         begin = perf_counter() if profile else 0.0
         # With a WAL, every command of this batch is tagged with the batch's
@@ -1327,8 +1262,6 @@ class SamplerService:
             # The cut found the pool dead. With a standby, promote: the
             # replayed log tail covers everything the crashed workers held,
             # so the cut completes on the promoted samplers.
-            if self._replication is None:
-                raise
             self._failover(error)
             return {
                 shard_id: self._shards[shard_id].snapshot_view(
@@ -1341,13 +1274,16 @@ class SamplerService:
     def _refresh_driver_cut(self, cut: ServiceSnapshot) -> None:
         """Adopt a state-bearing cut as the driver's authoritative shard state.
 
-        The transport-backend replacement for the post-``drain()`` half of
-        :meth:`_sync`: every view's ``state_dict()`` is restored driver-side
-        and the reserved RNG streams re-aliased exactly as a drained sync
-        would, but the states come from the snapshot cut — no barrier. Must
-        be called under the service lock with a cut taken at the current
-        watermark (no writes can have interleaved); in-process backends are
-        a no-op because the driver's samplers are already authoritative.
+        The second half of the one state-bearing read (:meth:`state_dict`
+        and :meth:`checkpoint` both take it): on the transport backend every
+        view's ``state_dict()`` is restored driver-side and the reserved RNG
+        streams are re-aliased as a detach would, but the states come from
+        the snapshot cut — no barrier. Collecting the cut's markers
+        processed every earlier acknowledgement, so activation bookkeeping
+        is current too. Must be called under the service lock with a cut
+        taken at the current watermark (no writes can have interleaved);
+        in-process backends are a no-op because the driver's samplers are
+        already authoritative.
         """
         if not self._transport_attached:
             return
@@ -1362,45 +1298,6 @@ class SamplerService:
             self._shards[shard_id] = sampler
             if self._retained_rng.get(shard_id):
                 self._shard_rngs[shard_id] = sampler._rng
-        # Collecting the markers processed every earlier acknowledgement,
-        # and the lock kept new dispatch out, so the cut covers everything
-        # in flight: the driver copies are exact.
-        self._dirty.clear()
-
-    def _sync(self) -> None:
-        """Pull authoritative resident shard state back to the driver.
-
-        Drains the pipeline (delivering activation acknowledgements), then
-        snapshots every shard ingested since its last sync. In-process
-        backends mutate the driver's samplers directly, so this is a no-op
-        for them. Reads never call this — they take snapshot cuts
-        (:meth:`snapshot`); the drain barrier remains for lifecycle
-        operations (detach, reshard, ``state_dict``) that need the pool
-        quiesced, not just observed.
-        """
-        with self._lock:
-            if not self._transport_attached:
-                return
-            pool = self._executor.transport
-            try:
-                pool.drain()
-                for shard_id in sorted(self._dirty):
-                    snapshot = pool.snapshot(
-                        self._shard_key(shard_id), snapshot_sampler
-                    )
-                    sampler = Sampler.from_state_dict(snapshot)
-                    self._shards[shard_id] = sampler
-                    if self._retained_rng.get(shard_id):
-                        self._shard_rngs[shard_id] = sampler._rng
-            except WorkerCrashError as error:
-                # A read found the pool dead. With a standby, promote: the
-                # replayed log tail covers everything the crashed workers
-                # held, so the read completes on the promoted samplers.
-                if self._replication is None:
-                    raise
-                self._failover(error)
-                return
-            self._dirty.clear()
 
     # ------------------------------------------------------------------
     # warm-standby replication & supervised failover
@@ -1492,49 +1389,23 @@ class SamplerService:
             0, None, detail="acknowledgements stalled past the timeout"
         )
 
-    def _dispatch_routed_safely(
-        self,
-        batch: np.ndarray,
-        routed_batch: RoutedBatch,
-        time: float,
-        counts_sink: dict[int, int] | None = None,
-    ) -> None:
-        """Dispatch one routed batch, failing over on a worker crash.
-
-        The batch was WAL-committed before this call, so when the pool dies
-        mid-dispatch the promotion's log replay delivers it to the promoted
-        samplers — the dispatch is simply abandoned, and the per-shard
-        counts come from the routing result instead of worker
-        acknowledgements.
-        """
-        try:
-            self._dispatch_routed(batch, routed_batch, time, counts_sink=counts_sink)
-        except WorkerCrashError as error:
-            if self._replication is None:
-                raise
-            self._failover(error)
-            if counts_sink is not None:
-                counts = routed_batch.counts
-                counts_sink.clear()
-                counts_sink.update(
-                    (shard_id, int(counts[shard_id]))
-                    for shard_id in range(self.num_shards)
-                    if counts[shard_id]
-                )
-
     def _drain_transport_safely(self) -> None:
         """Drain the pipeline, failing over instead of raising when possible."""
         if not self._transport_attached:
             return
+        begin = perf_counter() if self._profile_enabled else 0.0
         try:
             self._executor.transport.drain()
         except WorkerCrashError as error:
-            if self._replication is None:
-                raise
             self._failover(error)
+        finally:
+            if self._profile_enabled:
+                self._note_phase("ack", perf_counter() - begin)
 
     def _failover(self, error: WorkerCrashError | None) -> None:
         """Promote the warm standby over the (dead or condemned) worker pool.
+
+        Without a standby, a worker crash (``error``) is re-raised as is.
 
         The safety argument: every batch the driver ever observed as
         ingested was committed to the WAL *before* dispatch, so the
@@ -1547,6 +1418,8 @@ class SamplerService:
         """
         rt = self._replication
         if rt is None:
+            if error is not None:
+                raise error
             raise FailoverError(
                 "no warm standby is configured; construct the service with "
                 "replication=ReplicationConfig(...)",
@@ -1569,7 +1442,6 @@ class SamplerService:
         # usable: the next dispatch lazily respawns a fresh pool and
         # re-attaches the promoted shards.
         self._transport_attached = False
-        self._dirty.clear()
         self._retained_rng = {}
         self._standby_states = {}
         self._standby_rngs = {}
@@ -1626,9 +1498,7 @@ class SamplerService:
                 "backend": self._executor.name,
                 "failed_over": False,
             }
-            if not (
-                self._executor.provides_transport and self._transport_attached
-            ):
+            if not self._transport_attached:
                 return report
             pool = self._executor.transport
             report.update(
@@ -1676,34 +1546,40 @@ class SamplerService:
 
     def _route(
         self, batch: np.ndarray, keys: Sequence[Any] | np.ndarray | None
-    ) -> list[tuple[int, np.ndarray]]:
+    ) -> RoutedBatch | None:
+        """Hash and shard-bucket one batch: the routing result every stage reuses.
+
+        One driver-side pass produces the shard ids, the shard-grouping
+        permutation, and the per-shard counts and offsets, so the WAL, the
+        in-process sub-batches and the per-worker ring scatters all consume
+        the same result instead of re-touching (or re-hashing) the batch.
+        Raises on malformed keys *before* the caller advances the service
+        clock; returns ``None`` for an empty batch.
+        """
         keys = self._coerce_keys(keys, batch)
         explicit = keys is not None
-        if len(batch):
-            if keys is None:
-                if self.key_fn is not None:
-                    keys = [self.key_fn(item) for item in batch]
-                else:
-                    keys = batch
-            profile = self._profile_enabled
-            begin = perf_counter() if profile else 0.0
-            shard_ids = shard_ids_for_keys(
-                keys, self.num_shards, self._routing_version
-            )
-            if profile:
-                self._note_phase("hash", perf_counter() - begin)
-                begin = perf_counter()
-            routed = split_by_shard(shard_ids, batch)
-            if profile:
-                self._note_phase("split", perf_counter() - begin)
-        else:
-            routed = []
-        if explicit and len(batch):
+        if not len(batch):
+            return None
+        if keys is None:
+            if self.key_fn is not None:
+                keys = [self.key_fn(item) for item in batch]
+            else:
+                keys = batch
+        profile = self._profile_enabled
+        begin = perf_counter() if profile else 0.0
+        shard_ids = shard_ids_for_keys(keys, self.num_shards, self._routing_version)
+        if profile:
+            self._note_phase("hash", perf_counter() - begin)
+            begin = perf_counter()
+        order, counts, offsets = split_order(shard_ids, self.num_shards)
+        if profile:
+            self._note_phase("split", perf_counter() - begin)
+        if explicit:
             # Recorded only once the keys actually routed items: a rejected
             # ingest (unroutable key types, length mismatch) must not
             # poison the service's ability to reshard.
             self._explicit_keys_used = True
-        return routed
+        return RoutedBatch(shard_ids, order, counts, offsets)
 
     def _advance_time(self, time: float | None) -> float:
         self._time, _ = validate_batch_time(
@@ -1837,8 +1713,6 @@ class SamplerService:
             try:
                 self._detach_all_shards()
             except WorkerCrashError as error:
-                if self._replication is None:
-                    raise
                 # The checkpoint above made its cut the standby's base, so
                 # promotion loses nothing; the reshard proceeds on the
                 # promoted samplers.
@@ -1882,7 +1756,6 @@ class SamplerService:
         self._shard_rngs = new_rngs
         self._shards = new_shards
         self._activated = set(new_shards)
-        self._dirty = set()
         self._retained_rng = {}
         self._standby_states = {}
         self._standby_rngs = {}
@@ -1910,18 +1783,20 @@ class SamplerService:
         Includes the master RNG, the reserved per-shard RNG streams (so
         shards that have *not* been created yet still get the exact stream
         they would have received), and one sampler snapshot per active
-        shard. Contains only plain containers and NumPy arrays. On the
-        transport backend the pipeline is drained and resident shard state
-        pulled back first, so a checkpoint taken mid-stream is exact and
-        bit-identical to the serial backend's.
+        shard. Contains only plain containers and NumPy arrays. It
+        serializes from the same state-bearing snapshot cut as
+        :meth:`checkpoint`, so on the transport backend a snapshot taken
+        mid-stream is exact and bit-identical to the serial backend's
+        without draining the pipeline.
         """
         with self._lock:
-            self._sync()
+            cut = self.snapshot(include_items=False, include_state=True)
+            self._refresh_driver_cut(cut)
             return {
                 **self._scalar_state(),
                 "shards": {
-                    str(shard_id): self._shards[shard_id].state_dict()
-                    for shard_id in sorted(self._activated)
+                    str(shard_id): cut.views[shard_id].state
+                    for shard_id in sorted(cut.views)
                 },
             }
 
@@ -1930,7 +1805,9 @@ class SamplerService:
 
         Delta checkpoints persist this part on every save (it is tiny) and
         the per-shard sampler snapshots separately, rewriting only dirty
-        ones. Callers must :meth:`_sync` first — this is a pure read.
+        ones. A pure read: callers take a state-bearing cut and
+        :meth:`_refresh_driver_cut` first, so the reserved RNG streams match
+        the cut's shard states.
         """
         return {
             "format_version": STATE_FORMAT_VERSION,
@@ -1973,7 +1850,6 @@ class SamplerService:
                     self._shard_rngs[shard_id] = sampler._rng
             else:
                 pool.detach(key, None)
-        self._dirty.clear()
         self._transport_attached = False
 
     def close(self) -> None:
@@ -2124,6 +2000,7 @@ class SamplerService:
         service.num_shards = int(state["num_shards"])
         service.key_fn = key_fn
         service._executor = get_executor(executor)
+        require_in_place_backend(service._executor, "SamplerService")
         service._rng = generator_from_state(state["rng_state"])
         shard_rng_states = state["shard_rng_states"]
         if len(shard_rng_states) != service.num_shards:

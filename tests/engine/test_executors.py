@@ -4,10 +4,8 @@ from __future__ import annotations
 
 import threading
 
-import numpy as np
 import pytest
 
-from repro.core import RTBS
 from repro.distributed import SimulatedCluster
 from repro.engine import (
     Executor,
@@ -15,7 +13,6 @@ from repro.engine import (
     SerialExecutor,
     ThreadPoolExecutor,
     get_executor,
-    ingest_shard_state,
     map_partitions,
     merge_samples,
     reduce_merge,
@@ -135,20 +132,6 @@ class TestGetExecutor:
 
 
 class TestShardTasks:
-    def test_ingest_shard_state_round_trips_exactly(self):
-        # Restore -> ingest -> snapshot must equal ingesting in place.
-        reference = RTBS(n=50, lambda_=0.2, rng=0)
-        shipped = RTBS(n=50, lambda_=0.2, rng=0)
-        batches = [np.arange(i * 100, (i + 1) * 100) for i in range(5)]
-        reference.process_stream(batches, times=[1.0, 2.5, 3.0, 4.5, 6.0])
-        state = ingest_shard_state(
-            (shipped.state_dict(), batches, [1.0, 2.5, 3.0, 4.5, 6.0])
-        )
-        restored = RTBS.from_state_dict(state)
-        assert restored.sample_items() == reference.sample_items()
-        assert restored.total_weight == reference.total_weight
-        assert restored.time == reference.time
-
     def test_merge_samples_preserves_partition_order(self):
         assert merge_samples([[1, 2], [], [3], [4, 5]]) == [1, 2, 3, 4, 5]
 

@@ -17,7 +17,6 @@ from repro.engine import (
     ShardWorkerPool,
     WorkerCrashError,
     restore_sampler,
-    service_ingest_frame,
     service_ingest_routed,
     snapshot_sampler,
 )
@@ -62,12 +61,13 @@ class TestResidentLifecycle:
             reference.process_stream([batch], times=[float(index + 1)])
             pool.apply(
                 0,
-                service_ingest_frame,
-                kwargs={"time": float(index + 1), "num_shards": 1, "service_id": 9},
-                arrays={
-                    "payload": batch,
-                    "shard_ids": np.zeros(len(batch), dtype=np.int64),
+                service_ingest_routed,
+                kwargs={
+                    "time": float(index + 1),
+                    "service_id": 9,
+                    "shard_sizes": [(0, len(batch))],
                 },
+                arrays={"payload": batch},
             )
         mid = RTBS.from_state_dict(pool.snapshot(key, snapshot_sampler))
         assert mid.sample_items() == reference.sample_items()
@@ -170,12 +170,13 @@ class TestWorkerCrash:
                 for _ in range(200):
                     pool.apply(
                         0,
-                        service_ingest_frame,
-                        kwargs={"time": 1.0, "num_shards": 1, "service_id": 1},
-                        arrays={
-                            "payload": np.arange(64),
-                            "shard_ids": np.zeros(64, dtype=np.int64),
+                        service_ingest_routed,
+                        kwargs={
+                            "time": 1.0,
+                            "service_id": 1,
+                            "shard_sizes": [(0, 64)],
                         },
+                        arrays={"payload": np.arange(64)},
                     )
                     pool.drain()
                     time.sleep(0.01)

@@ -464,6 +464,52 @@ class TestStandbyBase:
             service.close()
 
 
+class TestIngestBatchCountsAfterFailover:
+    def test_counts_survive_a_worker_killed_before_the_drain(
+        self, tmp_path, monkeypatch
+    ):
+        """A failover inside ``ingest_batch``'s drain still reports every shard.
+
+        Worker 1 is stopped before the victim batch, so its frame is
+        enqueued but never ingested or acknowledged, then killed just
+        before the drain. The promotion replays the committed batch, and
+        the returned counts must still name worker 1's shards.
+        """
+        victim = 5
+        reference = SamplerService(
+            faults.make_factory(), num_shards=faults.NUM_SHARDS, rng=faults.SEED
+        )
+        service = _replicated(tmp_path, "process:2", ship_interval=3)
+        drain = SamplerService._drain_transport_safely
+        stopped: list = []
+
+        def kill_then_drain(svc):
+            if svc is service and stopped:
+                _kill_worker(svc, worker=1)
+                stopped.clear()
+            return drain(svc)
+
+        monkeypatch.setattr(
+            SamplerService, "_drain_transport_safely", kill_then_drain
+        )
+        try:
+            for index, batch in enumerate(faults.workload_batches()):
+                expected = reference.ingest_batch(batch)
+                if index == victim:
+                    process = service.executor.transport.workers[1].process
+                    os.kill(process.pid, signal.SIGSTOP)
+                    stopped.append(process)
+                assert service.ingest_batch(batch) == expected, index
+            assert _replication_stats(service)["failovers"] == 1
+            assert_states_equal(service.state_dict(), reference.state_dict())
+        finally:
+            monkeypatch.undo()
+            for process in stopped:
+                # Failed before the drain: never leave a stopped worker.
+                os.kill(process.pid, signal.SIGKILL)
+            service.close()
+
+
 # ----------------------------------------------------------------------
 # close() idempotency after a worker crash (satellite 1)
 # ----------------------------------------------------------------------

@@ -211,23 +211,24 @@ class TestDrawingFactoryBitIdentity:
 
 
 class TestPlainStateShippingExecutor:
-    def test_ships_state_backend_without_transport_round_trips_snapshots(self):
-        # The documented extension point: a custom backend that requires
-        # picklable tasks but has no resident transport. Shard state must
-        # round-trip via state_dict snapshots, not silently mutate a copy.
+    def test_plain_state_shipping_backend_is_rejected(self):
+        # A backend that ships state but has no resident transport would
+        # ingest into copies of the shards: refused at construction and on
+        # restore, before any state exists.
         class SnapshotShipper(SerialExecutor):
             name = "shipper"
             ships_state = True
 
-        batches = _batches(6)
+        with pytest.raises(ValueError, match="transport-capable"):
+            SamplerService(
+                rtbs_factory, num_shards=4, rng=29, executor=SnapshotShipper()
+            )
         serial = SamplerService(rtbs_factory, num_shards=4, rng=29)
-        serial.ingest(batches)
-        shipped = SamplerService(
-            rtbs_factory, num_shards=4, rng=29, executor=SnapshotShipper()
-        )
-        shipped.ingest(batches)
-        assert shipped.sample_items() == serial.sample_items()
-        assert shipped.total_weight == serial.total_weight
+        serial.ingest(_batches(2))
+        with pytest.raises(ValueError, match="transport-capable"):
+            SamplerService.from_state_dict(
+                serial.state_dict(), rtbs_factory, executor=SnapshotShipper()
+            )
 
 
 class TestTransportRoutingModes:
