@@ -307,7 +307,7 @@ def test_service_executor_backend_operating_points(throughput):
             )
             service.ingest(_large_batches(_BACKEND_WARMUP))
             # Start the timed region from an idle pipeline and time
-            # *end-to-end* sustained ingest: route + scatter + enqueue on
+            # *end-to-end* sustained ingest: route + stage + send on
             # the driver, overlapped worker ingest behind the
             # double-buffered rings, closed by the flush() completion
             # barrier. (On in-process backends ingest is synchronous and

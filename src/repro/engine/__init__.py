@@ -12,12 +12,13 @@ D-R-TBS/D-T-TBS algorithms, the benchmarks — runs through this package's
   state-shipping backend without a transport;
 * :mod:`repro.engine.transport` — the persistent-worker shared-memory
   transport behind the process backend: resident shard state (shipped once
-  on attach), per-worker ring buffers for zero-copy array frames, pipelined
-  dispatch with acknowledgement-driven backpressure, and
+  on attach), per-worker ring buffers for zero-copy array frames, staged
+  ingest windows (:class:`WindowTask`), pipelined dispatch with
+  acknowledgement-driven backpressure, and
   :class:`~repro.engine.errors.EngineError` failure semantics;
 * :mod:`repro.engine.shards` — shard work units: in-process ingest, and
   the transport's attach/snapshot hooks and worker-side
-  :func:`service_ingest_routed`, built on the ``state_dict()`` protocol;
+  :func:`service_ingest_window`, built on the ``state_dict()`` protocol;
 * :class:`~repro.distributed.cluster.SimulatedCluster` — the fourth
   implementation of the protocol, living with the distributed layer: it
   *prices* stages with the paper's calibrated cost model instead of
@@ -53,11 +54,11 @@ from repro.engine.shards import (
     ingest_shard_inplace,
     merge_samples,
     restore_sampler,
-    service_ingest_routed,
+    service_ingest_window,
     service_snapshot_views,
     snapshot_sampler,
 )
-from repro.engine.transport import ShardWorkerPool
+from repro.engine.transport import ShardWorkerPool, WindowTask
 
 T = TypeVar("T")
 R = TypeVar("R")
@@ -78,9 +79,10 @@ __all__ = [
     "group_by_destination",
     "restore_sampler",
     "snapshot_sampler",
-    "service_ingest_routed",
+    "service_ingest_window",
     "service_snapshot_views",
     "ShardWorkerPool",
+    "WindowTask",
     "EngineError",
     "WorkerCrashError",
     "RemoteTaskError",

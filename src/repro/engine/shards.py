@@ -28,7 +28,7 @@ __all__ = [
     "group_by_destination",
     "restore_sampler",
     "snapshot_sampler",
-    "service_ingest_routed",
+    "service_ingest_window",
     "service_snapshot_views",
 ]
 
@@ -59,40 +59,43 @@ def snapshot_sampler(sampler: Sampler) -> dict[str, Any]:
     return sampler.state_dict()
 
 
-def service_ingest_routed(
+def service_ingest_window(
     residents: dict[Any, Any],
     payload: np.ndarray,
-    time: float,
+    entries: Sequence[tuple[float, Sequence[tuple[int, int]]]],
     service_id: int,
-    shard_sizes: Sequence[tuple[int, int]],
     profile: bool = False,
 ) -> dict[int, int] | tuple[dict[int, int], float]:
-    """Worker-side ingest of one pre-routed frame (the fused transport path).
+    """Worker-side ingest of one window of pre-routed batches (the transport path).
 
-    The driver hashes and buckets the batch once, then scatters *only this
-    worker's items* into the ring, grouped by shard in ascending shard
-    order; ``shard_sizes`` lists ``(shard_id, count)`` in that same order,
-    so each shard's sub-batch is a zero-copy slice of the frame. There is
-    no worker-side hashing and no per-shard selection scan — the worker
-    just walks the slices. Sub-batch
-    contents and ingestion order are exactly those of the serial path, so
-    trajectories stay bit-identical.
+    The driver routes each batch once and stages this worker's runs back to
+    back into ``payload``: per batch, in arrival order, its shards' items
+    grouped in ascending shard order. ``entries`` holds one ``(time,
+    [(shard_id, count), ...])`` per staged batch in the same order, so each
+    sub-batch is a zero-copy slice of the frame — no worker-side hashing
+    and no per-shard selection scan. Each shard then ingests its slices in
+    one ``process_stream`` call at the batches' arrival times: the same
+    sub-streams, in the same order, as the serial path, so trajectories
+    stay bit-identical.
 
     Returns ``{shard_id: item_count}`` (the driver tracks shard activation
     from the counts without blocking the pipeline); with ``profile=True``
-    the per-frame ingest wall time rides along for the service's
+    the window's ingest wall time rides along for the service's
     phase-breakdown hook.
     """
     begin = perf_counter() if profile else 0.0
-    counts: dict[int, int] = {}
+    streams: dict[int, tuple[list[np.ndarray], list[float]]] = {}
     offset = 0
-    for shard_id, count in shard_sizes:
-        sub_batch = payload[offset : offset + count]
-        offset += count
-        residents[("svc", service_id, shard_id)].process_stream(
-            [sub_batch], times=[time]
-        )
-        counts[int(shard_id)] = int(count)
+    for time, shard_sizes in entries:
+        for shard_id, count in shard_sizes:
+            batches, times = streams.setdefault(int(shard_id), ([], []))
+            batches.append(payload[offset : offset + count])
+            times.append(time)
+            offset += count
+    counts: dict[int, int] = {}
+    for shard_id, (batches, times) in streams.items():
+        residents[("svc", service_id, shard_id)].process_stream(batches, times=times)
+        counts[shard_id] = sum(len(batch) for batch in batches)
     if profile:
         return counts, perf_counter() - begin
     return counts

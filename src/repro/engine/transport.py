@@ -1,80 +1,51 @@
 """Persistent shard workers with a zero-copy shared-memory transport.
 
-The original process backend paid two taxes on every dispatch: each shard's
-full ``state_dict()`` snapshot round-tripped through pickle per flush, and
-each per-shard sub-batch was re-materialized and pickled as well. This module
-removes both. A :class:`ShardWorkerPool` owns a set of *long-lived* worker
-processes where shard state is **resident**: a shard's snapshot crosses the
-process boundary exactly once, when the shard is attached (and again only on
-snapshot/detach — i.e. on checkpoint or teardown). Per-batch numeric arrays
-(payloads, routing keys, timestamps) cross through a per-worker
-``multiprocessing.shared_memory`` ring buffer: the driver pays one ``memcpy``
-into the ring, the worker maps NumPy views directly onto the shared pages —
-no pickle, no second copy.
+A :class:`ShardWorkerPool` owns *long-lived* worker processes where shard
+state is **resident**: a shard's snapshot crosses the process boundary when
+the shard is attached and again only on snapshot/detach, never per batch.
+Fixed-width arrays cross through a per-worker ``shared_memory`` ring: the
+driver pays one ``memcpy`` in, the worker maps NumPy views onto the shared
+pages — no pickle, no second copy.
 
-Dispatch is **pipelined**: ``apply`` calls return as soon as the frame is in
-the ring and the command is in the pipe; the worker acknowledges each frame
-after processing it, and acknowledgements both release ring space
+Dispatch is **pipelined**: commands return once the frame is in the ring
+and the command in the pipe; acknowledgements release ring space
 (backpressure: a full ring blocks the driver until the worker catches up)
-and deliver small results (per-shard ingest counts, new partition sizes)
-to driver-side callbacks. Each ring is **double-buffered**: the driver fills
-one half while the worker reads the other, and flipping halves waits only
-for the other half's acknowledgements — driver-side routing of the next
-batch overlaps worker-side ingest of the previous one. ``drain()`` is the
-barrier; reads (samples, checkpoints, stats) instead enqueue snapshot
-markers (:meth:`ShardWorkerPool.snapshot_async`) that cut every worker at
-one pipeline position, so observable state is exact without a drain. ``apply``'s ``scatters`` parameter gathers selected
-rows of a source array *directly into the ring* (one fused pass), which is
-how the service scatters per-shard sub-batches without intermediate copies.
+and deliver small results to driver-side callbacks. Each ring is
+**double-buffered**: the driver fills one half while the worker reads the
+other. ``drain()`` is the barrier; reads instead enqueue snapshot markers
+(:meth:`ShardWorkerPool.snapshot_async`) that cut every worker at one
+pipeline position.
 
-Protocol summary (all control messages are pickled over a duplex pipe; bulk
-arrays ride the ring):
+Stream ingest is **staged**: :meth:`ShardWorkerPool.stage` copies runs of
+rows back to back into the worker's *open window* frame in its ring, and
+:meth:`ShardWorkerPool.send_staged` sends each open window as one command
+(a :class:`WindowTask`) — one command per worker per ingest window, not per
+batch. A window's frame never spans ring halves or segments: rows that do
+not fit the active half, or would grow the segment, send the open window
+first, and so does any other command to the worker, so staging never
+reorders the worker's FIFO pipe. Control messages (``segment``, ``attach``,
+``apply``, ``detach``, ``run``, ``close``) are pickled over that pipe, so
+operations on one resident object run in exactly the order the driver
+issued them — which keeps resident trajectories bit-identical to serial.
 
-=============  =================================================================
-``segment``    announce a (new) shared-memory ring segment by name
-``attach``     install a resident object: ``restore_fn(state) -> object``
-``apply``      run a module-level ``fn(residents, **kwargs)``; ring-backed
-               arrays are inserted into ``kwargs`` as NumPy views
-``detach``     remove a resident object, optionally returning
-               ``snapshot_fn(object)``
-``run``        generic map task ``fn(task)`` (the classic executor path)
-``close``      shut the worker down
-=============  =================================================================
-
-Ordering: the pipe is FIFO per worker, so operations touching one resident
-object execute in exactly the order the driver issued them — which is what
-makes resident trajectories bit-identical to the serial ones.
-
-Functions shipped by reference (``restore_fn``/``snapshot_fn``/``fn``) must
-be module-level (pickle-by-reference), mirroring a real cluster's
-code-is-deployed, state-is-shipped discipline. Task functions must not
-retain references to ring-backed array views beyond their own call — the
-ring space is reused once the frame is acknowledged. (Every sampler in
-:mod:`repro.core` honours this already: batch containers are never retained,
-and selections copy via fancy/boolean indexing.)
-
-Failures surface as :class:`~repro.engine.errors.EngineError` subclasses: a
-dead worker raises :class:`~repro.engine.errors.WorkerCrashError` naming the
-worker and the resident shard state lost with it; an exception inside a task
-raises :class:`~repro.engine.errors.RemoteTaskError` carrying the original
-traceback text.
-
-For supervised failover the pool also exposes passive health probes —
-:meth:`ShardWorkerPool.dead_workers` (process liveness, the driver-side
-mirror of the workers' own orphan watchdog) and
-:meth:`ShardWorkerPool.pending_commands` (submitted-but-unacknowledged
-commands, which together with :meth:`ShardWorkerPool.acked_through` lets a
-failure detector spot a wedged worker whose acknowledgements stopped
-moving). The probes never block and never touch the pipes, so a detector
-can run them between every dispatched batch.
+Functions shipped by reference must be module-level (code is deployed,
+state is shipped), and tasks must not retain ring-backed views beyond
+their call: ring space is reused once the command is acknowledged. A dead
+worker raises :class:`~repro.engine.errors.WorkerCrashError`, an exception
+inside a task :class:`~repro.engine.errors.RemoteTaskError`; the passive
+probes :meth:`ShardWorkerPool.dead_workers`,
+:meth:`ShardWorkerPool.pending_commands` and
+:meth:`ShardWorkerPool.acked_through` let a failure detector spot a dead
+or wedged worker without blocking.
 """
 
 from __future__ import annotations
 
 import itertools
+import multiprocessing
 import os
 import traceback
-from multiprocessing import get_context
+from dataclasses import dataclass, field
 from multiprocessing.connection import Connection
 from multiprocessing import shared_memory
 from typing import Any, Callable, Sequence
@@ -83,11 +54,13 @@ import numpy as np
 
 from repro.engine.errors import EngineError, RemoteTaskError, WorkerCrashError
 
-__all__ = ["ShardWorkerPool", "DEFAULT_RING_BYTES"]
+__all__ = ["ShardWorkerPool", "WindowTask", "DEFAULT_RING_BYTES"]
 
-#: Per-worker ring capacity. Sized so a sustained run of 100k-item float64
-#: frames pipelines without backpressure; override with
-#: ``REPRO_TRANSPORT_RING_MB`` for constrained machines.
+#: Per-worker ring capacity. Each half holds a whole ingest window's frame
+#: (eight 100k-item int64 batches split over two workers take about 3.2 MB
+#: per worker), so a window is staged while the worker ingests the previous
+#: one; override with ``REPRO_TRANSPORT_RING_MB`` for constrained machines
+#: (smaller halves just send windows early).
 DEFAULT_RING_BYTES = int(os.environ.get("REPRO_TRANSPORT_RING_MB", "16")) * 1024 * 1024
 
 _ALIGN = 64
@@ -101,6 +74,11 @@ _ORPHAN_POLL_SECONDS = 1.0
 
 def _aligned(nbytes: int) -> int:
     return (nbytes + _ALIGN - 1) // _ALIGN * _ALIGN
+
+
+def _ring_dtype(dtype: np.dtype) -> bool:
+    """Whether arrays of ``dtype`` can ride the shared-memory ring."""
+    return not dtype.hasobject and dtype.itemsize > 0
 
 
 def _open_shm_untracked(name: str) -> shared_memory.SharedMemory:
@@ -133,20 +111,11 @@ def _worker_main(conn: Connection, worker_index: int) -> None:
     segments: dict[int, shared_memory.SharedMemory] = {}
     driver_pid = os.getppid()
 
-    def materialize_frames(kwargs: dict[str, Any], frames: Sequence[tuple]) -> None:
-        for name, segment_id, offset, dtype_str, shape in frames:
-            segment = segments[segment_id]
-            kwargs[name] = np.ndarray(
-                shape, dtype=np.dtype(dtype_str), buffer=segment.buf, offset=offset
-            )
-
     while True:
         try:
-            # Orphan watchdog. A driver killed outright (SIGKILL, OOM) never
-            # sends "close" — and EOF may never arrive either: workers forked
-            # after this one inherited the driver-side end of this pipe, so
-            # the fd outlives the driver. Wake periodically and exit once
-            # re-parented; the cascade of exits then closes every stray end.
+            # Orphan watchdog: a driver killed outright never sends "close",
+            # and EOF may never arrive (later workers inherited the driver's
+            # end of this pipe). Exit once re-parented.
             while not conn.poll(_ORPHAN_POLL_SECONDS):
                 if os.getppid() != driver_pid:
                     for segment in segments.values():
@@ -174,7 +143,10 @@ def _worker_main(conn: Connection, worker_index: int) -> None:
             elif kind == "apply":
                 _, _, fn, kwargs, frames = message
                 kwargs = dict(kwargs)
-                materialize_frames(kwargs, frames)
+                for name, segment_id, offset, dtype_str, shape in frames:
+                    kwargs[name] = np.ndarray(
+                        shape, np.dtype(dtype_str), segments[segment_id].buf, offset
+                    )
                 result = fn(residents, **kwargs)
             elif kind == "detach":
                 _, _, key, snapshot_fn = message
@@ -208,22 +180,45 @@ def _worker_main(conn: Connection, worker_index: int) -> None:
 # ----------------------------------------------------------------------
 # driver side
 # ----------------------------------------------------------------------
-class _PendingEntry:
-    __slots__ = ("ring_bytes", "on_result", "sink", "tag", "ring_half")
+@dataclass(frozen=True, eq=False)
+class WindowTask:
+    """The command a worker's staged window is sent as.
 
-    def __init__(
-        self,
-        ring_bytes: int = 0,
-        on_result: Callable[[Any], None] | None = None,
-        sink: tuple[list, int] | None = None,
-        tag: int | None = None,
-        ring_half: int | None = None,
-    ) -> None:
-        self.ring_bytes = ring_bytes
-        self.on_result = on_result
-        self.sink = sink
-        self.tag = tag
-        self.ring_half = ring_half
+    The worker runs ``fn(residents, payload=rows, entries=entries, **kwargs)``
+    with every staged run back to back in ``rows`` (a ring view; a pickled
+    array for object dtypes) and each :meth:`ShardWorkerPool.stage` call's
+    ``entry`` in ``entries``, in staging order. ``on_result`` receives the
+    return value on acknowledgement.
+    """
+
+    fn: Callable[..., Any]
+    kwargs: dict[str, Any] = field(default_factory=dict)
+    on_result: Callable[[Any], None] | None = None
+
+
+@dataclass(slots=True)
+class _Window:
+    """A worker's open window: staged rows not yet sent as a command."""
+
+    task: WindowTask
+    dtype: np.dtype
+    #: Ring offset of the first row and the half holding the rows; ``None``
+    #: for object dtypes, whose rows collect in ``chunks`` instead.
+    offset: int | None = None
+    half: int | None = None
+    rows: int = 0
+    chunks: list[np.ndarray] = field(default_factory=list)
+    entries: list[Any] = field(default_factory=list)
+    #: The first staged batch's watermark tag (see ``acked_through``).
+    tag: int | None = None
+
+
+@dataclass(slots=True)
+class _PendingEntry:
+    on_result: Callable[[Any], None] | None = None
+    sink: tuple[list, int] | None = None
+    tag: int | None = None
+    ring_half: int | None = None
 
 
 class _WorkerHandle:
@@ -245,19 +240,16 @@ class _WorkerHandle:
         self._seq = itertools.count()
         self.pending: dict[int, _PendingEntry] = {}
         self.resident_keys: set[Any] = set()
-        # Ring state (created lazily on the first array frame). The ring is
-        # split into two halves, double-buffered: the driver writes frames
-        # into the active half while the worker is still reading frames out
-        # of the other, and flipping halves only waits for the *other*
-        # half's acknowledgements — so driver-side hashing/scatter of batch
-        # k+1 overlaps worker ingest of batch k.
+        # Ring state, created lazily on the first frame. The driver writes
+        # into the active half while the worker still reads the other, and
+        # flipping halves waits only for the *other* half's acknowledgements.
         self.segment: shared_memory.SharedMemory | None = None
         self.segment_id = 0
         self.capacity = 0
         self.head = 0
-        self.used = 0
         self.active_half = 0
         self.half_pending = [0, 0]
+        self.window: _Window | None = None
 
     # -- low-level messaging ------------------------------------------
     def crash(self, detail: str = "") -> WorkerCrashError:
@@ -280,7 +272,6 @@ class _WorkerHandle:
             raise self.crash("worker pipe closed") from error
         _, seq, ok, payload = message
         entry = self.pending.pop(seq)
-        self.used -= entry.ring_bytes
         if entry.ring_half is not None:
             # Ring space is reclaimed whether the command succeeded or not —
             # the worker is done reading the frame either way.
@@ -305,29 +296,23 @@ class _WorkerHandle:
             pass
 
     def drain(self) -> None:
+        self.send_window()
         while self.pending:
             self._receive_ack(blocking=True)
 
-    def next_seq(self) -> int:
-        return next(self._seq)
+    def submit(self, message_tail: tuple[Any, ...], kind: str, **entry: Any) -> int:
+        """Send one command, registering its pending acknowledgement.
 
-    def submit(
-        self,
-        message_tail: tuple[Any, ...],
-        kind: str,
-        ring_bytes: int = 0,
-        on_result: Callable[[Any], None] | None = None,
-        sink: tuple[list, int] | None = None,
-        tag: int | None = None,
-        ring_half: int | None = None,
-    ) -> int:
-        """Send one command, registering its pending acknowledgement."""
+        ``entry`` fills the command's :class:`_PendingEntry`. An open window
+        is sent first, so commands run in the order their data arrived.
+        """
+        self.send_window()
         while len(self.pending) >= _MAX_PENDING:
             self._receive_ack(blocking=True)
-        seq = self.next_seq()
-        self.pending[seq] = _PendingEntry(ring_bytes, on_result, sink, tag, ring_half)
-        if ring_half is not None:
-            self.half_pending[ring_half] += 1
+        seq = next(self._seq)
+        pending = self.pending[seq] = _PendingEntry(**entry)
+        if pending.ring_half is not None:
+            self.half_pending[pending.ring_half] += 1
         self.send((kind, seq, *message_tail))
         return seq
 
@@ -349,37 +334,35 @@ class _WorkerHandle:
         old_id = self.segment_id
         segment = shared_memory.SharedMemory(create=True, size=capacity)
         self.segment_id += 1
-        seq = self.submit(
-            (self.segment_id, segment.name, old_id), kind="segment"
-        )
-        self.wait_for(seq)  # worker has opened the new segment / closed the old
+        # Wait until the worker has opened the new segment and closed the old.
+        self.wait_for(self.submit((self.segment_id, segment.name, old_id), kind="segment"))
         if old is not None:
             old.close()
             old.unlink()
         self.segment = segment
         self.capacity = capacity
         self.head = 0
-        self.used = 0
         self.active_half = 0
         self.half_pending = [0, 0]
+
+    def _half_end(self) -> int:
+        return (self.active_half + 1) * (self.capacity // 2)
 
     def allocate(self, nbytes: int) -> tuple[int, int]:
         """Reserve ``nbytes`` of contiguous ring space; return (offset, half).
 
-        The ring is double-buffered: frames go into the active half, and
-        when it fills the driver flips to the other half — waiting only for
-        *that* half's outstanding acknowledgements, so writes into one half
-        overlap the worker's reads from the other. A frame larger than half
-        the ring grows the segment (draining first, since frames never span
-        segments).
+        Frames go into the active half; when it fills the driver flips to
+        the other half, waiting only for *that* half's acknowledgements. A
+        frame larger than half the ring grows the segment (draining first:
+        frames never span segments). An open window is sent first, so a
+        window's frame is always the last allocation and may grow in place.
         """
+        self.send_window()
         if self.segment is None or nbytes > self.capacity // 2:
             self.drain()
             capacity = max(self.pool.ring_bytes, 1 << max(16, (2 * nbytes - 1).bit_length()))
             self._install_segment(capacity)
-        half_capacity = self.capacity // 2
-        base = self.active_half * half_capacity
-        if self.head + nbytes > base + half_capacity:
+        if self.head + nbytes > self._half_end():
             # Half-barrier wraparound: the other half may only be rewritten
             # once every frame written there has been acknowledged — the
             # ack proves the worker is done reading it (frames are
@@ -388,65 +371,104 @@ class _WorkerHandle:
             while self.half_pending[other]:
                 self._receive_ack(blocking=True)
             self.active_half = other
-            self.head = other * half_capacity
+            self.head = other * (self.capacity // 2)
         offset = self.head
         self.head += nbytes
-        self.used += nbytes
         return offset, self.active_half
 
-    def write_frame(
-        self,
-        arrays: dict[str, np.ndarray],
-        scatters: dict[str, tuple[np.ndarray, np.ndarray]] | None = None,
-    ) -> tuple[list[tuple], int, int]:
-        """Copy arrays into the ring; return (frame descriptors, bytes, half).
+    def _ring_view(self, shape: tuple[int, ...], dtype: np.dtype, offset: int) -> np.ndarray:
+        assert self.segment is not None
+        return np.ndarray(shape, dtype=dtype, buffer=self.segment.buf, offset=offset)
 
-        ``arrays`` entries are copied wholesale. ``scatters`` entries are
-        ``(source, indices)`` pairs gathered *directly into the ring*
-        (``np.take(..., out=ring_view)``) — the fused scatter path: no
-        intermediate per-worker copy materializes on the driver side.
-        """
+    def write_frame(self, arrays: dict[str, np.ndarray]) -> tuple[list[tuple], int]:
+        """Copy arrays into the ring; return (frame descriptors, ring half)."""
         contiguous = {name: np.ascontiguousarray(a) for name, a in arrays.items()}
-        scatters = scatters or {}
         total = sum(_aligned(array.nbytes) for array in contiguous.values())
-        scatter_shapes: dict[str, tuple[int, ...]] = {}
-        for name, (source, indices) in scatters.items():
-            shape = (len(indices),) + source.shape[1:]
-            scatter_shapes[name] = shape
-            total += _aligned(
-                source.dtype.itemsize * int(np.prod(shape, dtype=np.int64))
-            )
         offset, half = self.allocate(total)
         frames: list[tuple] = []
-        assert self.segment is not None
         for name, array in contiguous.items():
-            destination = np.ndarray(
-                array.shape,
-                dtype=array.dtype,
-                buffer=self.segment.buf,
-                offset=offset,
-            )
-            destination[...] = array
-            frames.append(
-                (name, self.segment_id, offset, array.dtype.str, array.shape)
-            )
+            self._ring_view(array.shape, array.dtype, offset)[...] = array
+            frames.append((name, self.segment_id, offset, array.dtype.str, array.shape))
             offset += _aligned(array.nbytes)
-        for name, (source, indices) in scatters.items():
-            destination = np.ndarray(
-                scatter_shapes[name],
-                dtype=source.dtype,
-                buffer=self.segment.buf,
-                offset=offset,
-            )
-            np.take(source, indices, axis=0, out=destination)
+        return frames, half
+
+    # -- staged windows ------------------------------------------------
+    def stage(
+        self,
+        task: WindowTask,
+        source: np.ndarray,
+        runs: Sequence[tuple[int, int]],
+        entry: Any,
+        tag: int | None,
+    ) -> None:
+        """Append ``source[start:stop]`` for every run to the open window."""
+        rows = sum(stop - start for start, stop in runs)
+        nbytes = rows * source.dtype.itemsize
+        ring = _ring_dtype(source.dtype)
+        window = self.window
+        if window is not None and (
+            window.task is not task
+            or window.dtype != source.dtype
+            or (ring and self.head + nbytes > self._half_end())
+        ):
+            self.send_window()
+            window = None
+        if window is None:
+            window = _Window(task, source.dtype)
+            if ring:
+                window.offset, window.half = self.allocate(nbytes)
+            self.window = window
+        elif ring:
+            self.head += nbytes
+        if tag is not None:
+            # The window counts as outstanding from its first tagged batch
+            # on, so staged batches hold the watermark back like sent ones.
+            self.pool._issue_tag(tag, outstanding=window.tag is None)
+            if window.tag is None:
+                window.tag = tag
+        if window.offset is not None:
+            start_offset = window.offset + window.rows * source.dtype.itemsize
+            destination = self._ring_view((rows,), source.dtype, start_offset)
+            position = 0
+            for start, stop in runs:
+                destination[position : position + stop - start] = source[start:stop]
+                position += stop - start
+        else:
+            window.chunks.extend(source[start:stop] for start, stop in runs)
+        window.rows += rows
+        window.entries.append(entry)
+
+    def send_window(self) -> None:
+        """Send the open window (if any) as one command."""
+        window, self.window = self.window, None
+        if window is None:
+            return
+        kwargs = {**window.task.kwargs, "entries": window.entries}
+        frames: list[tuple] = []
+        if window.offset is not None and window.rows:
+            # Pad the head back onto the alignment grid (never past the
+            # half's end) so the next frame starts aligned.
+            self.head = min(_aligned(self.head), self._half_end())
             frames.append(
-                (name, self.segment_id, offset, source.dtype.str, scatter_shapes[name])
+                ("payload", self.segment_id, window.offset, window.dtype.str, (window.rows,))
             )
-            offset += _aligned(destination.nbytes)
-        return frames, total, half
+        elif window.chunks:
+            kwargs["payload"] = np.concatenate(window.chunks)
+        else:
+            kwargs["payload"] = np.empty(0, dtype=window.dtype)
+        self.submit(
+            (window.task.fn, kwargs, frames),
+            kind="apply",
+            on_result=window.task.on_result,
+            tag=window.tag,
+            ring_half=window.half if frames else None,
+        )
 
     # -- lifecycle -----------------------------------------------------
     def close(self) -> None:
+        # The open window is discarded, never sent: whoever closes the pool
+        # condemned the state it describes.
+        self.window = None
         try:
             self.conn.send(("close",))
         except (OSError, BrokenPipeError, ValueError):
@@ -471,30 +493,13 @@ class _WorkerHandle:
             self.segment = None
 
 
-def _ring_eligible(value: Any) -> bool:
-    """Whether a value can ride the shared-memory ring (fixed-width ndarray)."""
-    return (
-        isinstance(value, np.ndarray)
-        and not value.dtype.hasobject
-        and value.nbytes > 0
-    )
-
-
 class ShardWorkerPool:
     """A pool of persistent worker processes hosting resident shard state.
 
-    Parameters
-    ----------
-    max_workers:
-        Number of worker processes; defaults to ``os.cpu_count()`` capped
-        at 8 (shard work units are coarse).
-    ring_bytes:
-        Per-worker shared-memory ring capacity (default
-        :data:`DEFAULT_RING_BYTES`).
-    start_method:
-        ``multiprocessing`` start method; defaults to
-        ``REPRO_TRANSPORT_START_METHOD`` or ``"fork"`` where available
-        (worker startup is then milliseconds, not an interpreter boot).
+    ``max_workers`` defaults to ``os.cpu_count()`` capped at 8;
+    ``ring_bytes`` is the per-worker ring capacity (at least 64 KiB is
+    used); ``start_method`` defaults to ``REPRO_TRANSPORT_START_METHOD`` or
+    ``"fork"`` where available (worker startup is then milliseconds).
     """
 
     def __init__(
@@ -510,12 +515,9 @@ class ShardWorkerPool:
         self.ring_bytes = int(ring_bytes)
         method = start_method or os.environ.get("REPRO_TRANSPORT_START_METHOD")
         if method is None:
-            import multiprocessing
-
-            method = (
-                "fork" if "fork" in multiprocessing.get_all_start_methods() else "spawn"
-            )
-        self._ctx = get_context(method)
+            forkable = "fork" in multiprocessing.get_all_start_methods()
+            method = "fork" if forkable else "spawn"
+        self._ctx = multiprocessing.get_context(method)
         self.num_workers = int(max_workers)
         self.workers: list[_WorkerHandle] = [
             _WorkerHandle(self, index) for index in range(self.num_workers)
@@ -538,11 +540,7 @@ class ShardWorkerPool:
             raise EngineError(f"no resident object attached under key {key!r}") from None
 
     def attach(
-        self,
-        key: Any,
-        restore_fn: Callable[[Any], Any],
-        state: Any,
-        worker: int,
+        self, key: Any, restore_fn: Callable[[Any], Any], state: Any, worker: int
     ) -> None:
         """Install a resident object on a worker (state ships exactly once).
 
@@ -568,92 +566,98 @@ class ShardWorkerPool:
         sync: bool = False,
         on_result: Callable[[Any], None] | None = None,
         tag: int | None = None,
-        scatters: dict[str, tuple[np.ndarray, np.ndarray]] | None = None,
     ) -> Any:
         """Run ``fn(residents, **kwargs)`` on one worker.
 
-        ``arrays`` entries with fixed-width dtypes travel through the
-        shared-memory ring (one memcpy in, zero-copy views out); object-dtype
-        arrays and everything in ``kwargs`` are pickled over the pipe.
-        ``scatters`` entries are ``(source, indices)`` pairs: the selected
-        rows are gathered straight into the ring in one pass (the fused
-        ingest path), falling back to a pickled driver-side gather for
-        object dtypes. With ``sync=False`` (the pipelined default) the call
-        returns immediately and ``on_result`` (if given) receives the
-        task's return value when its acknowledgement is drained; with
-        ``sync=True`` the result is returned directly.
-
-        ``tag`` enrolls the command in the pool's acknowledgement watermark
-        (:meth:`acked_through`): several commands may share one tag (a batch
-        fanned out to every worker), and the tag counts as acknowledged only
-        when all of them have succeeded. Tags must be issued in
-        non-decreasing order.
+        Fixed-width ``arrays`` travel through the ring; object arrays and
+        ``kwargs`` are pickled. Pipelined unless ``sync=True`` (which
+        returns the result); ``on_result`` receives it on acknowledgement.
+        ``tag`` enrolls the command in :meth:`acked_through`: commands may
+        share a tag (a batch fanned out to every worker), which counts as
+        acknowledged once all of them succeed. Tags must be non-decreasing.
         """
         self._check_open()
         handle = self.workers[worker % self.num_workers]
         handle.poll_acks()
         kwargs = dict(kwargs or {})
-        frames: list[tuple] = []
-        ring_bytes = 0
-        ring_half: int | None = None
         ring_arrays: dict[str, np.ndarray] = {}
-        ring_scatters: dict[str, tuple[np.ndarray, np.ndarray]] = {}
-        if arrays:
-            for name, value in arrays.items():
-                if _ring_eligible(value):
-                    ring_arrays[name] = value
-                else:
-                    kwargs[name] = value
-        if scatters:
-            for name, (source, indices) in scatters.items():
-                if _ring_eligible(source) and len(indices):
-                    ring_scatters[name] = (source, indices)
-                else:
-                    kwargs[name] = np.take(source, indices, axis=0)
-        if ring_arrays or ring_scatters:
-            frames, ring_bytes, ring_half = handle.write_frame(
-                ring_arrays, ring_scatters
-            )
+        for name, value in (arrays or {}).items():
+            ring = isinstance(value, np.ndarray) and _ring_dtype(value.dtype)
+            if ring and value.nbytes > 0:
+                ring_arrays[name] = value
+            else:
+                kwargs[name] = value
+        frames: list[tuple] = []
+        ring_half: int | None = None
+        if ring_arrays:
+            frames, ring_half = handle.write_frame(ring_arrays)
         if tag is not None:
             tag = int(tag)
-            if self._last_tag is not None and tag < self._last_tag:
-                raise EngineError(
-                    f"watermark tags must be non-decreasing: got {tag} after "
-                    f"{self._last_tag}"
-                )
-            self._tag_outstanding[tag] = self._tag_outstanding.get(tag, 0) + 1
-            self._last_tag = tag
+            self._issue_tag(tag, outstanding=True)
         seq = handle.submit(
             (fn, kwargs, frames),
             kind="apply",
-            ring_bytes=ring_bytes,
             on_result=on_result,
             tag=tag,
             ring_half=ring_half,
         )
-        if sync:
-            return handle.wait_for(seq)
-        return None
+        return handle.wait_for(seq) if sync else None
+
+    def stage(
+        self,
+        worker: int,
+        task: WindowTask,
+        source: np.ndarray,
+        runs: Sequence[tuple[int, int]],
+        entry: Any,
+        tag: int | None = None,
+    ) -> None:
+        """Stage rows for ``task`` in one worker's open window (pipelined).
+
+        Copies ``source[start:stop]`` for every run behind the rows staged
+        before and records ``entry``. Nothing is sent until
+        :meth:`send_staged`, unless the window must close early: a different
+        ``task`` (by identity) or dtype, rows that do not fit the active
+        ring half, or any other command to the worker. ``tag`` is as in
+        :meth:`apply`; the window holds :meth:`acked_through` below its first
+        tagged batch until acknowledged. Closing the pool discards it unsent.
+        """
+        self._check_open()
+        handle = self.workers[worker % self.num_workers]
+        handle.poll_acks()
+        handle.stage(task, source, runs, entry, None if tag is None else int(tag))
+
+    def send_staged(self) -> None:
+        """Send every worker's open window as one command each (pipelined)."""
+        self._check_open()
+        for handle in self.workers:
+            handle.send_window()
+
+    def _issue_tag(self, tag: int, outstanding: bool) -> None:
+        """Record an issued watermark tag, counting it outstanding if asked."""
+        if self._last_tag is not None and tag < self._last_tag:
+            raise EngineError(
+                f"watermark tags must be non-decreasing: got {tag} after "
+                f"{self._last_tag}"
+            )
+        if outstanding:
+            self._tag_outstanding[tag] = self._tag_outstanding.get(tag, 0) + 1
+        self._last_tag = tag
 
     def _tag_acked(self, tag: int) -> None:
-        remaining = self._tag_outstanding.get(tag, 0) - 1
-        if remaining <= 0:
-            self._tag_outstanding.pop(tag, None)
-        else:
+        remaining = self._tag_outstanding.pop(tag, 0) - 1
+        if remaining > 0:
             self._tag_outstanding[tag] = remaining
 
     def acked_through(self) -> int | None:
         """Highest tag with every tagged command at or below it acknowledged.
 
-        The durability watermark for pipelined dispatch: a driver that tags
-        each batch's commands with the batch's sequence number can read off
-        exactly which prefix of the stream the workers have fully processed
-        — anything beyond it is pipelined-but-unacknowledged and must be
-        replayed (not dropped) after a
-        :class:`~repro.engine.errors.WorkerCrashError`. Commands that failed,
-        or died with their worker, leave their tag outstanding forever, so
-        the watermark never moves past a lost batch. ``None`` until the
-        first tagged command is submitted.
+        The durability watermark: with each batch tagged by its sequence
+        number, everything beyond it is in flight and must be replayed after
+        a :class:`~repro.engine.errors.WorkerCrashError`. Failed or lost
+        commands leave their tag outstanding forever, and a staged window
+        counts from its first tagged batch, sent or not. ``None`` until the
+        first tag is issued.
         """
         if self._last_tag is None:
             return None
@@ -665,13 +669,9 @@ class ShardWorkerPool:
     # health probes (failure detection)
     # ------------------------------------------------------------------
     def dead_workers(self) -> list[int]:
-        """Indices of workers whose process is no longer alive.
+        """Indices of dead worker processes (one ``waitpid(WNOHANG)`` each).
 
-        A non-blocking liveness probe (one ``waitpid(WNOHANG)`` per worker):
-        a SIGKILLed, OOMed or segfaulted worker shows up here before its
-        broken pipe would surface as a :class:`WorkerCrashError` on the next
-        send/ack. Returns ``[]`` on a closed pool — close reaps every worker
-        deliberately, which is not a failure.
+        ``[]`` on a closed pool: close reaps every worker deliberately.
         """
         if self._closed:
             return []
@@ -680,11 +680,9 @@ class ShardWorkerPool:
         ]
 
     def pending_commands(self) -> int:
-        """Total submitted-but-unacknowledged commands across all workers.
+        """Submitted-but-unacknowledged commands across all workers.
 
-        Together with :meth:`acked_through` this is the ack-staleness signal:
-        a pool whose pending count stays positive while the watermark stops
-        advancing has a wedged (or dead) worker.
+        Positive while :meth:`acked_through` stops advancing: a wedged worker.
         """
         return sum(len(handle.pending) for handle in self.workers)
 
@@ -704,17 +702,11 @@ class ShardWorkerPool:
     ) -> list[tuple[int, int]]:
         """Enqueue a snapshot *marker* on every worker; no ``drain()`` barrier.
 
-        ``fn(residents, **kwargs)`` is a module-level callable that publishes
-        a cut of the worker's resident objects (e.g.
-        :func:`repro.engine.shards.service_snapshot_views`). The marker rides
-        each worker's FIFO command pipe as an ordinary pipelined apply, so it
-        executes *after* every command enqueued before it and *before* any
-        enqueued after — the per-worker results together form a consistent
-        cut at the enqueue point, streamed back as ordinary ack-side frames
-        while later commands keep flowing underneath.
-
-        Returns ``[(worker_index, seq), ...]`` markers; pass them to
-        :meth:`collect` to gather the per-worker results.
+        ``fn(residents, **kwargs)`` publishes a cut of the worker's resident
+        objects (e.g. :func:`repro.engine.shards.service_snapshot_views`).
+        Each marker rides its worker's FIFO pipe as a pipelined apply, so
+        the per-worker results form one consistent cut at the enqueue point.
+        Returns ``[(worker_index, seq), ...]`` markers for :meth:`collect`.
         """
         self._check_open()
         markers: list[tuple[int, int]] = []
@@ -727,19 +719,14 @@ class ShardWorkerPool:
     def collect(self, markers: list[tuple[int, int]]) -> list[Any]:
         """Wait for :meth:`snapshot_async` markers only; return their results.
 
-        Not a barrier: each wait processes that worker's acknowledgements up
-        to its marker (delivering any pending ``on_result`` callbacks along
-        the way) and stops there — commands enqueued after a marker stay
-        pipelined and in flight.
+        Not a barrier: commands enqueued after a marker stay in flight.
         """
         return [self.workers[worker].wait_for(seq) for worker, seq in markers]
 
     def detach(self, key: Any, snapshot_fn: Callable[[Any], Any] | None = None) -> Any:
-        """Remove a resident object; return its final snapshot when asked.
+        """Remove a resident object; return ``snapshot_fn(object)`` if given.
 
-        With ``snapshot_fn=None`` the detach is pipelined and the state is
-        discarded worker-side; otherwise the call blocks and returns
-        ``snapshot_fn(object)``.
+        Without ``snapshot_fn`` the detach is pipelined and the state dropped.
         """
         self._check_open()
         index = self.worker_for(key)
@@ -747,9 +734,7 @@ class ShardWorkerPool:
         seq = handle.submit((key, snapshot_fn), kind="detach")
         handle.resident_keys.discard(key)
         del self._key_worker[key]
-        if snapshot_fn is not None:
-            return handle.wait_for(seq)
-        return None
+        return handle.wait_for(seq) if snapshot_fn is not None else None
 
     # ------------------------------------------------------------------
     # generic map (the classic executor path)
@@ -770,7 +755,7 @@ class ShardWorkerPool:
     # lifecycle
     # ------------------------------------------------------------------
     def drain(self) -> None:
-        """Barrier: wait until every submitted command is acknowledged."""
+        """Barrier: send every open window, then wait for every acknowledgement."""
         for handle in self.workers:
             handle.drain()
 
@@ -780,7 +765,10 @@ class ShardWorkerPool:
         return set(self._key_worker)
 
     def close(self) -> None:
-        """Shut every worker down; resident state not detached first is lost."""
+        """Shut every worker down; resident state not detached is lost.
+
+        Open windows are discarded with it, never sent.
+        """
         if self._closed:
             return
         self._closed = True

@@ -39,11 +39,11 @@ then dispatch it through a pluggable :mod:`repro.engine` executor:
 * ``"process"`` runs the persistent-worker transport
   (:mod:`repro.engine.transport`): shard samplers live *resident* in the
   worker processes — their state crosses the boundary on attach and again
-  only on checkpoint/read/close — and each worker's items are scattered
-  through the routed order straight into its double-buffered shared-memory
-  ring. Ingestion is pipelined: ``ingest`` returns once the frames are
-  enqueued. A dead worker raises
-  :class:`~repro.engine.errors.WorkerCrashError` naming the worker.
+  only on checkpoint/read/close. The same gather's per-worker runs are
+  copied into each worker's double-buffered shared-memory ring as the
+  batch is logged, and each window goes out as one command per worker.
+  Ingestion is pipelined: ``ingest`` returns once the windows are sent. A
+  dead worker raises :class:`~repro.engine.errors.WorkerCrashError`.
 
 A backend that ships state without a transport is refused at construction
 (:func:`~repro.engine.executors.require_in_place_backend`).
@@ -94,12 +94,13 @@ from repro.engine import (
     EngineError,
     Executor,
     FailoverError,
+    WindowTask,
     WorkerCrashError,
     get_executor,
     ingest_shard_inplace,
     require_in_place_backend,
     restore_sampler,
-    service_ingest_routed,
+    service_ingest_window,
     service_snapshot_views,
     snapshot_sampler,
 )
@@ -402,6 +403,10 @@ class SamplerService:
         ) not in ("", "0")
         self._profile_times: dict[str, float] = {}
         self._profile_batches = 0
+        #: The command the open ingest window's staged frames are sent as.
+        #: Held only while a window is open: its callback references the
+        #: service, and a lasting cycle would keep closed services alive.
+        self._window_task: WindowTask | None = None
 
     # ------------------------------------------------------------------
     # queries
@@ -718,16 +723,26 @@ class SamplerService:
         return self._executor
 
     def _dispatch(self, pending: dict[int, tuple[list[Any], list[float]]]) -> None:
-        """Fan buffered per-shard sub-streams out through an in-process executor.
+        """End an ingest window: hand every shard its window of sub-batches.
 
-        One engine task per shard, submitted in ascending shard order so
-        every backend sees the same task list: the live shard sampler plus
-        its buffered sub-batches — contiguous slices of the per-batch gather
-        in :meth:`_ingest_step` — and their arrival times, so thread-pool
-        tasks go straight into GIL-releasing NumPy kernels. The transport
-        backend never buffers (its step scatters each batch to the workers
-        at once), so ``pending`` is always empty there.
+        The transport sends each worker's staged window as one command. An
+        in-process executor gets one engine task per shard, in ascending
+        shard order so every backend sees the same task list: the live
+        shard sampler plus its buffered sub-batches — contiguous slices of
+        the per-batch gather in :meth:`_ingest_step` — and their arrival
+        times, so thread-pool tasks go straight into GIL-releasing NumPy
+        kernels.
         """
+        self._window_task = None
+        if self._transport_attached:
+            begin = perf_counter() if self._profile_enabled else 0.0
+            try:
+                self._executor.transport.send_staged()
+            except WorkerCrashError as error:
+                self._failover(error)
+            finally:
+                if self._profile_enabled:
+                    self._note_phase("dispatch", perf_counter() - begin)
         shard_ids = sorted(pending)
         if not shard_ids:
             return
@@ -752,24 +767,23 @@ class SamplerService:
         time: float | None,
         pending: dict[int, tuple[list[Any], list[float]]],
     ) -> RoutedBatch | None:
-        """Route, advance the clock, log, then dispatch one batch (lock held).
+        """Route, advance the clock, log, then stage one batch (lock held).
 
         The one per-batch step of every backend. Routing is validated
         before the clock advances, so a rejected batch leaves the service
-        untouched, and the batch is logged before any shard sees it. The
-        transport then scatters it to the workers (pipelined); in-process
-        backends buffer each shard's sub-batch in ``pending`` for the
-        caller's next :meth:`_dispatch`. One gather through
-        ``routed.order`` yields the sub-batches the WAL records and the
-        in-process shards ingest (so log replay matches the live run bit for
-        bit); it is skipped when neither needs it. Returns the routing
-        result, ``None`` for an empty batch.
+        untouched, and the batch is logged before any shard sees it. One
+        gather through ``routed.order`` yields the per-shard sub-batches:
+        the WAL records them (so log replay matches the live run bit for
+        bit), in-process backends buffer them in ``pending``, and the
+        transport copies each worker's runs of them into its ring. Every
+        backend hands them to the shards at the window's end
+        (:meth:`_dispatch`). Returns the routing result, ``None`` for an
+        empty batch.
         """
         routed = self._route(batch, keys)
         time = self._advance_time(time)
-        transport = self._executor.provides_transport
         sub_batches: list[tuple[int, np.ndarray]] = []
-        if routed is not None and (self._wal is not None or not transport):
+        if routed is not None:
             begin = perf_counter() if self._profile_enabled else 0.0
             gathered = batch[routed.order]
             offsets = routed.offsets
@@ -781,18 +795,18 @@ class SamplerService:
             if self._profile_enabled:
                 self._note_phase("split", perf_counter() - begin)
         self._wal_log(sub_batches, time)
-        if not transport:
+        if not self._executor.provides_transport:
             for shard_id, sub_batch in sub_batches:
                 shard_batches, shard_times = pending.setdefault(shard_id, ([], []))
                 shard_batches.append(sub_batch)
                 shard_times.append(time)
         elif routed is not None:
             try:
-                self._dispatch_routed(batch, routed, time)
+                self._stage_routed(gathered, routed, time)
             except WorkerCrashError as error:
                 # The batch is already committed to the WAL, so the
-                # promotion's log replay delivers it to the promoted
-                # samplers: the dispatch is simply abandoned.
+                # promotion's log replay delivers it (and every staged
+                # batch before it) to the promoted samplers.
                 self._failover(error)
         return routed
 
@@ -834,6 +848,7 @@ class SamplerService:
                 }
             self._replication_tick()
             return counts
+
     def process_batch(
         self,
         batch: Sequence[Any] | Iterable[Any] | np.ndarray,
@@ -869,23 +884,24 @@ class SamplerService:
         """Bulk-ingest many batches through the per-shard ``process_stream`` hot path.
 
         Every batch takes the same per-batch step as in :meth:`ingest_batch`
-        (route, clock, WAL append, dispatch). In-process backends buffer the
-        routed sub-batches into one sub-stream (batches + arrival times) per
-        shard; every ``window`` batches, each shard ingests its buffered
-        sub-stream in a single :meth:`~repro.core.base.Sampler.process_stream`
-        call, fanned out as one engine task per shard. That keeps the
+        (route, clock, WAL append, stage). The routed sub-batches collect
+        into one sub-stream (batches + arrival times) per shard; every
+        ``window`` batches, each shard ingests its sub-stream in a single
+        :meth:`~repro.core.base.Sampler.process_stream` call. That keeps the
         per-shard amortization of bulk ingest while bounding buffered memory
         to O(``window`` × batch size) — a generator of a million batches
         streams through, it is never materialized whole.
 
-        On the transport (process) backend the step has already scattered
-        each worker's items into its double-buffered shared-memory ring as
-        one pipelined frame, so the loop flushes after every batch
-        (buffered memory is bounded by the ring capacity, which doubles as
-        backpressure). The call returns as soon as the frames are enqueued —
-        routing of the next batch overlaps worker ingest of the previous
-        one. Call :meth:`flush` to wait for the workers; reads need not,
-        they take snapshot cuts.
+        In-process backends buffer the sub-batches and fan the window out
+        as one engine task per shard. The transport (process) backend
+        copies each worker's runs into its double-buffered shared-memory
+        ring as each batch is logged and sends the window as one pipelined
+        command per worker; a window that outgrows a ring half is sent in
+        several commands, and a full ring blocks until the worker catches
+        up. The call returns as soon as the last window is sent — routing
+        of the next window overlaps worker ingest of the previous one. Call
+        :meth:`flush` to wait for the workers; reads need not, they take
+        snapshot cuts.
 
         If a batch fails mid-stream (bad keys, non-increasing time), every
         batch before it is flushed to the shards and the error is raised;
@@ -903,21 +919,20 @@ class SamplerService:
             Optional iterable of strictly increasing arrival times; when
             omitted, batches arrive at ``t+1, t+2, ...``.
         window:
-            Number of batches buffered between per-shard flushes
-            (in-process backends only).
+            Number of batches per window on every backend. A window also
+            ends early when the warm standby's base is due
+            (``ship_interval``), and at the end of the call.
         """
         if window <= 0:
             raise ValueError(f"window must be positive, got {window}")
         key_iter = iter(keys) if keys is not None else None
         time_iter = iter(times) if times is not None else None
-        flush_every = 1 if self._executor.provides_transport else window
         pending: dict[int, tuple[list[Any], list[float]]] = {}
         buffered = 0
         # Snapshot consistency: a cut must never observe an advanced service
         # clock whose batches have not reached the shards yet. The lock is
         # held from a window's first batch until its flush, so readers see
-        # cuts only at window boundaries, where clock and shard state agree
-        # (a transport window is one batch: its step already dispatched it).
+        # cuts only at window boundaries, where clock and shard state agree.
         held = False
 
         def acquire() -> None:
@@ -965,7 +980,7 @@ class SamplerService:
                 acquire()
                 self._ingest_step(items, batch_keys, time, pending)
                 buffered += 1
-                if buffered >= flush_every or self._standby_cut_due():
+                if buffered >= window or self._standby_cut_due():
                     flush()
                     release()
         except BaseException:
@@ -1158,41 +1173,41 @@ class SamplerService:
                 # into the reserved stream, as serial's lazy creation would.
                 self._shard_rngs[shard_id] = standby_rng
 
-    def _dispatch_routed(
-        self, batch: np.ndarray, routed_batch: RoutedBatch, time: float
-    ) -> None:
-        """Scatter one routed batch into per-worker ring frames (pipelined).
+    def _on_window_result(self, result: Any) -> None:
+        """Acknowledgement callback of a worker's ingest window."""
+        if self._profile_enabled:
+            result, seconds = result
+            self._note_phase("worker_ingest", seconds)
+        self._note_counts(result)
 
-        Each worker receives exactly its shards' items, gathered straight
-        from the batch into its double-buffered shared-memory ring by the
-        transport's scatter path (no intermediate per-shard copies
-        materialize driver-side), plus the ``(shard_id, count)`` slice map
-        — the worker just walks contiguous slices, it never re-hashes.
-        Sub-batch contents and within-shard order match the serial path
-        exactly, so trajectories stay bit-identical.
+    def _stage_routed(
+        self, gathered: np.ndarray, routed: RoutedBatch, time: float
+    ) -> None:
+        """Copy one routed batch's per-worker runs into the open ring windows.
+
+        ``gathered`` is the batch in routed order, so each shard's items are
+        one contiguous run and each worker receives exactly its shards'
+        runs, back to back, plus the ``(shard_id, count)`` map its window
+        task cuts them by — the worker never re-hashes. Sub-batch contents
+        and within-shard order match the serial path exactly, so
+        trajectories stay bit-identical.
         """
         if not self._transport_attached:
             self._attach_all_shards()
+        if self._window_task is None:
+            self._window_task = WindowTask(
+                service_ingest_window,
+                {"service_id": self._service_id, "profile": self._profile_enabled},
+                self._on_window_result,
+            )
         pool = self._executor.transport
-        profile = self._profile_enabled
-        order = routed_batch.order
-        counts = routed_batch.counts
-        offsets = routed_batch.offsets
-
-        def on_result(result: Any) -> None:
-            if profile:
-                result, seconds = result
-                self._note_phase("worker_ingest", seconds)
-            self._note_counts(result)
-
-        begin = perf_counter() if profile else 0.0
-        # With a WAL, every command of this batch is tagged with the batch's
-        # global sequence number, feeding the pool's acknowledgement
-        # watermark (`acked_through`): after a worker crash, the watermark
-        # tells recovery exactly which pipelined batches never landed. Only
-        # submitted commands feed the watermark, so workers that received
-        # no items are safely skipped.
+        begin = perf_counter() if self._profile_enabled else 0.0
+        # With a WAL, each staged batch carries its global sequence number
+        # into the pool's acknowledgement watermark (`acked_through`): after
+        # a worker crash, it tells recovery exactly which batches never
+        # landed. Workers that received no items are safely skipped.
         tag = self._batches_seen - 1 if self._wal is not None else None
+        counts, offsets = routed.counts, routed.offsets
         num_workers = pool.num_workers
         for worker in range(min(num_workers, self.num_shards)):
             owned = [
@@ -1200,34 +1215,16 @@ class SamplerService:
                 for shard_id in range(worker, self.num_shards, num_workers)
                 if counts[shard_id]
             ]
-            if not owned:
-                continue
-            if num_workers == 1:
-                # One worker owns every shard: the grouping permutation is
-                # the routed order itself (zero-count shards contribute
-                # nothing to it).
-                permutation = order
-            elif len(owned) == 1:
-                shard_id = owned[0]
-                permutation = order[offsets[shard_id] : offsets[shard_id + 1]]
-            else:
-                permutation = np.concatenate(
-                    [order[offsets[s] : offsets[s + 1]] for s in owned]
+            if owned:
+                pool.stage(
+                    worker,
+                    self._window_task,
+                    gathered,
+                    [(int(offsets[s]), int(offsets[s + 1])) for s in owned],
+                    entry=(float(time), [(s, int(counts[s])) for s in owned]),
+                    tag=tag,
                 )
-            pool.apply(
-                worker,
-                service_ingest_routed,
-                kwargs={
-                    "time": float(time),
-                    "service_id": self._service_id,
-                    "shard_sizes": [(int(s), int(counts[s])) for s in owned],
-                    "profile": profile,
-                },
-                scatters={"payload": (batch, permutation)},
-                on_result=on_result,
-                tag=tag,
-            )
-        if profile:
+        if self._profile_enabled:
             self._note_phase("dispatch", perf_counter() - begin)
 
     def _collect_transport_views(
@@ -1347,12 +1344,13 @@ class SamplerService:
         return getattr(self._shards.get(shard_id), "_rng", None) is self._shard_rngs[shard_id]
 
     def _replication_tick(self) -> None:
-        """Per-batch replication upkeep: retake the base on cadence, probe the workers.
+        """Per-window replication upkeep: retake the base on cadence, probe the workers.
 
-        Runs *after* a batch is committed and dispatched — never between
-        commit and dispatch, where a promotion would replay the batch into
-        the promoted samplers and the still-pending dispatch would then
-        double-apply it, and where a cut would miss the batch. A crash found
+        Runs once per ingest window on every backend, *after* the window's
+        batches are committed and dispatched — never between commit and
+        dispatch, where a promotion would replay a batch into the promoted
+        samplers and the still-pending dispatch would then double-apply
+        it, and where a cut would miss the batch. A crash found
         by the cadence cut promotes from the previous base inside
         :meth:`snapshot`; the cut it returns is then the promoted state.
         """
@@ -1438,8 +1436,10 @@ class SamplerService:
             )
         # 1. Condemn the pool. Surviving workers hold shards at
         # indeterminate pipeline positions; none of that state is salvaged
-        # — the log is the authority. shutdown() leaves the executor
-        # usable: the next dispatch lazily respawns a fresh pool and
+        # — the log is the authority. Closing the pool discards every
+        # staged, unsent window too: the replay below covers its batches,
+        # so sending it would double-apply them. shutdown() leaves the
+        # executor usable: the next batch lazily respawns a fresh pool and
         # re-attaches the promoted shards.
         self._transport_attached = False
         self._retained_rng = {}
@@ -1551,7 +1551,7 @@ class SamplerService:
 
         One driver-side pass produces the shard ids, the shard-grouping
         permutation, and the per-shard counts and offsets, so the WAL, the
-        in-process sub-batches and the per-worker ring scatters all consume
+        in-process sub-batches and the per-worker ring windows all consume
         the same result instead of re-touching (or re-hashing) the batch.
         Raises on malformed keys *before* the caller advances the service
         clock; returns ``None`` for an empty batch.

@@ -15,9 +15,10 @@ from repro.engine import (
     ProcessPoolExecutor,
     RemoteTaskError,
     ShardWorkerPool,
+    WindowTask,
     WorkerCrashError,
     restore_sampler,
-    service_ingest_routed,
+    service_ingest_window,
     snapshot_sampler,
 )
 
@@ -56,19 +57,15 @@ class TestResidentLifecycle:
         shipped = RTBS(n=50, lambda_=0.2, rng=0)
         key = ("svc", 9, 0)
         pool.attach(key, restore_sampler, shipped.state_dict(), worker=0)
+        task = WindowTask(service_ingest_window, {"service_id": 9})
         for index in range(5):
             batch = np.arange(index * 100, (index + 1) * 100)
             reference.process_stream([batch], times=[float(index + 1)])
-            pool.apply(
-                0,
-                service_ingest_routed,
-                kwargs={
-                    "time": float(index + 1),
-                    "service_id": 9,
-                    "shard_sizes": [(0, len(batch))],
-                },
-                arrays={"payload": batch},
+            pool.stage(
+                0, task, batch, [(0, len(batch))], (float(index + 1), [(0, len(batch))])
             )
+            if index % 2:
+                pool.send_staged()
         mid = RTBS.from_state_dict(pool.snapshot(key, snapshot_sampler))
         assert mid.sample_items() == reference.sample_items()
         assert key in pool.resident_keys
@@ -166,18 +163,13 @@ class TestWorkerCrash:
             victim = pool.workers[0].process
             os.kill(victim.pid, signal.SIGKILL)
             victim.join(timeout=10)
+            task = WindowTask(service_ingest_window, {"service_id": 1})
             with pytest.raises(WorkerCrashError, match="shard worker 0") as excinfo:
-                for _ in range(200):
-                    pool.apply(
-                        0,
-                        service_ingest_routed,
-                        kwargs={
-                            "time": 1.0,
-                            "service_id": 1,
-                            "shard_sizes": [(0, 64)],
-                        },
-                        arrays={"payload": np.arange(64)},
+                for index in range(200):
+                    pool.stage(
+                        0, task, np.arange(64), [(0, 64)], (1.0 + index, [(0, 64)])
                     )
+                    pool.send_staged()
                     pool.drain()
                     time.sleep(0.01)
             # The error names the resident state lost with the worker.
@@ -269,57 +261,69 @@ class TestExecutorIntegration:
         executor.shutdown()
 
 
-def _payload_list(residents, payload):
-    return np.asarray(payload).tolist()
+def _window_rows(residents, payload, entries):
+    return np.asarray(payload).tolist(), list(entries)
 
 
-class TestScatterFrames:
-    """write_frame's scatter path: gather rows straight into the ring."""
+class TestStagedWindows:
+    """stage/send_staged: runs copied back to back, one command per window."""
 
-    def test_scatter_gathers_rows_into_the_ring(self, pool):
+    def test_int_runs_ride_the_ring_back_to_back(self, pool):
         source = np.arange(100, dtype=np.int64) * 3
-        indices = np.array([5, 1, 7, 7, 42], dtype=np.int64)
-        result = pool.apply(
-            0, _payload_list, scatters={"payload": (source, indices)}, sync=True
-        )
-        assert result == source[indices].tolist()
+        results = []
+        task = WindowTask(_window_rows, on_result=results.append)
+        pool.stage(0, task, source, [(5, 8), (40, 42)], "a")
+        pool.stage(0, task, source[::-1].copy(), [(0, 2)], "b")
+        assert pool.pending_commands() == 0  # staged, not sent
+        pool.send_staged()
+        pool.drain()
+        rows = [15, 18, 21, 120, 123, 297, 294]
+        assert results == [(rows, ["a", "b"])]
+        assert pool.workers[0].half_pending == [0, 0]
 
-    def test_scatter_mixes_with_plain_arrays(self, pool):
+    def test_float_runs_and_one_command_per_worker(self, pool):
         source = np.linspace(0.0, 1.0, 50)
-        indices = np.arange(0, 50, 7)
-        result = pool.apply(
-            0,
-            _echo_arrays,
-            arrays={"extra": np.arange(4)},
-            scatters={"weights": (source, indices)},
-            sync=True,
-        )
-        assert result["extra"] == 6.0
-        assert result["weights"] == pytest.approx(float(source[indices].sum()))
+        results = []
+        task = WindowTask(_window_rows, on_result=results.append)
+        for worker in (0, 1):
+            pool.stage(worker, task, source, [(worker, worker + 10)], worker)
+        assert pool.pending_commands() == 0
+        pool.send_staged()
+        assert pool.pending_commands() == 2
+        pool.drain()
+        assert sorted(results, key=lambda r: r[1]) == [
+            (source[0:10].tolist(), [0]),
+            (source[1:11].tolist(), [1]),
+        ]
 
-    def test_string_dtype_scatter_rides_the_ring(self, pool):
+    def test_string_runs_ride_the_ring(self, pool):
         source = np.array(["alpha", "beta", "gamma"])
-        indices = np.array([2, 2, 0])
-        result = pool.apply(
-            0, _payload_list, scatters={"payload": (source, indices)}, sync=True
-        )
-        assert result == ["gamma", "gamma", "alpha"]
+        results = []
+        task = WindowTask(_window_rows, on_result=results.append)
+        pool.stage(0, task, source, [(2, 3), (0, 1)], None)
+        # Any other command to the worker sends its open window first, so
+        # the window runs before it.
+        assert pool.apply(0, _window_rows, kwargs={"payload": [], "entries": []}, sync=True) == ([], [])
+        assert results == [(["gamma", "alpha"], [None])]
 
-    def test_object_dtype_scatter_falls_back_to_pickle(self, pool):
+    def test_object_runs_fall_back_to_pickle(self, pool):
         source = np.array(["a", "bb", None, 4], dtype=object)
-        indices = np.array([2, 0, 3])
-        result = pool.apply(
-            0, _payload_list, scatters={"payload": (source, indices)}, sync=True
-        )
-        assert result == [None, "a", 4]
+        results = []
+        task = WindowTask(_window_rows, on_result=results.append)
+        pool.stage(0, task, source, [(2, 3), (0, 1)], 1)
+        pool.stage(0, task, source, [(3, 4)], 2)
+        pool.send_staged()
+        pool.drain()
+        assert results == [([None, "a", 4], [1, 2])]
 
-    def test_empty_scatter_selection(self, pool):
-        source = np.arange(10)
-        indices = np.empty(0, dtype=np.int64)
-        result = pool.apply(
-            0, _payload_list, scatters={"payload": (source, indices)}, sync=True
-        )
-        assert result == []
+    def test_empty_runs(self, pool):
+        results = []
+        task = WindowTask(_window_rows, on_result=results.append)
+        pool.stage(0, task, np.arange(10), [], "empty")
+        pool.stage(0, task, np.arange(10), [(4, 4)], "still empty")
+        pool.send_staged()
+        pool.drain()
+        assert results == [([], ["empty", "still empty"])]
 
 
 class TestDoubleBuffering:
@@ -372,27 +376,30 @@ class TestDoubleBuffering:
             assert result["x"] == float(np.arange(16).sum())
 
 
-class TestServiceIngestRouted:
-    """Worker-side ingest of pre-routed frames (the fused dispatch path)."""
+class TestServiceIngestWindow:
+    """Worker-side ingest of a staged window of pre-routed batches."""
 
-    def test_walks_preassembled_slices_bit_identically(self):
+    def test_window_ingest_matches_per_batch_ingest_bit_identically(self):
         reference = {s: RTBS(n=20, lambda_=0.1, rng=s) for s in (0, 2)}
         residents = {("svc", 7, s): RTBS(n=20, lambda_=0.1, rng=s) for s in (0, 2)}
-        payload = np.arange(50)
-        counts = service_ingest_routed(residents, payload, 1.0, 7, [(0, 30), (2, 20)])
-        assert counts == {0: 30, 2: 20}
-        reference[0].process_stream([payload[:30]], times=[1.0])
-        reference[2].process_stream([payload[30:]], times=[1.0])
+        payload = np.arange(120)
+        entries = [(1.0, [(0, 30), (2, 20)]), (2.5, [(2, 40)]), (4.0, [(0, 30)])]
+        counts = service_ingest_window(residents, payload, entries, 7)
+        assert counts == {0: 60, 2: 60}
+        reference[0].process_batch(payload[:30], time=1.0)
+        reference[2].process_batch(payload[30:50], time=1.0)
+        reference[2].process_batch(payload[50:90], time=2.5)
+        reference[0].process_batch(payload[90:], time=4.0)
         for shard in (0, 2):
-            assert (
-                residents[("svc", 7, shard)].sample_items()
-                == reference[shard].sample_items()
-            )
+            live = residents[("svc", 7, shard)]
+            assert live.sample_items() == reference[shard].sample_items()
+            assert live.time == reference[shard].time
+            assert live.total_weight == reference[shard].total_weight
 
     def test_profile_reports_ingest_seconds(self):
         residents = {("svc", 1, 0): RTBS(n=5, lambda_=0.1, rng=0)}
-        counts, seconds = service_ingest_routed(
-            residents, np.arange(3), 1.0, 1, [(0, 3)], profile=True
+        counts, seconds = service_ingest_window(
+            residents, np.arange(3), [(1.0, [(0, 3)])], 1, profile=True
         )
         assert counts == {0: 3}
         assert seconds >= 0.0

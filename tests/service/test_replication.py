@@ -31,7 +31,8 @@ import numpy as np
 import pytest
 
 from repro.core import RTBS
-from repro.engine import FailoverError, WorkerCrashError
+import repro.engine.transport as transport
+from repro.engine import FailoverError, ShardWorkerPool, WorkerCrashError
 from repro.service import (
     ReplicationConfig,
     SamplerService,
@@ -46,6 +47,7 @@ from repro.service.wal import read_log_records
 
 from tests import faults
 from tests.faults import assert_states_equal
+from tests.service.test_service_executors import use_ring_bytes
 
 
 def _factory():
@@ -507,6 +509,87 @@ class TestIngestBatchCountsAfterFailover:
             for process in stopped:
                 # Failed before the drain: never leave a stopped worker.
                 os.kill(process.pid, signal.SIGKILL)
+            service.close()
+
+
+class TestCrashWhileFramesAreStaged:
+    def test_staged_windows_die_with_the_condemned_pool(self, tmp_path, monkeypatch):
+        """A crash found while staging discards every staged, unsent window.
+
+        ``ship_interval=8`` ends an ingest window every 8 batches, and the
+        smallest ring (32 KiB halves) holds one batch's runs (about 20 KB
+        per worker), so each staged batch sends the worker's previous one
+        early: mid-window a worker holds a sent-but-unacknowledged command
+        and an open window at once. Worker 1 is stopped after the first
+        window's upkeep, so its early sends stay unacknowledged, and killed
+        as the driver stages its third batch after that: the crash surfaces
+        inside ``stage`` while both workers hold staged, unsent frames. The
+        promotion replays every committed batch, so those frames must die
+        with the condemned pool: not one of them may be sent.
+        """
+        use_ring_bytes(monkeypatch, 4096)
+        rng = np.random.default_rng(8)
+        batches = [rng.integers(0, 1 << 40, size=5_000) for _ in range(30)]
+        reference = SamplerService(
+            faults.make_factory(), num_shards=faults.NUM_SHARDS, rng=faults.SEED
+        )
+        service = _replicated(tmp_path, "process:2", ship_interval=8)
+        stopped: list = []
+        crashes: list[WorkerCrashError] = []
+        condemned: list[ShardWorkerPool] = []
+        late_sends: list[int] = []
+        tick = SamplerService._replication_tick
+        stage = ShardWorkerPool.stage
+        send_window = transport._WorkerHandle.send_window
+
+        def stop_after_first_window(svc):
+            if svc is service and stopped and not crashes:
+                # The precondition was never reached: fail the test rather
+                # than hang the next cut on a stopped worker.
+                _kill_worker(svc, worker=1)
+            tick(svc)
+            if svc is service and svc.batches_seen == 8 and not stopped:
+                process = svc.executor.transport.workers[1].process
+                os.kill(process.pid, signal.SIGSTOP)
+                stopped.append(process)
+
+        def kill_while_staging(pool, worker, *args, **kwargs):
+            handle = pool.workers[worker]
+            if worker == 1 and stopped and not crashes:
+                if handle.pending and handle.window is not None:
+                    assert pool.workers[0].window is not None
+                    _kill_worker(service, worker=1)
+            try:
+                return stage(pool, worker, *args, **kwargs)
+            except WorkerCrashError as error:
+                crashes.append(error)
+                condemned.append(pool)
+                raise
+
+        def watched_send(handle):
+            if handle.window is not None and handle.pool in condemned:
+                late_sends.append(handle.index)
+            return send_window(handle)
+
+        monkeypatch.setattr(SamplerService, "_replication_tick", stop_after_first_window)
+        monkeypatch.setattr(ShardWorkerPool, "stage", kill_while_staging)
+        monkeypatch.setattr(transport._WorkerHandle, "send_window", watched_send)
+        try:
+            for batch in batches[:4]:
+                assert service.ingest_batch(batch) == reference.ingest_batch(batch)
+            service.ingest(batches[4:28])
+            reference.ingest(batches[4:28])
+            for batch in batches[28:]:
+                assert service.ingest_batch(batch) == reference.ingest_batch(batch)
+            assert len(crashes) == 1
+            assert late_sends == []
+            assert _replication_stats(service)["failovers"] == 1
+            assert_states_equal(service.state_dict(), reference.state_dict())
+        finally:
+            monkeypatch.undo()
+            for process in stopped:
+                if process.is_alive():
+                    os.kill(process.pid, signal.SIGKILL)
             service.close()
 
 

@@ -10,6 +10,7 @@ checkpoint/restore — driven through the thread and process backends.
 
 from __future__ import annotations
 
+import functools
 import os
 import signal
 
@@ -26,10 +27,13 @@ from repro.core import (
     SlidingWindow,
     UniformReservoir,
 )
+import repro.engine.executors as executors
+import repro.engine.transport as transport
 from repro.engine import (
     EngineError,
     ProcessPoolExecutor,
     SerialExecutor,
+    ShardWorkerPool,
     ThreadPoolExecutor,
     WorkerCrashError,
 )
@@ -400,3 +404,79 @@ class TestCheckpointThroughParallelBackends:
                 clone = restored.shard(shard_id)
                 assert clone.total_weight == original.total_weight
                 assert clone.sample_items() == original.sample_items()
+
+
+def use_ring_bytes(monkeypatch, ring_bytes: int) -> None:
+    """Give the process backend's worker pools a ring of ``ring_bytes``."""
+    monkeypatch.setattr(
+        executors,
+        "ShardWorkerPool",
+        functools.partial(ShardWorkerPool, ring_bytes=ring_bytes),
+    )
+
+
+class TestTransportWindows:
+    """One ring frame per worker per window: the half rule and the watermark."""
+
+    def test_windows_crossing_halves_and_growing_the_segment_match_serial(
+        self, monkeypatch
+    ):
+        # 512 KiB halves hold one 100k-item batch's runs per worker (about
+        # 400 KB), so every window is sent in several commands; the last
+        # batch's runs (about 1.2 MB per worker) outgrow a half and grow the
+        # segment mid-window.
+        use_ring_bytes(monkeypatch, 1 << 20)
+        sends: list[int] = []
+        send_window = transport._WorkerHandle.send_window
+
+        def counted(handle):
+            if handle.window is not None:
+                sends.append(handle.index)
+            return send_window(handle)
+
+        monkeypatch.setattr(transport._WorkerHandle, "send_window", counted)
+        rng = np.random.default_rng(11)
+        sizes = [100_000] * 8 + [300_000]
+        batches = [rng.integers(0, 1 << 40, size=size) for size in sizes]
+        reference = SamplerService(rtbs_factory, num_shards=4, rng=5)
+        reference.ingest(batches)
+        with SamplerService(
+            rtbs_factory, num_shards=4, rng=5, executor="process:2"
+        ) as service:
+            service.ingest(batches, window=3)
+            capacities = [h.capacity for h in service.executor.transport.workers]
+            _assert_states_equal(service.state_dict(), reference.state_dict())
+        # Three windows, two workers: one command each would be 6 sends.
+        assert sends.count(0) == sends.count(1) == len(batches)
+        assert min(capacities) > 1 << 20
+
+    def test_watermark_never_passes_a_staged_or_unacknowledged_batch(
+        self, tmp_path, monkeypatch
+    ):
+        observed: list[tuple[int, int | None, list[int]]] = []
+        stage = ShardWorkerPool.stage
+
+        def checked(pool, worker, task, source, runs, entry, tag=None):
+            open_tags = [h.window.tag for h in pool.workers if h.window is not None]
+            observed.append((tag, pool.acked_through(), open_tags))
+            return stage(pool, worker, task, source, runs, entry, tag=tag)
+
+        monkeypatch.setattr(ShardWorkerPool, "stage", checked)
+        service = SamplerService(
+            rtbs_factory,
+            num_shards=4,
+            rng=3,
+            executor="process:2",
+            wal_dir=tmp_path / "wal",
+        )
+        try:
+            service.ingest(_batches(20), window=5)
+            service.flush()
+            assert service.acked_batches == service.batches_seen == 20
+        finally:
+            service.close()
+        assert any(open_tags for _, _, open_tags in observed)
+        for tag, acked, open_tags in observed:
+            if acked is not None:
+                assert acked < tag
+                assert all(acked < first for first in open_tags)
