@@ -267,6 +267,7 @@ class Sampler:
         self,
         batches: Iterable[Sequence[Any] | Iterable[Any] | np.ndarray],
         times: Iterable[float] | None = None,
+        arrivals: Iterable[int | None] | None = None,
     ) -> list[Any]:
         """Bulk-ingest a sequence of batches and return the final realized sample.
 
@@ -283,8 +284,18 @@ class Sampler:
         times:
             Optional iterable of arrival times, consumed in lockstep with
             ``batches``; when omitted, batches arrive at ``t+1, t+2, ...``.
+        arrivals:
+            Optional iterable, in lockstep with ``batches``, of *planned*
+            batches: an entry ``k`` says the batch arrived with ``k`` items
+            and a driver already chose which of them the sampler accepts,
+            so the batch holds only those (the sharded service plans R-TBS
+            shards this way; see :func:`repro.core.rtbs.rtbs_step`). An
+            entry ``None`` (or no ``arrivals`` at all) is an ordinary batch.
+            Samplers without driver-side planning accept only plans that
+            keep every arrival.
         """
         time_iter = iter(times) if times is not None else None
+        arrival_iter = iter(arrivals) if arrivals is not None else None
         for batch in batches:
             items = self._coerce_batch(batch)
             if time_iter is None:
@@ -297,8 +308,20 @@ class Sampler:
                         "times iterable exhausted before batches; provide one "
                         "arrival time per batch or omit times entirely"
                     ) from None
+            planned = None
+            if arrival_iter is not None:
+                try:
+                    planned = next(arrival_iter)
+                except StopIteration:
+                    raise ValueError(
+                        "arrivals iterable exhausted before batches; provide "
+                        "one arrival count (or None) per batch"
+                    ) from None
             elapsed = self._advance_time(time)
-            self._process_batch(items, elapsed)
+            if planned is None:
+                self._process_batch(items, elapsed)
+            else:
+                self._process_thinned(items, int(planned), elapsed)
             if self._record_history:
                 self.history.append(
                     SamplerState(
@@ -523,6 +546,21 @@ class Sampler:
         (callers may reuse it), only to the item payloads.
         """
         raise NotImplementedError
+
+    def _process_thinned(
+        self, items: Sequence[Any] | np.ndarray, arrivals: int, elapsed: float
+    ) -> None:
+        """Update for a planned batch: ``items`` are the accepted ones of ``arrivals``.
+
+        Only :class:`~repro.core.rtbs.RTBS` lets a driver thin its batches;
+        every other sampler takes a plan only when it accepts every arrival.
+        """
+        if len(items) != arrivals:
+            raise ValueError(
+                f"{type(self).__name__} takes no thinned batches: got "
+                f"{len(items)} items planned out of {arrivals} arrivals"
+            )
+        self._process_batch(items, elapsed)
 
     def _sample_size(self) -> int:
         """Size of the current realized sample.

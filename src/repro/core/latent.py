@@ -419,6 +419,31 @@ class LatentSample:
         grown._epoch = self._epoch + 1
         return grown
 
+    def with_replaced_full(
+        self, slots: np.ndarray, items: Any, timestamp: float = 0.0
+    ) -> "LatentSample":
+        """A new latent sample with the full items at ``slots`` overwritten by ``items``.
+
+        The replacements enter with arrival weight 1 at ``timestamp``; the
+        sample weight and the partial item are unchanged. This is the
+        saturated-arrival primitive of Algorithm 2 — a victim per accepted
+        item — as one copy of each column plus one scatter, so its cost
+        does not depend on how many items survive.
+        """
+        arr = as_item_array(items)
+        payloads = self._full.payloads
+        payloads = payloads.astype(np.result_type(payloads, arr), copy=True)
+        payloads[slots] = arr
+        weights = self._full.weights.copy()
+        weights[slots] = 1.0
+        timestamps = self._full.timestamps.copy()
+        timestamps[slots] = float(timestamp)
+        replaced = LatentSample(
+            _Items(payloads, weights, timestamps), self._partial, self.weight
+        )
+        replaced._epoch = self._epoch + 1
+        return replaced
+
     # ------------------------------------------------------------------
     # resharding primitives
     # ------------------------------------------------------------------

@@ -38,7 +38,7 @@ Algorithm 2 produces, the update is bit-for-bit the classic one.
 from __future__ import annotations
 
 import math
-from typing import Any, Sequence
+from typing import Any, NamedTuple, Sequence
 
 import numpy as np
 
@@ -47,9 +47,131 @@ from repro.core.base import Sampler, SamplerSnapshotView
 from repro.core.latent import LatentSample, downsample, merge_latent_samples
 from repro.core.random_utils import choose_indices, stochastic_round
 
-__all__ = ["RTBS"]
+__all__ = [
+    "RTBS",
+    "RTBSPlanState",
+    "RTBSStep",
+    "SAMPLING_VERSION",
+    "rtbs_step",
+]
+
+#: Version of the random draws behind a sampled trajectory: which stream
+#: draws what, in which order (docs/CONTRACTS.md). Bumped whenever a fixed
+#: seed starts producing a different sample; service checkpoints record it.
+#: Version 2: a saturated R-TBS step overwrites its victims in place, and a
+#: service shard's acceptance (how many arrivals enter, and which) is
+#: drawn by the driver from a per-batch plan stream.
+SAMPLING_VERSION = 2
 
 _WEIGHT_EPSILON = 1e-12
+_WEIGHT_TOLERANCE = 1e-9
+
+# The four branches of Algorithm 2's batch step (see :func:`rtbs_step`).
+#: Previously unsaturated (``W < n``): every arrival enters.
+UNSATURATED = 0
+#: Saturated, but the batch cannot refill the reservoir: every arrival enters.
+UNDERSHOOT = 1
+#: Saturated with ``C = n``: ``StochRound(B n / W)`` arrivals replace victims.
+SATURATED = 2
+#: Saturated with ``C < n`` (post-reshard): arrivals enter at the rate ``n / W``.
+UNDERFULL = 3
+
+
+def _downsampled(weight: float, target: float) -> float:
+    """The weight :func:`~repro.core.latent.downsample` leaves (it keeps ``weight`` within tolerance)."""
+    return weight if abs(target - weight) <= _WEIGHT_TOLERANCE else float(target)
+
+
+def _capped(weight: float, n: int) -> float:
+    """The weight after Algorithm 2's overshoot step brings it down to ``n``."""
+    return _downsampled(weight, float(n)) if weight > n else weight
+
+
+class RTBSPlanState(NamedTuple):
+    """The scalars of one R-TBS sampler a driver plans its batches from."""
+
+    n: int
+    lambda_: float
+    #: ``W_t``, the total decayed weight.
+    total_weight: float
+    #: ``C_t``, the latent sample's weight.
+    sample_weight: float
+    #: Arrival time of the sampler's last batch.
+    time: float
+
+
+class RTBSStep(NamedTuple):
+    """One batch's scalar bookkeeping under Algorithm 2 (see :func:`rtbs_step`)."""
+
+    #: One of ``UNSATURATED``, ``UNDERSHOOT``, ``SATURATED``, ``UNDERFULL``.
+    branch: int
+    #: ``W_t`` after the batch.
+    total_weight: float
+    #: ``C_t`` after the batch; in the thinning branches, before the accepted
+    #: arrivals enter (:meth:`settled_weight` adds them).
+    sample_weight: float
+    #: The weight the latent sample decays to before the arrivals enter
+    #: (accept-all branches; ``0`` empties it), else ``nan``.
+    target: float
+
+    @property
+    def thinned(self) -> bool:
+        """Whether only ``StochRound(B n / W)`` of the ``B`` arrivals enter."""
+        return self.branch >= SATURATED
+
+    def acceptance(self, rng: np.random.Generator, arrivals: int, n: int) -> int:
+        """Draw how many of ``arrivals`` enter in a thinning branch (one draw)."""
+        accepted = stochastic_round(rng, arrivals * n / self.total_weight)
+        if self.branch == SATURATED:
+            return min(accepted, arrivals, n)
+        return min(accepted, arrivals)
+
+    def settled_weight(self, accepted: int, n: int) -> float:
+        """``C_t`` after the batch, once ``accepted`` arrivals entered."""
+        if self.branch == UNDERFULL:
+            return _capped(self.sample_weight + accepted, n)
+        return self.sample_weight
+
+
+def rtbs_step(
+    total_weight: float,
+    sample_weight: float,
+    n: int,
+    lambda_: float,
+    elapsed: float,
+    arrivals: int,
+) -> RTBSStep:
+    """Advance R-TBS's scalars ``(W, C)`` over one batch of ``arrivals`` items.
+
+    A pure function of its arguments, with exactly the float operations
+    :class:`RTBS` performs on its latent sample, so a driver that mirrors
+    a shard's ``W``, ``C`` and clock with it plans the shard's batches
+    from the same numbers the shard itself holds. It goes through
+    Algorithm 2's four branches: unsaturated, undershoot, classic
+    saturated and the post-reshard underfull state.
+    """
+    decay = math.exp(-lambda_ * elapsed)
+    if total_weight < n:
+        new_weight = total_weight * decay
+        target = sample_weight * decay
+        kept = _downsampled(sample_weight, target) if target > _WEIGHT_EPSILON else 0.0
+        if new_weight <= _WEIGHT_EPSILON:
+            new_weight = 0.0
+        return RTBSStep(
+            UNSATURATED, new_weight + arrivals, _capped(kept + arrivals, n), target
+        )
+    weight = total_weight * decay + arrivals
+    if weight >= n:
+        branch = SATURATED if sample_weight == float(n) else UNDERFULL
+        return RTBSStep(branch, weight, sample_weight, math.nan)
+    if sample_weight == float(n):
+        target = weight - arrivals
+    else:
+        # Underfull: the latent sample can only decay by its own weight
+        # (there is no item mass beyond C to shrink from).
+        target = sample_weight * decay
+    kept = _downsampled(sample_weight, target) if target > _WEIGHT_EPSILON else 0.0
+    return RTBSStep(UNDERSHOOT, weight, _capped(kept + arrivals, n), target)
 
 
 class RTBS(Sampler):
@@ -267,115 +389,83 @@ class RTBS(Sampler):
     # ------------------------------------------------------------------
     # Algorithm 2
     # ------------------------------------------------------------------
+    def plan_state(self) -> RTBSPlanState:
+        """The scalars a driver needs to plan this sampler's next batches."""
+        return RTBSPlanState(
+            self.n, self.lambda_, self._total_weight, self._latent.weight, self._time
+        )
+
     def _process_batch(self, items: Sequence[Any] | np.ndarray, elapsed: float) -> None:
         batch = as_item_array(items)
-        decay = math.exp(-self.lambda_ * elapsed)
+        step = rtbs_step(
+            self._total_weight, self._latent.weight, self.n, self.lambda_, elapsed, len(batch)
+        )
+        if step.thinned:
+            # Stand-alone, the sampler draws its own acceptance: how many
+            # arrivals enter, then which ones.
+            accepted = step.acceptance(self._rng, len(batch), self.n)
+            batch = batch[choose_indices(self._rng, len(batch), accepted)]
+        self._apply(step, batch)
 
-        if self._total_weight < self.n:
-            self._process_unsaturated(batch, decay)
+    def _process_thinned(
+        self, items: Sequence[Any] | np.ndarray, arrivals: int, elapsed: float
+    ) -> None:
+        """Apply a batch a driver already thinned (see :meth:`Sampler.process_stream`).
+
+        ``items`` are the accepted arrivals of a batch of ``arrivals``. In
+        the two thinning branches they enter as they are (the driver drew
+        how many and which); in the accept-all branches they must be the
+        whole batch.
+        """
+        batch = as_item_array(items)
+        step = rtbs_step(
+            self._total_weight, self._latent.weight, self.n, self.lambda_, elapsed, arrivals
+        )
+        limit = min(arrivals, self.n) if step.thinned else arrivals
+        if len(batch) > limit or (not step.thinned and len(batch) != arrivals):
+            raise ValueError(
+                f"a plan of {len(batch)} accepted items for {arrivals} arrivals "
+                f"disagrees with this sampler's state (W={self._total_weight}, "
+                f"C={self._latent.weight}, n={self.n})"
+            )
+        self._apply(step, batch)
+
+    def _apply(self, step: RTBSStep, rows: np.ndarray) -> None:
+        """Install one batch's accepted ``rows`` under the bookkeeping ``step``."""
+        self._total_weight = step.total_weight
+        if step.branch == SATURATED:
+            # Classic saturated step: the accepted items overwrite as many
+            # uniformly chosen victims (bit-for-bit Algorithm 2's Sample).
+            if len(rows):
+                victims = choose_indices(self._rng, self._latent.full_count, len(rows))
+                self._latent = self._latent.with_replaced_full(
+                    victims, rows, timestamp=self._time
+                )
+        elif step.branch == UNDERFULL:
+            # Underfull (post-reshard): fewer than n items are stored even
+            # though W >= n. Arrivals enter at the saturated rate n / W, so
+            # the sample refills toward C = n; overshoot is settled below.
+            if len(rows):
+                self._latent = self._latent.with_appended_full(rows, timestamp=self._time)
         else:
-            self._process_saturated(batch, decay)
-
+            # Accept-all branches: the latent sample decays to the step's
+            # target (by its own weight — identical to decaying by W on
+            # invariant states, where C == W bit for bit), then every
+            # arriving item enters as a full item.
+            if step.target > _WEIGHT_EPSILON:
+                self._latent = downsample(self._latent, step.target, self._rng)
+            else:
+                self._latent = self._emptied()
+            self._latent = self._latent.with_appended_full(rows, timestamp=self._time)
+        if self._latent.weight > self.n:
+            # Overshoot: one extra round of downsampling brings the weight to n.
+            self._latent = downsample(self._latent, float(self.n), self._rng)
+        self._latent.check_invariants()
         # Realize the partial item's coin flip for this batch's sample
         # (equation (2)); the full items are realized implicitly.
         self._include_partial = (
             self._latent.has_partial and self._rng.random() < self._latent.fraction
         )
-
-    def _process_unsaturated(self, batch: np.ndarray, decay: float) -> None:
-        """Previously unsaturated: ``W_{t-1} < n`` (and normally ``C_{t-1} = W_{t-1}``).
-
-        The latent sample decays by *its own* weight — identical to decaying
-        by ``W`` on invariant states (where ``C == W`` bit-for-bit), and the
-        correct generalization for post-reshard underfull states where
-        ``C < W``.
-        """
-        batch_size = len(batch)
-        new_weight = self._total_weight * decay
-        latent_target = self._latent.weight * decay
-        if latent_target > _WEIGHT_EPSILON:
-            self._latent = downsample(self._latent, latent_target, self._rng)
-        else:
-            self._latent = self._emptied()
-        if new_weight <= _WEIGHT_EPSILON:
-            new_weight = 0.0
-
-        # Accept every arriving item as a full item (inclusion probability 1).
-        self._latent = self._latent.with_appended_full(batch, timestamp=self._time)
-        self._total_weight = new_weight + batch_size
-
-        if self._latent.weight > self.n:
-            # Overshoot: one extra round of downsampling brings the weight to n.
-            self._latent = downsample(self._latent, float(self.n), self._rng)
-        self._latent.check_invariants()
-
-    def _process_saturated(self, batch: np.ndarray, decay: float) -> None:
-        """Previously saturated: ``W_{t-1} >= n`` (normally with n full items stored)."""
-        batch_size = len(batch)
-        decayed_weight = self._total_weight * decay
-        self._total_weight = decayed_weight + batch_size
-
-        if self._total_weight >= self.n:
-            if self._latent.weight == float(self.n):
-                # Classic saturated step: replace a stochastically-rounded
-                # number of victims (bit-for-bit the original Algorithm 2).
-                accepted = stochastic_round(
-                    self._rng, batch_size * self.n / self._total_weight
-                )
-                accepted = min(accepted, batch_size, self.n)
-                if accepted > 0:
-                    survivor_idx = choose_indices(
-                        self._rng, self._latent.full_count, self.n - accepted
-                    )
-                    insert_idx = choose_indices(self._rng, batch_size, accepted)
-                    replaced = LatentSample(
-                        full=concat_items(
-                            self._latent.full_array[survivor_idx], batch[insert_idx]
-                        ),
-                        weight=float(self.n),
-                        full_weights=np.concatenate(
-                            [self._latent.item_weights[survivor_idx], np.ones(accepted)]
-                        ),
-                        full_timestamps=np.concatenate(
-                            [
-                                self._latent.item_timestamps[survivor_idx],
-                                np.full(accepted, self._time),
-                            ]
-                        ),
-                    )
-                    replaced._epoch = self._latent.epoch + 1
-                    self._latent = replaced
-            else:
-                # Underfull (post-reshard): fewer than n items are stored
-                # even though W >= n. Accept arrivals at the saturated rate
-                # n / W so the sample refills toward C = n, and let
-                # Algorithm 3 absorb any overshoot past the capacity.
-                accepted = stochastic_round(
-                    self._rng, batch_size * self.n / self._total_weight
-                )
-                accepted = min(accepted, batch_size)
-                if accepted > 0:
-                    insert_idx = choose_indices(self._rng, batch_size, accepted)
-                    self._latent = self._latent.with_appended_full(
-                        batch[insert_idx], timestamp=self._time
-                    )
-                if self._latent.weight > self.n:
-                    self._latent = downsample(self._latent, float(self.n), self._rng)
-        else:
-            # Undershoot: the batch cannot refill the reservoir, so the sample
-            # shrinks to the decayed weight and every batch item enters as full.
-            if self._latent.weight == float(self.n):
-                target = self._total_weight - batch_size
-            else:
-                # Underfull: the latent sample can only decay by its own
-                # weight (there is no item mass beyond C to shrink from).
-                target = self._latent.weight * decay
-            if target > _WEIGHT_EPSILON:
-                self._latent = downsample(self._latent, target, self._rng)
-            else:
-                self._latent = self._emptied()
-            self._latent = self._latent.with_appended_full(batch, timestamp=self._time)
-        self._latent.check_invariants()
 
     def _emptied(self) -> LatentSample:
         """A fresh empty latent sample tagged as the successor of the current one."""

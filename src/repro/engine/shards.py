@@ -32,9 +32,12 @@ __all__ = [
     "service_snapshot_views",
 ]
 
-#: One shard's work unit: ``(sampler, batches, times)``. ``times`` may be
-#: ``None`` for the default ``t+1, t+2, ...`` arrival clock.
-ShardTask = tuple[Any, Sequence[Any], Sequence[float] | None]
+#: One shard's work unit: ``(sampler, batches, times, arrivals)``. ``times``
+#: may be ``None`` for the default ``t+1, t+2, ...`` arrival clock, and
+#: ``arrivals`` ``None`` for unplanned batches (see ``Sampler.process_stream``).
+ShardTask = tuple[
+    Any, Sequence[Any], Sequence[float] | None, Sequence[int | None] | None
+]
 
 
 def ingest_shard_inplace(task: ShardTask) -> None:
@@ -44,8 +47,8 @@ def ingest_shard_inplace(task: ShardTask) -> None:
     and private RNG streams, so concurrent execution across shards is safe
     and deterministic.
     """
-    sampler, batches, times = task
-    sampler.process_stream(batches, times=times)
+    sampler, batches, times, arrivals = task
+    sampler.process_stream(batches, times=times, arrivals=arrivals)
     return None
 
 
@@ -62,7 +65,7 @@ def snapshot_sampler(sampler: Sampler) -> dict[str, Any]:
 def service_ingest_window(
     residents: dict[Any, Any],
     payload: np.ndarray,
-    entries: Sequence[tuple[float, Sequence[tuple[int, int]]]],
+    entries: Sequence[tuple[float, Sequence[tuple[int, ...]]]],
     service_id: int,
     profile: bool = False,
 ) -> dict[int, int] | tuple[dict[int, int], float]:
@@ -73,29 +76,38 @@ def service_ingest_window(
     grouped in ascending shard order. ``entries`` holds one ``(time,
     [(shard_id, count), ...])`` per staged batch in the same order, so each
     sub-batch is a zero-copy slice of the frame — no worker-side hashing
-    and no per-shard selection scan. Each shard then ingests its slices in
-    one ``process_stream`` call at the batches' arrival times: the same
-    sub-streams, in the same order, as the serial path, so trajectories
-    stay bit-identical.
+    and no per-shard selection scan. A planned sub-batch is listed as
+    ``(shard_id, count, arrivals)``: its ``count`` rows are the ones the
+    driver accepted out of ``arrivals`` (possibly none of them). Each shard
+    then ingests its slices in one ``process_stream`` call at the batches'
+    arrival times: the same sub-streams, in the same order, as the serial
+    path, so trajectories stay bit-identical.
 
-    Returns ``{shard_id: item_count}`` (the driver tracks shard activation
-    from the counts without blocking the pipeline); with ``profile=True``
-    the window's ingest wall time rides along for the service's
+    Returns ``{shard_id: arrivals}`` — the items routed to each shard, the
+    accepted ones or not (the driver tracks shard activation from the
+    counts without blocking the pipeline); with ``profile=True`` the
+    window's ingest wall time rides along for the service's
     phase-breakdown hook.
     """
     begin = perf_counter() if profile else 0.0
-    streams: dict[int, tuple[list[np.ndarray], list[float]]] = {}
+    streams: dict[int, tuple[list[np.ndarray], list[float], list[int | None]]] = {}
     offset = 0
     for time, shard_sizes in entries:
-        for shard_id, count in shard_sizes:
-            batches, times = streams.setdefault(int(shard_id), ([], []))
+        for shard_id, count, *plan in shard_sizes:
+            batches, times, arrivals = streams.setdefault(int(shard_id), ([], [], []))
             batches.append(payload[offset : offset + count])
             times.append(time)
+            arrivals.append(plan[0] if plan else None)
             offset += count
     counts: dict[int, int] = {}
-    for shard_id, (batches, times) in streams.items():
-        residents[("svc", service_id, shard_id)].process_stream(batches, times=times)
-        counts[shard_id] = sum(len(batch) for batch in batches)
+    for shard_id, (batches, times, arrivals) in streams.items():
+        residents[("svc", service_id, shard_id)].process_stream(
+            batches, times=times, arrivals=arrivals
+        )
+        counts[shard_id] = sum(
+            len(batch) if planned is None else planned
+            for batch, planned in zip(batches, arrivals)
+        )
     if profile:
         return counts, perf_counter() - begin
     return counts

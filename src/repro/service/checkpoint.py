@@ -138,7 +138,18 @@ def _decode(node: Any, arrays: Any) -> Any:
     return node
 
 
-def save_checkpoint(state: dict[str, Any], directory: str | os.PathLike) -> None:
+def _fsync_directory(directory: str | os.PathLike) -> None:
+    """Make ``directory``'s entries (created, renamed files) durable."""
+    fd = os.open(directory, os.O_RDONLY)
+    try:
+        os.fsync(fd)
+    finally:
+        os.close(fd)
+
+
+def save_checkpoint(
+    state: dict[str, Any], directory: str | os.PathLike, fsync: bool = False
+) -> None:
     """Persist a snapshot mapping (``state_dict()`` output) to ``directory``.
 
     Crash-safe for a single writer overwriting a previous checkpoint in the
@@ -146,7 +157,9 @@ def save_checkpoint(state: dict[str, Any], directory: str | os.PathLike) -> None
     the manifest (which names its archive) is swapped in atomically via
     ``os.replace``, and only then are superseded archives garbage-collected.
     Interrupting the save at any point leaves a loadable checkpoint — the
-    old one until the manifest swap, the new one after.
+    old one until the manifest swap, the new one after. That covers a
+    process crash; with ``fsync=True`` it also covers power loss: both
+    files are fsynced before their swaps, and the directory after.
     """
     os.makedirs(directory, exist_ok=True)
     arrays: dict[str, np.ndarray] = {}
@@ -160,6 +173,9 @@ def save_checkpoint(state: dict[str, Any], directory: str | os.PathLike) -> None
         # path that does not already end with it.
         with os.fdopen(fd, "wb") as fh:
             np.savez_compressed(fh, **arrays)
+            if fsync:
+                fh.flush()
+                os.fsync(fh.fileno())
         arrays_name = os.path.basename(arrays_tmp)[: -len(".tmp")]
         os.replace(arrays_tmp, os.path.join(directory, arrays_name))
     except BaseException:
@@ -176,7 +192,12 @@ def save_checkpoint(state: dict[str, Any], directory: str | os.PathLike) -> None
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
             json.dump(manifest, fh, indent=1)
+            if fsync:
+                fh.flush()
+                os.fsync(fh.fileno())
         os.replace(manifest_tmp, os.path.join(directory, _MANIFEST_NAME))
+        if fsync:
+            _fsync_directory(directory)
     except BaseException:
         if os.path.exists(manifest_tmp):
             os.unlink(manifest_tmp)
@@ -345,6 +366,7 @@ def save_service_delta(
     directory: str | os.PathLike,
     watermark: int,
     dirty: set[int] | None = None,
+    fsync: bool = False,
 ) -> None:
     """Write an incremental service checkpoint, rewriting only dirty shards.
 
@@ -363,6 +385,12 @@ def save_service_delta(
     snapshot includes — the WAL truncation point; ``-1`` for a snapshot
     taken before any batch. ``dirty=None`` rewrites every shard (a full
     save in delta clothing).
+
+    ``fsync=True`` (a WAL under the ``"always"`` policy) makes the save
+    durable against power loss before the log is truncated behind it:
+    every rewritten sub-checkpoint's files and directory are fsynced, and
+    the checkpoint directory too, before the manifest swap (the manifest
+    itself is always fsynced), and the directory again after it.
     """
     directory = os.fspath(directory)
     os.makedirs(directory, exist_ok=True)
@@ -392,15 +420,17 @@ def save_service_delta(
             shard_dir = tempfile.mkdtemp(
                 dir=directory, prefix=_shard_dir_prefix(shard_id)
             )
-            save_checkpoint(state, shard_dir)
+            save_checkpoint(state, shard_dir, fsync=fsync)
             _fault(f"ckpt.shard-dir:{shard_id}")
             shard_dirs[str(shard_id)] = os.path.basename(shard_dir)
         else:
             shard_dirs[str(shard_id)] = previous[str(shard_id)]
 
     service_dir = tempfile.mkdtemp(dir=directory, prefix=_SERVICE_PREFIX)
-    save_checkpoint(scalar_state, service_dir)
+    save_checkpoint(scalar_state, service_dir, fsync=fsync)
     _fault("ckpt.service-dir")
+    if fsync:
+        _fsync_directory(directory)
 
     manifest = {
         "manifest_version": CHECKPOINT_MANIFEST_VERSION,
@@ -417,6 +447,8 @@ def save_service_delta(
             os.fsync(fh.fileno())
         _fault("ckpt.manifest-swap")
         os.replace(manifest_tmp, manifest_path)
+        if fsync:
+            _fsync_directory(directory)
     except BaseException:
         if os.path.exists(manifest_tmp):
             os.unlink(manifest_tmp)

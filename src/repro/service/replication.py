@@ -262,7 +262,9 @@ class ShardReplicaSet:
                 samplers[shard_id] = sampler
                 rngs[shard_id] = clone
             batches, times = plan.per_shard[shard_id]
-            sampler.process_stream(batches, times=times)
+            sampler.process_stream(
+                batches, times=times, arrivals=plan.arrivals[shard_id]
+            )
         self.samplers, self.rngs = samplers, rngs
         return set(plan.per_shard)
 

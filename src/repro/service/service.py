@@ -27,13 +27,21 @@ other shards first see data. Per-shard clocks advance only when the shard
 receives items; decay over the skipped interval is exact because the
 samplers decay by the true elapsed gap (see ``Sampler._advance_time``).
 
-Every backend takes a batch through one step: route it once (hash, then
-radix-group into a :class:`~repro.service.routing.RoutedBatch`), advance
-the clock, append it to the write-ahead log if durability is on, and only
-then dispatch it through a pluggable :mod:`repro.engine` executor:
+Every backend takes a batch through one step: hash every key to its
+shard, *plan* the batch, append the plan to the write-ahead log if
+durability is on, advance the clock once the log holds it, and only then
+dispatch it through a pluggable :mod:`repro.engine` executor. Planning is
+Algorithm 2's acceptance decision taken in the driver: for every R-TBS
+shard the driver mirrors ``W``, ``C`` and the shard clock
+(:func:`~repro.core.rtbs.rtbs_step`), and a saturated shard, which keeps
+only ``StochRound(B n / W)`` of its ``B`` arrivals, has those drawn here
+from a per-batch plan stream. Only the accepted rows are then
+radix-grouped, gathered, logged and shipped — at steady state well under
+one percent of a large batch — while every shard still learns its
+arrival count (see :meth:`~repro.core.base.Sampler.process_stream`):
 
 * ``"serial"`` (default) and ``"thread"`` ingest in-process: one gather
-  through the routed order yields contiguous per-shard NumPy slices (the
+  of the accepted rows yields contiguous per-shard NumPy slices (the
   sub-batches the WAL records), buffered for up to ``window`` batches and
   handed out as one engine task per shard;
 * ``"process"`` runs the persistent-worker transport
@@ -68,11 +76,12 @@ backend produces bit-identical samples and checkpoints for a fixed seed.
 from __future__ import annotations
 
 import itertools
+import math
 import os
 import threading
 from dataclasses import dataclass, field
 from time import perf_counter
-from typing import Any, Callable, Iterable, Sequence
+from typing import Any, Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -90,6 +99,7 @@ from repro.core.random_utils import (
     spawn_rngs,
 )
 from repro.core.resharding import reshard_samplers
+from repro.core.rtbs import RTBS, SAMPLING_VERSION, RTBSPlanState, rtbs_step
 from repro.engine import (
     EngineError,
     Executor,
@@ -114,7 +124,6 @@ from repro.service.replication import (
 from repro.service.routing import (
     ROUTING_VERSION,
     SUPPORTED_ROUTING_VERSIONS,
-    RoutedBatch,
     shard_ids_for_keys,
     # Unused here, but kept bound in this namespace: the benchmark tracer
     # wraps it by name as a routing layer.
@@ -130,6 +139,53 @@ SamplerFactory = Callable[[np.random.Generator], Sampler]
 #: Distinguishes the resident-shard keys of different services sharing one
 #: executor's worker pool.
 _SERVICE_IDS = itertools.count(1)
+
+#: Mixed into every plan stream's seed, so no plan stream coincides with a
+#: generator seeded from the same key alone.
+_PLAN_TAG = 0x504C414E
+
+#: Keys hashed per ``shard_ids_for_keys`` call. The hash makes several
+#: passes over 8-byte temporaries; a block's (64 KB each) stay in cache and
+#: in memory the allocator keeps, where a whole 100k batch's are returned
+#: to the OS and faulted in again on every batch. Measured on a 2-core
+#: Xeon: a 100k-key batch hashes in about 0.45 ms in blocks against
+#: 0.8 ms in one call.
+_HASH_BLOCK = 8_192
+
+
+def _derive_plan_key(rng: np.random.Generator) -> int:
+    """A service's plan key: the master stream's next draw, without advancing it."""
+    return int(generator_from_state(generator_state(rng)).integers(0, 2**63 - 1))
+
+
+class _PlannedBatch(NamedTuple):
+    """One batch after planning: the accepted rows, grouped by shard."""
+
+    #: The accepted rows in ascending shard order, arrival order within a
+    #: shard; shard ``s`` holds ``rows[offsets[s]:offsets[s + 1]]``.
+    rows: np.ndarray
+    offsets: np.ndarray
+    #: Items routed to each shard, accepted or not (length ``num_shards``).
+    arrivals: np.ndarray
+    #: The R-TBS shards' mirrors after this batch, adopted once it commits.
+    mirrors: dict[int, RTBSPlanState]
+
+    def sub_batches(self) -> list[tuple[int, np.ndarray, int | None]]:
+        """``(shard_id, accepted rows, arrivals)`` per receiving shard.
+
+        ``arrivals`` is ``None`` for a shard the driver does not plan (not
+        R-TBS): its rows are its whole sub-batch, an ordinary batch.
+        """
+        offsets = self.offsets
+        return [
+            (
+                shard_id,
+                self.rows[offsets[shard_id] : offsets[shard_id + 1]],
+                int(count) if shard_id in self.mirrors else None,
+            )
+            for shard_id, count in enumerate(self.arrivals.tolist())
+            if count
+        ]
 
 
 @dataclass(frozen=True)
@@ -212,6 +268,43 @@ class ServiceSnapshot:
             shard_id: self.views[shard_id].items_list()
             for shard_id in sorted(self.views)
         }
+
+
+def _choose_accepted(
+    rng: np.random.Generator,
+    shard_ids: np.ndarray,
+    arrivals: np.ndarray,
+    thinned: dict[int, int],
+) -> np.ndarray:
+    """Positions of ``thinned[s]`` uniformly chosen arrivals of each shard ``s``.
+
+    Takes, per shard, its first ``thinned[s]`` positions in a uniformly
+    random order of the batch, so each shard's choice is a uniform subset
+    of its arrivals. Only a random prefix of that order is drawn — long
+    enough that every shard's quota lies inside it with overwhelming
+    probability, about ``max(thinned[s] / arrivals[s])`` of the batch —
+    so the cost follows the accepted items, not the batch. Should any
+    shard come up short, the whole order is drawn afresh; the event does
+    not depend on which of a shard's arrivals the prefix holds, so the
+    choice stays exactly uniform either way.
+    """
+    size = len(shard_ids)
+    quota = np.zeros(len(arrivals), dtype=np.int64)
+    for shard_id, accepted in thinned.items():
+        quota[shard_id] = accepted
+    ids = np.fromiter(thinned, dtype=np.int64, count=len(thinned))
+    wanted = quota[ids] + 4.0 * np.sqrt(quota[ids]) + 8.0
+    length = min(size, math.ceil(float(np.max(wanted * size / arrivals[ids]))))
+    if length < size:
+        order = rng.choice(size, size=length, replace=False)
+    else:
+        order = rng.permutation(size)
+    grouped, counts, offsets = split_order(shard_ids[order], len(arrivals))
+    if np.any(counts < quota):
+        order = rng.permutation(size)
+        grouped, counts, offsets = split_order(shard_ids[order], len(arrivals))
+    rank = np.arange(len(order)) - np.repeat(offsets[:-1], counts)
+    return order[grouped[rank < np.repeat(quota, counts)]]
 
 
 class SamplerService:
@@ -328,6 +421,9 @@ class SamplerService:
         self._shard_rngs: list[np.random.Generator] = spawn_rngs(
             self._rng, self.num_shards
         )
+        #: Seeds the per-batch plan streams (``default_rng([tag, key, seq])``)
+        #: the driver draws R-TBS shards' acceptances from; checkpointed.
+        self._plan_key = _derive_plan_key(self._rng)
         self._shards: dict[int, Sampler] = {}
         self._time: float = 0.0
         self._batches_seen: int = 0
@@ -352,6 +448,13 @@ class SamplerService:
 
     def _init_transport_state(self) -> None:
         self._service_id = next(_SERVICE_IDS)
+        #: The driver's mirror of every R-TBS shard's scalars (``None`` for
+        #: other samplers), advanced by :func:`~repro.core.rtbs.rtbs_step`
+        #: as each batch commits. ``None`` until first needed, and again
+        #: after every event that replaces shard state wholesale (restore,
+        #: failover, reshard): it is then rebuilt from the driver's
+        #: samplers, which those events leave authoritative.
+        self._mirrors: dict[int, RTBSPlanState | None] | None = None
         #: Serializes writes (ingest/checkpoint/reshard/close) against
         #: snapshot capture. Reentrant so write paths may nest (reshard →
         #: checkpoint → snapshot). Reads hold it only while *taking* a cut,
@@ -722,16 +825,18 @@ class SamplerService:
         """The engine backend running per-shard ingest work."""
         return self._executor
 
-    def _dispatch(self, pending: dict[int, tuple[list[Any], list[float]]]) -> None:
+    def _dispatch(
+        self, pending: dict[int, tuple[list[Any], list[float], list[int | None]]]
+    ) -> None:
         """End an ingest window: hand every shard its window of sub-batches.
 
         The transport sends each worker's staged window as one command. An
         in-process executor gets one engine task per shard, in ascending
         shard order so every backend sees the same task list: the live
         shard sampler plus its buffered sub-batches — contiguous slices of
-        the per-batch gather in :meth:`_ingest_step` — and their arrival
-        times, so thread-pool tasks go straight into GIL-releasing NumPy
-        kernels.
+        the per-batch gather in :meth:`_ingest_step` — their arrival times
+        and their arrival counts, so thread-pool tasks go straight into
+        GIL-releasing NumPy kernels.
         """
         self._window_task = None
         if self._transport_attached:
@@ -765,50 +870,164 @@ class SamplerService:
         batch: np.ndarray,
         keys: Sequence[Any] | np.ndarray | None,
         time: float | None,
-        pending: dict[int, tuple[list[Any], list[float]]],
-    ) -> RoutedBatch | None:
-        """Route, advance the clock, log, then stage one batch (lock held).
+        pending: dict[int, tuple[list[Any], list[float], list[int | None]]],
+    ) -> np.ndarray | None:
+        """Route, plan, log, commit, then stage one batch (lock held).
 
-        The one per-batch step of every backend. Routing is validated
-        before the clock advances, so a rejected batch leaves the service
-        untouched, and the batch is logged before any shard sees it. One
-        gather through ``routed.order`` yields the per-shard sub-batches:
-        the WAL records them (so log replay matches the live run bit for
-        bit), in-process backends buffer them in ``pending``, and the
-        transport copies each worker's runs of them into its ring. Every
-        backend hands them to the shards at the window's end
-        (:meth:`_dispatch`). Returns the routing result, ``None`` for an
-        empty batch.
+        The one per-batch step of every backend. Keys and the arrival time
+        are validated first, and nothing changes until the WAL holds the
+        batch: the service clock, ``batches_seen`` and the plan mirrors
+        advance only after the commit record lands, so a rejected batch or
+        a failed append (a full disk) leaves the service as it was and the
+        same batch can be retried. The plan's one gather of the accepted
+        rows yields the per-shard sub-batches: the WAL records them (so
+        log replay matches the live run bit for bit), in-process backends
+        buffer them in ``pending``, and the transport copies each worker's
+        runs of them into its ring. Every backend hands them to the shards
+        at the window's end (:meth:`_dispatch`). Returns the items routed
+        to each shard, ``None`` for an empty batch.
         """
-        routed = self._route(batch, keys)
-        time = self._advance_time(time)
-        sub_batches: list[tuple[int, np.ndarray]] = []
-        if routed is not None:
+        shard_ids, explicit = self._route(batch, keys)
+        time, _ = validate_batch_time(
+            self._time, time, first_batch=self._batches_seen == 0
+        )
+        seq = self._batches_seen
+        plan = None
+        sub_batches: list[tuple[int, np.ndarray, int | None]] = []
+        if shard_ids is not None:
             begin = perf_counter() if self._profile_enabled else 0.0
-            gathered = batch[routed.order]
-            offsets = routed.offsets
-            sub_batches = [
-                (shard_id, gathered[offsets[shard_id] : offsets[shard_id + 1]])
-                for shard_id in range(self.num_shards)
-                if routed.counts[shard_id]
-            ]
+            plan = self._plan_batch(batch, shard_ids, time, seq)
+            sub_batches = plan.sub_batches()
             if self._profile_enabled:
                 self._note_phase("split", perf_counter() - begin)
-        self._wal_log(sub_batches, time)
+        explicit = explicit or bool(self._explicit_keys_used)
+        if self._wal is not None:
+            begin = perf_counter() if self._profile_enabled else 0.0
+            self._wal.append_batch(seq, time, sub_batches, explicit)
+            if self._profile_enabled:
+                self._note_phase("wal", perf_counter() - begin)
+        # Committed: the batch is the service's from here on.
+        self._time = time
+        self._batches_seen = seq + 1
+        if self._profile_enabled:
+            self._profile_batches += 1
+        if explicit:
+            # Recorded only once the keys actually routed items: a rejected
+            # ingest (unroutable key types, length mismatch) must not
+            # poison the service's ability to reshard.
+            self._explicit_keys_used = True
+        if plan is None:
+            return None
+        self._mirrors.update(plan.mirrors)
         if not self._executor.provides_transport:
-            for shard_id, sub_batch in sub_batches:
-                shard_batches, shard_times = pending.setdefault(shard_id, ([], []))
-                shard_batches.append(sub_batch)
+            for shard_id, rows, arrivals in sub_batches:
+                shard_batches, shard_times, shard_arrivals = pending.setdefault(
+                    shard_id, ([], [], [])
+                )
+                shard_batches.append(rows)
                 shard_times.append(time)
-        elif routed is not None:
+                shard_arrivals.append(arrivals)
+        else:
             try:
-                self._stage_routed(gathered, routed, time)
+                self._stage_planned(plan.rows, sub_batches, time)
             except WorkerCrashError as error:
                 # The batch is already committed to the WAL, so the
                 # promotion's log replay delivers it (and every staged
                 # batch before it) to the promoted samplers.
                 self._failover(error)
-        return routed
+        return plan.arrivals
+
+    def _plan_mirrors(self) -> dict[int, RTBSPlanState | None]:
+        """The plan mirrors, rebuilt from the driver's samplers when stale.
+
+        An active shard is read from its sampler; a shard that has seen no
+        data from the sampler the factory builds on its reserved stream —
+        the sampler it will start as. The probe leaves the stream as it
+        found it: whatever the factory drew is put back.
+        """
+        if self._mirrors is None:
+            mirrors: dict[int, RTBSPlanState | None] = {}
+            for shard_id in range(self.num_shards):
+                if shard_id in self._activated:
+                    sampler = self._shards[shard_id]
+                else:
+                    rng = self._shard_rngs[shard_id]
+                    pristine = generator_state(rng)
+                    sampler = self._factory(rng)
+                    rng.bit_generator.state = pristine
+                mirrors[shard_id] = (
+                    sampler.plan_state() if isinstance(sampler, RTBS) else None
+                )
+            self._mirrors = mirrors
+        return self._mirrors
+
+    def _plan_batch(
+        self, batch: np.ndarray, shard_ids: np.ndarray, time: float, seq: int
+    ) -> _PlannedBatch:
+        """Decide which rows of one routed batch each shard accepts.
+
+        Every R-TBS shard's mirror steps over its arrival count. A shard in
+        a thinning branch accepts ``StochRound(B n / W)`` of its ``B``
+        arrivals, drawn — count first, in ascending shard order, then the
+        positions — from the batch's plan stream, ``default_rng([tag, plan
+        key, seq])``: a function of the batch's place in the stream only,
+        so every backend, window and replay plans alike. Every other shard
+        accepts all its arrivals. Only the accepted rows are grouped and
+        gathered.
+        """
+        num_shards = self.num_shards
+        mirrors = self._plan_mirrors()
+        # Only a shard saturated before the batch (W >= n) can thin it.
+        # While none is, the whole batch is grouped as it arrives, and the
+        # grouping counts the arrivals.
+        order: np.ndarray | None = None
+        if any(m is not None and m.total_weight >= m.n for m in mirrors.values()):
+            arrivals = np.bincount(shard_ids, minlength=num_shards)
+        else:
+            order, arrivals, offsets = split_order(shard_ids, num_shards)
+        updates: dict[int, RTBSPlanState] = {}
+        thinned: dict[int, int] = {}
+        plan_rng: np.random.Generator | None = None
+        for shard_id in np.flatnonzero(arrivals).tolist():
+            mirror = mirrors[shard_id]
+            if mirror is None:
+                continue
+            count = int(arrivals[shard_id])
+            step = rtbs_step(
+                mirror.total_weight,
+                mirror.sample_weight,
+                mirror.n,
+                mirror.lambda_,
+                time - mirror.time,
+                count,
+            )
+            accepted = count
+            if step.thinned:
+                if plan_rng is None:
+                    plan_rng = np.random.default_rng([_PLAN_TAG, self._plan_key, seq])
+                accepted = step.acceptance(plan_rng, count, mirror.n)
+                thinned[shard_id] = accepted
+            updates[shard_id] = mirror._replace(
+                total_weight=step.total_weight,
+                sample_weight=step.settled_weight(accepted, mirror.n),
+                time=time,
+            )
+        if plan_rng is None:
+            if order is None:
+                order, _, offsets = split_order(shard_ids, num_shards)
+            return _PlannedBatch(batch[order], offsets, arrivals, updates)
+        accepted_rows = _choose_accepted(plan_rng, shard_ids, arrivals, thinned)
+        if len(thinned) < np.count_nonzero(arrivals):
+            # Shards taking every arrival alongside thinned ones (the
+            # sample is still filling somewhere): keep all their rows too.
+            keep_all = arrivals > 0
+            keep_all[list(thinned)] = False
+            accepted_rows = np.concatenate(
+                [accepted_rows, np.flatnonzero(keep_all[shard_ids])]
+            )
+        accepted_rows.sort()
+        order, _, offsets = split_order(shard_ids[accepted_rows], num_shards)
+        return _PlannedBatch(batch[accepted_rows[order]], offsets, arrivals, updates)
 
     def ingest_batch(
         self,
@@ -835,15 +1054,15 @@ class SamplerService:
         """
         batch = as_item_array(items)
         with self._lock:
-            pending: dict[int, tuple[list[Any], list[float]]] = {}
-            routed = self._ingest_step(batch, keys, time, pending)
+            pending: dict[int, tuple[list[Any], list[float], list[int | None]]] = {}
+            arrivals = self._ingest_step(batch, keys, time, pending)
             counts: dict[int, int] = {}
-            if routed is not None:
+            if arrivals is not None:
                 self._dispatch(pending)
                 self._drain_transport_safely()
                 counts = {
                     shard_id: int(count)
-                    for shard_id, count in enumerate(routed.counts)
+                    for shard_id, count in enumerate(arrivals)
                     if count
                 }
             self._replication_tick()
@@ -927,7 +1146,7 @@ class SamplerService:
             raise ValueError(f"window must be positive, got {window}")
         key_iter = iter(keys) if keys is not None else None
         time_iter = iter(times) if times is not None else None
-        pending: dict[int, tuple[list[Any], list[float]]] = {}
+        pending: dict[int, tuple[list[Any], list[float], list[int | None]]] = {}
         buffered = 0
         # Snapshot consistency: a cut must never observe an advanced service
         # clock whose batches have not reached the shards yet. The lock is
@@ -1015,17 +1234,6 @@ class SamplerService:
     # ------------------------------------------------------------------
     # durability (write-ahead log + delta checkpoints)
     # ------------------------------------------------------------------
-    def _wal_log(self, routed: list[tuple[int, np.ndarray]], time: float) -> None:
-        """Append one batch's per-shard sub-batches to the WAL (after the clock advanced)."""
-        if self._wal is None:
-            return
-        begin = perf_counter() if self._profile_enabled else 0.0
-        self._wal.append_batch(
-            self._batches_seen - 1, time, routed, bool(self._explicit_keys_used)
-        )
-        if self._profile_enabled:
-            self._note_phase("wal", perf_counter() - begin)
-
     @property
     def wal_dir(self) -> str | None:
         """The write-ahead log directory, or ``None`` when durability is off."""
@@ -1093,6 +1301,7 @@ class SamplerService:
                 directory,
                 watermark,
                 dirty=set(self._ckpt_dirty) if paired else None,
+                fsync=self._wal is not None and self._wal.fsync == "always",
             )
             if paired:
                 self._ckpt_dirty.clear()
@@ -1180,15 +1389,21 @@ class SamplerService:
             self._note_phase("worker_ingest", seconds)
         self._note_counts(result)
 
-    def _stage_routed(
-        self, gathered: np.ndarray, routed: RoutedBatch, time: float
+    def _stage_planned(
+        self,
+        rows: np.ndarray,
+        sub_batches: list[tuple[int, np.ndarray, int | None]],
+        time: float,
     ) -> None:
-        """Copy one routed batch's per-worker runs into the open ring windows.
+        """Copy one planned batch's per-worker runs into the open ring windows.
 
-        ``gathered`` is the batch in routed order, so each shard's items are
-        one contiguous run and each worker receives exactly its shards'
-        runs, back to back, plus the ``(shard_id, count)`` map its window
-        task cuts them by — the worker never re-hashes. Sub-batch contents
+        ``rows`` holds the accepted rows grouped by shard and
+        ``sub_batches`` the receiving shards' slices of it (see
+        :meth:`_PlannedBatch.sub_batches`), so each shard's rows are one
+        contiguous run and each worker receives exactly its shards' runs,
+        back to back, plus the ``(shard_id, count, arrivals)`` list its
+        window task cuts them by — the worker never re-hashes. A shard that accepted none of its arrivals gets an
+        empty run: it still has to decay and count them. Sub-batch contents
         and within-shard order match the serial path exactly, so
         trajectories stay bit-identical.
         """
@@ -1207,21 +1422,23 @@ class SamplerService:
         # a worker crash, it tells recovery exactly which batches never
         # landed. Workers that received no items are safely skipped.
         tag = self._batches_seen - 1 if self._wal is not None else None
-        counts, offsets = routed.counts, routed.offsets
         num_workers = pool.num_workers
-        for worker in range(min(num_workers, self.num_shards)):
-            owned = [
-                shard_id
-                for shard_id in range(worker, self.num_shards, num_workers)
-                if counts[shard_id]
-            ]
-            if owned:
+        runs: list[list[tuple[int, int]]] = [[] for _ in range(num_workers)]
+        entries: list[list[tuple[int, int, int | None]]] = [[] for _ in range(num_workers)]
+        start = 0
+        for shard_id, shard_rows, arrivals in sub_batches:
+            worker = shard_id % num_workers
+            runs[worker].append((start, start + len(shard_rows)))
+            entries[worker].append((shard_id, len(shard_rows), arrivals))
+            start += len(shard_rows)
+        for worker in range(num_workers):
+            if entries[worker]:
                 pool.stage(
                     worker,
                     self._window_task,
-                    gathered,
-                    [(int(offsets[s]), int(offsets[s + 1])) for s in owned],
-                    entry=(float(time), [(s, int(counts[s])) for s in owned]),
+                    rows,
+                    runs[worker],
+                    entry=(float(time), entries[worker]),
                     tag=tag,
                 )
         if self._profile_enabled:
@@ -1456,6 +1673,7 @@ class SamplerService:
         samplers, rngs = rt.replica.promote()
         self._shards = samplers
         self._activated = set(samplers)
+        self._mirrors = None
         for shard_id in sorted(rngs):
             self._shard_rngs[shard_id] = rngs[shard_id]
         # Every promoted shard must land in the next delta checkpoint: the
@@ -1546,49 +1764,34 @@ class SamplerService:
 
     def _route(
         self, batch: np.ndarray, keys: Sequence[Any] | np.ndarray | None
-    ) -> RoutedBatch | None:
-        """Hash and shard-bucket one batch: the routing result every stage reuses.
+    ) -> tuple[np.ndarray | None, bool]:
+        """Hash one batch's keys: ``(shard ids, whether keys were explicit)``.
 
-        One driver-side pass produces the shard ids, the shard-grouping
-        permutation, and the per-shard counts and offsets, so the WAL, the
-        in-process sub-batches and the per-worker ring windows all consume
-        the same result instead of re-touching (or re-hashing) the batch.
-        Raises on malformed keys *before* the caller advances the service
-        clock; returns ``None`` for an empty batch.
+        Every key is hashed — each shard's arrival count is part of its
+        decay bookkeeping, accepted items or not. Raises on malformed keys
+        *before* the caller changes any state; the ids are ``None`` for an
+        empty batch.
         """
         keys = self._coerce_keys(keys, batch)
         explicit = keys is not None
         if not len(batch):
-            return None
+            return None, False
         if keys is None:
             if self.key_fn is not None:
                 keys = [self.key_fn(item) for item in batch]
             else:
                 keys = batch
-        profile = self._profile_enabled
-        begin = perf_counter() if profile else 0.0
-        shard_ids = shard_ids_for_keys(keys, self.num_shards, self._routing_version)
-        if profile:
-            self._note_phase("hash", perf_counter() - begin)
-            begin = perf_counter()
-        order, counts, offsets = split_order(shard_ids, self.num_shards)
-        if profile:
-            self._note_phase("split", perf_counter() - begin)
-        if explicit:
-            # Recorded only once the keys actually routed items: a rejected
-            # ingest (unroutable key types, length mismatch) must not
-            # poison the service's ability to reshard.
-            self._explicit_keys_used = True
-        return RoutedBatch(shard_ids, order, counts, offsets)
-
-    def _advance_time(self, time: float | None) -> float:
-        self._time, _ = validate_batch_time(
-            self._time, time, first_batch=self._batches_seen == 0
-        )
-        self._batches_seen += 1
+        begin = perf_counter() if self._profile_enabled else 0.0
+        blocks = [
+            shard_ids_for_keys(
+                keys[start : start + _HASH_BLOCK], self.num_shards, self._routing_version
+            )
+            for start in range(0, len(keys), _HASH_BLOCK)
+        ]
+        shard_ids = blocks[0] if len(blocks) == 1 else np.concatenate(blocks)
         if self._profile_enabled:
-            self._profile_batches += 1
-        return self._time
+            self._note_phase("hash", perf_counter() - begin)
+        return shard_ids, explicit
 
     # ------------------------------------------------------------------
     # elastic resharding
@@ -1756,6 +1959,7 @@ class SamplerService:
         self._shard_rngs = new_rngs
         self._shards = new_shards
         self._activated = set(new_shards)
+        self._mirrors = None
         self._retained_rng = {}
         self._standby_states = {}
         self._standby_rngs = {}
@@ -1823,6 +2027,10 @@ class SamplerService:
             # never laundered into a confident False.
             "routing_version": self._routing_version,
             "explicit_keys_used": self._explicit_keys_used,
+            # The draws a fixed seed's trajectory is made of, and the key
+            # of the plan streams the driver draws acceptances from.
+            "sampling_version": SAMPLING_VERSION,
+            "plan_key": self._plan_key,
             "time": float(self._time),
             "batches_seen": int(self._batches_seen),
             "rng_state": generator_state(self._rng),
@@ -2002,6 +2210,19 @@ class SamplerService:
         service._executor = get_executor(executor)
         require_in_place_backend(service._executor, "SamplerService")
         service._rng = generator_from_state(state["rng_state"])
+        # Snapshots from before sampling version 2 carry neither field;
+        # their trajectory continues under this build's draws, with the
+        # plan key the constructor would have derived.
+        sampling_version = int(state.get("sampling_version", 1))
+        if sampling_version > SAMPLING_VERSION:
+            raise ValueError(
+                f"checkpoint was sampled under sampling version "
+                f"{sampling_version}, newer than this build's "
+                f"{SAMPLING_VERSION}; restore it with the build that wrote it"
+            )
+        service._plan_key = int(
+            state.get("plan_key", _derive_plan_key(service._rng))
+        )
         shard_rng_states = state["shard_rng_states"]
         if len(shard_rng_states) != service.num_shards:
             raise ValueError(

@@ -44,7 +44,11 @@ Commit bodies are ``(seq: u64, time: f64, flags: u8)``; shard bodies are
 bytes for simple dtypes, ``.npy`` for exotic ones, JSON for object arrays —
 never pickle, matching the checkpoint layer's trust model; object payloads
 round-trip through JSON semantics, so tuples come back as lists, exactly as
-they do through a directory checkpoint).
+they do through a directory checkpoint), then, for a *planned* record, the
+shard's arrival count ``(arrivals: u64)``. A planned record holds only the
+arrivals the driver accepted for the shard (see
+:meth:`~repro.core.base.Sampler.process_stream`); a record without the
+count holds the shard's whole sub-batch and replays as an ordinary batch.
 
 A zero-length frame is a *terminator*: log segments are recycled — trunca-
 tion at a checkpoint rewrites the terminator at the head of the file rather
@@ -107,7 +111,9 @@ _MAGIC = b"REPROWAL"
 #: per shard), so :meth:`WriteAheadLog.attach` treats a missing segment as
 #: damage — in a version-2 directory it could merely mean the lazy creation
 #: never happened, and attach stays lenient there.
-WAL_FORMAT_VERSION = 3
+#: Version 4 added the arrival count that ends a planned shard record;
+#: version-3 records (no count) read as unplanned ones.
+WAL_FORMAT_VERSION = 4
 
 _KIND_COMMIT = 0
 _KIND_SHARD = 1
@@ -122,6 +128,7 @@ _FRAME = struct.Struct("<II")  # body length, crc32(body)
 _ZERO_FRAME = b"\x00" * _FRAME.size
 _COMMIT_BODY = struct.Struct("<QdB")  # seq, time, flags
 _SHARD_BODY = struct.Struct("<Qd")  # seq, time (payload block follows)
+_ARRIVALS = struct.Struct("<Q")  # a planned record's arrival count (trailer)
 
 _FLAG_EXPLICIT_KEYS = 0x01
 
@@ -207,11 +214,12 @@ def _encode_payload(array: np.ndarray) -> tuple[int, list[bytes | memoryview]]:
 
 def _decode_payload(
     encoding: int, body: memoryview, offset: int, where: str
-) -> np.ndarray:
+) -> tuple[np.ndarray, int]:
     """Decode one payload array from a record body (raises :class:`WALError`).
 
-    ``body`` is a view into the log bytes; a raw payload is copied exactly
-    once, out of the view into the returned array.
+    Returns the array and the body offset just past it. ``body`` is a view
+    into the log bytes; a raw payload is copied exactly once, out of the
+    view into the returned array.
     """
     try:
         if encoding == _ENC_RAW:
@@ -228,7 +236,7 @@ def _decode_payload(
             raw = body[offset : offset + nbytes]
             if len(raw) != nbytes:
                 raise ValueError(f"payload promises {nbytes} bytes, {len(raw)} present")
-            return np.frombuffer(raw, dtype=dtype).reshape(shape).copy()
+            return np.frombuffer(raw, dtype=dtype).reshape(shape).copy(), offset + nbytes
         if encoding == _ENC_JSON:
             (length,) = struct.unpack_from("<Q", body, offset)
             offset += 8
@@ -236,11 +244,12 @@ def _decode_payload(
             out = np.empty(len(items), dtype=object)
             for index, item in enumerate(items):
                 out[index] = item
-            return out
+            return out, offset + length
         if encoding == _ENC_NPY:
             (length,) = struct.unpack_from("<Q", body, offset)
             offset += 8
-            return np.load(BytesIO(body[offset : offset + length]), allow_pickle=False)
+            array = np.load(BytesIO(body[offset : offset + length]), allow_pickle=False)
+            return array, offset + length
         raise ValueError(f"unknown payload encoding {encoding}")
     except WALError:
         raise
@@ -267,6 +276,8 @@ class LogRecord:
     payload: np.ndarray | None
     start: int  # frame start offset in the file
     end: int  # one past the frame's last byte
+    #: A planned shard record's arrival count; ``None`` for an unplanned one.
+    arrivals: int | None = None
 
 
 @dataclass
@@ -355,6 +366,7 @@ def read_log_records(path: str | os.PathLike, strict: bool = False) -> LogScan:
                 "replica or accept the loss by truncating at this offset"
             )
         where = f"{path} @ offset {position}"
+        arrivals: int | None = None
         try:
             if kind == _KIND_COMMIT:
                 seq, time, flags = _COMMIT_BODY.unpack_from(body, 0)
@@ -362,7 +374,17 @@ def read_log_records(path: str | os.PathLike, strict: bool = False) -> LogScan:
             else:
                 seq, time = _SHARD_BODY.unpack_from(body, 0)
                 flags = int(body[_SHARD_BODY.size])
-                payload = _decode_payload(flags, body, _SHARD_BODY.size + 1, where)
+                payload, tail = _decode_payload(
+                    flags, body, _SHARD_BODY.size + 1, where
+                )
+                if tail != length:
+                    (arrivals,) = _ARRIVALS.unpack_from(body, tail)
+                    if tail + _ARRIVALS.size != length or arrivals < len(payload):
+                        raise WALError(
+                            f"{where}: malformed planned record ({length - tail} "
+                            f"trailing bytes, {len(payload)} items of "
+                            f"{arrivals} arrivals)"
+                        )
         except struct.error as error:
             raise WALError(f"{where}: malformed record body ({error})") from error
         if seq <= previous_seq:
@@ -372,7 +394,9 @@ def read_log_records(path: str | os.PathLike, strict: bool = False) -> LogScan:
             )
         previous_seq = seq
         end = body_start + length
-        scan.records.append(LogRecord(int(seq), float(time), int(flags), payload, position, end))
+        scan.records.append(
+            LogRecord(int(seq), float(time), int(flags), payload, position, end, arrivals)
+        )
         position = end
     if scan.torn is not None and strict:
         raise WALError(
@@ -498,6 +522,23 @@ class _LogFile:
                 remainder = remainder[fh.write(remainder) :]
         fh.seek(-_FRAME.size, os.SEEK_CUR)
 
+    def tell(self) -> int:
+        """The append position: the offset of the current terminator."""
+        return self._open().tell()
+
+    def rewind(self, offset: int) -> None:
+        """Drop everything appended since :meth:`tell` returned ``offset``.
+
+        Rewrites the zero-frame terminator at ``offset`` and parks the
+        append position on it, so a failed append's partial (or complete
+        but uncommitted) frame is invisible to replay and the retried
+        append overwrites it.
+        """
+        fh = self._open()
+        fh.seek(offset)
+        fh.write(_ZERO_FRAME)
+        fh.seek(offset)
+
     def flush(self, fsync: bool) -> None:
         if self._fh is None or self._fh.closed:
             return
@@ -585,6 +626,9 @@ class ReplayPlan:
     #: shard ids holding records beyond the last commit (crash orphans).
     orphaned_shards: list[int]
     torn: list[TornTail]
+    #: shard id -> each sub-batch's arrival count (``None``: unplanned), in
+    #: lockstep with ``per_shard`` — the ``arrivals`` of ``process_stream``.
+    arrivals: dict[int, list[int | None]] = field(default_factory=dict)
 
     @property
     def batches(self) -> int:
@@ -612,6 +656,9 @@ class WriteAheadLog:
         self.directory = os.fspath(directory)
         self.num_shards = int(num_shards)
         self.fsync = fsync
+        #: Format version of the logs on disk (older only for a directory
+        #: an earlier build wrote, until its next truncation rewrites them).
+        self.format_version = WAL_FORMAT_VERSION
         self._commit = _LogFile(
             os.path.join(self.directory, _COMMIT_NAME), _KIND_COMMIT, self.num_shards
         )
@@ -794,17 +841,23 @@ class WriteAheadLog:
                     f"not shard {shard_id}; the directory's files were "
                     "renamed or mixed up"
                 )
-        return cls(directory, num_shards, fsync=fsync)
+        wal = cls(directory, num_shards, fsync=fsync)
+        wal.format_version = version
+        return wal
 
     # -- appending -----------------------------------------------------
     def append_batch(
         self,
         seq: int,
         time: float,
-        routed: Iterable[tuple[int, np.ndarray]],
+        routed: Iterable[tuple[Any, ...]],
         explicit_keys: bool,
     ) -> None:
         """Log one ingested batch: sub-batch records first, then the commit.
+
+        ``routed`` holds ``(shard_id, rows)`` for an unplanned sub-batch
+        and ``(shard_id, rows, arrivals)`` for a planned one (``arrivals``
+        ``None`` counts as unplanned).
 
         Under ``"always"`` the touched shard logs are fsynced before the
         commit record is written (and the commit log fsynced after), so a
@@ -812,22 +865,33 @@ class WriteAheadLog:
         power loss; ``"os"`` relies on the page cache preserving write order
         across a process crash; ``"none"`` defers everything to the next
         flush/checkpoint.
+
+        All or nothing: if any write, flush or fsync raises (a full disk,
+        an I/O error), every log the batch touched is rewound to where the
+        batch began before the error propagates, so the logs hold exactly
+        the batches before it and the same ``seq`` can be appended again.
         """
-        touched: list[_LogFile] = []
-        for shard_id, sub_batch in routed:
-            log = self._shards[int(shard_id)]
-            encoding, chunks = _encode_payload(sub_batch)
-            log.append(
-                [_SHARD_BODY.pack(seq, time), bytes([encoding]), *chunks]
-            )
-            touched.append(log)
-        if self.fsync != "none":
-            for log in touched:
-                log.flush(fsync=self.fsync == "always")
-        flags = _FLAG_EXPLICIT_KEYS if explicit_keys else 0
-        self._commit.append([_COMMIT_BODY.pack(seq, time, flags)])
-        if self.fsync != "none":
-            self._commit.flush(fsync=self.fsync == "always")
+        marks: list[tuple[_LogFile, int]] = []
+        try:
+            for shard_id, sub_batch, *plan in routed:
+                log = self._shards[int(shard_id)]
+                encoding, chunks = _encode_payload(sub_batch)
+                if plan and plan[0] is not None:
+                    chunks.append(_ARRIVALS.pack(int(plan[0])))
+                marks.append((log, log.tell()))
+                log.append([_SHARD_BODY.pack(seq, time), bytes([encoding]), *chunks])
+            if self.fsync != "none":
+                for log, _ in marks:
+                    log.flush(fsync=self.fsync == "always")
+            flags = _FLAG_EXPLICIT_KEYS if explicit_keys else 0
+            marks.append((self._commit, self._commit.tell()))
+            self._commit.append([_COMMIT_BODY.pack(seq, time, flags)])
+            if self.fsync != "none":
+                self._commit.flush(fsync=self.fsync == "always")
+        except BaseException:
+            for log, offset in marks:
+                log.rewind(offset)
+            raise
 
     def flush(self) -> None:
         """Push every buffered record to the OS (and to disk under ``"always"``)."""
@@ -949,6 +1013,7 @@ class WriteAheadLog:
         explicit = any(r.flags & _FLAG_EXPLICIT_KEYS for r in commits)
         committed = {r.seq for r in commits}
         per_shard: dict[int, tuple[list[np.ndarray], list[float]]] = {}
+        arrivals: dict[int, list[int | None]] = {}
         orphaned: list[int] = []
         for shard_id, log in self._shards.items():
             if not os.path.exists(log.path):
@@ -958,6 +1023,7 @@ class WriteAheadLog:
                 torn.append(scan.torn)
             batches: list[np.ndarray] = []
             times: list[float] = []
+            counts: list[int | None] = []
             for record in scan.records:
                 if record.seq <= watermark:
                     continue  # truncation debris below the checkpoint edge
@@ -972,8 +1038,10 @@ class WriteAheadLog:
                     )
                 batches.append(record.payload)
                 times.append(record.time)
+                counts.append(record.arrivals)
             if batches:
                 per_shard[shard_id] = (batches, times)
+                arrivals[shard_id] = counts
         return ReplayPlan(
             last_seq=int(last_seq),
             last_time=float(last_time),
@@ -981,6 +1049,7 @@ class WriteAheadLog:
             per_shard=per_shard,
             orphaned_shards=sorted(orphaned),
             torn=torn,
+            arrivals=arrivals,
         )
 
 
@@ -1027,7 +1096,7 @@ def recover_service(
     for shard_id in sorted(plan.per_shard):
         batches, times = plan.per_shard[shard_id]
         sampler = service._get_or_create_shard(shard_id)
-        sampler.process_stream(batches, times=times)
+        sampler.process_stream(batches, times=times, arrivals=plan.arrivals[shard_id])
         service._ckpt_dirty.add(shard_id)
     if plan.last_seq > watermark:
         service._time = plan.last_time
@@ -1038,6 +1107,13 @@ def recover_service(
         wal.drop_uncommitted(plan.last_seq)
     service._wal = wal
     service._wal_watermark = watermark
+    if wal.format_version < WAL_FORMAT_VERSION:
+        # The logs still carry an older build's header; that build would
+        # misread this one's planned records. Checkpointing now truncates
+        # every log into a segment under the current header (creating the
+        # segments a version-2 directory never made).
+        service.checkpoint()
+        wal._materialize_segments()
     if replication is not None:
         service._enable_replication(replication)
     return service

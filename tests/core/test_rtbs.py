@@ -194,3 +194,62 @@ class TestZeroDecay:
         # Without decay and below capacity, nothing is ever dropped.
         assert len(sampler) == 500
         assert sampler.total_weight == pytest.approx(500.0)
+
+
+class TestPlannedSteps:
+    """``rtbs_step`` mirrors the sampler exactly; planned batches apply as drawn."""
+
+    @staticmethod
+    def _regimes():
+        rng = np.random.default_rng(31)
+        for trial in range(120):
+            n = int(rng.integers(1, 60))
+            lambda_ = float(rng.choice([0.0, 0.05, 0.3, 1.5]))
+            initial = list(range(int(rng.integers(0, n + 1)))) if trial % 3 == 0 else None
+            gaps = rng.choice([1.0, 0.5, 3.0, 1e-3], size=50)
+            sizes = rng.choice([0, 1, 2, 5, 40, 200], size=50)
+            yield trial, n, lambda_, initial, np.cumsum(gaps), sizes
+
+    def test_the_scalar_step_tracks_the_sampler_bit_for_bit(self):
+        from repro.core.rtbs import rtbs_step
+
+        for trial, n, lambda_, initial, times, sizes in self._regimes():
+            sampler = RTBS(n=n, lambda_=lambda_, initial_items=initial, rng=trial)
+            mirror = sampler.plan_state()
+            plan_rng = np.random.default_rng(trial)
+            for time, size in zip(times.tolist(), sizes.tolist()):
+                step = rtbs_step(
+                    mirror.total_weight, mirror.sample_weight, n, lambda_,
+                    time - mirror.time, size,
+                )
+                accepted = step.acceptance(plan_rng, size, n) if step.thinned else size
+                sampler.process_stream([np.arange(accepted)], times=[time], arrivals=[size])
+                mirror = mirror._replace(
+                    total_weight=step.total_weight,
+                    sample_weight=step.settled_weight(accepted, n),
+                    time=time,
+                )
+                assert mirror == sampler.plan_state(), (trial, time)
+
+    def test_plans_that_disagree_with_the_state_are_refused(self):
+        sampler = RTBS(n=10, lambda_=0.1, rng=0)
+        with pytest.raises(ValueError, match="disagrees"):
+            # Unsaturated: every arrival must enter.
+            sampler.process_stream([np.arange(3)], arrivals=[5])
+        sampler.process_stream([np.arange(40)], arrivals=[40])
+        with pytest.raises(ValueError, match="disagrees"):
+            # Saturated: at most n arrivals can enter.
+            sampler.process_stream([np.arange(11)], arrivals=[40])
+
+    def test_saturated_step_overwrites_victims_in_place(self):
+        sampler = RTBS(n=50, lambda_=0.2, rng=3)
+        sampler.process_batch(np.arange(100))
+        before = sampler.latent.full_array.copy()
+        view = sampler.snapshot_view()
+        sampler.process_stream([np.arange(1_000, 1_007)], arrivals=[60])
+        after = sampler.latent.full_array
+        changed = np.flatnonzero(after != before)
+        assert len(changed) == 7 and set(after[changed]) == set(range(1_000, 1_007))
+        assert sampler.latent.weight == 50.0
+        # Copy-on-write: the view taken before still shows the old sample.
+        assert np.array_equal(view.items, before)

@@ -394,12 +394,15 @@ class TestStandbyBase:
         failover = SamplerService._failover
 
         def cut_then_kill(pool, fn, kwargs=None):
-            markers = snapshot_async(pool, fn, kwargs)
             cuts.append(service.batches_seen - 1)
-            if len(cuts) == 2:
-                # The second cadence cut: its markers are enqueued, and the
-                # worker dies before answering them.
-                _kill_worker(service)
+            if len(cuts) != 2:
+                return snapshot_async(pool, fn, kwargs)
+            # The second cadence cut: its markers are enqueued, and the
+            # worker dies before answering them (stopped first, so it
+            # cannot answer in the moment before the kill lands).
+            os.kill(pool.workers[0].process.pid, signal.SIGSTOP)
+            markers = snapshot_async(pool, fn, kwargs)
+            _kill_worker(service)
             return markers
 
         def recording_snapshot(svc, *args, **kwargs):
@@ -520,7 +523,8 @@ class TestCrashWhileFramesAreStaged:
         smallest ring (32 KiB halves) holds one batch's runs (about 20 KB
         per worker), so each staged batch sends the worker's previous one
         early: mid-window a worker holds a sent-but-unacknowledged command
-        and an open window at once. Worker 1 is stopped after the first
+        and an open window at once. The samplers never saturate, so the
+        driver ships every arrival instead of a thinned few. Worker 1 is stopped after the first
         window's upkeep, so its early sends stay unacknowledged, and killed
         as the driver stages its third batch after that: the crash surfaces
         inside ``stage`` while both workers hold staged, unsent frames. The
@@ -530,10 +534,12 @@ class TestCrashWhileFramesAreStaged:
         use_ring_bytes(monkeypatch, 4096)
         rng = np.random.default_rng(8)
         batches = [rng.integers(0, 1 << 40, size=5_000) for _ in range(30)]
-        reference = SamplerService(
-            faults.make_factory(), num_shards=faults.NUM_SHARDS, rng=faults.SEED
-        )
-        service = _replicated(tmp_path, "process:2", ship_interval=8)
+
+        def factory(rng):
+            return RTBS(n=100_000, lambda_=0.15, rng=rng)
+
+        reference = SamplerService(factory, num_shards=faults.NUM_SHARDS, rng=faults.SEED)
+        service = _replicated(tmp_path, "process:2", ship_interval=8, factory=factory)
         stopped: list = []
         crashes: list[WorkerCrashError] = []
         condemned: list[ShardWorkerPool] = []

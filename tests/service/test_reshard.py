@@ -349,3 +349,31 @@ class TestReshardSemantics:
         assert service.total_weight == pytest.approx(weight, rel=1e-12)
         assert service.expected_sample_size == pytest.approx(expected, rel=1e-9)
         _assert_affinity(service)
+
+
+class TestPlanMirrorsAfterReshard:
+    """The driver's plan mirrors track every shard, underfull ones included."""
+
+    @pytest.mark.parametrize("backend", [None, "process:2"], ids=["serial", "process"])
+    def test_mirrors_match_the_shards_after_growing_a_saturated_service(self, backend):
+        def factory(rng):
+            return RTBS(n=40, lambda_=0.2, rng=rng)
+
+        with SamplerService(factory, num_shards=2, rng=4, executor=backend) as service:
+            service.ingest(_batches(6, size=400))
+            # Growing a saturated layout leaves destinations underfull
+            # (C < min(n, W)): their next batches take the underfull branch.
+            service.reshard(5)
+            for index, batch in enumerate(_batches(8, size=37, start=10_000)):
+                service.ingest_batch(batch)
+                mirrors = service._mirrors
+                for shard_id in service.active_shards:
+                    assert mirrors[shard_id] == service.shard(shard_id).plan_state(), (
+                        index,
+                        shard_id,
+                    )
+            reference = SamplerService(factory, num_shards=2, rng=4)
+            reference.ingest(_batches(6, size=400))
+            reference.reshard(5)
+            reference.ingest(_batches(8, size=37, start=10_000), window=3)
+            _assert_states_equal(service.state_dict(), reference.state_dict())

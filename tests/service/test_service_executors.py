@@ -424,8 +424,13 @@ class TestTransportWindows:
         # 512 KiB halves hold one 100k-item batch's runs per worker (about
         # 400 KB), so every window is sent in several commands; the last
         # batch's runs (about 1.2 MB per worker) outgrow a half and grow the
-        # segment mid-window.
+        # segment mid-window. The samplers never saturate, so the driver
+        # ships every arrival instead of a thinned few.
         use_ring_bytes(monkeypatch, 1 << 20)
+
+        def rtbs_factory(rng):
+            return RTBS(n=1_000_000, lambda_=0.15, rng=rng)
+
         sends: list[int] = []
         send_window = transport._WorkerHandle.send_window
 

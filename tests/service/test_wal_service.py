@@ -326,3 +326,245 @@ class TestObservability:
         assert durability["replay_lag_batches"] == 0
         assert service.wal_dir == str(tmp_path / "wal")
         service.close()
+
+
+class TestFailedAppendLeavesTheServiceUnchanged:
+    """A write error during a batch's log append must not advance anything."""
+
+    @pytest.mark.parametrize("backend", [None, "process:2"], ids=["serial", "process"])
+    def test_enospc_at_the_second_shard_append_is_retryable(self, tmp_path, backend):
+        import errno
+
+        import repro.service.wal as wal_module
+
+        batches = _batches(4)
+        service = SamplerService(
+            _factory(), num_shards=4, rng=7, executor=backend, wal_dir=tmp_path / "wal"
+        )
+        shard_appends: list[str] = []
+
+        def full_disk(site: str) -> None:
+            if site.startswith("wal.append:shard-"):
+                shard_appends.append(site)
+                if len(shard_appends) == 2:
+                    raise OSError(errno.ENOSPC, "No space left on device")
+
+        try:
+            service.ingest_batch(batches[0], time=1.0)
+            before = service.state_dict()
+            wal_module._FAULT_HOOK = full_disk
+            try:
+                with pytest.raises(OSError, match="No space left"):
+                    service.ingest_batch(batches[1], time=2.0)
+            finally:
+                wal_module._FAULT_HOOK = None
+            assert service.time == 1.0 and service.batches_seen == 1
+            assert_states_equal(service.state_dict(), before)
+            service.ingest_batch(batches[1], time=2.0)
+            service.ingest_batch(batches[2], time=3.0)
+            service.ingest_batch(batches[3], time=4.0)
+            live = service.state_dict()
+        finally:
+            service.close()
+        golden = _golden(batches)
+        assert_states_equal(live, golden)
+        recovered = recover_service(tmp_path / "wal", _factory(), executor=backend)
+        try:
+            assert_states_equal(recovered.state_dict(), golden)
+        finally:
+            recovered.close()
+
+
+class TestCheckpointDurability:
+    """Under ``"always"`` a checkpoint is on disk before the log is truncated."""
+
+    @staticmethod
+    def _record(monkeypatch) -> list[tuple[str, str, str]]:
+        events: list[tuple[str, str, str]] = []
+        fsync, replace = os.fsync, os.replace
+
+        def recording_fsync(fd):
+            events.append(("fsync", os.readlink(f"/proc/self/fd/{fd}"), ""))
+            return fsync(fd)
+
+        def recording_replace(src, dst):
+            events.append(("replace", os.fspath(src), os.fspath(dst)))
+            return replace(src, dst)
+
+        monkeypatch.setattr(os, "fsync", recording_fsync)
+        monkeypatch.setattr(os, "replace", recording_replace)
+        return events
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc")
+    def test_always_syncs_every_rewritten_file_and_directory_before_the_swap(
+        self, tmp_path, monkeypatch
+    ):
+        service = SamplerService(
+            _factory(), num_shards=4, rng=7, wal_dir=tmp_path / "wal", wal_fsync="always"
+        )
+        try:
+            for batch in _batches(3):
+                service.ingest_batch(batch)
+            events = self._record(monkeypatch)
+            service.checkpoint()
+            monkeypatch.undo()
+        finally:
+            service.close()
+        ckpt = os.path.realpath(tmp_path / "wal" / "checkpoint")
+        swap = next(
+            index
+            for index, (kind, _, dst) in enumerate(events)
+            if kind == "replace" and dst == os.path.join(ckpt, "MANIFEST.json")
+        )
+        synced = {path for kind, path, _ in events[:swap] if kind == "fsync"}
+        # Every file of every rewritten sub-checkpoint was fsynced before
+        # its own rename, and every such directory before the swap.
+        sub_replaces = [
+            (src, dst) for kind, src, dst in events[:swap]
+            if kind == "replace" and os.path.dirname(os.path.dirname(dst)) == ckpt
+        ]
+        rewritten = {os.path.dirname(dst) for _, dst in sub_replaces}
+        assert len(rewritten) == 5  # four dirty shards plus the service state
+        for index, (kind, src, dst) in enumerate(events[:swap]):
+            if kind == "replace" and os.path.dirname(dst) in rewritten:
+                assert ("fsync", src, "") in events[:index], src
+        assert rewritten <= synced
+        assert ckpt in synced
+        after = events[swap + 1 :]
+        assert ("fsync", ckpt, "") in after
+        # The log is truncated only after the checkpoint is durable.
+        log_syncs = [i for i, (kind, path, _) in enumerate(events) if path.endswith(".wal")]
+        assert log_syncs and min(log_syncs) > swap
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc")
+    @pytest.mark.parametrize("fsync", ["os", "none"])
+    def test_other_policies_add_no_fsync(self, tmp_path, monkeypatch, fsync):
+        service = SamplerService(
+            _factory(), num_shards=4, rng=7, wal_dir=tmp_path / "wal", wal_fsync=fsync
+        )
+        try:
+            for batch in _batches(3):
+                service.ingest_batch(batch)
+            events = self._record(monkeypatch)
+            service.checkpoint()
+            monkeypatch.undo()
+        finally:
+            service.close()
+        synced = [path for kind, path, _ in events if kind == "fsync"]
+        # Only what every policy always synced: the manifest's temp file and
+        # the truncated log segments.
+        assert synced
+        for path in synced:
+            name = os.path.basename(path)
+            assert name.endswith(".wal") or (
+                name.startswith("MANIFEST-") and name.endswith(".tmp")
+            ), path
+
+
+class TestPlannedLogRecords:
+    def test_saturated_shards_log_only_the_accepted_rows(self, tmp_path):
+        batches = _batches(12, size=2_000)
+        service = SamplerService(_factory(), num_shards=4, rng=7, wal_dir=tmp_path / "wal")
+        try:
+            for batch in batches:
+                counts = service.ingest_batch(batch)
+            assert sum(counts.values()) == 2_000
+        finally:
+            service.close()
+        records = read_log_records(tmp_path / "wal" / "shard-00001.wal").records
+        last = records[-1]
+        # Planned: the record carries the shard's arrival count, and holds
+        # only the few arrivals the driver accepted (n = 30 of about 500).
+        assert last.arrivals == counts[1]
+        assert len(last.payload) < last.arrivals // 4
+
+    def test_unplanned_records_replay_as_ordinary_batches(self, tmp_path):
+        from repro.core import TTBS
+
+        def factory(rng):
+            return TTBS(n=30, lambda_=0.1, mean_batch_size=40.0, rng=rng)
+
+        batches = _batches(6)
+        service = SamplerService(factory, num_shards=4, rng=7, wal_dir=tmp_path / "wal")
+        try:
+            for batch in batches:
+                service.ingest_batch(batch)
+            live = service.state_dict()
+        finally:
+            service.close()
+        records = read_log_records(tmp_path / "wal" / "shard-00000.wal").records
+        assert records and all(record.arrivals is None for record in records)
+        recovered = recover_service(tmp_path / "wal", factory)
+        try:
+            assert_states_equal(recovered.state_dict(), live)
+        finally:
+            recovered.close()
+
+
+    def test_a_format_3_directory_recovers_and_is_rewritten_as_format_4(self, tmp_path):
+        import struct
+
+        from repro.core import TTBS
+
+        def factory(rng):
+            return TTBS(n=30, lambda_=0.1, mean_batch_size=40.0, rng=rng)
+
+        service = SamplerService(factory, num_shards=4, rng=7, wal_dir=tmp_path / "wal")
+        try:
+            for batch in _batches(6):
+                service.ingest_batch(batch)
+            live = service.state_dict()
+        finally:
+            service.close()
+        # Unplanned records are byte for byte what a format-3 build wrote:
+        # only the header's version field tells the two apart.
+        logs = sorted((tmp_path / "wal").glob("*.wal"))
+        for path in logs:
+            data = bytearray(path.read_bytes())
+            struct.pack_into("<H", data, 8, 3)
+            path.write_bytes(bytes(data))
+        recovered = recover_service(tmp_path / "wal", factory)
+        try:
+            assert_states_equal(recovered.state_dict(), live)
+        finally:
+            recovered.close()
+        for path in logs:
+            (version,) = struct.unpack_from("<H", path.read_bytes(), 8)
+            assert version == 4, path
+
+
+class TestSamplingVersion:
+    def test_checkpoints_record_the_sampling_version_and_plan_key(self, tmp_path):
+        from repro.core.rtbs import SAMPLING_VERSION
+
+        service = SamplerService(_factory(), num_shards=4, rng=7, wal_dir=tmp_path / "wal")
+        try:
+            service.ingest_batch(_batches(1)[0])
+            state = service.state_dict()
+        finally:
+            service.close()
+        assert state["sampling_version"] == SAMPLING_VERSION == 2
+        assert isinstance(state["plan_key"], int)
+        scalar, _ = load_service_delta(tmp_path / "wal" / "checkpoint")
+        assert scalar["sampling_version"] == 2
+        assert scalar["plan_key"] == state["plan_key"]
+
+    def test_restore_continues_the_trajectory_and_refuses_newer_versions(self):
+        batches = _batches(8)
+        service = SamplerService(_factory(), num_shards=4, rng=7)
+        for batch in batches[:4]:
+            service.ingest_batch(batch)
+        restored = SamplerService.from_state_dict(service.state_dict(), _factory())
+        for batch in batches[4:]:
+            service.ingest_batch(batch)
+            restored.ingest_batch(batch)
+        assert_states_equal(restored.state_dict(), service.state_dict())
+        # A snapshot from before the field existed derives the same plan key.
+        legacy = service.state_dict()
+        del legacy["sampling_version"], legacy["plan_key"]
+        assert SamplerService.from_state_dict(legacy, _factory())._plan_key == (
+            service._plan_key
+        )
+        future = {**service.state_dict(), "sampling_version": 3}
+        with pytest.raises(ValueError, match="sampling version 3"):
+            SamplerService.from_state_dict(future, _factory())
