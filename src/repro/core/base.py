@@ -291,8 +291,7 @@ class Sampler:
             so the batch holds only those (the sharded service plans R-TBS
             shards this way; see :func:`repro.core.rtbs.rtbs_step`). An
             entry ``None`` (or no ``arrivals`` at all) is an ordinary batch.
-            Samplers without driver-side planning accept only plans that
-            keep every arrival.
+            Only :class:`~repro.core.rtbs.RTBS` takes planned batches.
         """
         time_iter = iter(times) if times is not None else None
         arrival_iter = iter(arrivals) if arrivals is not None else None
@@ -317,11 +316,10 @@ class Sampler:
                         "arrivals iterable exhausted before batches; provide "
                         "one arrival count (or None) per batch"
                     ) from None
-            elapsed = self._advance_time(time)
             if planned is None:
-                self._process_batch(items, elapsed)
+                self._process_batch(items, self._advance_time(time))
             else:
-                self._process_thinned(items, int(planned), elapsed)
+                self._process_thinned(items, int(planned), time)
             if self._record_history:
                 self.history.append(
                     SamplerState(
@@ -548,19 +546,16 @@ class Sampler:
         raise NotImplementedError
 
     def _process_thinned(
-        self, items: Sequence[Any] | np.ndarray, arrivals: int, elapsed: float
+        self, items: Sequence[Any] | np.ndarray, arrivals: int, time: float | None
     ) -> None:
         """Update for a planned batch: ``items`` are the accepted ones of ``arrivals``.
 
-        Only :class:`~repro.core.rtbs.RTBS` lets a driver thin its batches;
-        every other sampler takes a plan only when it accepts every arrival.
+        Unlike :meth:`_process_batch`, this hook advances the clock itself
+        (:meth:`_advance_time`), and only once it has checked the plan, so
+        a refused plan leaves the sampler untouched. Only
+        :class:`~repro.core.rtbs.RTBS` lets a driver thin its batches.
         """
-        if len(items) != arrivals:
-            raise ValueError(
-                f"{type(self).__name__} takes no thinned batches: got "
-                f"{len(items)} items planned out of {arrivals} arrivals"
-            )
-        self._process_batch(items, elapsed)
+        raise NotImplementedError(f"{type(self).__name__} takes no planned batches")
 
     def _sample_size(self) -> int:
         """Size of the current realized sample.

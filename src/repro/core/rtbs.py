@@ -43,7 +43,7 @@ from typing import Any, NamedTuple, Sequence
 import numpy as np
 
 from repro.core.arrays import as_item_array, concat_items
-from repro.core.base import Sampler, SamplerSnapshotView
+from repro.core.base import Sampler, SamplerSnapshotView, validate_batch_time
 from repro.core.latent import LatentSample, downsample, merge_latent_samples
 from repro.core.random_utils import choose_indices, stochastic_round
 
@@ -408,16 +408,20 @@ class RTBS(Sampler):
         self._apply(step, batch)
 
     def _process_thinned(
-        self, items: Sequence[Any] | np.ndarray, arrivals: int, elapsed: float
+        self, items: Sequence[Any] | np.ndarray, arrivals: int, time: float | None
     ) -> None:
         """Apply a batch a driver already thinned (see :meth:`Sampler.process_stream`).
 
         ``items`` are the accepted arrivals of a batch of ``arrivals``. In
         the two thinning branches they enter as they are (the driver drew
         how many and which); in the accept-all branches they must be the
-        whole batch.
+        whole batch. A plan that disagrees with this state is refused
+        before the clock moves.
         """
         batch = as_item_array(items)
+        _, elapsed = validate_batch_time(
+            self._time, time, first_batch=self._batches_seen == 0
+        )
         step = rtbs_step(
             self._total_weight, self._latent.weight, self.n, self.lambda_, elapsed, arrivals
         )
@@ -428,6 +432,7 @@ class RTBS(Sampler):
                 f"disagrees with this sampler's state (W={self._total_weight}, "
                 f"C={self._latent.weight}, n={self.n})"
             )
+        self._advance_time(time)
         self._apply(step, batch)
 
     def _apply(self, step: RTBSStep, rows: np.ndarray) -> None:

@@ -977,14 +977,7 @@ class SamplerService:
         """
         num_shards = self.num_shards
         mirrors = self._plan_mirrors()
-        # Only a shard saturated before the batch (W >= n) can thin it.
-        # While none is, the whole batch is grouped as it arrives, and the
-        # grouping counts the arrivals.
-        order: np.ndarray | None = None
-        if any(m is not None and m.total_weight >= m.n for m in mirrors.values()):
-            arrivals = np.bincount(shard_ids, minlength=num_shards)
-        else:
-            order, arrivals, offsets = split_order(shard_ids, num_shards)
+        arrivals = np.bincount(shard_ids, minlength=num_shards)
         updates: dict[int, RTBSPlanState] = {}
         thinned: dict[int, int] = {}
         plan_rng: np.random.Generator | None = None
@@ -1013,8 +1006,7 @@ class SamplerService:
                 time=time,
             )
         if plan_rng is None:
-            if order is None:
-                order, _, offsets = split_order(shard_ids, num_shards)
+            order, _, offsets = split_order(shard_ids, num_shards)
             return _PlannedBatch(batch[order], offsets, arrivals, updates)
         accepted_rows = _choose_accepted(plan_rng, shard_ids, arrivals, thinned)
         if len(thinned) < np.count_nonzero(arrivals):

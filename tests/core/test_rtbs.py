@@ -233,13 +233,28 @@ class TestPlannedSteps:
 
     def test_plans_that_disagree_with_the_state_are_refused(self):
         sampler = RTBS(n=10, lambda_=0.1, rng=0)
-        with pytest.raises(ValueError, match="disagrees"):
-            # Unsaturated: every arrival must enter.
-            sampler.process_stream([np.arange(3)], arrivals=[5])
+
+        def refused(batch, arrivals):
+            before = (sampler.time, sampler.plan_state(), sampler.sample_items())
+            with pytest.raises(ValueError, match="disagrees"):
+                sampler.process_stream([batch], arrivals=[arrivals])
+            # A refused plan leaves the clock and the state where they were.
+            assert (sampler.time, sampler.plan_state(), sampler.sample_items()) == before
+
+        refused(np.arange(3), 5)  # unsaturated: every arrival must enter
         sampler.process_stream([np.arange(40)], arrivals=[40])
-        with pytest.raises(ValueError, match="disagrees"):
-            # Saturated: at most n arrivals can enter.
-            sampler.process_stream([np.arange(11)], arrivals=[40])
+        assert sampler.time == 1.0
+        refused(np.arange(11), 40)  # saturated: at most n arrivals can enter
+        sampler.process_stream([np.arange(5)], arrivals=[40])
+        assert sampler.time == 2.0
+
+    def test_other_samplers_take_no_planned_batches(self):
+        from repro.core.brs import BatchedReservoir
+
+        sampler = BatchedReservoir(n=10, rng=0)
+        with pytest.raises(NotImplementedError, match="no planned batches"):
+            sampler.process_stream([np.arange(4)], arrivals=[4])
+        assert sampler.time == 0.0
 
     def test_saturated_step_overwrites_victims_in_place(self):
         sampler = RTBS(n=50, lambda_=0.2, rng=3)
