@@ -124,6 +124,7 @@ from repro.service.replication import (
 from repro.service.routing import (
     ROUTING_VERSION,
     SUPPORTED_ROUTING_VERSIONS,
+    _numeric_shard_ids,
     shard_ids_for_keys,
     # Unused here, but kept bound in this namespace: the benchmark tracer
     # wraps it by name as a routing layer.
@@ -143,14 +144,6 @@ _SERVICE_IDS = itertools.count(1)
 #: Mixed into every plan stream's seed, so no plan stream coincides with a
 #: generator seeded from the same key alone.
 _PLAN_TAG = 0x504C414E
-
-#: Keys hashed per ``shard_ids_for_keys`` call. The hash makes several
-#: passes over 8-byte temporaries; a block's (64 KB each) stay in cache and
-#: in memory the allocator keeps, where a whole 100k batch's are returned
-#: to the OS and faulted in again on every batch. Measured on a 2-core
-#: Xeon: a 100k-key batch hashes in about 0.45 ms in blocks against
-#: 0.8 ms in one call.
-_HASH_BLOCK = 8_192
 
 
 def _derive_plan_key(rng: np.random.Generator) -> int:
@@ -1774,13 +1767,10 @@ class SamplerService:
             else:
                 keys = batch
         begin = perf_counter() if self._profile_enabled else 0.0
-        blocks = [
-            shard_ids_for_keys(
-                keys[start : start + _HASH_BLOCK], self.num_shards, self._routing_version
-            )
-            for start in range(0, len(keys), _HASH_BLOCK)
-        ]
-        shard_ids = blocks[0] if len(blocks) == 1 else np.concatenate(blocks)
+        if isinstance(keys, np.ndarray) and keys.ndim == 1 and keys.dtype.kind in "iubf":
+            shard_ids = _numeric_shard_ids(keys, self.num_shards)
+        else:
+            shard_ids = shard_ids_for_keys(keys, self.num_shards, self._routing_version)
         if self._profile_enabled:
             self._note_phase("hash", perf_counter() - begin)
         return shard_ids, explicit

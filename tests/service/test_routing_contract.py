@@ -9,67 +9,162 @@ encoding spec names, over power-of-two and non-power-of-two shard counts,
 plus regression tests for the trailing-NUL truncation bug (fixed-width
 ``S``/``U`` dtypes cannot represent trailing NULs, so the vectorized path
 must never coerce keys through them lossily).
+
+The numeric cases run over both numeric routers: the normative
+``shard_ids_for_keys`` and the service's in-place hot-path kernel
+``_numeric_shard_ids``, which the routing fingerprint does not cover — this
+suite is what pins it to the encoding.
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 import pytest
 
 from repro.service import SamplerService, shard_ids_for_keys, stable_hash
+from repro.service.routing import _KERNEL_BLOCK, _numeric_shard_ids
 from repro.core import RTBS
 
 SHARD_COUNTS = [1, 2, 8, 64, 3, 7, 12]  # powers of two and not
+
+#: Both numeric routers; every numeric agreement case runs on each.
+NUMERIC_ROUTERS = pytest.mark.parametrize(
+    "router", [shard_ids_for_keys, _numeric_shard_ids], ids=["reference", "kernel"]
+)
+
+#: Key counts around the kernel's block boundaries.
+KERNEL_LENGTHS = [
+    0,
+    1,
+    _KERNEL_BLOCK - 1,
+    _KERNEL_BLOCK,
+    _KERNEL_BLOCK + 1,
+    2 * _KERNEL_BLOCK + 3,
+]
+
+#: Every narrow integer, unsigned and float dtype, bool, and the 8-byte
+#: dtypes in the non-native byte order.
+WIDENED_DTYPES = [
+    "i1", "i2", "i4", "u1", "u2", "u4", "f2", "f4", "?",
+    ">i8", ">u8", ">f8", ">i4", ">u2", ">f4",
+]
 
 
 def reference(keys, num_shards):
     return [stable_hash(key) % num_shards for key in keys]
 
 
-def assert_agreement(keys, num_shards):
-    vectorized = shard_ids_for_keys(keys, num_shards)
+def assert_agreement(keys, num_shards, router=shard_ids_for_keys):
+    vectorized = router(keys, num_shards)
     assert vectorized.dtype == np.int64
     assert vectorized.tolist() == reference(keys, num_shards)
 
 
+@functools.cache
+def lengths_case():
+    """Keys for the longest block-boundary case and their ``stable_hash``es
+    (computed once: the per-key reference is the slow side)."""
+    keys = np.random.default_rng(11).integers(-(2**63), 2**63 - 1, max(KERNEL_LENGTHS))
+    hashes = np.array([stable_hash(int(key)) for key in keys], dtype=np.uint64)
+    return keys, hashes
+
+
+def special_floats(dtype):
+    """Signed zeros, infinities and NaNs with distinct payloads in ``dtype``
+    (NaN payloads set through the bit pattern)."""
+    dtype = np.dtype(dtype)
+    values = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, 1.0, -2.5])
+    bits_dtype = np.dtype(f"u{dtype.itemsize}")
+    exponent = {2: 0x7C00, 4: 0x7F800000, 8: 0x7FF0000000000000}[dtype.itemsize]
+    sign = 1 << (8 * dtype.itemsize - 1)
+    payloads = np.array(
+        [exponent | 1, exponent | 0b101, sign | exponent | 1, sign - 1],
+        dtype=bits_dtype,
+    ).view(dtype.newbyteorder("="))
+    return np.concatenate([values.astype(dtype.newbyteorder("=")), payloads]).astype(dtype)
+
+
 @pytest.mark.parametrize("num_shards", SHARD_COUNTS)
 class TestAgreement:
-    def test_int64_extremes(self, num_shards):
+    @NUMERIC_ROUTERS
+    def test_int64_extremes(self, num_shards, router):
         values = [0, 1, -1, 2**62, -(2**62), 2**63 - 1, -(2**63), 31337]
-        assert_agreement(np.array(values, dtype=np.int64), num_shards)
+        assert_agreement(np.array(values, dtype=np.int64), num_shards, router)
 
-    def test_uint64_above_2_63(self, num_shards):
+    @NUMERIC_ROUTERS
+    def test_uint64_above_2_63(self, num_shards, router):
         values = [0, 1, 2**63, 2**63 + 1, 2**64 - 1, 12345]
         arr = np.array(values, dtype=np.uint64)
-        vectorized = shard_ids_for_keys(arr, num_shards)
+        vectorized = router(arr, num_shards)
         assert vectorized.tolist() == [
             stable_hash(int(value)) % num_shards for value in values
         ]
 
-    def test_narrow_integer_dtypes_widen_consistently(self, num_shards):
+    @NUMERIC_ROUTERS
+    def test_narrow_integer_dtypes_widen_consistently(self, num_shards, router):
         for dtype in (np.int8, np.uint8, np.int16, np.int32, np.uint32):
             arr = np.arange(-100 if np.issubdtype(dtype, np.signedinteger) else 0, 100).astype(dtype)
-            vectorized = shard_ids_for_keys(arr, num_shards)
+            vectorized = router(arr, num_shards)
             assert vectorized.tolist() == [
                 stable_hash(int(value)) % num_shards for value in arr
             ]
 
-    def test_floats_nan_and_signed_zero(self, num_shards):
+    @NUMERIC_ROUTERS
+    def test_floats_nan_and_signed_zero(self, num_shards, router):
         values = [0.0, -0.0, 1.5, -1.5, np.inf, -np.inf, np.nan, 1e-308, 3.14]
         arr = np.array(values, dtype=np.float64)
-        assert_agreement(arr, num_shards)
+        assert_agreement(arr, num_shards, router)
         if num_shards > 1:
             # +0.0 and -0.0 are different IEEE-754 bit patterns, hence
             # different keys; over many shard counts they must eventually
             # separate (they do for every count in this suite > 4).
             assert stable_hash(0.0) != stable_hash(-0.0)
 
-    def test_bool_keys(self, num_shards):
+    @NUMERIC_ROUTERS
+    def test_bool_keys(self, num_shards, router):
         arr = np.array([True, False, True])
-        vectorized = shard_ids_for_keys(arr, num_shards)
+        vectorized = router(arr, num_shards)
         assert vectorized.tolist() == [
             stable_hash(bool(value)) % num_shards for value in arr
         ]
+
+    @NUMERIC_ROUTERS
+    @pytest.mark.parametrize("length", KERNEL_LENGTHS)
+    def test_lengths_around_the_kernel_block(self, num_shards, router, length):
+        keys, hashes = lengths_case()
+        vectorized = router(keys[:length], num_shards)
+        assert vectorized.dtype == np.int64
+        assert len(vectorized) == length
+        expected = (hashes[:length] % np.uint64(num_shards)).astype(np.int64)
+        assert np.array_equal(vectorized, expected)
+
+    @NUMERIC_ROUTERS
+    @pytest.mark.parametrize("dtype", WIDENED_DTYPES)
+    def test_widened_dtypes_and_byte_orders(self, num_shards, router, dtype):
+        dtype = np.dtype(dtype)
+        if dtype.kind == "f":
+            arr = special_floats(dtype)
+        elif dtype.kind == "b":
+            arr = np.array([True, False, False, True])
+        else:
+            info = np.iinfo(dtype)
+            arr = np.array(
+                [info.min, info.min + 1, -1 if info.min else 2, 0, 1, info.max - 1, info.max],
+                dtype=dtype,
+            )
+        assert arr.dtype == dtype
+        # Widening a signalling NaN to float64 quiets it (with a warning);
+        # both routers and stable_hash widen the same way.
+        with np.errstate(invalid="ignore"):
+            assert_agreement(arr, num_shards, router)
+
+    @NUMERIC_ROUTERS
+    def test_strided_keys(self, num_shards, router):
+        keys = np.arange(-500, 500, dtype=np.int64)[::3]
+        assert_agreement(keys, num_shards, router)
+        assert_agreement(keys.astype(">f8"), num_shards, router)
 
     def test_mixed_width_unicode(self, num_shards):
         keys = ["a", "bb", "ccc", "", "héllo wörld", "日本語のキー", "a" * 100, "bb"]
@@ -99,10 +194,11 @@ class TestAgreement:
         keys = [("user", 1), ("user", 2), (1.5, b"x"), (), (("nested",), 3)]
         assert_agreement(keys, num_shards)
 
-    def test_large_mixed_sample_statistical_spread(self, num_shards):
+    @NUMERIC_ROUTERS
+    def test_large_mixed_sample_statistical_spread(self, num_shards, router):
         rng = np.random.default_rng(7)
         keys = rng.integers(-(2**40), 2**40, 5000)
-        assert_agreement(keys, num_shards)
+        assert_agreement(keys, num_shards, router)
 
 
 class TestFixedWidthArrayCaveat:
@@ -135,6 +231,29 @@ class TestFixedWidthArrayCaveat:
 
 def _rtbs_factory(rng):
     return RTBS(n=50, lambda_=0.1, rng=rng)
+
+
+class TestServiceNumericRouting:
+    """The service hashes numeric key arrays with the hot-path kernel; every
+    shard must hold exactly the items the reference routes to it."""
+
+    @pytest.mark.parametrize("num_shards", [4, 5])
+    @pytest.mark.parametrize("dtype", ["<i8", ">i8", "i2", "u4", ">u8", "f4", ">f8", "?"])
+    @pytest.mark.parametrize("explicit", [False, True], ids=["items", "keys"])
+    def test_shards_hold_what_the_reference_routes_there(self, num_shards, dtype, explicit):
+        values = np.random.default_rng(5).integers(-1000, 1000, 300)
+        if explicit:
+            items, keys = np.arange(300), values.astype(dtype)
+        else:
+            items, keys = values.astype(dtype), None
+        service = SamplerService(
+            lambda rng: RTBS(n=1000, lambda_=0.1, rng=rng), num_shards=num_shards, rng=3
+        )
+        service.ingest_batch(items, keys=keys)
+        ids = shard_ids_for_keys(items if keys is None else keys, num_shards)
+        held = service.shard_samples()
+        for shard_id in range(num_shards):
+            assert sorted(held.get(shard_id, [])) == sorted(items[ids == shard_id].tolist())
 
 
 class TestIngestKeysMaterialization:
