@@ -20,21 +20,21 @@ single sampler of equal aggregate capacity, bounding the routing overhead of
 the service layer.
 
 A fourth family of operating points compares the :mod:`repro.engine`
-execution backends — serial vs thread vs process — for sharded service
-ingest and for distributed (D-T-TBS) batch processing, asserting that every
-backend produces the identical sample (the engine's determinism contract)
-while recording what each costs on this machine. Every backend's timed
-region is *end-to-end*: ingest plus the ``SamplerService.flush()``
-completion barrier (a no-op on the in-process backends, whose ingest is
-synchronous). Pipelined-enqueue rate — how fast the driver can push frames
-into the shared-memory rings without waiting — is no longer the recorded
-process point: under worker-side routing it timed one memcpy per batch and
-said nothing about ingest capability, and it stops being comparable at all
-once routing is fused driver-side. End-to-end sustained throughput is the
-number both designs can be honestly measured on. A companion
-read-under-ingest point repeats the process measurement with a background
-thread polling snapshot-isolated ``stats()`` at ~100+ Hz, bounding what
-concurrent readers cost the ingest path.
+execution backends — serial vs process — for sharded service ingest,
+asserting that both produce the identical sample (the engine's determinism
+contract) while recording what each costs on this machine, and records
+distributed (D-T-TBS) batch processing on the serial backend. Every
+backend's timed region is *end-to-end*: ingest plus the
+``SamplerService.flush()`` completion barrier (a no-op on the serial
+backend, whose ingest is synchronous). Pipelined-enqueue rate — how fast
+the driver can push frames into the shared-memory rings without waiting —
+is no longer the recorded process point: under worker-side routing it timed
+one memcpy per batch and said nothing about ingest capability, and it stops
+being comparable at all once routing is fused driver-side. End-to-end
+sustained throughput is the number both designs can be honestly measured
+on. A companion read-under-ingest point repeats the process measurement
+with a background thread polling snapshot-isolated ``stats()`` at ~100+ Hz,
+bounding what concurrent readers cost the ingest path.
 
 A fifth operating point measures string-keyed ingest: the vectorized
 column-wise FNV-1a/SplitMix64 routing path (``ROUTING_VERSION`` 2) against
@@ -278,7 +278,7 @@ def test_sampler_service_sharded_ingest(benchmark, throughput):
 
 
 # ----------------------------------------------------------------------
-# engine-backend operating points: serial vs thread vs process
+# engine-backend operating points: serial vs process
 # ----------------------------------------------------------------------
 _BACKEND_WARMUP = 2 if _SMOKE else 6
 _BACKEND_TIMED = 2 if _SMOKE else 6
@@ -288,14 +288,14 @@ def test_service_executor_backend_operating_points(throughput):
     """SamplerService ingest through every engine backend at batch size 100k.
 
     Records one items/sec operating point per backend and asserts the
-    engine's determinism contract at benchmark scale: all backends end in
+    engine's determinism contract at benchmark scale: both backends end in
     the identical merged sample. No backend-ordering assertion is made —
-    on a single-core CI box the pools cannot win, and the process backend
+    on a single-core CI box the process pool cannot win, and the process backend
     pays a state round trip per flush by design; the point is the recorded
     trajectory, not a race.
     """
     reference_sample = None
-    for spec in ("serial", "thread", "process"):
+    for spec in ("serial", "process"):
         with get_executor(spec) as executor:
             service = SamplerService(
                 lambda rng: RTBS(
@@ -310,8 +310,8 @@ def test_service_executor_backend_operating_points(throughput):
             # *end-to-end* sustained ingest: route + stage + send on
             # the driver, overlapped worker ingest behind the
             # double-buffered rings, closed by the flush() completion
-            # barrier. (On in-process backends ingest is synchronous and
-            # flush is a no-op, so their timed region is unchanged.)
+            # barrier. (On the serial backend ingest is synchronous and
+            # flush is a no-op, so its timed region is unchanged.)
             service.flush()
             timed = _large_batches(
                 _BACKEND_TIMED, start=_BACKEND_WARMUP * _LARGE_BATCH
@@ -761,13 +761,11 @@ def test_service_reshard_operating_point(benchmark, throughput):
     )
 
 
-def test_distributed_ttbs_backend_operating_points(throughput):
-    """D-T-TBS materialized batch processing: serial vs thread engine backend.
+def test_distributed_ttbs_operating_point(throughput):
+    """D-T-TBS materialized batch processing on the serial engine backend.
 
     Wall-clock items/sec of the whole process_batch path (partition tasks +
-    pricing) on the simulated cluster, with the final sample asserted
-    identical across backends. Simulated runtimes are backend independent
-    by construction and are asserted equal too.
+    pricing) on the simulated cluster.
     """
     batch_size = _LARGE_BATCH // 10
     num_batches = 3 if _SMOKE else 10
@@ -775,28 +773,16 @@ def test_distributed_ttbs_backend_operating_points(throughput):
         np.arange(offset * batch_size, (offset + 1) * batch_size)
         for offset in range(num_batches)
     ]
-    reference = None
-    for spec in ("serial", "thread"):
-        with get_executor(spec) as backend:
-            cluster = SimulatedCluster(num_workers=4, backend=backend)
-            algorithm = DistributedTTBS(
-                n=_CAPACITY,
-                lambda_=_LAMBDA,
-                mean_batch_size=batch_size,
-                cluster=cluster,
-                rng=0,
-            )
-            begin = time.perf_counter()
-            simulated = algorithm.process_stream(list(batches))
-            elapsed = time.perf_counter() - begin
-            items_per_second = batch_size * num_batches / elapsed
-            throughput(f"dttbs-4workers-{spec}-batch10k", items_per_second)
-            print(
-                f"\nD-T-TBS [{spec}]: {items_per_second:,.0f} items/s wall-clock"
-            )
-            outcome = (sorted(algorithm.sample_items()), simulated)
-            if reference is None:
-                reference = outcome
-            else:
-                assert outcome[0] == reference[0], "thread backend changed the sample"
-                assert outcome[1] == reference[1], "pricing must be backend independent"
+    algorithm = DistributedTTBS(
+        n=_CAPACITY,
+        lambda_=_LAMBDA,
+        mean_batch_size=batch_size,
+        cluster=SimulatedCluster(num_workers=4),
+        rng=0,
+    )
+    begin = time.perf_counter()
+    algorithm.process_stream(list(batches))
+    elapsed = time.perf_counter() - begin
+    items_per_second = batch_size * num_batches / elapsed
+    throughput("dttbs-4workers-serial-batch10k", items_per_second)
+    print(f"\nD-T-TBS [serial]: {items_per_second:,.0f} items/s wall-clock")

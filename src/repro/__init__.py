@@ -5,10 +5,10 @@ The package is organized into seven subpackages:
 * :mod:`repro.core` — the sampling algorithms (R-TBS, T-TBS and every
   baseline), plus the fractional-sample machinery and closed-form analysis.
 * :mod:`repro.engine` — the partitioned-execution engine: a pluggable
-  :class:`~repro.engine.Executor` protocol (serial, thread-pool and
-  process-pool backends) with ``map_partitions``/``reduce_merge``
-  primitives; the service fans shard work out through it and the
-  distributed algorithms run their partition stages on it.
+  :class:`~repro.engine.Executor` protocol (serial and process-pool
+  backends) with ``map_partitions``/``reduce_merge`` primitives; the
+  service fans shard work out through it and the distributed algorithms
+  run their partition stages on it.
 * :mod:`repro.service` — the production ingestion layer: a sharded
   :class:`~repro.service.SamplerService` with stable hash routing,
   executor-parallel shard ingest, and pickle-free whole-service
@@ -55,7 +55,6 @@ from repro.engine import (
     Executor,
     ProcessPoolExecutor,
     SerialExecutor,
-    ThreadPoolExecutor,
     get_executor,
 )
 from repro.ml.retraining import ModelManager
@@ -68,7 +67,6 @@ __all__ = [
     "SamplerService",
     "Executor",
     "SerialExecutor",
-    "ThreadPoolExecutor",
     "ProcessPoolExecutor",
     "get_executor",
     "BatchedChao",

@@ -1,7 +1,7 @@
 """Contract-enforcing static analysis for the repro codebase.
 
 The repo rests on invariants that plain tests only catch *after* a violation
-ships: bit-identical results across serial/thread/process backends (all
+ships: bit-identical results across serial/process backends (all
 randomness flows through driver-spawned RNG streams), ``state_dict()``
 completeness for crash-safe WAL recovery, the versioned ``ROUTING_VERSION``
 key-encoding contract, and a pickle-free trust model in the checkpoint/WAL/

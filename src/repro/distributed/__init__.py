@@ -16,7 +16,7 @@ Public surface:
   :class:`~repro.distributed.cluster.SimulatedCluster` — the execution
   substrate. The cluster implements the :mod:`repro.engine` ``Executor``
   protocol: partition tasks run on an optional inner backend (serial or
-  thread) while stages are *priced* by the cost model, so simulated
+  process) while stages are *priced* by the cost model, so simulated
   runtimes are backend independent and reproducible anywhere.
 * :class:`~repro.distributed.batches.DistributedBatch` — a partitioned
   incoming batch, either materialized (real items) or virtual (counts only)

@@ -12,14 +12,14 @@ runtimes and break them down by component.
 Since the engine refactor the cluster is also an
 :class:`~repro.engine.executors.Executor`: partition-local work reaches it
 through the same ``map_partitions``/``reduce_merge`` protocol the real
-serial/thread/process backends implement. What distinguishes the cluster is
+serial/process backends implement. What distinguishes the cluster is
 that it *prices* stages with the calibrated
 :class:`~repro.distributed.costmodel.CostModel` instead of measuring
 wall-clock — the simulator stays the executable cost-model spec of the
 paper's Figures 7-9 — while the tasks themselves execute on an optional
-inner ``backend`` executor (serial by default, a thread pool if you want the
-data movement to really overlap). Pricing is independent of the backend, so
-simulated runtimes are reproducible on any machine.
+inner ``backend`` executor (serial by default, or a process backend that
+keeps the partitions resident in its workers). Pricing is independent of
+the backend, so simulated runtimes are reproducible on any machine.
 """
 
 from __future__ import annotations
@@ -59,11 +59,8 @@ class SimulatedCluster(Executor):
     backend:
         Inner :class:`~repro.engine.executors.Executor` that actually runs
         partition tasks submitted through :meth:`map_partitions`. Defaults
-        to a :class:`~repro.engine.executors.SerialExecutor`. A thread
-        backend runs the per-partition data movement concurrently without
-        changing any simulated cost or any sampling trajectory (tasks are
-        RNG-free or own private streams; see the engine's determinism
-        contract). A transport-capable process backend
+        to a :class:`~repro.engine.executors.SerialExecutor`. A
+        transport-capable process backend
         (:class:`~repro.engine.executors.ProcessPoolExecutor`) is accepted
         too: the distributed algorithms then keep their reservoir/sample
         partitions *resident* in the persistent workers

@@ -33,8 +33,8 @@ item movement on the partitioned reservoir) through the cluster's
 ``map_partitions`` and collects removed items with ``reduce_merge``. The
 cluster prices each stage with the cost model exactly as before (pricing is
 independent of the backend), and because applies for different partitions
-touch disjoint buckets, running them on a thread backend
-(``SimulatedCluster(..., backend=ThreadPoolExecutor())``) reproduces the
+touch disjoint buckets, running them resident in a process backend
+(``SimulatedCluster(..., backend=ProcessPoolExecutor())``) reproduces the
 serial trajectories bit for bit.
 """
 

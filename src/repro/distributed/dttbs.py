@@ -14,7 +14,7 @@ partition — the same vectorized thinning as the serial
 :class:`repro.core.ttbs.TTBS`. Since the engine refactor each worker update
 is one partition task submitted through the cluster's ``map_partitions``
 (:mod:`repro.engine`): workers own private RNG streams and disjoint
-partitions, so the tasks run unchanged on the serial or thread backend and
+partitions, so the tasks run unchanged on the serial or process backend and
 the sampled trajectories are identical either way. The single priced stage
 is charged by the same call.
 """

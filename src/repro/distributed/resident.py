@@ -16,8 +16,8 @@ workers. Two kinds of resident objects:
 * :class:`TTBSWorkerReservoir` — one D-T-TBS worker's sample partition plus
   its private RNG stream. :meth:`update` replays the exact draw sequence of
   the in-process worker update (thinning mask, per-piece binomial, position
-  choice), so the sampled trajectory is bit-identical to the serial and
-  thread backends.
+  choice), so the sampled trajectory is bit-identical to the serial
+  backend.
 * :class:`ReservoirPartitionBucket` — one D-R-TBS reservoir partition. The
   master still *plans* every stochastic decision driver-side (the plan/apply
   split of the engine refactor); the bucket only executes the RNG-free data

@@ -5,8 +5,8 @@ sharded :class:`~repro.service.SamplerService`, the distributed
 D-R-TBS/D-T-TBS algorithms, the benchmarks — runs through this package's
 :class:`Executor` protocol:
 
-* :mod:`repro.engine.executors` — :class:`SerialExecutor`,
-  :class:`ThreadPoolExecutor` and :class:`ProcessPoolExecutor` backends, the
+* :mod:`repro.engine.executors` — the :class:`SerialExecutor` and
+  :class:`ProcessPoolExecutor` backends, the
   :class:`StageRecord` bookkeeping they share, the :func:`get_executor`
   spec resolver, and :func:`require_in_place_backend`, which refuses a
   state-shipping backend without a transport;
@@ -19,7 +19,7 @@ D-R-TBS/D-T-TBS algorithms, the benchmarks — runs through this package's
 * :mod:`repro.engine.shards` — shard work units: in-process ingest, and
   the transport's attach/snapshot hooks and worker-side
   :func:`service_ingest_window`, built on the ``state_dict()`` protocol;
-* :class:`~repro.distributed.cluster.SimulatedCluster` — the fourth
+* :class:`~repro.distributed.cluster.SimulatedCluster` — the third
   implementation of the protocol, living with the distributed layer: it
   *prices* stages with the paper's calibrated cost model instead of
   measuring them.
@@ -44,7 +44,6 @@ from repro.engine.executors import (
     ProcessPoolExecutor,
     SerialExecutor,
     StageRecord,
-    ThreadPoolExecutor,
     get_executor,
     require_in_place_backend,
 )
@@ -66,7 +65,6 @@ R = TypeVar("R")
 __all__ = [
     "Executor",
     "SerialExecutor",
-    "ThreadPoolExecutor",
     "ProcessPoolExecutor",
     "StageRecord",
     "get_executor",

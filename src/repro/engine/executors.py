@@ -8,10 +8,6 @@ merge* (union the partial samples, combine the bookkeeping). An
 
 * :class:`SerialExecutor` — in the calling thread, in partition order; the
   reference backend every other backend must match draw for draw.
-* :class:`ThreadPoolExecutor` — a thread pool; partition tasks share the
-  interpreter, so they may close over live objects. NumPy releases the GIL
-  for large array operations, so the vectorized ``process_stream`` hot path
-  genuinely overlaps.
 * :class:`ProcessPoolExecutor` — a pool of *persistent* worker processes
   (:class:`~repro.engine.transport.ShardWorkerPool`). Generic tasks cross a
   process boundary, so the function must be module-level and arguments
@@ -19,7 +15,7 @@ merge* (union the partial samples, combine the bookkeeping). An
   workers — shipped once on attach, returned only on checkpoint or detach —
   and per-batch arrays cross through shared-memory ring buffers instead of
   pickle (see :mod:`repro.engine.transport`).
-* :class:`~repro.distributed.cluster.SimulatedCluster` — the fourth
+* :class:`~repro.distributed.cluster.SimulatedCluster` — the third
   implementation of this protocol: it executes partition tasks through an
   optional inner backend and *prices* stages with the calibrated cost model
   instead of measuring them, which keeps the simulator as the executable
@@ -35,7 +31,6 @@ from __future__ import annotations
 
 import time
 from abc import ABC, abstractmethod
-from concurrent import futures
 from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Sequence, TypeVar
 
@@ -48,7 +43,6 @@ __all__ = [
     "StageRecord",
     "Executor",
     "SerialExecutor",
-    "ThreadPoolExecutor",
     "ProcessPoolExecutor",
     "get_executor",
     "require_in_place_backend",
@@ -74,7 +68,7 @@ class Executor(ABC):
     measured — through one interface.
     """
 
-    #: Short backend identifier, e.g. ``"serial"``/``"thread"``/``"process"``.
+    #: Short backend identifier, ``"serial"`` or ``"process"``.
     name: str = "executor"
     #: True when tasks cross a process boundary: the task function must be
     #: module-level, and arguments/results must be picklable. Callers that
@@ -186,38 +180,6 @@ class SerialExecutor(Executor):
         return [fn(task) for task in tasks]
 
 
-class ThreadPoolExecutor(Executor):
-    """Runs partition tasks on a shared thread pool.
-
-    Tasks stay in-process, so they may close over live samplers and mutate
-    disjoint per-partition state. Safe whenever tasks touch disjoint data
-    and draw no randomness from a shared generator.
-    """
-
-    name = "thread"
-
-    def __init__(self, max_workers: int | None = None) -> None:
-        super().__init__()
-        if max_workers is not None and max_workers <= 0:
-            raise ValueError(f"max_workers must be positive, got {max_workers}")
-        self._max_workers = max_workers
-        self._pool: futures.ThreadPoolExecutor | None = None
-
-    def _run_tasks(self, fn: Callable[[T], R], tasks: Sequence[T]) -> list[R]:
-        if not tasks:
-            return []
-        if self._pool is None:
-            self._pool = futures.ThreadPoolExecutor(
-                max_workers=self._max_workers, thread_name_prefix="repro-engine"
-            )
-        return list(self._pool.map(fn, tasks))
-
-    def shutdown(self) -> None:
-        if self._pool is not None:
-            self._pool.shutdown(wait=True)
-            self._pool = None
-
-
 class ProcessPoolExecutor(Executor):
     """Runs partition tasks on *persistent* worker processes.
 
@@ -266,8 +228,8 @@ def get_executor(spec: "Executor | str | None") -> Executor:
     """Resolve an executor from a backend spec.
 
     Accepts an existing :class:`Executor` (returned unchanged), ``None``
-    (serial), or a string spec: ``"serial"``, ``"thread"``, ``"process"``,
-    optionally with a worker count as in ``"thread:8"`` / ``"process:4"``.
+    (serial), or a string spec: ``"serial"`` or ``"process"``, the latter
+    optionally with a worker count as in ``"process:4"``.
     """
     if spec is None:
         return SerialExecutor()
@@ -290,13 +252,11 @@ def get_executor(spec: "Executor | str | None") -> Executor:
         if separator:
             raise ValueError("the serial executor takes no worker count")
         return SerialExecutor()
-    if name == "thread":
-        return ThreadPoolExecutor(max_workers=max_workers)
     if name == "process":
         return ProcessPoolExecutor(max_workers=max_workers)
     raise ValueError(
-        f"unknown executor backend {spec!r}; expected 'serial', 'thread[:N]' "
-        "or 'process[:N]'"
+        f"unknown executor backend {spec!r}; expected 'serial' or "
+        "'process[:N]'"
     )
 
 
@@ -304,12 +264,12 @@ def require_in_place_backend(backend: Executor, caller: str) -> None:
     """Raise ``ValueError`` for a backend that ships state without a transport.
 
     The sampler service and the simulated cluster mutate their partitions
-    in place (serial/thread) or keep them resident in transport workers; a
+    in place (serial) or keep them resident in transport workers; a
     plain state-shipping backend would run every task on a copy.
     """
     if backend.ships_state and not backend.provides_transport:
         raise ValueError(
-            f"{caller} needs an in-process backend (serial or thread) or a "
+            f"{caller} needs the in-process serial backend or a "
             "transport-capable process backend; a plain state-shipping "
             f"backend ({backend.name!r}) cannot mutate driver-held state in "
             "place"

@@ -2,9 +2,9 @@
 
 These module-level functions are the task payloads the engine backends
 run. The in-process task (:func:`ingest_shard_inplace`) ingests a
-sub-stream into a live shard sampler on the serial and thread backends. The
-rest run in the process backend's persistent workers, so they must be
-importable by a worker process (no closures) and take picklable arguments.
+sub-stream into a live shard sampler on the serial backend. The rest run
+in the process backend's persistent workers, so they must be importable by
+a worker process (no closures) and take picklable arguments.
 The discipline mirrors a real cluster: what crosses the boundary is shard
 *state* — the pickle-free ``state_dict()`` snapshot of scalars and NumPy
 arrays every sampler implements, shipped once on attach and back on
@@ -41,11 +41,10 @@ ShardTask = tuple[
 
 
 def ingest_shard_inplace(task: ShardTask) -> None:
-    """Ingest a sub-stream into a live shard sampler (serial/thread backends).
+    """Ingest a sub-stream into a live shard sampler (serial backend).
 
     The sampler is mutated in place; per-shard samplers own disjoint state
-    and private RNG streams, so concurrent execution across shards is safe
-    and deterministic.
+    and private RNG streams, so the result does not depend on shard order.
     """
     sampler, batches, times, arrivals = task
     sampler.process_stream(batches, times=times, arrivals=arrivals)

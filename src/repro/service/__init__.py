@@ -10,7 +10,7 @@ a long-running service:
   per-shard samplers with lazy creation, deterministic per-shard RNG
   streams, bulk ingest through the vectorized ``process_stream`` hot path
   fanned out over a pluggable :mod:`repro.engine` executor
-  (serial/thread/process), snapshot-isolated reads (``snapshot()`` yields
+  (serial/process), snapshot-isolated reads (``snapshot()`` yields
   a :class:`ServiceSnapshot` — a consistent committed-watermark cut served
   without draining the pipeline; ``stats()`` and the sample queries read
   from such cuts), and elastic ``reshard()`` — the shard layout scales

@@ -85,7 +85,6 @@ change.
 
 from __future__ import annotations
 
-import os
 from functools import lru_cache
 from hashlib import blake2b
 from typing import Any, Iterable, NamedTuple, Sequence
@@ -117,11 +116,9 @@ _MASK64 = (1 << 64) - 1
 _FNV_BASIS = 0xCBF29CE484222325
 _FNV_PRIME = 0x100000001B3
 
-#: Bound on the v1 per-key digest cache. The default keeps ~64k distinct
-#: keys resident (a few MB); streams with larger hot key sets can raise it
-#: via ``REPRO_ROUTING_CACHE_SIZE`` before first import. v2 routing does
-#: not use the cache at all.
-_ROUTING_CACHE_SIZE = int(os.environ.get("REPRO_ROUTING_CACHE_SIZE", "65536"))
+#: Bound on the v1 per-key digest cache: ~64k distinct keys resident (a
+#: few MB). v2 routing does not use the cache at all.
+_ROUTING_CACHE_SIZE = 65_536
 
 
 def _check_version(version: int) -> None:
@@ -173,7 +170,7 @@ def _blake2b_bytes_hash(data: bytes) -> int:
 
     Keyed streams route the same identities over and over (user ids, device
     ids); the cache turns the digest into a dict probe for every repeat.
-    The cache is bounded (see ``REPRO_ROUTING_CACHE_SIZE``), so an
+    The cache is bounded (see ``_ROUTING_CACHE_SIZE``), so an
     all-distinct stream degrades to one digest per key, never to unbounded
     memory.
     """
@@ -415,7 +412,12 @@ def _numeric_shard_ids(keys: np.ndarray, num_shards: int) -> np.ndarray:
     scratch = np.empty(min(count, _KERNEL_BLOCK), dtype=np.uint64)
     for start in range(0, count, _KERNEL_BLOCK):
         block = keys[start : start + _KERNEL_BLOCK]
-        if widen is not None:
+        if widen is np.float64:
+            # A signalling NaN comes out quieted, exactly as the normative
+            # path routes it; only the cast's warning is silenced.
+            with np.errstate(invalid="ignore"):
+                block = block.astype(widen)
+        elif widen is not None:
             block = block.astype(widen)
         x = hashes[start : start + len(block)]
         tmp = scratch[: len(block)]

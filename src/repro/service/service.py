@@ -40,7 +40,7 @@ radix-grouped, gathered, logged and shipped — at steady state well under
 one percent of a large batch — while every shard still learns its
 arrival count (see :meth:`~repro.core.base.Sampler.process_stream`):
 
-* ``"serial"`` (default) and ``"thread"`` ingest in-process: one gather
+* ``"serial"`` (default) ingests in-process: one gather
   of the accepted rows yields contiguous per-shard NumPy slices (the
   sub-batches the WAL records), buffered for up to ``window`` batches and
   handed out as one engine task per shard;
@@ -331,7 +331,7 @@ class SamplerService:
     executor:
         Where per-shard ingest work runs: an
         :class:`~repro.engine.Executor`, a backend spec string
-        (``"serial"``, ``"thread[:N]"``, ``"process[:N]"``), or ``None``
+        (``"serial"`` or ``"process[:N]"``), or ``None``
         for serial. The backend changes *where* shard updates execute,
         never *what* they compute — samples are bit-identical across
         backends for a fixed seed. The service owns the executor's worker
@@ -828,8 +828,8 @@ class SamplerService:
         shard order so every backend sees the same task list: the live
         shard sampler plus its buffered sub-batches — contiguous slices of
         the per-batch gather in :meth:`_ingest_step` — their arrival times
-        and their arrival counts, so thread-pool tasks go straight into
-        GIL-releasing NumPy kernels.
+        and their arrival counts, so each task goes straight into the
+        vectorized NumPy kernels.
         """
         self._window_task = None
         if self._transport_attached:
@@ -1387,10 +1387,10 @@ class SamplerService:
         :meth:`_PlannedBatch.sub_batches`), so each shard's rows are one
         contiguous run and each worker receives exactly its shards' runs,
         back to back, plus the ``(shard_id, count, arrivals)`` list its
-        window task cuts them by — the worker never re-hashes. A shard that accepted none of its arrivals gets an
-        empty run: it still has to decay and count them. Sub-batch contents
-        and within-shard order match the serial path exactly, so
-        trajectories stay bit-identical.
+        window task cuts them by — the worker never re-hashes. A shard that
+        accepted none of its arrivals gets an empty run: it still has to
+        decay and count them. Sub-batch contents and within-shard order
+        match the serial path exactly, so trajectories stay bit-identical.
         """
         if not self._transport_attached:
             self._attach_all_shards()
@@ -1849,7 +1849,7 @@ class SamplerService:
         the synchronized shards; and fresh per-shard RNG streams for the
         new layout are spawned deterministically from the master RNG. The
         whole operation runs driver-side, so it is bit-identical across
-        serial/thread/process backends and through checkpoint/restore.
+        serial/process backends and through checkpoint/restore.
 
         ``sampler_factory``, when given, replaces the service's factory for
         the new layout (and all shards created after it) — the idiomatic

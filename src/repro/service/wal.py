@@ -8,7 +8,7 @@ dispatched to the shard samplers, so recovery is
 
     last delta checkpoint  +  replay of each shard's log tail,
 
-and by the engine's determinism contract (serial/thread/process backends are
+and by the engine's determinism contract (serial/process backends are
 bit-identical for a fixed seed) the replayed service is bit-identical to an
 uninterrupted run — not merely statistically equivalent.
 

@@ -133,51 +133,6 @@ def test_dttbs_virtual_trajectory_is_bit_identical(golden):
     _assert_bit_identical(actual, golden["dttbs"]["virtual"], "dttbs-virtual")
 
 
-class TestThreadBackendEquivalence:
-    """The engine's thread backend must reproduce the serial goldens exactly.
-
-    All randomness is drawn driver-side (D-R-TBS plans) or from private
-    per-worker streams (D-T-TBS), so running the apply tasks on a thread
-    pool changes nothing — including the priced runtimes, which are backend
-    independent by construction.
-    """
-
-    def test_drtbs_on_thread_backend_matches_golden(self, golden):
-        from repro.engine import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(3) as backend:
-            actual = drtbs_trajectory(
-                "cent-kv-rj",
-                materialized=True,
-                num_batches=30,
-                batch_size=25,
-                n=40,
-                lambda_=0.25,
-                workers=4,
-                seed=3,
-                backend=backend,
-            )
-        _assert_bit_identical(
-            actual, golden["drtbs"]["cent-kv-rj-materialized"], "cent-kv-rj-threads"
-        )
-
-    def test_dttbs_on_thread_backend_matches_golden(self, golden):
-        from repro.engine import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(3) as backend:
-            actual = dttbs_trajectory(
-                materialized=True,
-                num_batches=30,
-                batch_size=20,
-                n=50,
-                lambda_=0.2,
-                workers=3,
-                seed=2,
-                backend=backend,
-            )
-        _assert_bit_identical(actual, golden["dttbs"]["materialized"], "dttbs-threads")
-
-
 class TestProcessBackendEquivalence:
     """The persistent-worker process backend must reproduce the goldens too.
 
@@ -210,6 +165,43 @@ class TestProcessBackendEquivalence:
             golden["drtbs"][f"{variant}-materialized"],
             f"{variant}-process",
         )
+
+    def test_drtbs_on_an_uneven_process_pool_matches_golden(self, golden):
+        # Four partitions on three workers: one worker hosts two of them.
+        from repro.engine import ProcessPoolExecutor
+
+        with ProcessPoolExecutor(3) as backend:
+            actual = drtbs_trajectory(
+                "cent-kv-rj",
+                materialized=True,
+                num_batches=30,
+                batch_size=25,
+                n=40,
+                lambda_=0.25,
+                workers=4,
+                seed=3,
+                backend=backend,
+            )
+        _assert_bit_identical(
+            actual, golden["drtbs"]["cent-kv-rj-materialized"], "cent-kv-rj-3-procs"
+        )
+
+    def test_dttbs_on_a_single_process_worker_matches_golden(self, golden):
+        # Every worker sample partition resident in the one process.
+        from repro.engine import ProcessPoolExecutor
+
+        with ProcessPoolExecutor(1) as backend:
+            actual = dttbs_trajectory(
+                materialized=True,
+                num_batches=30,
+                batch_size=20,
+                n=50,
+                lambda_=0.2,
+                workers=3,
+                seed=2,
+                backend=backend,
+            )
+        _assert_bit_identical(actual, golden["dttbs"]["materialized"], "dttbs-1-proc")
 
     def test_drtbs_irregular_gaps_on_process_backend(self, golden):
         from repro.engine import ProcessPoolExecutor

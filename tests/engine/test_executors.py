@@ -11,7 +11,6 @@ from repro.engine import (
     Executor,
     ProcessPoolExecutor,
     SerialExecutor,
-    ThreadPoolExecutor,
     get_executor,
     map_partitions,
     merge_samples,
@@ -24,7 +23,7 @@ def _square(x: int) -> int:
 
 
 class TestBackends:
-    @pytest.mark.parametrize("spec", ["serial", "thread", "thread:2", "process:2"])
+    @pytest.mark.parametrize("spec", ["serial", "process", "process:1", "process:2"])
     def test_map_partitions_preserves_partition_order(self, spec):
         with get_executor(spec) as executor:
             assert executor.map_partitions(_square, range(20)) == [
@@ -32,12 +31,12 @@ class TestBackends:
             ]
 
     def test_empty_partition_list(self):
-        for executor in (SerialExecutor(), ThreadPoolExecutor(2), ProcessPoolExecutor(2)):
+        for executor in (SerialExecutor(), ProcessPoolExecutor(2)):
             with executor:
                 assert executor.map_partitions(_square, []) == []
 
     def test_reduce_merge_runs_driver_side(self):
-        with ThreadPoolExecutor(2) as executor:
+        with ProcessPoolExecutor(2) as executor:
             driver_thread = threading.get_ident()
             seen: list[int] = []
 
@@ -48,16 +47,14 @@ class TestBackends:
             assert executor.reduce_merge(merge, [1, 2, 3]) == 6
             assert seen == [driver_thread]
 
-    def test_thread_tasks_share_the_interpreter(self):
-        # In-process backends may close over live mutable state.
+    def test_serial_tasks_share_the_interpreter(self):
+        # The in-process backend may close over live mutable state.
         counter = {"value": 0}
-        lock = threading.Lock()
 
         def bump(_):
-            with lock:
-                counter["value"] += 1
+            counter["value"] += 1
 
-        with ThreadPoolExecutor(4) as executor:
+        with SerialExecutor() as executor:
             executor.map_partitions(bump, range(50))
         assert counter["value"] == 50
 
@@ -85,7 +82,6 @@ class TestBackends:
 
     def test_ships_state_flags(self):
         assert not SerialExecutor().ships_state
-        assert not ThreadPoolExecutor().ships_state
         assert ProcessPoolExecutor().ships_state
 
     def test_module_level_primitives_delegate(self):
@@ -98,33 +94,29 @@ class TestGetExecutor:
     def test_resolves_specs(self):
         assert isinstance(get_executor(None), SerialExecutor)
         assert isinstance(get_executor("serial"), SerialExecutor)
-        assert isinstance(get_executor("thread"), ThreadPoolExecutor)
         assert isinstance(get_executor("process"), ProcessPoolExecutor)
-        assert isinstance(get_executor("thread:3"), ThreadPoolExecutor)
 
     def test_instances_pass_through(self):
-        executor = ThreadPoolExecutor(2)
+        executor = ProcessPoolExecutor(2)
         assert get_executor(executor) is executor
 
     def test_rejects_bad_specs(self):
         with pytest.raises(ValueError, match="unknown executor backend"):
             get_executor("gpu")
         with pytest.raises(ValueError, match="worker count"):
-            get_executor("thread:many")
+            get_executor("process:many")
         with pytest.raises(ValueError, match="no worker count"):
             get_executor("serial:4")
         with pytest.raises(TypeError, match="executor spec"):
             get_executor(3)
         with pytest.raises(ValueError, match="max_workers"):
-            ThreadPoolExecutor(0)
+            ProcessPoolExecutor(0)
         with pytest.raises(ValueError, match="max_workers"):
             ProcessPoolExecutor(-1)
 
     def test_rejects_trailing_colon_with_empty_worker_count(self):
-        # Regression: "thread:"/"serial:" used to be silently accepted
+        # Regression: "process:"/"serial:" used to be silently accepted
         # because the empty worker field is falsy.
-        with pytest.raises(ValueError, match="worker count"):
-            get_executor("thread:")
         with pytest.raises(ValueError, match="worker count"):
             get_executor("serial:")
         with pytest.raises(ValueError, match="worker count"):
@@ -150,15 +142,6 @@ class TestSimulatedClusterAsExecutor:
         assert cluster.stages[-1].description == "work"
         assert cluster.stages[-1].worker_times == (1.0, 2.0, 3.0)
 
-    def test_thread_backend_runs_tasks_without_changing_prices(self):
-        serial = SimulatedCluster(num_workers=4)
-        threaded = SimulatedCluster(num_workers=4, backend=ThreadPoolExecutor(2))
-        for cluster in (serial, threaded):
-            cluster.map_partitions(_square, range(4), description="stage", costs=2.0)
-        assert serial.elapsed == threaded.elapsed
-        assert serial.stages[-1].duration == threaded.stages[-1].duration
-        threaded.shutdown()
-
     def test_transport_capable_process_backend_is_accepted(self):
         # The persistent-worker process backend provides a transport, so
         # distributed algorithms can keep partitions resident; module-level
@@ -166,6 +149,18 @@ class TestSimulatedClusterAsExecutor:
         with ProcessPoolExecutor(2) as backend:
             cluster = SimulatedCluster(num_workers=2, backend=backend)
             assert cluster.map_partitions(_square, [2, 3]) == [4, 9]
+
+    def test_process_backend_runs_tasks_without_changing_prices(self):
+        serial = SimulatedCluster(num_workers=4)
+        with ProcessPoolExecutor(2) as backend:
+            shipped = SimulatedCluster(num_workers=4, backend=backend)
+            for cluster in (serial, shipped):
+                results = cluster.map_partitions(
+                    _square, range(4), description="stage", costs=2.0
+                )
+                assert results == [0, 1, 4, 9]
+        assert serial.elapsed == shipped.elapsed
+        assert serial.stages[-1].duration == shipped.stages[-1].duration
 
     def test_plain_state_shipping_backend_is_rejected(self):
         class Shipper(SerialExecutor):

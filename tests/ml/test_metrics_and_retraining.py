@@ -234,16 +234,16 @@ class TestModelManagerWithSamplerService:
         # The training set really is the union of the shard samples.
         assert len(service.sample_items()) == service.stats()["total_items"]
 
-    def test_thread_executor_loss_series_matches_serial(self):
+    def test_process_executor_loss_series_matches_serial(self):
         batches = self._batches(8, 40, seed=7)
         serial = ModelManager(
             self._service("serial"), lambda: KNNClassifier(k=3), misclassification_rate
         )
         serial_result = serial.run(batches)
-        with self._service("thread:3") as service:
-            threaded = ModelManager(
+        with self._service("process:2") as service:
+            shipped = ModelManager(
                 service, lambda: KNNClassifier(k=3), misclassification_rate
             )
-            threaded_result = threaded.run(batches)
-        assert threaded_result.losses == serial_result.losses
-        assert threaded_result.sample_sizes == serial_result.sample_sizes
+            shipped_result = shipped.run(batches)
+        assert shipped_result.losses == serial_result.losses
+        assert shipped_result.sample_sizes == serial_result.sample_sizes

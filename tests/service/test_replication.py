@@ -12,8 +12,8 @@ that ride with it:
   activate after the base, a worker killed while a cadence cut's markers
   are in flight, and a crash right after ``checkpoint()`` truncated the
   log;
-* forced failover on every backend (serial and thread here; the process
-  backend's SIGKILL sweep lives in ``test_replication_chaos.py``);
+* forced failover on ``serial`` and ``process:2`` (the process backend's
+  SIGKILL sweep lives in ``test_replication_chaos.py``);
 * ``close()`` idempotency after a worker crash (satellite: double-close
   and masked-exception paths);
 * :class:`~repro.service.wal.WALLayoutError` on damaged or foreign
@@ -187,10 +187,10 @@ class TestFailureDetector:
 
 
 # ----------------------------------------------------------------------
-# Forced failover on in-process backends
+# Forced failover on every backend
 # ----------------------------------------------------------------------
 class TestForcedFailover:
-    @pytest.mark.parametrize("backend", [None, "thread:2"], ids=["serial", "thread"])
+    @pytest.mark.parametrize("backend", [None, "process:2"], ids=["serial", "process"])
     @pytest.mark.parametrize("at_batch", [0, 4, 9])
     def test_mid_stream_promotion_is_bit_identical(self, tmp_path, backend, at_batch):
         batches = _batches(10)

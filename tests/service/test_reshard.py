@@ -10,7 +10,7 @@ and non-power-of-two ``M`` — such that
   conserved to float tolerance (aggregate capacity held constant via the
   re-provisioned factory);
 * **determinism**: the post-reshard samples, subsequent trajectories, and
-  checkpoints are identical on the serial, thread, and process backends
+  checkpoints are identical on the serial and process backends
   for a fixed seed.
 """
 
@@ -131,14 +131,14 @@ class TestCheckpointPortableRestore:
 
 
 # ----------------------------------------------------------------------
-# backend identity: serial / thread / process
+# backend identity: serial / process
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("new_count", [8, 2, 3])
 class TestBackendIdentity:
     def test_reshard_is_bit_identical_across_backends(self, tmp_path, new_count):
         states = {}
         samples = {}
-        for backend in ("serial", "thread:3", "process:2"):
+        for backend in ("serial", "process:2"):
             with SamplerService(
                 scaled_factory(4), num_shards=4, rng=17, executor=backend
             ) as service:
@@ -148,21 +148,16 @@ class TestBackendIdentity:
                 samples[backend] = service.sample_items()
                 states[backend] = service.state_dict()
                 save_service(service, tmp_path / f"ckpt-{service.executor.name}")
-        assert samples["thread:3"] == samples["serial"]
         assert samples["process:2"] == samples["serial"]
-        _assert_states_equal(states["thread:3"], states["serial"])
         _assert_states_equal(states["process:2"], states["serial"])
         # The persisted checkpoints restore to the same deployment too.
         reference = load_service(
             tmp_path / "ckpt-serial", scaled_factory(new_count)
         ).state_dict()
-        for name in ("thread", "process"):
-            _assert_states_equal(
-                load_service(
-                    tmp_path / f"ckpt-{name}", scaled_factory(new_count)
-                ).state_dict(),
-                reference,
-            )
+        _assert_states_equal(
+            load_service(tmp_path / "ckpt-process", scaled_factory(new_count)).state_dict(),
+            reference,
+        )
 
 
 # ----------------------------------------------------------------------

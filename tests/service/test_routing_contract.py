@@ -19,6 +19,7 @@ suite is what pins it to the encoding.
 from __future__ import annotations
 
 import functools
+import warnings
 
 import numpy as np
 import pytest
@@ -155,9 +156,14 @@ class TestAgreement:
                 dtype=dtype,
             )
         assert arr.dtype == dtype
-        # Widening a signalling NaN to float64 quiets it (with a warning);
-        # both routers and stable_hash widen the same way.
-        with np.errstate(invalid="ignore"):
+        # Widening a signalling NaN to float64 quiets it; both routers and
+        # stable_hash widen the same way. The normative router warns as it
+        # does so; the kernel runs on every ingest and must not.
+        with warnings.catch_warnings():
+            if router is _numeric_shard_ids:
+                warnings.simplefilter("error", RuntimeWarning)
+            else:
+                warnings.simplefilter("ignore", RuntimeWarning)
             assert_agreement(arr, num_shards, router)
 
     @NUMERIC_ROUTERS
@@ -254,6 +260,22 @@ class TestServiceNumericRouting:
         held = service.shard_samples()
         for shard_id in range(num_shards):
             assert sorted(held.get(shard_id, [])) == sorted(items[ids == shard_id].tolist())
+
+    def test_signalling_nan_keys_ingest_without_warning(self):
+        items = [1, 2, 3]
+        keys = np.array([0x7FA00000, 0x7F800001, 0x3F800000], dtype=np.uint32).view(np.float32)
+        service = SamplerService(
+            lambda rng: RTBS(n=1000, lambda_=0.1, rng=rng), num_shards=4, rng=3
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            service.ingest_batch(items, keys=keys)
+        with np.errstate(invalid="ignore"):
+            ids = shard_ids_for_keys(keys, 4)
+        held = service.shard_samples()
+        for shard_id in range(4):
+            expected = [items[i] for i in np.flatnonzero(ids == shard_id)]
+            assert sorted(held.get(shard_id, [])) == expected
 
 
 class TestIngestKeysMaterialization:

@@ -1,11 +1,10 @@
 """Executor-backend tests for SamplerService: equivalence + checkpointing.
 
 The engine's determinism contract says the backend changes *where* shard
-work runs, never *what* it computes. These tests pin that: identical sample
-trajectories across serial/thread backends for a fixed seed, a
+work runs, never *what* it computes. These tests pin that: a
 process-backend smoke test (state ships across the process boundary and
-returns bit-exact), and the acceptance scenario — the 4-shard mid-stream
-checkpoint/restore — driven through the thread and process backends.
+returns bit-exact against serial), and the acceptance scenario — the
+4-shard mid-stream checkpoint/restore — driven through the process backend.
 """
 
 from __future__ import annotations
@@ -34,7 +33,6 @@ from repro.engine import (
     ProcessPoolExecutor,
     SerialExecutor,
     ShardWorkerPool,
-    ThreadPoolExecutor,
     WorkerCrashError,
 )
 from repro.service import SamplerService, load_service, save_service
@@ -52,22 +50,22 @@ def _batches(count: int, size: int = 400, start: int = 0) -> list[np.ndarray]:
 
 
 class TestBackendEquivalence:
-    def test_serial_and_thread_trajectories_are_identical(self):
+    def test_serial_and_process_trajectories_are_identical(self):
         batches = _batches(12)
         serial = SamplerService(rtbs_factory, num_shards=4, rng=17, executor="serial")
         with SamplerService(
-            rtbs_factory, num_shards=4, rng=17, executor=ThreadPoolExecutor(3)
-        ) as threaded:
+            rtbs_factory, num_shards=4, rng=17, executor=ProcessPoolExecutor(2)
+        ) as shipped:
             # Interleave per-batch and windowed bulk ingest on both.
             for batch in batches[:4]:
                 serial.ingest_batch(batch)
-                threaded.ingest_batch(batch)
+                shipped.ingest_batch(batch)
             serial.ingest(batches[4:], window=3)
-            threaded.ingest(batches[4:], window=3)
-            assert threaded.sample_items() == serial.sample_items()
-            assert threaded.total_weight == serial.total_weight
-            assert threaded.shard_samples() == serial.shard_samples()
-            assert threaded.time == serial.time
+            shipped.ingest(batches[4:], window=3)
+            assert shipped.sample_items() == serial.sample_items()
+            assert shipped.total_weight == serial.total_weight
+            assert shipped.shard_samples() == serial.shard_samples()
+            assert shipped.time == serial.time
 
     def test_process_backend_smoke(self):
         """Process backend: shard state ships out, returns, and stays exact."""
@@ -85,14 +83,15 @@ class TestBackendEquivalence:
             assert stats["active_shards"] == 4
 
     def test_executor_spec_strings_are_accepted(self):
-        service = SamplerService(rtbs_factory, num_shards=2, rng=0, executor="thread:2")
+        service = SamplerService(rtbs_factory, num_shards=2, rng=0, executor="process:2")
         service.ingest_batch(np.arange(100))
         assert len(service.sample_items()) > 0
         service.shutdown()
 
-    def test_invalid_executor_spec_is_rejected(self):
+    @pytest.mark.parametrize("spec", ["gpu", "thread", "thread:2"])
+    def test_invalid_executor_spec_is_rejected(self, spec):
         with pytest.raises(ValueError, match="unknown executor backend"):
-            SamplerService(rtbs_factory, num_shards=2, rng=0, executor="gpu")
+            SamplerService(rtbs_factory, num_shards=2, rng=0, executor=spec)
 
 
 class TestStats:
@@ -372,9 +371,9 @@ class TestExecutorLifecycle:
         assert issubclass(WorkerCrashError, EngineError)
 
 
-@pytest.mark.parametrize("backend", ["thread", "process:2"])
+@pytest.mark.parametrize("backend", ["process:2", "process:3"])
 class TestCheckpointThroughParallelBackends:
-    """The 4-shard mid-stream restore scenario, driven through each backend."""
+    """The 4-shard mid-stream restore scenario, on even and uneven pools."""
 
     def test_mid_stream_checkpoint_restore_is_bit_identical(self, tmp_path, backend):
         prefix = _batches(10)

@@ -29,8 +29,8 @@ from repro.service.wal import read_log_records
 
 from tests.faults import assert_states_equal
 
-BACKENDS = [None, "thread:2", "process:2"]
-BACKEND_IDS = ["serial", "thread", "process"]
+BACKENDS = [None, "process:1", "process:2"]
+BACKEND_IDS = ["serial", "process-1", "process"]
 
 
 def _factory():
