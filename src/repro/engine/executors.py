@@ -213,6 +213,15 @@ class ProcessPoolExecutor(Executor):
             self._pool = ShardWorkerPool(max_workers=self._max_workers)
         return self._pool
 
+    def ring_usage(self) -> list[dict[str, int]]:
+        """The pool's :meth:`~ShardWorkerPool.ring_usage`; ``[]`` before it starts.
+
+        Unlike :attr:`transport`, never creates the pool: a reader racing
+        :meth:`shutdown` must not start workers.
+        """
+        pool = self._pool
+        return [] if pool is None else pool.ring_usage()
+
     def _run_tasks(self, fn: Callable[[T], R], tasks: Sequence[T]) -> list[R]:
         if not tasks:
             return []

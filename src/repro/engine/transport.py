@@ -12,7 +12,9 @@ and the command in the pipe; acknowledgements release ring space
 (backpressure: a full ring blocks the driver until the worker catches up)
 and deliver small results to driver-side callbacks. Each ring is
 **double-buffered**: the driver fills one half while the worker reads the
-other. ``drain()`` is the barrier; reads instead enqueue snapshot markers
+other, and each new frame starts at the beginning of a half with nothing
+unacknowledged in it, so a ring touches only the bytes in flight.
+``drain()`` is the barrier; reads instead enqueue snapshot markers
 (:meth:`ShardWorkerPool.snapshot_async`) that cut every worker at one
 pipeline position.
 
@@ -57,10 +59,13 @@ from repro.engine.errors import EngineError, RemoteTaskError, WorkerCrashError
 __all__ = ["ShardWorkerPool", "WindowTask", "DEFAULT_RING_BYTES"]
 
 #: Per-worker ring capacity. Each half holds a whole ingest window's frame
-#: (eight 100k-item int64 batches split over two workers take about 3.2 MB
-#: per worker), so a window is staged while the worker ingests the previous
-#: one; override with ``REPRO_TRANSPORT_RING_MB`` for constrained machines
-#: (smaller halves just send windows early).
+#: even when nothing is thinned (eight unthinned 100k-item int64 batches
+#: over two workers take about 3.2 MB per worker; thinned R-TBS windows take
+#: tens of KB), so a window is staged while the worker ingests the previous
+#: one. Frames restart at a drained half's start, so only the bytes in
+#: flight are ever touched and an idle capacity costs address space, not
+#: resident memory. Override with ``REPRO_TRANSPORT_RING_MB`` for
+#: constrained machines (smaller halves just send windows early).
 DEFAULT_RING_BYTES = int(os.environ.get("REPRO_TRANSPORT_RING_MB", "16")) * 1024 * 1024
 
 _ALIGN = 64
@@ -249,6 +254,8 @@ class _WorkerHandle:
         self.head = 0
         self.active_half = 0
         self.half_pending = [0, 0]
+        #: Furthest offset within a half any frame has reached in this segment.
+        self.high_water = 0
         self.window: _Window | None = None
 
     # -- low-level messaging ------------------------------------------
@@ -344,36 +351,48 @@ class _WorkerHandle:
         self.head = 0
         self.active_half = 0
         self.half_pending = [0, 0]
+        self.high_water = 0
 
     def _half_end(self) -> int:
         return (self.active_half + 1) * (self.capacity // 2)
 
+    def _advance(self, nbytes: int) -> None:
+        """Move the head past ``nbytes`` of frame, tracking the high water."""
+        self.head += nbytes
+        reached = self.head - self.active_half * (self.capacity // 2)
+        self.high_water = max(self.high_water, reached)
+
     def allocate(self, nbytes: int) -> tuple[int, int]:
         """Reserve ``nbytes`` of contiguous ring space; return (offset, half).
 
-        Frames go into the active half; when it fills the driver flips to
-        the other half, waiting only for *that* half's acknowledgements. A
-        frame larger than half the ring grows the segment (draining first:
-        frames never span segments). An open window is sent first, so a
-        window's frame is always the last allocation and may grow in place.
+        A frame starts at the beginning of a half with no unacknowledged
+        frame: the active half if it is free, else the other half (an early
+        flip). Only while both halves hold unacknowledged frames does it go
+        after the active half's frames; one that does not fit there waits
+        for the other half's acknowledgements and flips. A frame larger than
+        half the ring grows the segment (draining first: frames never span
+        segments). An open window is sent first, so a window's frame is
+        always the last allocation and may grow in place.
         """
         self.send_window()
         if self.segment is None or nbytes > self.capacity // 2:
             self.drain()
             capacity = max(self.pool.ring_bytes, 1 << max(16, (2 * nbytes - 1).bit_length()))
             self._install_segment(capacity)
-        if self.head + nbytes > self._half_end():
-            # Half-barrier wraparound: the other half may only be rewritten
-            # once every frame written there has been acknowledged — the
-            # ack proves the worker is done reading it (frames are
-            # acknowledged strictly after the task consuming them returns).
-            other = 1 - self.active_half
+        # A half is rewritten only once every frame written there has been
+        # acknowledged — the ack proves the worker is done reading it
+        # (frames are acknowledged strictly after the task consuming them
+        # returns).
+        other = 1 - self.active_half
+        if not self.half_pending[self.active_half]:
+            self.head = self.active_half * (self.capacity // 2)
+        elif not self.half_pending[other] or self.head + nbytes > self._half_end():
             while self.half_pending[other]:
                 self._receive_ack(blocking=True)
             self.active_half = other
             self.head = other * (self.capacity // 2)
         offset = self.head
-        self.head += nbytes
+        self._advance(nbytes)
         return offset, self.active_half
 
     def _ring_view(self, shape: tuple[int, ...], dtype: np.dtype, offset: int) -> np.ndarray:
@@ -419,7 +438,7 @@ class _WorkerHandle:
                 window.offset, window.half = self.allocate(nbytes)
             self.window = window
         elif ring:
-            self.head += nbytes
+            self._advance(nbytes)
         if tag is not None:
             # The window counts as outstanding from its first tagged batch
             # on, so staged batches hold the watermark back like sent ones.
@@ -498,26 +517,22 @@ class ShardWorkerPool:
 
     ``max_workers`` defaults to ``os.cpu_count()`` capped at 8;
     ``ring_bytes`` is the per-worker ring capacity (at least 64 KiB is
-    used); ``start_method`` defaults to ``REPRO_TRANSPORT_START_METHOD`` or
-    ``"fork"`` where available (worker startup is then milliseconds).
+    used). Workers start by ``fork`` where the platform has it (startup is
+    then milliseconds), else by ``spawn``.
     """
 
     def __init__(
         self,
         max_workers: int | None = None,
         ring_bytes: int = DEFAULT_RING_BYTES,
-        start_method: str | None = None,
     ) -> None:
         if max_workers is not None and max_workers <= 0:
             raise ValueError(f"max_workers must be positive, got {max_workers}")
         if max_workers is None:
             max_workers = min(os.cpu_count() or 1, 8)
         self.ring_bytes = int(ring_bytes)
-        method = start_method or os.environ.get("REPRO_TRANSPORT_START_METHOD")
-        if method is None:
-            forkable = "fork" in multiprocessing.get_all_start_methods()
-            method = "fork" if forkable else "spawn"
-        self._ctx = multiprocessing.get_context(method)
+        forkable = "fork" in multiprocessing.get_all_start_methods()
+        self._ctx = multiprocessing.get_context("fork" if forkable else "spawn")
         self.num_workers = int(max_workers)
         self.workers: list[_WorkerHandle] = [
             _WorkerHandle(self, index) for index in range(self.num_workers)
@@ -689,6 +704,18 @@ class ShardWorkerPool:
     def worker_pids(self) -> list[int | None]:
         """The OS pid of each worker process, by worker index."""
         return [handle.process.pid for handle in self.workers]
+
+    def ring_usage(self) -> list[dict[str, int]]:
+        """Per-worker ring gauge, by worker index; driver-side, no round-trip.
+
+        ``ring_bytes`` is the segment capacity (0 before the first frame);
+        ``ring_high_water_bytes`` is the furthest offset within a half that
+        any frame has reached since the segment was installed.
+        """
+        return [
+            {"ring_bytes": handle.capacity, "ring_high_water_bytes": handle.high_water}
+            for handle in self.workers
+        ]
 
     def snapshot(self, key: Any, snapshot_fn: Callable[[Any], Any]) -> Any:
         """Synchronously snapshot one resident object (it stays resident)."""

@@ -726,6 +726,11 @@ class SamplerService:
         count, fill fraction (``nan`` for samplers without a capacity
         attribute ``n``), total decayed weight ``W_t`` (``nan`` where
         weightless), expected sample size, batches seen, and clock.
+        ``"transport"`` is ``None`` on the serial backend; on the process
+        backend it lists each worker's ring capacity (``ring_bytes``) and
+        the furthest offset within a ring half any frame has reached
+        (``ring_high_water_bytes``), read without a worker round-trip
+        (``[]`` while no worker pool runs).
         """
         cut = self.snapshot(
             max_staleness_batches=max_staleness_batches, include_items=False
@@ -785,6 +790,11 @@ class SamplerService:
             "total_weight": cut.total_weight,
             "expected_sample_size": cut.expected_sample_size,
             "durability": durability,
+            "transport": (
+                self._executor.ring_usage()
+                if self._executor.provides_transport
+                else None
+            ),
             "shards": shards,
         }
         if self._profile_enabled:

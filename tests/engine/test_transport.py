@@ -326,8 +326,112 @@ class TestStagedWindows:
         assert results == [([], ["empty", "still empty"])]
 
 
+def _echo_slowly(residents, **kwargs):
+    """Echo after 2 ms, so a pipelining driver outpaces the worker."""
+    time.sleep(0.002)
+    return _echo_arrays(residents, **kwargs)
+
+
+def _echo_when_released(residents, release, **kwargs):
+    """Hold the worker (and its acknowledgement) until ``release`` exists."""
+    while not os.path.exists(release):
+        time.sleep(0.001)
+    return _echo_arrays(residents, **kwargs)
+
+
+def _record_frames(handle) -> list[tuple[int, int, int, list]]:
+    """Record every ring frame ``handle`` allocates from now on.
+
+    Each record is ``(offset, nbytes, half, live)``, where ``live`` holds
+    the records of the frames still unacknowledged when it was allocated.
+    """
+    frames: list[tuple[int, int, int, list]] = []
+    frame_seqs: dict[int, int] = {}
+    allocate, submit = handle.allocate, handle.submit
+
+    def recording_allocate(nbytes):
+        offset, half = allocate(nbytes)
+        live = [frames[i] for i, seq in frame_seqs.items() if seq in handle.pending]
+        frames.append((offset, nbytes, half, live))
+        return offset, half
+
+    def recording_submit(message_tail, kind, **entry):
+        seq = submit(message_tail, kind, **entry)
+        if entry.get("ring_half") is not None:
+            frame_seqs[len(frames) - 1] = seq
+        return seq
+
+    handle.allocate, handle.submit = recording_allocate, recording_submit
+    return frames
+
+
 class TestDoubleBuffering:
     """The ring's two halves overlap driver writes with worker reads."""
+
+    def test_synchronous_frames_all_start_at_the_ring_start(self):
+        with ShardWorkerPool(max_workers=1, ring_bytes=1 << 16) as pool:
+            frames = _record_frames(pool.workers[0])
+            for index in range(20):
+                payload = np.full(256 + 64 * index, index, dtype=np.int64)
+                result = pool.apply(0, _echo_arrays, arrays={"x": payload}, sync=True)
+                assert result["x"] == float(payload.sum())
+            # Each frame was acknowledged before the next, so every one
+            # reused the first bytes of half 0.
+            assert [(offset, half) for offset, _, half, _ in frames] == [(0, 0)] * 20
+            assert pool.ring_usage() == [
+                {"ring_bytes": 1 << 16, "ring_high_water_bytes": frames[-1][1]}
+            ]
+
+    def test_pipelined_frames_never_overlap_an_unacknowledged_frame(self):
+        with ShardWorkerPool(max_workers=1, ring_bytes=1 << 16) as pool:
+            frames = _record_frames(pool.workers[0])
+            task = WindowTask(_window_rows)
+            results, expected = [], []
+            for index in range(200):
+                rows = 64 + (index * 37) % 1500  # 0.5-12 KiB frames, 32 KiB halves
+                payload = np.full(rows, index, dtype=np.int64)
+                expected.append(float(payload.sum()))
+                if index % 3:
+                    pool.apply(
+                        0,
+                        _echo_arrays,
+                        arrays={"x": payload},
+                        on_result=lambda r: results.append(r["x"]),
+                    )
+                else:
+                    pool.stage(0, task, payload, [(0, rows // 2), (rows // 2, rows)], index)
+            pool.drain()
+            assert results == [e for i, e in enumerate(expected) if i % 3]
+            for offset, nbytes, half, live in frames:
+                assert half * (1 << 15) <= offset
+                assert offset + nbytes <= (half + 1) * (1 << 15)
+                for live_offset, live_nbytes, _, _ in live:
+                    assert offset + nbytes <= live_offset or live_offset + live_nbytes <= offset
+
+    def test_a_busy_active_half_flips_early_to_the_free_half(self, tmp_path):
+        release = str(tmp_path / "release")
+        with ShardWorkerPool(max_workers=1, ring_bytes=1 << 16) as pool:
+            handle = pool.workers[0]
+            frames = _record_frames(handle)
+            try:
+                # The held command keeps half 0 busy while half 1 is free.
+                pool.apply(
+                    0, _echo_when_released, kwargs={"release": release},
+                    arrays={"x": np.arange(100)},
+                )
+                pool.apply(0, _echo_arrays, arrays={"x": np.arange(200)})
+                assert frames[1][:3] == (1 << 15, 1600, 1)
+                # Both halves busy: the next frame goes after the active
+                # half's frame, on the alignment grid.
+                pool.apply(0, _echo_arrays, arrays={"x": np.arange(300)})
+                assert frames[2][:3] == ((1 << 15) + 1600, 2432, 1)
+            finally:
+                open(release, "w").close()
+            pool.drain()
+            # Both halves free: the active half (1) restarts at its start.
+            pool.apply(0, _echo_arrays, arrays={"x": np.arange(50)}, sync=True)
+            assert frames[3][:3] == (1 << 15, 448, 1)
+            assert handle.high_water == 1600 + 2432
 
     def test_halves_alternate_under_pipelined_load(self):
         with ShardWorkerPool(max_workers=1, ring_bytes=1 << 15) as pool:
@@ -340,15 +444,16 @@ class TestDoubleBuffering:
                 expected.append(float(payload.sum()))
                 pool.apply(
                     0,
-                    _echo_arrays,
+                    _echo_slowly,
                     arrays={"x": payload},
                     on_result=lambda r: results.append(r["x"]),
                 )
                 halves.add(handle.active_half)
             pool.drain()
             assert results == expected
-            # 16 KiB halves fill after four frames, so the driver must have
-            # flipped — and every flip waited only on the other half's acks.
+            # Frames are allocated while earlier ones are unacknowledged, so
+            # the driver must have flipped to the free half — and every flip
+            # waited only on the other half's acks.
             assert halves == {0, 1}
             assert handle.half_pending == [0, 0]
 

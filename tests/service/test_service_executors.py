@@ -35,7 +35,7 @@ from repro.engine import (
     ShardWorkerPool,
     WorkerCrashError,
 )
-from repro.service import SamplerService, load_service, save_service
+from repro.service import ReplicationConfig, SamplerService, load_service, save_service
 
 
 def rtbs_factory(rng):
@@ -183,6 +183,13 @@ class TestProcessBitIdentityAcrossSamplers:
             factory, num_shards=4, rng=11, executor="process:2"
         ) as resident:
             resident.ingest(batches)
+            assert resident.sample_items() == serial.sample_items()
+            _assert_states_equal(resident.state_dict(), serial.state_dict())
+            # One batch per window: every window's frame reuses ring bytes
+            # an earlier one filled, while the same resident shards live on.
+            more = _batches(40, size=100, start=800)
+            serial.ingest(more, window=1)
+            resident.ingest(more, window=1)
             assert resident.sample_items() == serial.sample_items()
             _assert_states_equal(resident.state_dict(), serial.state_dict())
 
@@ -412,6 +419,42 @@ def use_ring_bytes(monkeypatch, ring_bytes: int) -> None:
         "ShardWorkerPool",
         functools.partial(ShardWorkerPool, ring_bytes=ring_bytes),
     )
+
+
+class TestTransportGauge:
+    """``stats()["transport"]``: per-worker ring use, read driver-side."""
+
+    def test_serial_backend_reports_none(self):
+        service = SamplerService(rtbs_factory, num_shards=4, rng=3)
+        service.ingest(_batches(2))
+        assert service.stats()["transport"] is None
+
+    def test_rings_hold_only_the_frames_in_flight(self, tmp_path):
+        rng = np.random.default_rng(31)
+        batches = [rng.integers(0, 1 << 40, 1000) for _ in range(151)]
+        with SamplerService(
+            lambda r: RTBS(n=60, lambda_=0.15, rng=r),
+            num_shards=4,
+            rng=7,
+            executor="process:2",
+            wal_dir=tmp_path / "wal",
+            replication=ReplicationConfig(),
+        ) as service:
+            assert service.stats()["transport"] == []
+            # The first window ships its whole (unthinned) batch: the
+            # largest frame of the run.
+            service.ingest(batches[:1])
+            first = service.stats()["transport"]
+            service.ingest(batches[1:], window=1)
+            usage = service.stats()["transport"]
+        assert len(usage) == 2
+        for before, after in zip(first, usage):
+            assert after["ring_bytes"] == before["ring_bytes"] == transport.DEFAULT_RING_BYTES
+            # 150 more windows, each starting at a drained half's start:
+            # the high water stays near the first frame, far below a half
+            # (the windows' frames add up to several times the first).
+            assert 0 < before["ring_high_water_bytes"]
+            assert after["ring_high_water_bytes"] <= 2 * before["ring_high_water_bytes"]
 
 
 class TestTransportWindows:
