@@ -11,15 +11,13 @@ runtimes and break them down by component.
 
 Since the engine refactor the cluster is also an
 :class:`~repro.engine.executors.Executor`: partition-local work reaches it
-through the same ``map_partitions``/``reduce_merge`` protocol the real
-serial/process backends implement. What distinguishes the cluster is
-that it *prices* stages with the calibrated
+through the same ``map_partitions``/``reduce_merge`` protocol the serial
+and process backends implement. What distinguishes the cluster is that it
+*prices* stages with the calibrated
 :class:`~repro.distributed.costmodel.CostModel` instead of measuring
 wall-clock — the simulator stays the executable cost-model spec of the
-paper's Figures 7-9 — while the tasks themselves execute on an optional
-inner ``backend`` executor (serial by default, or a process backend that
-keeps the partitions resident in its workers). Pricing is independent of
-the backend, so simulated runtimes are reproducible on any machine.
+paper's Figures 7-9. The tasks themselves run in the calling thread, in
+partition order, so simulated runtimes are reproducible on any machine.
 """
 
 from __future__ import annotations
@@ -28,7 +26,7 @@ from dataclasses import dataclass
 from typing import Callable, Sequence, TypeVar
 
 from repro.distributed.costmodel import CostModel
-from repro.engine.executors import Executor, SerialExecutor, require_in_place_backend
+from repro.engine.executors import Executor
 
 __all__ = ["StageCost", "SimulatedCluster"]
 
@@ -56,18 +54,6 @@ class SimulatedCluster(Executor):
     cost_model:
         The :class:`~repro.distributed.costmodel.CostModel` used to price
         operations; algorithms read it via :attr:`cost_model`.
-    backend:
-        Inner :class:`~repro.engine.executors.Executor` that actually runs
-        partition tasks submitted through :meth:`map_partitions`. Defaults
-        to a :class:`~repro.engine.executors.SerialExecutor`. A
-        transport-capable process backend
-        (:class:`~repro.engine.executors.ProcessPoolExecutor`) is accepted
-        too: the distributed algorithms then keep their reservoir/sample
-        partitions *resident* in the persistent workers
-        (:mod:`repro.distributed.resident`) instead of submitting closures.
-        State-shipping backends without a transport are rejected —
-        closure tasks cannot mutate driver-held partitions across a
-        process boundary.
     """
 
     name = "simulated"
@@ -79,16 +65,12 @@ class SimulatedCluster(Executor):
         self,
         num_workers: int,
         cost_model: CostModel | None = None,
-        backend: Executor | None = None,
     ) -> None:
         super().__init__()
         if num_workers <= 0:
             raise ValueError(f"num_workers must be positive, got {num_workers}")
-        if backend is not None:
-            require_in_place_backend(backend, "the simulated cluster")
         self.num_workers = int(num_workers)
         self.cost_model = cost_model if cost_model is not None else CostModel()
-        self.backend = backend if backend is not None else SerialExecutor()
         self.stages: list[StageCost] = []
 
     # ------------------------------------------------------------------
@@ -135,10 +117,10 @@ class SimulatedCluster(Executor):
         return record
 
     # ------------------------------------------------------------------
-    # Executor protocol: execution is delegated, accounting is priced
+    # Executor protocol: tasks run in process, accounting is priced
     # ------------------------------------------------------------------
     def _run_tasks(self, fn: Callable[[T], R], tasks: Sequence[T]) -> list[R]:
-        return self.backend._run_tasks(fn, tasks)
+        return [fn(task) for task in tasks]
 
     def map_partitions(
         self,
@@ -148,7 +130,7 @@ class SimulatedCluster(Executor):
         costs: Sequence[float] | float | None = None,
         driver_time: float = 0.0,
     ) -> list[R]:
-        """Run partition tasks on the inner backend; price the stage if asked.
+        """Run partition tasks in partition order; price the stage if asked.
 
         When ``costs`` is given (one simulated per-worker time, or a
         sequence of them) the stage is charged through :meth:`run_stage`
@@ -175,9 +157,6 @@ class SimulatedCluster(Executor):
         if driver_time:
             self.run_stage(description, driver_time=driver_time)
         return merged
-
-    def shutdown(self) -> None:
-        self.backend.shutdown()
 
     # ------------------------------------------------------------------
     # bookkeeping helpers (reset_clock is inherited from Executor)

@@ -31,16 +31,12 @@ insert/delete counts, victim indices, key-value destinations — drawing from
 its RNG in a fixed order, then ships the RNG-free *apply* work (the actual
 item movement on the partitioned reservoir) through the cluster's
 ``map_partitions`` and collects removed items with ``reduce_merge``. The
-cluster prices each stage with the cost model exactly as before (pricing is
-independent of the backend), and because applies for different partitions
-touch disjoint buckets, running them resident in a process backend
-(``SimulatedCluster(..., backend=ProcessPoolExecutor())``) reproduces the
-serial trajectories bit for bit.
+cluster prices each stage with the cost model; applies for different
+partitions touch disjoint buckets, so they need no ordering between them.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from enum import Enum
 from typing import Any, Iterable, Sequence
@@ -61,18 +57,10 @@ from repro.distributed.reservoirs import (
     DistributedReservoir,
     KeyValueStoreReservoir,
 )
-from repro.distributed.resident import (
-    ResidentCoPartitionedReservoir,
-    ResidentKeyValueStoreReservoir,
-)
 
 __all__ = ["ReservoirBackend", "DecisionStrategy", "JoinStrategy", "DistributedRTBS"]
 
 _WEIGHT_EPSILON = 1e-12
-
-#: Distinguishes the resident buckets of successive reservoir generations
-#: (and of different algorithm instances) sharing one transport pool.
-_RESERVOIR_IDS = itertools.count(1)
 
 
 class ReservoirBackend(str, Enum):
@@ -159,12 +147,6 @@ class DistributedRTBS:
                 "the key-value store needs centrally generated slot numbers (Section 5.3)"
             )
         self._rng = ensure_rng(rng)
-        # Transport-capable backend (persistent process workers): reservoir
-        # partition buckets live resident in the workers; the master's plan
-        # draws are unchanged, so trajectories stay bit-identical.
-        self._transport_capable = bool(
-            getattr(cluster.backend, "provides_transport", False)
-        )
         self._reservoir = self._make_reservoir()
         self._partial_item: Any | None = None
         self._total_weight = 0.0
@@ -390,8 +372,8 @@ class DistributedRTBS:
     #
     # Each primitive is a plan/apply composition: the master draws every
     # random decision here (in the exact order the pre-engine implementation
-    # drew them), then the RNG-free applies run on the cluster's engine
-    # backend, one task per reservoir partition.
+    # drew them), then the RNG-free applies run through the cluster's
+    # ``map_partitions``, one task per reservoir partition.
     # ------------------------------------------------------------------
     def _plan_piece_inserts(
         self,
@@ -418,13 +400,6 @@ class DistributedRTBS:
         tasks = sorted(planned.items())
         if not tasks:
             return
-        if getattr(self._reservoir, "is_resident", False):
-            # Resident buckets: each apply is one pipelined transport call
-            # carrying only this batch's pieces; ordering per bucket is the
-            # pipe's FIFO order, identical to the task order below.
-            for destination, pieces in tasks:
-                self._reservoir.apply_inserts(destination, pieces)
-            return
         self.cluster.map_partitions(
             self._apply_insert_task, tasks, description="apply planned inserts"
         )
@@ -434,13 +409,6 @@ class DistributedRTBS:
             (partition, indices) for partition, indices in enumerate(plans) if indices
         ]
         if not tasks:
-            return []
-        if getattr(self._reservoir, "is_resident", False):
-            # Pipelined deletes; no caller of this path consumes the removed
-            # items (promote-to-partial goes through the synchronous
-            # ``delete_per_partition`` instead).
-            for partition, indices in tasks:
-                self._reservoir.apply_deletes(partition, indices)
             return []
         removed_lists = self.cluster.map_partitions(
             self._apply_delete_task, tasks, description="apply planned deletes"
@@ -556,8 +524,6 @@ class DistributedRTBS:
         if self._virtual_mode:
             self._virtual_full_count = 0
         else:
-            if getattr(self._reservoir, "is_resident", False):
-                self._reservoir.discard()
             self._reservoir = self._make_reservoir()
 
     # ------------------------------------------------------------------
@@ -637,16 +603,6 @@ class DistributedRTBS:
         return self._reservoir.total_items()
 
     def _make_reservoir(self) -> DistributedReservoir:
-        if self._transport_capable:
-            pool = self.cluster.backend.transport
-            reservoir_id = next(_RESERVOIR_IDS)
-            if self.reservoir_backend is ReservoirBackend.KEY_VALUE:
-                return ResidentKeyValueStoreReservoir(
-                    self.cluster.num_workers, pool, reservoir_id, rng=self._rng
-                )
-            return ResidentCoPartitionedReservoir(
-                self.cluster.num_workers, pool, reservoir_id
-            )
         if self.reservoir_backend is ReservoirBackend.KEY_VALUE:
             return KeyValueStoreReservoir(self.cluster.num_workers, rng=self._rng)
         return CoPartitionedReservoir(self.cluster.num_workers)

@@ -13,15 +13,13 @@ the retention/acceptance steps are single Bernoulli mask draws over the whole
 partition — the same vectorized thinning as the serial
 :class:`repro.core.ttbs.TTBS`. Since the engine refactor each worker update
 is one partition task submitted through the cluster's ``map_partitions``
-(:mod:`repro.engine`): workers own private RNG streams and disjoint
-partitions, so the tasks run unchanged on the serial or process backend and
-the sampled trajectories are identical either way. The single priced stage
-is charged by the same call.
+(:mod:`repro.engine`), which also charges the single priced stage. Workers
+own private RNG streams and disjoint partitions, so each task depends only
+on its own worker's state.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from typing import Any, Iterable, Sequence
 
@@ -29,20 +27,11 @@ import numpy as np
 
 from repro.core.arrays import as_item_array, concat_items, empty_item_array
 from repro.core.base import validate_batch_time
-from repro.core.random_utils import binomial, ensure_rng, generator_state, spawn_rngs
+from repro.core.random_utils import binomial, ensure_rng, spawn_rngs
 from repro.distributed.batches import DistributedBatch
 from repro.distributed.cluster import SimulatedCluster
-from repro.distributed.resident import (
-    restore_ttbs_worker,
-    snapshot_ttbs_worker,
-    ttbs_update,
-)
 
 __all__ = ["DistributedTTBS"]
-
-#: Distinguishes resident worker partitions of different algorithm instances
-#: sharing one transport pool.
-_INSTANCE_IDS = itertools.count(1)
 
 
 class DistributedTTBS:
@@ -88,15 +77,6 @@ class DistributedTTBS:
         self._batches_seen = 0
         self._time = 0.0
         self.batch_runtimes: list[float] = []
-        # Transport (persistent process workers) support: worker partitions
-        # go resident on first materialized batch; virtual runs stay
-        # driver-side (counts are a handful of scalars).
-        self._transport_capable = bool(
-            getattr(cluster.backend, "provides_transport", False)
-        )
-        self._instance_id = next(_INSTANCE_IDS)
-        self._resident = False
-        self._resident_sizes: list[int] = [0] * cluster.num_workers
 
     # ------------------------------------------------------------------
     # queries
@@ -105,25 +85,12 @@ class DistributedTTBS:
         """All sample items across workers (materialized mode only)."""
         if self._virtual_mode:
             raise RuntimeError("sample items are not materialized in virtual mode")
-        if self._resident:
-            # No drain barrier needed: pool.snapshot() rides each worker's
-            # FIFO command pipe, so it executes after every previously
-            # dispatched ttbs_update for that worker — a consistent cut.
-            pool = self.cluster.backend.transport
-            items: list[Any] = []
-            for worker in range(self.cluster.num_workers):
-                snapshot = pool.snapshot(self._worker_key(worker), snapshot_ttbs_worker)
-                items.extend(snapshot["items"])
-            return items
         return [item for partition in self._partitions for item in partition.tolist()]
 
     def sample_size(self) -> int:
         """Current total sample size across all workers."""
         if self._virtual_mode:
             return sum(self._virtual_counts)
-        if self._resident:
-            self.cluster.backend.transport.drain()
-            return sum(self._resident_sizes)
         return sum(len(p) for p in self._partitions)
 
     @property
@@ -184,13 +151,6 @@ class DistributedTTBS:
         self._batches_seen += 1
         retention = math.exp(-self.lambda_ * elapsed)
 
-        use_resident = self._transport_capable and not self._virtual_mode
-        if use_resident:
-            self._ensure_resident()
-            # Pricing needs each worker's *pre-update* partition size, which
-            # is stochastic — wait for the previous batch's acknowledgements.
-            self.cluster.backend.transport.drain()
-
         start_elapsed = self.cluster.elapsed
         model = self.cluster.cost_model
         per_worker_batch = self._per_worker_sizes(batch)
@@ -198,93 +158,21 @@ class DistributedTTBS:
         for worker in range(self.cluster.num_workers):
             if self._virtual_mode:
                 reservoir_size = self._virtual_counts[worker]
-            elif use_resident:
-                reservoir_size = self._resident_sizes[worker]
             else:
                 reservoir_size = len(self._partitions[worker])
             worker_times.append(model.local(reservoir_size + per_worker_batch[worker]))
-        if use_resident:
-            # Resident partitions: ship only this batch's pieces and the
-            # retention factor; the thinning draws run worker-side on the
-            # resident RNG streams — the identical sequence the in-process
-            # update would have drawn. The priced stage is charged exactly
-            # as the engine path charges it.
-            self._dispatch_resident_updates(batch, retention)
-            self.cluster.run_stage(
-                "local downsample and union", worker_times=worker_times
-            )
-        elif self._transport_capable:
-            # Virtual counts are a handful of driver-side scalars; update
-            # them here (same draw order) rather than shipping closures to
-            # worker processes, and charge the same priced stage.
-            for worker in range(self.cluster.num_workers):
-                self._update_worker(worker, batch, retention)
-            self.cluster.run_stage(
-                "local downsample and union", worker_times=worker_times
-            )
-        else:
-            # One engine task per worker: each task thins its own partition
-            # with its own RNG stream, so every backend yields the same
-            # trajectory. The same call prices the single D-T-TBS stage.
-            self.cluster.map_partitions(
-                lambda worker: self._update_worker(worker, batch, retention),
-                range(self.cluster.num_workers),
-                description="local downsample and union",
-                costs=worker_times,
-            )
+        # One engine task per worker: each task thins its own partition
+        # with its own RNG stream. The same call prices the single D-T-TBS
+        # stage.
+        self.cluster.map_partitions(
+            lambda worker: self._update_worker(worker, batch, retention),
+            range(self.cluster.num_workers),
+            description="local downsample and union",
+            costs=worker_times,
+        )
         runtime = self.cluster.elapsed - start_elapsed
         self.batch_runtimes.append(runtime)
         return runtime
-
-    # ------------------------------------------------------------------
-    # resident (transport-backend) execution
-    # ------------------------------------------------------------------
-    def _worker_key(self, worker: int) -> tuple:
-        return ("dttbs", self._instance_id, worker)
-
-    def _ensure_resident(self) -> None:
-        """Attach each worker's partition + RNG stream to the transport, once."""
-        if self._resident:
-            return
-        pool = self.cluster.backend.transport
-        for worker in range(self.cluster.num_workers):
-            state = {
-                "items": self._partitions[worker].tolist(),
-                "rng_state": generator_state(self._worker_rngs[worker]),
-                "acceptance": self.acceptance_probability,
-            }
-            pool.attach(
-                self._worker_key(worker),
-                restore_ttbs_worker,
-                state,
-                worker=worker % pool.num_workers,
-            )
-            self._resident_sizes[worker] = len(self._partitions[worker])
-        self._resident = True
-
-    def _dispatch_resident_updates(
-        self, batch: DistributedBatch, retention: float
-    ) -> None:
-        pool = self.cluster.backend.transport
-        for worker in range(self.cluster.num_workers):
-            pieces = [
-                (batch.partition_sizes[partition], batch.partitions[partition])
-                for partition in range(batch.num_partitions)
-                if partition % self.cluster.num_workers == worker
-            ]
-            pool.apply(
-                worker % pool.num_workers,
-                ttbs_update,
-                kwargs={
-                    "key": self._worker_key(worker),
-                    "retention": retention,
-                    "pieces": pieces,
-                },
-                on_result=lambda size, worker=worker: self._note_size(worker, size),
-            )
-
-    def _note_size(self, worker: int, size: int) -> None:
-        self._resident_sizes[worker] = int(size)
 
     # ------------------------------------------------------------------
     # internals

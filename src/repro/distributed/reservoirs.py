@@ -15,12 +15,12 @@ Every mutation is split into the two phases the engine executes separately:
 
 * **plan** (driver-side, draws all randomness) — victim indices for deletes,
   destination partitions for inserts. Plans are drawn in partition order
-  from the caller's generator, so the draw sequence is independent of where
-  the apply phase later runs. Telemetry counters are charged at plan time.
+  from the caller's generator, so the draw sequence does not depend on the
+  apply phase. Telemetry counters are charged at plan time.
 * **apply** (partition-local, RNG-free) — the pure data movement. Apply
-  calls for different partitions touch disjoint buckets, so an executor may
-  run them concurrently; given the same plan, every backend produces the
-  same reservoir state.
+  calls for different partitions touch disjoint buckets, so their order
+  does not matter; given the same plan, the reservoir ends in the same
+  state.
 
 The classic one-shot entry points (:meth:`~DistributedReservoir.insert`,
 :meth:`~DistributedReservoir.delete_per_partition`) are retained as
@@ -103,7 +103,7 @@ class DistributedReservoir:
         rng = ensure_rng(rng)
         plans: list[list[int]] = []
         for partition, count in enumerate(counts):
-            population = self._population(partition)
+            population = len(self._partitions[partition])
             count = min(count, population)
             if count == 0:
                 plans.append([])
@@ -124,16 +124,6 @@ class DistributedReservoir:
         key-value store draws a hash destination per item.
         """
         raise NotImplementedError
-
-    def _population(self, partition: int) -> int:
-        """Current size of one partition, as seen by the planner.
-
-        The single hook a storage variant overrides to re-site the buckets
-        (the transport-resident reservoir mirrors sizes driver-side) without
-        forking the delete plan's draw order — which is the bit-identity
-        contract across backends.
-        """
-        return len(self._partitions[partition])
 
     # ------------------------------------------------------------------
     # apply phase (partition-local, RNG-free data movement)

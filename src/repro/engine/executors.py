@@ -16,10 +16,10 @@ merge* (union the partial samples, combine the bookkeeping). An
   and per-batch arrays cross through shared-memory ring buffers instead of
   pickle (see :mod:`repro.engine.transport`).
 * :class:`~repro.distributed.cluster.SimulatedCluster` — the third
-  implementation of this protocol: it executes partition tasks through an
-  optional inner backend and *prices* stages with the calibrated cost model
-  instead of measuring them, which keeps the simulator as the executable
-  cost-model spec of the paper's figures.
+  implementation of this protocol: it runs partition tasks in the calling
+  thread, like the serial backend, and *prices* stages with the calibrated
+  cost model instead of measuring them, which keeps the simulator as the
+  executable cost-model spec of the paper's figures.
 
 Determinism contract: all randomness must be drawn either driver-side
 (before tasks are submitted) or from per-partition RNG streams owned by the
@@ -272,9 +272,9 @@ def get_executor(spec: "Executor | str | None") -> Executor:
 def require_in_place_backend(backend: Executor, caller: str) -> None:
     """Raise ``ValueError`` for a backend that ships state without a transport.
 
-    The sampler service and the simulated cluster mutate their partitions
-    in place (serial) or keep them resident in transport workers; a
-    plain state-shipping backend would run every task on a copy.
+    The sampler service mutates its shards in place (serial) or keeps them
+    resident in transport workers; a plain state-shipping backend would run
+    every task on a copy.
     """
     if backend.ships_state and not backend.provides_transport:
         raise ValueError(

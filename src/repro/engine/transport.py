@@ -267,7 +267,11 @@ class _WorkerHandle:
         try:
             self.conn.send(message)
         except (OSError, BrokenPipeError, ValueError) as error:
-            raise self.crash(f"pipe write failed ({error})") from error
+            # The cause keeps no traceback: the failed write's frames hold a
+            # view over the pickled message's BytesIO, and in a reference
+            # cycle the collector may free the BytesIO before the view (an
+            # unraisable BufferError under whatever runs next).
+            raise self.crash(f"pipe write failed ({error})") from error.with_traceback(None)
 
     def _receive_ack(self, blocking: bool) -> bool:
         """Process one acknowledgement; return whether one was processed."""

@@ -61,9 +61,8 @@ def drtbs_trajectory(
     workers: int,
     seed: int,
     irregular_times: bool = False,
-    backend=None,
 ) -> dict:
-    cluster = SimulatedCluster(num_workers=workers, backend=backend)
+    cluster = SimulatedCluster(num_workers=workers)
     algorithm = DistributedRTBS(
         n=n, lambda_=lambda_, cluster=cluster, rng=seed, **DRTBS_VARIANTS[variant]
     )
@@ -102,9 +101,8 @@ def dttbs_trajectory(
     workers: int,
     seed: int,
     irregular_times: bool = False,
-    backend=None,
 ) -> dict:
-    cluster = SimulatedCluster(num_workers=workers, backend=backend)
+    cluster = SimulatedCluster(num_workers=workers)
     algorithm = DistributedTTBS(
         n=n,
         lambda_=lambda_,

@@ -132,127 +132,3 @@ def test_dttbs_virtual_trajectory_is_bit_identical(golden):
     )
     _assert_bit_identical(actual, golden["dttbs"]["virtual"], "dttbs-virtual")
 
-
-class TestProcessBackendEquivalence:
-    """The persistent-worker process backend must reproduce the goldens too.
-
-    Reservoir partitions (D-R-TBS) and worker sample partitions (D-T-TBS)
-    live *resident* in the transport workers; the master's plan draws and
-    the workers' private streams are unchanged, so every ``W_t``/``C_t``/
-    sample trajectory — and every priced runtime — is bit-identical to the
-    serial backend. (The golden suite previously had to skip the process
-    backend entirely: closure tasks could not cross a process boundary.)
-    """
-
-    @pytest.mark.parametrize("variant", list(DRTBS_VARIANTS))
-    def test_drtbs_on_process_backend_matches_golden(self, golden, variant):
-        from repro.engine import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(2) as backend:
-            actual = drtbs_trajectory(
-                variant,
-                materialized=True,
-                num_batches=30,
-                batch_size=25,
-                n=40,
-                lambda_=0.25,
-                workers=4,
-                seed=3,
-                backend=backend,
-            )
-        _assert_bit_identical(
-            actual,
-            golden["drtbs"][f"{variant}-materialized"],
-            f"{variant}-process",
-        )
-
-    def test_drtbs_on_an_uneven_process_pool_matches_golden(self, golden):
-        # Four partitions on three workers: one worker hosts two of them.
-        from repro.engine import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(3) as backend:
-            actual = drtbs_trajectory(
-                "cent-kv-rj",
-                materialized=True,
-                num_batches=30,
-                batch_size=25,
-                n=40,
-                lambda_=0.25,
-                workers=4,
-                seed=3,
-                backend=backend,
-            )
-        _assert_bit_identical(
-            actual, golden["drtbs"]["cent-kv-rj-materialized"], "cent-kv-rj-3-procs"
-        )
-
-    def test_dttbs_on_a_single_process_worker_matches_golden(self, golden):
-        # Every worker sample partition resident in the one process.
-        from repro.engine import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(1) as backend:
-            actual = dttbs_trajectory(
-                materialized=True,
-                num_batches=30,
-                batch_size=20,
-                n=50,
-                lambda_=0.2,
-                workers=3,
-                seed=2,
-                backend=backend,
-            )
-        _assert_bit_identical(actual, golden["dttbs"]["materialized"], "dttbs-1-proc")
-
-    def test_drtbs_irregular_gaps_on_process_backend(self, golden):
-        from repro.engine import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(2) as backend:
-            actual = drtbs_trajectory(
-                "dist-cp",
-                materialized=True,
-                num_batches=20,
-                batch_size=30,
-                n=35,
-                lambda_=0.3,
-                workers=3,
-                seed=11,
-                irregular_times=True,
-                backend=backend,
-            )
-        _assert_bit_identical(
-            actual, golden["drtbs"]["dist-cp-materialized-gaps"], "dist-cp-gaps-process"
-        )
-
-    def test_dttbs_on_process_backend_matches_golden(self, golden):
-        from repro.engine import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(2) as backend:
-            actual = dttbs_trajectory(
-                materialized=True,
-                num_batches=30,
-                batch_size=20,
-                n=50,
-                lambda_=0.2,
-                workers=3,
-                seed=2,
-                backend=backend,
-            )
-        _assert_bit_identical(actual, golden["dttbs"]["materialized"], "dttbs-process")
-
-    def test_dttbs_virtual_on_process_backend_matches_golden(self, golden):
-        # Virtual batches carry only counts; the updates stay driver-side
-        # (same draw order) but the priced stages are charged identically.
-        from repro.engine import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(2) as backend:
-            actual = dttbs_trajectory(
-                materialized=False,
-                num_batches=25,
-                batch_size=10_000,
-                n=1_000,
-                lambda_=0.07,
-                workers=4,
-                seed=0,
-                backend=backend,
-            )
-        _assert_bit_identical(actual, golden["dttbs"]["virtual"], "dttbs-virtual-process")

@@ -141,30 +141,3 @@ class TestSimulatedClusterAsExecutor:
         assert cluster.elapsed > 3.0
         assert cluster.stages[-1].description == "work"
         assert cluster.stages[-1].worker_times == (1.0, 2.0, 3.0)
-
-    def test_transport_capable_process_backend_is_accepted(self):
-        # The persistent-worker process backend provides a transport, so
-        # distributed algorithms can keep partitions resident; module-level
-        # tasks also run through the generic map path.
-        with ProcessPoolExecutor(2) as backend:
-            cluster = SimulatedCluster(num_workers=2, backend=backend)
-            assert cluster.map_partitions(_square, [2, 3]) == [4, 9]
-
-    def test_process_backend_runs_tasks_without_changing_prices(self):
-        serial = SimulatedCluster(num_workers=4)
-        with ProcessPoolExecutor(2) as backend:
-            shipped = SimulatedCluster(num_workers=4, backend=backend)
-            for cluster in (serial, shipped):
-                results = cluster.map_partitions(
-                    _square, range(4), description="stage", costs=2.0
-                )
-                assert results == [0, 1, 4, 9]
-        assert serial.elapsed == shipped.elapsed
-        assert serial.stages[-1].duration == shipped.stages[-1].duration
-
-    def test_plain_state_shipping_backend_is_rejected(self):
-        class Shipper(SerialExecutor):
-            ships_state = True
-
-        with pytest.raises(ValueError, match="transport-capable"):
-            SimulatedCluster(num_workers=2, backend=Shipper())

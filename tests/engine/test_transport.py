@@ -172,8 +172,10 @@ class TestWorkerCrash:
                     pool.send_staged()
                     pool.drain()
                     time.sleep(0.01)
-            # The error names the resident state lost with the worker.
+            # The error names the resident state lost with the worker, and
+            # chains the pipe failure that revealed the crash.
             assert "restore" in str(excinfo.value)
+            assert isinstance(excinfo.value.__cause__, (OSError, EOFError, ValueError))
 
     def test_crash_error_is_an_engine_error(self):
         assert issubclass(WorkerCrashError, EngineError)

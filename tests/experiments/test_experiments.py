@@ -201,6 +201,19 @@ class TestDistributedPerformance:
         runtimes = [result.metrics[variant.label] for variant in FIGURE7_VARIANTS]
         # Strictly decreasing: every optimization helps, and D-T-TBS is fastest.
         assert all(earlier > later for earlier, later in zip(runtimes, runtimes[1:]))
+        # The priced runtimes themselves, pinned: the cost model is
+        # deterministic, so any change here is a change to the simulator.
+        assert result.metrics == pytest.approx(
+            {
+                "D-R-TBS (Cent,KV,RJ)": 5.260489599999988,
+                "D-R-TBS (Cent,KV,CJ)": 5.010489599999988,
+                "D-R-TBS (Cent,CP)": 4.270716799999991,
+                "D-R-TBS (Dist,CP)": 4.1079131999999845,
+                "D-T-TBS (Dist,CP)": 0.8726337999999998,
+            },
+            rel=1e-12,
+        )
+        assert result.series == {}
 
     def test_figure8_runtime_decreases_with_workers(self):
         result = run_figure8(
@@ -211,6 +224,12 @@ class TestDistributedPerformance:
         )
         runtimes = result.series["runtime"]
         assert runtimes[0] > runtimes[1] > runtimes[2]
+        pinned = [5.114626400000009, 4.55791320000003, 4.280156600000032]
+        assert runtimes == pytest.approx(pinned, rel=1e-12)
+        assert result.metrics == pytest.approx(
+            {f"workers={workers}": value for workers, value in zip((2, 4, 8), pinned)},
+            rel=1e-12,
+        )
 
     def test_figure9_runtime_increases_with_batch_size(self):
         result = run_figure9(
@@ -224,3 +243,12 @@ class TestDistributedPerformance:
         # Small batches are dominated by fixed overheads, so the curve is flat
         # at the low end and rises sharply at the high end.
         assert (runtimes[2] - runtimes[1]) > (runtimes[1] - runtimes[0])
+        pinned = [2.4400141499999877, 4.55791320000003, 54.05791320000026]
+        assert runtimes == pytest.approx(pinned, rel=1e-12)
+        assert result.metrics == pytest.approx(
+            {
+                f"batch_size={size}": value
+                for size, value in zip((10_000, 1_000_000, 100_000_000), pinned)
+            },
+            rel=1e-12,
+        )
