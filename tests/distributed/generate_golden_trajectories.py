@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import json
 import os
+from typing import Callable, Generator
 
 from repro.distributed.batches import DistributedBatch
 from repro.distributed.cluster import SimulatedCluster
@@ -50,7 +51,7 @@ def _irregular_times(count: int) -> list[float]:
     return times
 
 
-def drtbs_trajectory(
+def drtbs_steps(
     variant: str,
     *,
     materialized: bool,
@@ -61,7 +62,8 @@ def drtbs_trajectory(
     workers: int,
     seed: int,
     irregular_times: bool = False,
-) -> dict:
+) -> Generator[None, None, dict]:
+    """Run D-R-TBS one batch per step; the generator returns the record."""
     cluster = SimulatedCluster(num_workers=workers)
     algorithm = DistributedRTBS(
         n=n, lambda_=lambda_, cluster=cluster, rng=seed, **DRTBS_VARIANTS[variant]
@@ -80,6 +82,7 @@ def drtbs_trajectory(
         sample_weights.append(algorithm.sample_weight)
         full_counts.append(algorithm.full_item_count())
         runtimes.append(runtime)
+        yield
     record = {
         "total_weight": total_weights,
         "sample_weight": sample_weights,
@@ -91,7 +94,7 @@ def drtbs_trajectory(
     return record
 
 
-def dttbs_trajectory(
+def dttbs_steps(
     *,
     materialized: bool,
     num_batches: int,
@@ -101,7 +104,8 @@ def dttbs_trajectory(
     workers: int,
     seed: int,
     irregular_times: bool = False,
-) -> dict:
+) -> Generator[None, None, dict]:
+    """Run D-T-TBS one batch per step; the generator returns the record."""
     cluster = SimulatedCluster(num_workers=workers)
     algorithm = DistributedTTBS(
         n=n,
@@ -122,37 +126,52 @@ def dttbs_trajectory(
         runtime = algorithm.process_batch(batch, time=times[batch_index - 1])
         sizes.append(algorithm.sample_size())
         runtimes.append(runtime)
+        yield
     record = {"sample_size": sizes, "runtime": runtimes}
     if materialized:
         record["final_sample"] = sorted(algorithm.sample_items())
     return record
 
 
-def generate() -> dict:
-    golden: dict = {"drtbs": {}, "dttbs": {}}
-    for variant in DRTBS_VARIANTS:
-        golden["drtbs"][f"{variant}-materialized"] = drtbs_trajectory(
-            variant,
-            materialized=True,
-            num_batches=30,
-            batch_size=25,
-            n=40,
-            lambda_=0.25,
-            workers=4,
-            seed=3,
-        )
-        golden["drtbs"][f"{variant}-virtual"] = drtbs_trajectory(
-            variant,
-            materialized=False,
-            num_batches=25,
-            batch_size=10_000,
-            n=5_000,
-            lambda_=0.1,
-            workers=4,
-            seed=7,
-        )
-    golden["drtbs"]["dist-cp-materialized-gaps"] = drtbs_trajectory(
-        "dist-cp",
+def run_to_end(steps: Generator[None, None, dict]) -> dict:
+    """Drive a ``*_steps`` run through every batch and return its record."""
+    while True:
+        try:
+            next(steps)
+        except StopIteration as done:
+            return done.value
+
+
+def drtbs_trajectory(variant: str, **params) -> dict:
+    return run_to_end(drtbs_steps(variant, **params))
+
+
+def dttbs_trajectory(**params) -> dict:
+    return run_to_end(dttbs_steps(**params))
+
+
+DRTBS_MATERIALIZED = dict(
+    materialized=True, num_batches=30, batch_size=25, n=40, lambda_=0.25, workers=4, seed=3
+)
+DRTBS_VIRTUAL = dict(
+    materialized=False, num_batches=25, batch_size=10_000, n=5_000, lambda_=0.1, workers=4, seed=7
+)
+
+# (algorithm, golden key) -> (steps function, its arguments), in file order.
+GOLDEN_RUNS: dict[tuple[str, str], tuple[Callable[..., Generator[None, None, dict]], dict]] = {}
+for _variant in DRTBS_VARIANTS:
+    GOLDEN_RUNS["drtbs", f"{_variant}-materialized"] = (
+        drtbs_steps,
+        dict(variant=_variant, **DRTBS_MATERIALIZED),
+    )
+    GOLDEN_RUNS["drtbs", f"{_variant}-virtual"] = (
+        drtbs_steps,
+        dict(variant=_variant, **DRTBS_VIRTUAL),
+    )
+GOLDEN_RUNS["drtbs", "dist-cp-materialized-gaps"] = (
+    drtbs_steps,
+    dict(
+        variant="dist-cp",
         materialized=True,
         num_batches=20,
         batch_size=30,
@@ -161,17 +180,15 @@ def generate() -> dict:
         workers=3,
         seed=11,
         irregular_times=True,
-    )
-    golden["dttbs"]["materialized"] = dttbs_trajectory(
-        materialized=True,
-        num_batches=30,
-        batch_size=20,
-        n=50,
-        lambda_=0.2,
-        workers=3,
-        seed=2,
-    )
-    golden["dttbs"]["materialized-gaps"] = dttbs_trajectory(
+    ),
+)
+GOLDEN_RUNS["dttbs", "materialized"] = (
+    dttbs_steps,
+    dict(materialized=True, num_batches=30, batch_size=20, n=50, lambda_=0.2, workers=3, seed=2),
+)
+GOLDEN_RUNS["dttbs", "materialized-gaps"] = (
+    dttbs_steps,
+    dict(
         materialized=True,
         num_batches=20,
         batch_size=25,
@@ -180,8 +197,11 @@ def generate() -> dict:
         workers=4,
         seed=9,
         irregular_times=True,
-    )
-    golden["dttbs"]["virtual"] = dttbs_trajectory(
+    ),
+)
+GOLDEN_RUNS["dttbs", "virtual"] = (
+    dttbs_steps,
+    dict(
         materialized=False,
         num_batches=25,
         batch_size=10_000,
@@ -189,7 +209,14 @@ def generate() -> dict:
         lambda_=0.07,
         workers=4,
         seed=0,
-    )
+    ),
+)
+
+
+def generate() -> dict:
+    golden: dict = {"drtbs": {}, "dttbs": {}}
+    for (algorithm, key), (steps, params) in GOLDEN_RUNS.items():
+        golden[algorithm][key] = run_to_end(steps(**params))
     return golden
 
 

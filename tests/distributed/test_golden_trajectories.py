@@ -20,6 +20,7 @@ import pytest
 
 from tests.distributed.generate_golden_trajectories import (
     DRTBS_VARIANTS,
+    GOLDEN_RUNS,
     OUTPUT,
     drtbs_trajectory,
     dttbs_trajectory,
@@ -132,3 +133,35 @@ def test_dttbs_virtual_trajectory_is_bit_identical(golden):
     )
     _assert_bit_identical(actual, golden["dttbs"]["virtual"], "dttbs-virtual")
 
+
+
+# Each golden run paired with the next one in file order, so every run is
+# advanced in lockstep with a run of a different configuration.
+_PAIRED_RUNS = list(zip(GOLDEN_RUNS, list(GOLDEN_RUNS)[1:] + list(GOLDEN_RUNS)[:1]))
+
+
+@pytest.mark.parametrize(
+    "run, companion", _PAIRED_RUNS, ids=[f"{a}-{key}" for (a, key), _ in _PAIRED_RUNS]
+)
+def test_lockstep_instances_keep_separate_state(golden, run, companion):
+    """Algorithm state lives on the instance, never in module-level tables.
+
+    Two runs on their own clusters are advanced one batch at a time, in
+    turn, in the same process. Any state shared between instances — a
+    module-level registry, a class-level buffer, a common random stream —
+    would make at least one of them leave its golden trajectory.
+    """
+    steps = {name: GOLDEN_RUNS[name][0](**GOLDEN_RUNS[name][1]) for name in (run, companion)}
+    records: dict = {}
+    while len(records) < len(steps):
+        for name, generator in steps.items():
+            if name in records:
+                continue
+            try:
+                next(generator)
+            except StopIteration as done:
+                records[name] = done.value
+    for algorithm, key in (run, companion):
+        _assert_bit_identical(
+            records[algorithm, key], golden[algorithm][key], f"{algorithm}-{key}-lockstep"
+        )

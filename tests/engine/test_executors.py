@@ -141,3 +141,47 @@ class TestSimulatedClusterAsExecutor:
         assert cluster.elapsed > 3.0
         assert cluster.stages[-1].description == "work"
         assert cluster.stages[-1].worker_times == (1.0, 2.0, 3.0)
+
+    def test_constructor_takes_no_backend(self):
+        # Pricing is independent of where tasks run, so the cluster runs them
+        # in process and has no backend to choose.
+        with pytest.raises(TypeError, match="backend"):
+            SimulatedCluster(num_workers=2, backend=SerialExecutor())
+
+    def test_tasks_run_in_the_calling_thread_in_partition_order(self):
+        caller = threading.get_ident()
+        seen: list[tuple[int, int]] = []
+
+        def record(partition):
+            seen.append((threading.get_ident(), partition))
+            return partition
+
+        cluster = SimulatedCluster(num_workers=4)
+        assert cluster.map_partitions(record, [3, 1, 2, 0], costs=1.0) == [3, 1, 2, 0]
+        assert seen == [(caller, 3), (caller, 1), (caller, 2), (caller, 0)]
+
+    def test_tasks_may_close_over_driver_state(self):
+        # Nothing is pickled: a closure can mutate the partitions it is given.
+        partitions = [[1], [2, 3], []]
+        cluster = SimulatedCluster(num_workers=3)
+        cluster.map_partitions(lambda part: part.append(len(part)), partitions)
+        assert partitions == [[1, 1], [2, 3, 2], [0]]
+
+    def test_reduce_merge_prices_driver_work_only_when_given(self):
+        cluster = SimulatedCluster(num_workers=2)
+        assert cluster.reduce_merge(sum, [1, 2, 3]) == 6
+        assert cluster.stages == [] and cluster.elapsed == 0.0
+        assert cluster.reduce_merge(sum, [4, 5], description="merge", driver_time=0.5) == 9
+        (stage,) = cluster.stages
+        assert stage.description == "merge"
+        assert stage.driver_time == 0.5
+        assert cluster.elapsed == stage.duration > 0.5
+
+    def test_shutdown_keeps_the_clock_and_the_cluster_usable(self):
+        with SimulatedCluster(num_workers=2) as cluster:
+            cluster.map_partitions(_square, [1, 2], description="before", costs=1.0)
+        elapsed = cluster.elapsed
+        cluster.shutdown()
+        assert cluster.elapsed == elapsed
+        assert cluster.map_partitions(_square, [3, 4], description="after", costs=1.0) == [9, 16]
+        assert [stage.description for stage in cluster.stages] == ["before", "after"]

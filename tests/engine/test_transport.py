@@ -177,6 +177,21 @@ class TestWorkerCrash:
             assert "restore" in str(excinfo.value)
             assert isinstance(excinfo.value.__cause__, (OSError, EOFError, ValueError))
 
+    def test_failed_pipe_write_chains_its_cause_without_a_traceback(self):
+        with ShardWorkerPool(max_workers=1, ring_bytes=1 << 20) as pool:
+            handle = pool.workers[0]
+            os.kill(handle.process.pid, signal.SIGKILL)
+            handle.process.join(timeout=10)
+            with pytest.raises(WorkerCrashError, match="pipe write failed") as excinfo:
+                handle.send(("payload", np.arange(1 << 12)))
+        cause = excinfo.value.__cause__
+        assert isinstance(cause, OSError)
+        # The failed write's frames hold a view over the pickled message's
+        # buffer; a cause that kept them would leave that view to the cycle
+        # collector, which reports an unraisable BufferError when it frees
+        # the buffer first.
+        assert cause.__traceback__ is None
+
     def test_crash_error_is_an_engine_error(self):
         assert issubclass(WorkerCrashError, EngineError)
         assert issubclass(RemoteTaskError, EngineError)
