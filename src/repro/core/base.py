@@ -17,7 +17,8 @@ Two ingestion entry points exist:
 * :meth:`Sampler.process_batch` — one batch in, current realized sample out;
 * :meth:`Sampler.process_stream` — many batches in one call, amortizing time
   bookkeeping and history recording and skipping the per-batch sample
-  materialization that :meth:`process_batch` performs for its return value.
+  materialization that :meth:`process_batch` performs for its return value;
+  :meth:`Sampler.ingest_stream` is the same call without the final sample.
 """
 
 from __future__ import annotations
@@ -271,9 +272,24 @@ class Sampler:
     ) -> list[Any]:
         """Bulk-ingest a sequence of batches and return the final realized sample.
 
+        :meth:`ingest_stream` followed by :meth:`sample_items`; see the
+        former for the arguments.
+        """
+        self.ingest_stream(batches, times=times, arrivals=arrivals)
+        return self.sample_items()
+
+    def ingest_stream(
+        self,
+        batches: Iterable[Sequence[Any] | Iterable[Any] | np.ndarray],
+        times: Iterable[float] | None = None,
+        arrivals: Iterable[int | None] | None = None,
+    ) -> None:
+        """Bulk-ingest a sequence of batches; build no sample.
+
         Equivalent to calling :meth:`process_batch` on each batch in order,
-        but without materializing the realized sample after every batch —
-        only the final sample is built. History recording (when enabled)
+        but without materializing the realized sample after any batch — a
+        caller that wants it calls :meth:`sample_items` (or
+        :meth:`process_stream` does). History recording (when enabled)
         still captures one :class:`SamplerState` per batch, using the O(1)
         :meth:`_sample_size` hook instead of a full materialization.
 
@@ -329,7 +345,6 @@ class Sampler:
                         expected_size=self.expected_sample_size,
                     )
                 )
-        return self.sample_items()
 
     def sample_items(self) -> list[Any]:
         """Return the current realized sample ``S_t`` as a list."""

@@ -410,7 +410,7 @@ class RTBS(Sampler):
     def _process_thinned(
         self, items: Sequence[Any] | np.ndarray, arrivals: int, time: float | None
     ) -> None:
-        """Apply a batch a driver already thinned (see :meth:`Sampler.process_stream`).
+        """Apply a batch a driver already thinned (see :meth:`Sampler.ingest_stream`).
 
         ``items`` are the accepted arrivals of a batch of ``arrivals``. In
         the two thinning branches they enter as they are (the driver drew

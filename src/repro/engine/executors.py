@@ -222,6 +222,14 @@ class ProcessPoolExecutor(Executor):
         pool = self._pool
         return [] if pool is None else pool.ring_usage()
 
+    def worker_memory(self) -> list[dict[str, int | None]]:
+        """The pool's :meth:`~ShardWorkerPool.worker_memory`; ``[]`` before it starts.
+
+        Like :meth:`ring_usage`, never creates the pool.
+        """
+        pool = self._pool
+        return [] if pool is None else pool.worker_memory()
+
     def _run_tasks(self, fn: Callable[[T], R], tasks: Sequence[T]) -> list[R]:
         if not tasks:
             return []

@@ -34,7 +34,7 @@ __all__ = [
 
 #: One shard's work unit: ``(sampler, batches, times, arrivals)``. ``times``
 #: may be ``None`` for the default ``t+1, t+2, ...`` arrival clock, and
-#: ``arrivals`` ``None`` for unplanned batches (see ``Sampler.process_stream``).
+#: ``arrivals`` ``None`` for unplanned batches (see ``Sampler.ingest_stream``).
 ShardTask = tuple[
     Any, Sequence[Any], Sequence[float] | None, Sequence[int | None] | None
 ]
@@ -47,8 +47,7 @@ def ingest_shard_inplace(task: ShardTask) -> None:
     and private RNG streams, so the result does not depend on shard order.
     """
     sampler, batches, times, arrivals = task
-    sampler.process_stream(batches, times=times, arrivals=arrivals)
-    return None
+    sampler.ingest_stream(batches, times=times, arrivals=arrivals)
 
 
 def restore_sampler(state: dict[str, Any]) -> Sampler:
@@ -78,7 +77,7 @@ def service_ingest_window(
     and no per-shard selection scan. A planned sub-batch is listed as
     ``(shard_id, count, arrivals)``: its ``count`` rows are the ones the
     driver accepted out of ``arrivals`` (possibly none of them). Each shard
-    then ingests its slices in one ``process_stream`` call at the batches'
+    then ingests its slices in one ``ingest_stream`` call at the batches'
     arrival times: the same sub-streams, in the same order, as the serial
     path, so trajectories stay bit-identical.
 
@@ -100,7 +99,7 @@ def service_ingest_window(
             offset += count
     counts: dict[int, int] = {}
     for shard_id, (batches, times, arrivals) in streams.items():
-        residents[("svc", service_id, shard_id)].process_stream(
+        residents[("svc", service_id, shard_id)].ingest_stream(
             batches, times=times, arrivals=arrivals
         )
         counts[shard_id] = sum(

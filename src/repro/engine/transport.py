@@ -43,6 +43,8 @@ or wedged worker without blocking.
 
 from __future__ import annotations
 
+import ctypes
+import functools
 import itertools
 import multiprocessing
 import os
@@ -516,13 +518,58 @@ class _WorkerHandle:
             self.segment = None
 
 
+@functools.cache
+def _malloc_trim() -> Callable[[ctypes.c_size_t], int] | None:
+    """glibc's ``malloc_trim``, or ``None`` where libc does not export it."""
+    try:
+        libc = ctypes.CDLL(None)
+    except OSError:  # pragma: no cover - a statically linked interpreter
+        return None
+    trim: Callable[[ctypes.c_size_t], int] | None = getattr(libc, "malloc_trim", None)
+    return trim
+
+
+def _release_free_heap() -> None:
+    """Return the free pages of this process's heap to the OS (glibc only).
+
+    A forked child starts with a copy of every resident anonymous page of
+    its parent, free heap that ``malloc`` is holding included; trimming
+    first means each worker inherits only the driver's live memory. A
+    no-op where libc has no ``malloc_trim`` (musl, macOS).
+    """
+    trim = _malloc_trim()
+    if trim is not None:
+        trim(ctypes.c_size_t(0))
+
+
+def _process_memory(pid: int | None) -> dict[str, int | None]:
+    """``VmRSS`` and ``VmHWM`` of ``pid`` in bytes, ``None`` if unreadable."""
+    fields = {b"VmRSS:": "rss_bytes", b"VmHWM:": "peak_rss_bytes"}
+    memory: dict[str, int | None] = dict.fromkeys(fields.values())
+    if pid is None:
+        return memory
+    try:
+        with open(f"/proc/{pid}/status", "rb") as status:
+            lines = status.read().splitlines()
+    except OSError:  # no procfs, or the process is gone
+        return memory
+    for line in lines:
+        parts = line.split()
+        if parts and parts[0] in fields:
+            memory[fields[parts[0]]] = int(parts[1]) * 1024
+    return memory
+
+
 class ShardWorkerPool:
     """A pool of persistent worker processes hosting resident shard state.
 
     ``max_workers`` defaults to ``os.cpu_count()`` capped at 8;
     ``ring_bytes`` is the per-worker ring capacity (at least 64 KiB is
     used). Workers start by ``fork`` where the platform has it (startup is
-    then milliseconds), else by ``spawn``.
+    then milliseconds), else by ``spawn``. Before forking, the driver
+    returns its free heap pages to the OS, so each worker starts with only
+    the driver's live memory; :meth:`worker_memory` reports each worker's
+    resident and peak memory.
     """
 
     def __init__(
@@ -537,6 +584,8 @@ class ShardWorkerPool:
         self.ring_bytes = int(ring_bytes)
         forkable = "fork" in multiprocessing.get_all_start_methods()
         self._ctx = multiprocessing.get_context("fork" if forkable else "spawn")
+        if forkable:
+            _release_free_heap()
         self.num_workers = int(max_workers)
         self.workers: list[_WorkerHandle] = [
             _WorkerHandle(self, index) for index in range(self.num_workers)
@@ -718,6 +767,19 @@ class ShardWorkerPool:
         """
         return [
             {"ring_bytes": handle.capacity, "ring_high_water_bytes": handle.high_water}
+            for handle in self.workers
+        ]
+
+    def worker_memory(self) -> list[dict[str, int | None]]:
+        """Per-worker memory gauge in bytes, by worker index.
+
+        ``rss_bytes`` and ``peak_rss_bytes`` are the worker's ``VmRSS`` and
+        ``VmHWM`` from ``/proc/<pid>/status``; both are ``None`` where that
+        file cannot be read (no procfs, or the worker is gone), and on a
+        closed pool, whose reaped pids the OS may have reused.
+        """
+        return [
+            _process_memory(None if self._closed else handle.process.pid)
             for handle in self.workers
         ]
 

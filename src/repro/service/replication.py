@@ -139,7 +139,7 @@ class ShardReplicaSet:
     never advanced batch by batch: the service replaces the whole replica
     set with a fresh :meth:`capture` on cadence and at every paired
     checkpoint. :meth:`catch_up` rebuilds the samplers from the base and
-    replays the committed tail beyond it through ``process_stream`` — the
+    replays the committed tail beyond it through ``ingest_stream`` — the
     identical replay path offline recovery uses, so the rebuilt samplers
     are bit-identical to the primary's at the replayed watermark.
     """
@@ -262,7 +262,7 @@ class ShardReplicaSet:
                 samplers[shard_id] = sampler
                 rngs[shard_id] = clone
             batches, times = plan.per_shard[shard_id]
-            sampler.process_stream(
+            sampler.ingest_stream(
                 batches, times=times, arrivals=plan.arrivals[shard_id]
             )
         self.samplers, self.rngs = samplers, rngs

@@ -38,7 +38,7 @@ only ``StochRound(B n / W)`` of its ``B`` arrivals, has those drawn here
 from a per-batch plan stream. Only the accepted rows are then
 radix-grouped, gathered, logged and shipped — at steady state well under
 one percent of a large batch — while every shard still learns its
-arrival count (see :meth:`~repro.core.base.Sampler.process_stream`):
+arrival count (see :meth:`~repro.core.base.Sampler.ingest_stream`):
 
 * ``"serial"`` (default) ingests in-process: one gather
   of the accepted rows yields contiguous per-shard NumPy slices (the
@@ -1095,13 +1095,13 @@ class SamplerService:
         times: Iterable[float] | None = None,
         window: int = 64,
     ) -> None:
-        """Bulk-ingest many batches through the per-shard ``process_stream`` hot path.
+        """Bulk-ingest many batches through the per-shard ``ingest_stream`` hot path.
 
         Every batch takes the same per-batch step as in :meth:`ingest_batch`
         (route, clock, WAL append, stage). The routed sub-batches collect
         into one sub-stream (batches + arrival times) per shard; every
         ``window`` batches, each shard ingests its sub-stream in a single
-        :meth:`~repro.core.base.Sampler.process_stream` call. That keeps the
+        :meth:`~repro.core.base.Sampler.ingest_stream` call. That keeps the
         per-shard amortization of bulk ingest while bounding buffered memory
         to O(``window`` × batch size) — a generator of a million batches
         streams through, it is never materialized whole.
@@ -1704,13 +1704,19 @@ class SamplerService:
         failure detector condemns the pool and a standby is configured,
         the promotion happens here and ``failed_over`` is reported
         ``True``. In-process backends (and a detached pool) always report
-        healthy — there are no worker processes to lose.
+        healthy — there are no worker processes to lose. The process
+        backend also reports ``worker_memory``: each worker's resident and
+        peak memory in bytes (``[]`` while no pool runs). It reads
+        ``/proc`` per worker, which is why it is here and not in
+        :meth:`stats`.
         """
         with self._lock:
             report: dict[str, Any] = {
                 "backend": self._executor.name,
                 "failed_over": False,
             }
+            if self._executor.provides_transport:
+                report["worker_memory"] = self._executor.worker_memory()
             if not self._transport_attached:
                 return report
             pool = self._executor.transport

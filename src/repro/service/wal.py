@@ -47,7 +47,7 @@ round-trip through JSON semantics, so tuples come back as lists, exactly as
 they do through a directory checkpoint), then, for a *planned* record, the
 shard's arrival count ``(arrivals: u64)``. A planned record holds only the
 arrivals the driver accepted for the shard (see
-:meth:`~repro.core.base.Sampler.process_stream`); a record without the
+:meth:`~repro.core.base.Sampler.ingest_stream`); a record without the
 count holds the shard's whole sub-batch and replays as an ordinary batch.
 
 A zero-length frame is a *terminator*: log segments are recycled — trunca-
@@ -627,7 +627,7 @@ class ReplayPlan:
     orphaned_shards: list[int]
     torn: list[TornTail]
     #: shard id -> each sub-batch's arrival count (``None``: unplanned), in
-    #: lockstep with ``per_shard`` — the ``arrivals`` of ``process_stream``.
+    #: lockstep with ``per_shard`` — the ``arrivals`` of ``ingest_stream``.
     arrivals: dict[int, list[int | None]] = field(default_factory=dict)
 
     @property
@@ -1065,7 +1065,7 @@ def recover_service(
 
     Loads the paired delta checkpoint (``<wal_dir>/checkpoint``), replays
     each shard's log tail beyond the checkpoint watermark through the normal
-    ``process_stream`` path, and returns a live service with the WAL
+    ``ingest_stream`` path, and returns a live service with the WAL
     re-attached for continued appends. By the determinism contract the
     result is bit-identical to the uninterrupted run through the last
     *committed* batch — on any executor backend. ``service.batches_seen``
@@ -1096,7 +1096,7 @@ def recover_service(
     for shard_id in sorted(plan.per_shard):
         batches, times = plan.per_shard[shard_id]
         sampler = service._get_or_create_shard(shard_id)
-        sampler.process_stream(batches, times=times, arrivals=plan.arrivals[shard_id])
+        sampler.ingest_stream(batches, times=times, arrivals=plan.arrivals[shard_id])
         service._ckpt_dirty.add(shard_id)
     if plan.last_seq > watermark:
         service._time = plan.last_time

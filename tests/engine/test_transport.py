@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import multiprocessing
 import os
 import signal
 import time
@@ -9,6 +10,7 @@ import time
 import numpy as np
 import pytest
 
+import repro.engine.transport as transport
 from repro.core import RTBS
 from repro.engine import (
     EngineError,
@@ -21,6 +23,7 @@ from repro.engine import (
     service_ingest_window,
     snapshot_sampler,
 )
+from repro.service import ReplicationConfig, SamplerService
 
 
 def _square(x: int) -> int:
@@ -276,6 +279,105 @@ class TestExecutorIntegration:
         assert second is not first
         assert second.run_tasks(_square, [4]) == [16]
         executor.shutdown()
+
+
+class TestWorkerMemory:
+    """``worker_memory()``: each worker's ``VmRSS``/``VmHWM``, read driver-side."""
+
+    @pytest.mark.skipif(
+        not os.path.exists("/proc/self/status"), reason="needs procfs"
+    )
+    def test_live_workers_report_resident_and_peak_bytes(self, pool):
+        memory = pool.worker_memory()
+        assert len(memory) == pool.num_workers
+        for worker in memory:
+            assert set(worker) == {"rss_bytes", "peak_rss_bytes"}
+            assert 0 < worker["rss_bytes"] <= worker["peak_rss_bytes"]
+
+    def test_unreadable_status_reads_none(self):
+        with ShardWorkerPool(max_workers=1) as pool:
+            pass
+        assert pool.worker_memory() == [{"rss_bytes": None, "peak_rss_bytes": None}]
+        assert transport._process_memory(None) == {"rss_bytes": None, "peak_rss_bytes": None}
+
+    def test_executor_gauge_never_starts_a_pool(self):
+        executor = ProcessPoolExecutor(2)
+        assert executor.worker_memory() == []
+        assert executor._pool is None
+        executor.transport.run_tasks(_square, [1])
+        assert len(executor.worker_memory()) == 2
+        executor.shutdown()
+        assert executor.worker_memory() == []
+
+    def test_check_health_reports_it_on_the_process_backend_only(self):
+        with SamplerService(lambda rng: RTBS(n=10, lambda_=0.1, rng=rng), 2) as serial:
+            serial.ingest_batch(np.arange(50))
+            assert "worker_memory" not in serial.check_health()
+        with SamplerService(
+            lambda rng: RTBS(n=10, lambda_=0.1, rng=rng), 2, executor="process:2"
+        ) as service:
+            assert service.check_health()["worker_memory"] == []
+            service.ingest_batch(np.arange(50))
+            assert len(service.check_health()["worker_memory"]) == 2
+
+
+def _driver_rss_bytes() -> int:
+    rss = transport._process_memory(os.getpid())["rss_bytes"]
+    assert rss is not None
+    return rss
+
+
+class TestHeapRelease:
+    """Workers fork from a trimmed driver heap (glibc ``malloc_trim``)."""
+
+    @pytest.mark.skipif(
+        not os.path.exists("/proc/self/status") or transport._malloc_trim() is None,
+        reason="needs procfs and glibc's malloc_trim",
+    )
+    def test_workers_do_not_inherit_the_drivers_free_heap(self):
+        # 64 MiB of written heap chunks (below the mmap threshold), pinned
+        # under one live chunk so free() cannot shrink the heap, then freed:
+        # resident in the driver, free to malloc.
+        chunks = [b"\x01" * 65536 for _ in range(1024)]
+        pin = b"\x01" * 65536
+        del chunks
+        driver_rss = _driver_rss_bytes()
+        with ShardWorkerPool(max_workers=2) as pool:
+            assert pool.run_tasks(_square, [3]) == [9]
+            peaks = [worker["peak_rss_bytes"] for worker in pool.worker_memory()]
+        assert len(pin) == 65536
+        for peak in peaks:
+            assert peak is not None and peak <= driver_rss - 48 * 2**20, (
+                f"worker peaked at {peak / 2**20:.1f} MB against a "
+                f"{driver_rss / 2**20:.1f} MB driver"
+            )
+
+    @pytest.mark.skipif(
+        "fork" not in multiprocessing.get_all_start_methods(), reason="needs fork"
+    )
+    def test_one_release_per_pool_start(self, monkeypatch, tmp_path):
+        calls = []
+        monkeypatch.setattr(transport, "_release_free_heap", lambda: calls.append(1))
+        factory = lambda rng: RTBS(n=10, lambda_=0.1, rng=rng)  # noqa: E731
+        with SamplerService(factory, 2, wal_dir=tmp_path / "serial") as serial:
+            serial.ingest_batch(np.arange(50))
+        assert calls == []
+        with SamplerService(
+            factory,
+            2,
+            executor="process:2",
+            wal_dir=tmp_path / "process",
+            replication=ReplicationConfig(),
+        ) as service:
+            assert calls == []
+            service.ingest_batch(np.arange(50))
+            service.ingest_batch(np.arange(50, 100))
+            assert len(calls) == 1
+            service.failover()
+            assert len(calls) == 1
+            service.ingest_batch(np.arange(100, 150))
+            service.ingest_batch(np.arange(150, 200))
+            assert len(calls) == 2
 
 
 def _window_rows(residents, payload, entries):

@@ -19,7 +19,7 @@ Counts are summed over seeded runs and compared with a 5-sigma tolerance,
 using the binomial variance (conservative: a bounded sample's inclusions
 are negatively correlated), so the suite is deterministic. Uniform keys and
 a Zipf-skewed key pool run on the serial and process backends, plus one
-case through ``recover_service``. ``REPRO_CONFORMANCE_EXHAUSTIVE=1`` runs
+case through ``recover_service`` and one through a forced ``failover()``. ``REPRO_CONFORMANCE_EXHAUSTIVE=1`` runs
 many more seeds. Equal retention *across* shards under skewed keys is a
 property of a coordinated global sample and is not asserted here.
 """
@@ -35,7 +35,12 @@ import pytest
 
 from repro.core import RTBS
 from repro.core.analysis import rtbs_appearance_probability, rtbs_expected_size
-from repro.service import SamplerService, recover_service, shard_ids_for_keys
+from repro.service import (
+    ReplicationConfig,
+    SamplerService,
+    recover_service,
+    shard_ids_for_keys,
+)
 
 EXHAUSTIVE = os.environ.get("REPRO_CONFORMANCE_EXHAUSTIVE", "") not in ("", "0")
 
@@ -222,4 +227,28 @@ def test_retention_after_recovery(tmp_path):
             tally.add(recovered, arrivals, quarters)
         finally:
             recovered.close()
+    tally.check()
+
+
+def test_retention_after_failover(tmp_path):
+    """Promote the warm standby mid-stream (a fresh worker pool), then finish."""
+    tally = Tally()
+    half = NUM_BATCHES // 2
+    for seed in range(SEEDS["process:2"]):
+        batches, keys = stream(3_000 + seed, skewed=True)
+        arrivals = np.zeros((NUM_SHARDS, NUM_BATCHES), dtype=np.int64)
+        quarters = route_quarters(batches, keys)
+        with SamplerService(
+            make_sampler,
+            NUM_SHARDS,
+            rng=seed,
+            executor="process:2",
+            wal_dir=tmp_path / f"wal-{seed}",
+            replication=ReplicationConfig(),
+        ) as service:
+            ingest_checked(service, batches[:half], keys[:half], 0, arrivals)
+            service.failover()
+            ingest_checked(service, batches[half:], keys[half:], half, arrivals)
+            assert service.stats()["durability"]["replication"]["failovers"] == 1
+            tally.add(service, arrivals, quarters)
     tally.check()

@@ -294,6 +294,45 @@ class TestForcedFailover:
         recovered.close()
 
 
+class TestIngestBuildsNoSample:
+    def test_ingest_failover_and_recovery_never_materialize_a_sample(
+        self, tmp_path, monkeypatch
+    ):
+        """Every ingest path goes through ``ingest_stream``, never the sample.
+
+        Patched before any pool forks, so the workers inherit it too.
+        """
+
+        def refuse(self):
+            raise AssertionError("ingest materialized a sample")
+
+        monkeypatch.setattr(RTBS, "sample_items", refuse)
+        batches = _batches(12)
+        with SamplerService(_factory(), num_shards=2, rng=4) as serial:
+            serial.ingest(batches[:6])
+        service = SamplerService(
+            _factory(),
+            num_shards=2,
+            rng=4,
+            executor="process:2",
+            wal_dir=tmp_path / "wal",
+            replication=ReplicationConfig(),
+        )
+        try:
+            service.ingest(batches[:6])
+            service.failover()
+            service.ingest(batches[6:9])
+            service.flush()
+        finally:
+            service.close()
+        recovered = recover_service(tmp_path / "wal", _factory())
+        try:
+            assert recovered.batches_seen == 9
+            recovered.ingest(batches[9:])
+        finally:
+            recovered.close()
+
+
 # ----------------------------------------------------------------------
 # The standby's base: cadence cuts, checkpoint cuts, late activation
 # ----------------------------------------------------------------------
