@@ -47,9 +47,9 @@ STATE_FORMAT_VERSION = 1
 #: directory checkpoints and delta-checkpoint MANIFESTs alike). Distinct
 #: from :data:`STATE_FORMAT_VERSION`, which versions the *in-memory*
 #: snapshot mapping: the manifest version covers the directory layout —
-#: file naming, the manifest's own keys, the delta structure. Version 1
-#: manifests (pre-durability, no version field) are still readable;
-#: version 2 added the field itself and the delta layout.
+#: file naming, the manifest's own keys, the delta structure. A build
+#: reads only the version it writes; a manifest without the field (the
+#: pre-durability version 1) or with any other value is refused.
 CHECKPOINT_MANIFEST_VERSION = 2
 
 

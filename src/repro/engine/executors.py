@@ -147,9 +147,9 @@ class Executor(ABC):
         """Release any worker pools.
 
         The executor stays usable: pooled backends lazily recreate their
-        pool on the next dispatch (the same contract
-        ``SamplerService.shutdown`` documents). Call it when a burst of
-        parallel work is done and the workers should not linger.
+        pool on the next dispatch, as a closed ``SamplerService`` respawns
+        its workers on the next ingest. Call it when a burst of parallel
+        work is done and the workers should not linger.
         """
 
     def __enter__(self) -> "Executor":

@@ -218,6 +218,17 @@ def save_checkpoint(
                 pass
 
 
+def _check_manifest_version(manifest: dict[str, Any], manifest_path: str) -> None:
+    """Refuse a manifest of any version but the one this build writes."""
+    if "manifest_version" not in manifest:
+        raise CheckpointError(f"checkpoint manifest {manifest_path} has no manifest_version")
+    if manifest["manifest_version"] != CHECKPOINT_MANIFEST_VERSION:
+        raise CheckpointError(
+            f"checkpoint manifest {manifest_path}: unsupported manifest_version "
+            f"{manifest['manifest_version']!r}; this build reads {CHECKPOINT_MANIFEST_VERSION}"
+        )
+
+
 def load_checkpoint(directory: str | os.PathLike) -> dict[str, Any]:
     """Load a snapshot mapping previously written by :func:`save_checkpoint`.
 
@@ -244,16 +255,7 @@ def load_checkpoint(directory: str | os.PathLike) -> dict[str, Any]:
             f"corrupt checkpoint manifest {manifest_path}: expected a mapping "
             "with 'arrays_file' and 'state' keys"
         )
-    # Pre-durability manifests carry no version field; they are version 1
-    # and the file layout they describe is unchanged, so they load as-is.
-    manifest_version = manifest.get("manifest_version", 1)
-    if manifest_version > CHECKPOINT_MANIFEST_VERSION:
-        raise CheckpointError(
-            f"checkpoint manifest {manifest_path} has manifest_version "
-            f"{manifest_version}, newer than this build reads "
-            f"({CHECKPOINT_MANIFEST_VERSION}); load it with the build that "
-            "wrote it"
-        )
+    _check_manifest_version(manifest, manifest_path)
     arrays_path = os.path.join(directory, manifest["arrays_file"])
     if not os.path.exists(arrays_path):
         raise CheckpointError(
@@ -261,15 +263,16 @@ def load_checkpoint(directory: str | os.PathLike) -> dict[str, Any]:
             f"{manifest_path}); the checkpoint directory is incomplete — "
             "copy it atomically or re-save"
         )
-    try:
-        archive_cm = np.load(arrays_path, allow_pickle=False)
-    except (OSError, ValueError, zipfile.BadZipFile) as error:
-        # BadZipFile subclasses neither OSError nor ValueError; a *truncated*
-        # npz (as opposed to non-zip garbage) raises it.
-        raise CheckpointError(
-            f"unreadable checkpoint array archive {arrays_path}: {error}"
-        ) from error
-    with archive_cm as archive:
+    # Opened here: np.load(path) leaks its handle when NpzFile's constructor raises.
+    with open(arrays_path, "rb") as fh:
+        try:
+            archive = np.load(fh, allow_pickle=False)
+        except (OSError, ValueError, zipfile.BadZipFile) as error:
+            # BadZipFile subclasses neither OSError nor ValueError; a
+            # *truncated* npz (as opposed to non-zip garbage) raises it.
+            raise CheckpointError(
+                f"unreadable checkpoint array archive {arrays_path}: {error}"
+            ) from error
         try:
             return _decode(manifest["state"], archive)
         except KeyError as error:
@@ -508,13 +511,7 @@ def load_service_delta(directory: str | os.PathLike) -> tuple[dict[str, Any], in
             f"mapping with kind={_DELTA_KIND!r} and 'service', 'shards', "
             "'watermark' keys"
         )
-    manifest_version = manifest.get("manifest_version", 1)
-    if manifest_version > CHECKPOINT_MANIFEST_VERSION:
-        raise CheckpointError(
-            f"delta-checkpoint manifest {manifest_path} has manifest_version "
-            f"{manifest_version}, newer than this build reads "
-            f"({CHECKPOINT_MANIFEST_VERSION})"
-        )
+    _check_manifest_version(manifest, manifest_path)
 
     problems: list[str] = []
     scalar_state: dict[str, Any] | None = None

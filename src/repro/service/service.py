@@ -423,10 +423,8 @@ class SamplerService:
         #: Whether any batch was ever routed on caller-supplied explicit
         #: keys. Explicit keys are not a function of the payload, so a
         #: service that used them (and has no ``key_fn``) cannot recompute
-        #: retained items' keys — which :meth:`reshard` needs. ``None``
-        #: means *unknown*: the service was restored from a pre-elastic
-        #: checkpoint that did not record the flag.
-        self._explicit_keys_used: bool | None = False
+        #: retained items' keys — which :meth:`reshard` needs.
+        self._explicit_keys_used = False
         self._init_transport_state()
         if wal_dir is not None:
             self._wal = WriteAheadLog.create(
@@ -903,7 +901,7 @@ class SamplerService:
             sub_batches = plan.sub_batches()
             if self._profile_enabled:
                 self._note_phase("split", perf_counter() - begin)
-        explicit = explicit or bool(self._explicit_keys_used)
+        explicit = explicit or self._explicit_keys_used
         if self._wal is not None:
             begin = perf_counter() if self._profile_enabled else 0.0
             self._wal.append_batch(seq, time, sub_batches, explicit)
@@ -1815,10 +1813,7 @@ class SamplerService:
         passed alongside one are treated as a precomputed cache of
         ``key_fn`` (the contract of mixing the two; if they disagreed, the
         original routing was already inconsistent with the configured
-        ``key_fn``). Without one, explicit keys are unrecoverable; and a
-        pre-elastic checkpoint (``explicit_keys_used`` missing, restored as
-        ``None``) cannot *prove* explicit keys were never used, so it is
-        refused too rather than risking silent mis-affinity.
+        ``key_fn``). Without one, explicit keys are unrecoverable.
         """
         if self.key_fn is not None:
             return
@@ -1829,15 +1824,6 @@ class SamplerService:
                 "cannot be recomputed. Construct (or restore) the service "
                 "with a key_fn that derives each item's key, or route on the "
                 "items themselves."
-            )
-        if self._explicit_keys_used is None:
-            raise ValueError(
-                "cannot reshard: this checkpoint predates key-usage "
-                "recording, so it cannot prove explicit keys were never "
-                "used. Restore with a key_fn that derives each item's key; "
-                "or, if the deployment routed on the items themselves, set "
-                "'explicit_keys_used' to false in the snapshot and restore "
-                "again (one more save then records it permanently)."
             )
 
     def reshard(
@@ -1878,14 +1864,12 @@ class SamplerService:
         implements the resharding protocol. Keys are recoverable when a
         ``key_fn`` is configured or items route on themselves; a service
         fed caller-supplied explicit keys without a ``key_fn`` refuses
-        (the keys were never a function of the payload), as does one
-        restored from a pre-elastic checkpoint that cannot prove explicit
-        keys were unused. Mixing explicit keys *with* a ``key_fn`` is
-        supported under the contract that the explicit keys are a
-        precomputed cache of ``key_fn(item)`` — resharding re-routes on
-        ``key_fn``, so keys that disagreed with it would already have been
-        routed inconsistently at ingest time. A same-count reshard with no
-        new factory is a no-op.
+        (the keys were never a function of the payload). Mixing explicit
+        keys *with* a ``key_fn`` is supported under the contract that the
+        explicit keys are a precomputed cache of ``key_fn(item)`` —
+        resharding re-routes on ``key_fn``, so keys that disagreed with it
+        would already have been routed inconsistently at ingest time. A
+        same-count reshard with no new factory is a no-op.
         """
         with self._lock:
             self._reshard_locked(num_shards, sampler_factory)
@@ -2020,9 +2004,7 @@ class SamplerService:
             # with a different shard count needs to re-route safely. A
             # service restored from an older checkpoint keeps routing under
             # the version it recorded (until a reshard re-homes it), so the
-            # *instance* version is persisted, not the build's. A
-            # pre-elastic restore's *unknown* (None) is preserved as null,
-            # never laundered into a confident False.
+            # *instance* version is persisted, not the build's.
             "routing_version": self._routing_version,
             "explicit_keys_used": self._explicit_keys_used,
             # The draws a fixed seed's trajectory is made of, and the key
@@ -2130,10 +2112,6 @@ class SamplerService:
                     if failure is None:
                         raise
 
-    def shutdown(self) -> None:
-        """Alias of :meth:`close` (kept for backward compatibility)."""
-        self.close()
-
     def __enter__(self) -> "SamplerService":
         return self
 
@@ -2172,9 +2150,8 @@ class SamplerService:
         :meth:`reshard`\\ s it to ``M`` — every retained item lands on the
         shard its key hashes to under ``M``, with aggregate bookkeeping
         conserved. Snapshots record the routing contract they were built
-        under (``routing_version``); pre-elastic snapshots without the
-        field are migrated as version-1 layouts (version 1 was the only
-        encoding then). Any supported version restores with its exact
+        under (``routing_version``), and a snapshot missing any recorded
+        field is refused. Any supported version restores with its exact
         per-key hashing preserved — the service keeps routing new arrivals
         under the recorded version so per-key affinity with retained items
         holds — and a spot check verifies that retained items actually
@@ -2187,13 +2164,17 @@ class SamplerService:
                 f"unsupported service state format {version!r}; "
                 f"this build reads version {STATE_FORMAT_VERSION}"
             )
-        # Old-layout snapshots (pre-elastic) carry no routing_version; they
-        # predate version 2, so they migrate as version-1 layouts. Every
-        # version in SUPPORTED_ROUTING_VERSIONS restores exactly (the build
-        # keeps the old per-key hashing alongside the current one); a
+        for field in ("routing_version", "explicit_keys_used", "sampling_version", "plan_key"):
+            if field not in state:
+                raise ValueError(
+                    f"service snapshot has no {field!r}; this build restores "
+                    "only snapshots that record it"
+                )
+        # Every version in SUPPORTED_ROUTING_VERSIONS restores exactly (the
+        # build keeps the old per-key hashing alongside the current one); a
         # snapshot from an *unknown* encoding cannot: its key→shard map is
         # not reproducible here.
-        routing_version = int(state.get("routing_version", 1))
+        routing_version = int(state["routing_version"])
         if routing_version not in SUPPORTED_ROUTING_VERSIONS:
             supported = ", ".join(str(v) for v in SUPPORTED_ROUTING_VERSIONS)
             raise ValueError(
@@ -2208,19 +2189,17 @@ class SamplerService:
         service._executor = get_executor(executor)
         require_in_place_backend(service._executor, "SamplerService")
         service._rng = generator_from_state(state["rng_state"])
-        # Snapshots from before sampling version 2 carry neither field;
-        # their trajectory continues under this build's draws, with the
-        # plan key the constructor would have derived.
-        sampling_version = int(state.get("sampling_version", 1))
-        if sampling_version > SAMPLING_VERSION:
+        if state["sampling_version"] != SAMPLING_VERSION:
             raise ValueError(
-                f"checkpoint was sampled under sampling version "
-                f"{sampling_version}, newer than this build's "
-                f"{SAMPLING_VERSION}; restore it with the build that wrote it"
+                f"checkpoint was sampled under unsupported sampling version "
+                f"{state['sampling_version']!r}; this build reads {SAMPLING_VERSION}"
             )
-        service._plan_key = int(
-            state.get("plan_key", _derive_plan_key(service._rng))
-        )
+        if not isinstance(state["explicit_keys_used"], bool):
+            raise ValueError(
+                f"service snapshot's 'explicit_keys_used' must be a bool, got "
+                f"{state['explicit_keys_used']!r}"
+            )
+        service._plan_key = int(state["plan_key"])
         shard_rng_states = state["shard_rng_states"]
         if len(shard_rng_states) != service.num_shards:
             raise ValueError(
@@ -2230,8 +2209,7 @@ class SamplerService:
         service._shard_rngs = [generator_from_state(s) for s in shard_rng_states]
         service._time = float(state["time"])
         service._batches_seen = int(state["batches_seen"])
-        flag = state.get("explicit_keys_used")
-        service._explicit_keys_used = None if flag is None else bool(flag)
+        service._explicit_keys_used = state["explicit_keys_used"]
         service._shards = {
             int(shard_id): Sampler.from_state_dict(sampler_state)
             for shard_id, sampler_state in state["shards"].items()
@@ -2268,11 +2246,11 @@ class SamplerService:
         v2 disagree on almost every string key. Re-route up to
         ``probe_limit`` retained items per shard under the recorded
         version and reject the restore on any mismatch. Skipped when keys
-        are not a function of the payload (explicit keys, or a pre-elastic
-        checkpoint that cannot rule them out): there is nothing to
-        recompute, and :meth:`reshard` already refuses those layouts.
+        are not a function of the payload (explicit keys were used): there
+        is nothing to recompute, and :meth:`reshard` already refuses those
+        layouts.
         """
-        if self._explicit_keys_used is not False:
+        if self._explicit_keys_used:
             return
         for shard_id in sorted(self._shards):
             items = self._shards[shard_id].sample_items()[:probe_limit]

@@ -101,18 +101,8 @@ __all__ = [
 ]
 
 _MAGIC = b"REPROWAL"
-#: Format version of the on-disk log encoding; bumped only on changes that
-#: would misread persisted logs. Version 2 added the zero-frame terminator
-#: of recycled segments (version-1 logs, which simply end at EOF, still
-#: read fine; version-1 builds must refuse version-2 logs, whose stale
-#: bytes beyond the terminator they would misparse). Version 3 changed no
-#: byte of the framing but made segment creation *eager*: a version-3
-#: directory always holds its complete segment set (commit log plus one log
-#: per shard), so :meth:`WriteAheadLog.attach` treats a missing segment as
-#: damage — in a version-2 directory it could merely mean the lazy creation
-#: never happened, and attach stays lenient there.
-#: Version 4 added the arrival count that ends a planned shard record;
-#: version-3 records (no count) read as unplanned ones.
+#: Format version of the on-disk log encoding: a build reads only the
+#: version it writes, so a log from any other build is refused, not misread.
 WAL_FORMAT_VERSION = 4
 
 _KIND_COMMIT = 0
@@ -300,6 +290,14 @@ class LogScan:
     torn: TornTail | None = None
 
 
+def _check_version(path: str, version: int) -> None:
+    if version != WAL_FORMAT_VERSION:
+        raise WALError(
+            f"{path}: unsupported WAL format version {version}; "
+            f"this build reads {WAL_FORMAT_VERSION}"
+        )
+
+
 def read_log_records(path: str | os.PathLike, strict: bool = False) -> LogScan:
     """Read every valid record of one log file.
 
@@ -323,11 +321,7 @@ def read_log_records(path: str | os.PathLike, strict: bool = False) -> LogScan:
     magic, version, kind, shard_field = _HEADER.unpack_from(data, 0)
     if magic != _MAGIC:
         raise WALError(f"{path}: not a repro WAL file (bad magic {magic!r})")
-    if version > WAL_FORMAT_VERSION:
-        raise WALError(
-            f"{path}: log format version {version} is newer than this build "
-            f"reads ({WAL_FORMAT_VERSION})"
-        )
+    _check_version(path, version)
     if kind == _KIND_COMMIT:
         scan = LogScan(kind=kind, shard_id=-1, num_shards=shard_field)
     else:
@@ -656,9 +650,6 @@ class WriteAheadLog:
         self.directory = os.fspath(directory)
         self.num_shards = int(num_shards)
         self.fsync = fsync
-        #: Format version of the logs on disk (older only for a directory
-        #: an earlier build wrote, until its next truncation rewrites them).
-        self.format_version = WAL_FORMAT_VERSION
         self._commit = _LogFile(
             os.path.join(self.directory, _COMMIT_NAME), _KIND_COMMIT, self.num_shards
         )
@@ -694,8 +685,8 @@ class WriteAheadLog:
         does not count as a deployment: it is deleted and recreated.
 
         The full segment set (commit log plus one log per shard) is created
-        eagerly, header-only — the version-3 invariant that lets
-        :meth:`attach` treat a missing segment as damage.
+        eagerly, header-only, which lets :meth:`attach` treat a missing
+        segment as damage.
         """
         directory = os.fspath(directory)
         os.makedirs(directory, exist_ok=True)
@@ -718,13 +709,9 @@ class WriteAheadLog:
             if name == _COMMIT_NAME or _parse_shard_log_name(name) is not None:
                 os.unlink(os.path.join(directory, name))
         wal = cls(directory, num_shards, fsync=fsync)
-        wal._materialize_segments()
-        return wal
-
-    def _materialize_segments(self) -> None:
-        """Eagerly create every log file (header-only) for this layout."""
-        for log in (*self._shards.values(), self._commit):
+        for log in (*wal._shards.values(), wal._commit):
             log._open()
+        return wal
 
     @classmethod
     def attach(
@@ -743,14 +730,13 @@ class WriteAheadLog:
           commit log was deleted or the copy was partial);
         * a commit log naming a different shard count *and* holding records
           (two deployments' files mixed together);
-        * a version-3 commit log (eager segment creation) with any of its
-          shard segments missing.
+        * a commit log with any of its shard segments missing.
 
-        Benign crash artifacts are normalized, not fatal: an empty commit
-        log under a foreign-layout header — the signature of a crash inside
-        ``reshard``'s log reset — is atomically rewritten for the attaching
-        layout, and version-2 directories (lazy segment creation) keep their
-        lenient missing-segment semantics.
+        A commit log of any format version but the current one raises
+        :class:`WALError`. Benign crash artifacts are normalized, not fatal:
+        an empty commit log under a foreign-layout header — the signature of
+        a crash inside ``reshard``'s log reset — is atomically rewritten for
+        the attaching layout.
         """
         directory = os.fspath(directory)
         commit_path = os.path.join(directory, _COMMIT_NAME)
@@ -791,6 +777,7 @@ class WriteAheadLog:
         magic, version, kind, logged_shards = _HEADER.unpack_from(commit_head, 0)
         if magic != _MAGIC:
             raise WALError(f"{commit_path}: not a repro WAL file")
+        _check_version(commit_path, version)
         if kind != _KIND_COMMIT:
             raise WALLayoutError(
                 f"{commit_path}: header names a shard log, not a commit log; "
@@ -811,29 +798,27 @@ class WriteAheadLog:
             wal = cls(directory, num_shards, fsync=fsync)
             wal.reset_layout(num_shards)
             return wal
-        if version >= 3:
-            missing = sorted(
-                shard_id
-                for shard_id, path in shard_paths.items()
-                if not os.path.exists(path)
+        missing = sorted(
+            shard_id
+            for shard_id, path in shard_paths.items()
+            if not os.path.exists(path)
+        )
+        if missing:
+            raise WALLayoutError(
+                f"{directory}: commit log present but shard segments missing "
+                f"for shards {missing}; a WAL directory holds its full "
+                "segment set, so these were deleted or not copied — restore "
+                "the full WAL directory"
             )
-            if missing:
-                raise WALLayoutError(
-                    f"{directory}: commit log present but shard segments "
-                    f"missing for shards {missing}; version-{version} "
-                    "directories hold their full segment set, so these were "
-                    "deleted or not copied — restore the full WAL directory"
-                )
         for shard_id, path in sorted(shard_paths.items()):
-            if not os.path.exists(path):
-                continue
             with open(path, "rb") as fh:
                 head = fh.read(_HEADER.size)
             if len(head) < _HEADER.size:
                 continue  # torn before the header landed; rewritten on append
-            shard_magic, _, shard_kind, shard_field = _HEADER.unpack_from(head, 0)
+            shard_magic, shard_version, shard_kind, shard_field = _HEADER.unpack_from(head, 0)
             if shard_magic != _MAGIC:
                 raise WALError(f"{path}: not a repro WAL file")
+            _check_version(path, shard_version)
             if shard_kind != _KIND_SHARD or shard_field != shard_id:
                 raise WALLayoutError(
                     f"{path}: header names "
@@ -841,9 +826,7 @@ class WriteAheadLog:
                     f"not shard {shard_id}; the directory's files were "
                     "renamed or mixed up"
                 )
-        wal = cls(directory, num_shards, fsync=fsync)
-        wal.format_version = version
-        return wal
+        return cls(directory, num_shards, fsync=fsync)
 
     # -- appending -----------------------------------------------------
     def append_batch(
@@ -1107,13 +1090,6 @@ def recover_service(
         wal.drop_uncommitted(plan.last_seq)
     service._wal = wal
     service._wal_watermark = watermark
-    if wal.format_version < WAL_FORMAT_VERSION:
-        # The logs still carry an older build's header; that build would
-        # misread this one's planned records. Checkpointing now truncates
-        # every log into a segment under the current header (creating the
-        # segments a version-2 directory never made).
-        service.checkpoint()
-        wal._materialize_segments()
     if replication is not None:
         service._enable_replication(replication)
     return service

@@ -9,7 +9,9 @@ protocol must never produce such a directory on its own.
 
 from __future__ import annotations
 
+import gc
 import json
+import os
 import shutil
 
 import numpy as np
@@ -26,6 +28,7 @@ from repro.service import (
     load_service,
     load_service_delta,
     save_sampler,
+    save_service,
 )
 
 
@@ -98,6 +101,21 @@ class TestDamagedCheckpoints:
         with pytest.raises(CheckpointError, match=archive.name):
             load_sampler(checkpoint_dir)
 
+    @pytest.mark.skipif(
+        not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd to count open files"
+    )
+    def test_truncated_archive_leaves_no_file_open(self, checkpoint_dir):
+        (archive,) = checkpoint_dir.glob("arrays-*.npz")
+        data = archive.read_bytes()
+        archive.write_bytes(data[: len(data) // 2])
+        gc.collect()
+        before = len(os.listdir("/proc/self/fd"))
+        with pytest.raises(CheckpointError) as excinfo:
+            load_sampler(checkpoint_dir)
+        # Counted while the error (and the traceback holding its frames) is
+        # still alive, so a handle only its frames still reference counts.
+        assert len(os.listdir("/proc/self/fd")) == before, excinfo.value
+
     def test_mismatched_archive_reports_dangling_reference(self, checkpoint_dir):
         # A manifest paired with an archive from a *different* save: the
         # array names do not line up.
@@ -146,17 +164,29 @@ class TestManifestVersioning:
         manifest = json.loads(manifest_path.read_text())
         manifest["manifest_version"] = 99
         manifest_path.write_text(json.dumps(manifest))
-        with pytest.raises(CheckpointError, match="newer than this build reads"):
+        with pytest.raises(CheckpointError, match="unsupported manifest_version 99"):
             load_checkpoint(checkpoint_dir)
 
-    def test_versionless_legacy_manifest_still_loads(self, checkpoint_dir):
-        # Checkpoints written before versioning carry no marker; they are
-        # implicitly version 1 and must keep loading.
-        manifest_path = checkpoint_dir / "manifest.json"
+    @pytest.mark.parametrize("layout", ["classic", "delta"])
+    def test_versionless_legacy_manifest_is_refused(self, tmp_path, layout):
+        # Manifests written before versioning carry no marker; a build reads
+        # only the version it writes, so they are refused, in either layout.
+        service = SamplerService(
+            lambda rng: RTBS(n=20, lambda_=0.2, rng=rng), num_shards=2, rng=3
+        )
+        service.ingest_batch(np.arange(300))
+        directory = tmp_path / layout
+        if layout == "classic":
+            save_service(service, directory)
+            manifest_path = directory / "manifest.json"
+        else:
+            service.checkpoint(directory)
+            manifest_path = directory / "MANIFEST.json"
         manifest = json.loads(manifest_path.read_text())
         del manifest["manifest_version"]
         manifest_path.write_text(json.dumps(manifest))
-        assert load_sampler(checkpoint_dir).batches_seen == 1
+        with pytest.raises(CheckpointError, match="has no manifest_version"):
+            load_service(directory, lambda rng: RTBS(n=20, lambda_=0.2, rng=rng))
 
 
 @pytest.fixture
@@ -215,7 +245,7 @@ class TestDamagedDeltaCheckpoints:
         manifest = json.loads(manifest_path.read_text())
         manifest["manifest_version"] = 99
         manifest_path.write_text(json.dumps(manifest))
-        with pytest.raises(CheckpointError, match="newer than this build reads"):
+        with pytest.raises(CheckpointError, match="unsupported manifest_version 99"):
             load_service_delta(delta_dir)
 
     def test_corrupt_delta_manifest_is_not_a_json_error(self, delta_dir):

@@ -222,38 +222,33 @@ class TestReshardSemantics:
         with pytest.raises(ValueError, match="explicit keys"):
             load_service(tmp_path / "ckpt", scaled_factory(8), num_shards=8)
 
-    def test_pre_elastic_checkpoints_restore_but_prove_nothing(self):
-        # Old-layout snapshots carry neither routing_version nor the
-        # explicit-keys flag. They restore fine at their stored layout, but
-        # cannot *prove* explicit keys were never used — so a keyless
-        # reshard refuses rather than risking silent mis-affinity, and the
-        # unknown is preserved (never laundered into False) across saves.
+    @pytest.mark.parametrize(
+        "field", ["routing_version", "explicit_keys_used", "sampling_version", "plan_key"]
+    )
+    def test_snapshots_missing_a_recorded_field_are_refused(self, field):
+        # Pre-elastic snapshots recorded neither routing_version nor the
+        # explicit-keys flag, and snapshots before sampling version 2 neither
+        # sampling_version nor plan_key. A build restores only what it
+        # writes, so each missing field is refused by name, with or without
+        # a reshard on restore.
         service = SamplerService(scaled_factory(4), num_shards=4, rng=3)
         service.ingest(_batches(5))
         state = service.state_dict()
-        del state["routing_version"]
-        del state["explicit_keys_used"]
-        restored = SamplerService.from_state_dict(state, scaled_factory(4))
-        assert restored.sample_items() == service.sample_items()
-        with pytest.raises(ValueError, match="predates key-usage recording"):
-            restored.reshard(6, scaled_factory(6))
-        assert restored.state_dict()["explicit_keys_used"] is None
-        with pytest.raises(ValueError, match="predates key-usage recording"):
-            SamplerService.from_state_dict(state, scaled_factory(6), num_shards=6)
+        del state[field]
+        with pytest.raises(ValueError, match=f"no '{field}'"):
+            SamplerService.from_state_dict(state, scaled_factory(4))
+        with pytest.raises(ValueError, match=f"no '{field}'"):
+            SamplerService.from_state_dict(
+                state, scaled_factory(6), key_fn=lambda item: item, num_shards=6
+            )
 
-    def test_pre_elastic_checkpoints_reshard_with_a_key_fn(self):
-        # A key_fn makes keys recoverable regardless of what the old
-        # deployment did, so the migration path is: restore with key_fn.
+    def test_an_unknown_explicit_keys_flag_is_refused(self):
+        # A pre-elastic restore once saved its unknown flag as null.
         service = SamplerService(scaled_factory(4), num_shards=4, rng=3)
         service.ingest(_batches(5))
-        state = service.state_dict()
-        del state["routing_version"]
-        del state["explicit_keys_used"]
-        restored = SamplerService.from_state_dict(
-            state, scaled_factory(6), key_fn=lambda item: item, num_shards=6
-        )
-        assert restored.num_shards == 6
-        _assert_affinity(restored)
+        state = {**service.state_dict(), "explicit_keys_used": None}
+        with pytest.raises(ValueError, match="'explicit_keys_used' must be a bool"):
+            SamplerService.from_state_dict(state, scaled_factory(4))
 
     def test_refused_reshard_leaves_the_service_untouched(self):
         # A failed reshard must not have partially mutated anything — in

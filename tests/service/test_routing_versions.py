@@ -84,17 +84,6 @@ class TestV1Restore:
         assert restored.sample_items() == live.sample_items()
         assert_states_equal(restored.state_dict(), live.state_dict())
 
-    def test_pre_elastic_checkpoint_defaults_to_version_one(self):
-        service = build_service(version=1)
-        service.ingest_batch(string_keys(100))
-        state = service.state_dict()
-        # Pre-elastic snapshots recorded neither field.
-        del state["routing_version"]
-        state["explicit_keys_used"] = None
-
-        restored = SamplerService.from_state_dict(state, rtbs_factory)
-        assert restored.routing_version == 1
-
     def test_unknown_version_is_rejected(self):
         service = SamplerService(rtbs_factory, num_shards=4, rng=0)
         service.ingest_batch(np.arange(50))

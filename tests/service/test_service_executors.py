@@ -86,7 +86,7 @@ class TestBackendEquivalence:
         service = SamplerService(rtbs_factory, num_shards=2, rng=0, executor="process:2")
         service.ingest_batch(np.arange(100))
         assert len(service.sample_items()) > 0
-        service.shutdown()
+        service.close()
 
     @pytest.mark.parametrize("spec", ["gpu", "thread", "thread:2"])
     def test_invalid_executor_spec_is_rejected(self, spec):

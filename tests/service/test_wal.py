@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import os
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -94,7 +95,7 @@ class TestTornTails:
     @pytest.mark.parametrize("cut", [1, 3, 7])
     def test_truncated_tail_stops_at_last_valid_frame(self, wal, cut):
         path = self._filled(wal)
-        data = open(path, "rb").read()
+        data = Path(path).read_bytes()
         scan = read_log_records(path)
         # Cut inside the final frame (three variants: mid-body, just past
         # the frame header, mid-header).
@@ -108,7 +109,7 @@ class TestTornTails:
 
     def test_strict_reader_raises_naming_file_and_offset(self, wal):
         path = self._filled(wal)
-        data = open(path, "rb").read()
+        data = Path(path).read_bytes()
         scan = read_log_records(path)
         with open(path, "wb") as fh:
             fh.write(data[: scan.records[-1].start + 5])
@@ -139,7 +140,7 @@ class TestCorruption:
         path = self._filled(wal)
         scan = read_log_records(path)
         target = scan.records[1]
-        data = bytearray(open(path, "rb").read())
+        data = bytearray(Path(path).read_bytes())
         data[target.start + 12] ^= 0xFF  # flip a body byte of record 1
         with open(path, "wb") as fh:
             fh.write(bytes(data))
@@ -157,10 +158,15 @@ class TestCorruption:
         with pytest.raises(WALError, match="bad magic"):
             read_log_records(path)
 
-    def test_newer_format_version_is_refused(self, tmp_path):
-        path = tmp_path / "future.wal"
-        path.write_bytes(struct.pack("<8sHHi", b"REPROWAL", 99, 1, 0))
-        with pytest.raises(WALError, match="version 99"):
+    @pytest.mark.parametrize("version", [99, 3, 1])
+    def test_any_other_format_version_is_refused(self, tmp_path, version):
+        # A build reads only the format it writes: newer logs and the
+        # formats earlier builds wrote are refused alike.
+        path = tmp_path / "other.wal"
+        path.write_bytes(struct.pack("<8sHHi", b"REPROWAL", version, 1, 0))
+        with pytest.raises(
+            WALError, match=f"unsupported WAL format version {version}; this build reads 4"
+        ):
             read_log_records(path)
 
     def test_out_of_order_sequence_numbers_are_corruption(self, tmp_path):
@@ -169,7 +175,7 @@ class TestCorruption:
         log.append_batch(6, 2.0, [(0, np.arange(3))], explicit_keys=False)
         log.close()
         path = os.path.join(log.directory, "shard-00000.wal")
-        data = open(path, "rb").read()
+        data = Path(path).read_bytes()
         scan = read_log_records(path)
         first = data[scan.records[0].start : scan.records[0].end]
         second = data[scan.records[1].start : scan.records[1].end]
@@ -239,7 +245,7 @@ class TestCollectReplay:
             wal.append_batch(seq, float(seq + 1), _routed(np.arange(10)), explicit_keys=False)
         wal.close()
         path = os.path.join(wal.directory, "commit.wal")
-        data = open(path, "rb").read()
+        data = Path(path).read_bytes()
         scan = read_log_records(path)
         middle = scan.records[1]
         with open(path, "wb") as fh:  # excise the middle commit

@@ -500,37 +500,25 @@ class TestPlannedLogRecords:
         finally:
             recovered.close()
 
-
-    def test_a_format_3_directory_recovers_and_is_rewritten_as_format_4(self, tmp_path):
+    def test_a_format_3_directory_is_refused(self, tmp_path):
         import struct
 
-        from repro.core import TTBS
-
-        def factory(rng):
-            return TTBS(n=30, lambda_=0.1, mean_batch_size=40.0, rng=rng)
-
-        service = SamplerService(factory, num_shards=4, rng=7, wal_dir=tmp_path / "wal")
+        service = SamplerService(_factory(), num_shards=4, rng=7, wal_dir=tmp_path / "wal")
         try:
             for batch in _batches(6):
                 service.ingest_batch(batch)
-            live = service.state_dict()
         finally:
             service.close()
-        # Unplanned records are byte for byte what a format-3 build wrote:
-        # only the header's version field tells the two apart.
-        logs = sorted((tmp_path / "wal").glob("*.wal"))
-        for path in logs:
-            data = bytearray(path.read_bytes())
-            struct.pack_into("<H", data, 8, 3)
-            path.write_bytes(bytes(data))
-        recovered = recover_service(tmp_path / "wal", factory)
-        try:
-            assert_states_equal(recovered.state_dict(), live)
-        finally:
-            recovered.close()
-        for path in logs:
-            (version,) = struct.unpack_from("<H", path.read_bytes(), 8)
-            assert version == 4, path
+        # A commit log whose header names format 3: an earlier build's
+        # directory. Recovery refuses it and leaves every log as it was.
+        commit = tmp_path / "wal" / "commit.wal"
+        data = bytearray(commit.read_bytes())
+        struct.pack_into("<H", data, 8, 3)
+        commit.write_bytes(bytes(data))
+        logs = {path: path.read_bytes() for path in sorted((tmp_path / "wal").glob("*.wal"))}
+        with pytest.raises(WALError, match="unsupported WAL format version 3; this build reads 4"):
+            recover_service(tmp_path / "wal", _factory())
+        assert {path: path.read_bytes() for path in logs} == logs
 
 
 class TestSamplingVersion:
@@ -549,7 +537,7 @@ class TestSamplingVersion:
         assert scalar["sampling_version"] == 2
         assert scalar["plan_key"] == state["plan_key"]
 
-    def test_restore_continues_the_trajectory_and_refuses_newer_versions(self):
+    def test_restore_continues_the_trajectory_and_refuses_other_versions(self):
         batches = _batches(8)
         service = SamplerService(_factory(), num_shards=4, rng=7)
         for batch in batches[:4]:
@@ -559,12 +547,9 @@ class TestSamplingVersion:
             service.ingest_batch(batch)
             restored.ingest_batch(batch)
         assert_states_equal(restored.state_dict(), service.state_dict())
-        # A snapshot from before the field existed derives the same plan key.
-        legacy = service.state_dict()
-        del legacy["sampling_version"], legacy["plan_key"]
-        assert SamplerService.from_state_dict(legacy, _factory())._plan_key == (
-            service._plan_key
-        )
-        future = {**service.state_dict(), "sampling_version": 3}
-        with pytest.raises(ValueError, match="sampling version 3"):
-            SamplerService.from_state_dict(future, _factory())
+        # A build restores only the sampling version it writes: version 1
+        # (the draws before the plan streams) is refused like a newer one.
+        for version in (1, 3):
+            other = {**service.state_dict(), "sampling_version": version}
+            with pytest.raises(ValueError, match=f"sampling version {version}; this build reads 2"):
+                SamplerService.from_state_dict(other, _factory())
