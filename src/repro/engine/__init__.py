@@ -49,6 +49,7 @@ from repro.engine.executors import (
 )
 from repro.engine.shards import (
     ShardTask,
+    build_shard_sampler,
     group_by_destination,
     ingest_shard_inplace,
     merge_samples,
@@ -72,6 +73,7 @@ __all__ = [
     "map_partitions",
     "reduce_merge",
     "ShardTask",
+    "build_shard_sampler",
     "ingest_shard_inplace",
     "merge_samples",
     "group_by_destination",

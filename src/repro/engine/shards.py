@@ -15,14 +15,16 @@ or code.
 from __future__ import annotations
 
 from time import perf_counter
-from typing import Any, Iterable, Sequence
+from typing import Any, Callable, Iterable, Sequence
 
 import numpy as np
 
 from repro.core.base import Sampler, SamplerSnapshotView
+from repro.core.random_utils import generator_from_state
 
 __all__ = [
     "ShardTask",
+    "build_shard_sampler",
     "ingest_shard_inplace",
     "merge_samples",
     "group_by_destination",
@@ -48,6 +50,25 @@ def ingest_shard_inplace(task: ShardTask) -> None:
     """
     sampler, batches, times, arrivals = task
     sampler.ingest_stream(batches, times=times, arrivals=arrivals)
+
+
+def build_shard_sampler(
+    factory: Callable[[np.random.Generator], Any], rng_state: dict[str, Any]
+) -> Sampler:
+    """A fresh shard sampler: ``factory`` called on a new generator at ``rng_state``.
+
+    Every call hands the factory its own copy of the shard's reserved
+    stream, so nothing the factory or its sampler draws moves the stream
+    itself. Refuses a factory that does not build a
+    :class:`~repro.core.base.Sampler`.
+    """
+    sampler = factory(generator_from_state(rng_state))
+    if not isinstance(sampler, Sampler):
+        raise TypeError(
+            "sampler_factory must return a repro.core.base.Sampler, "
+            f"got {type(sampler).__name__}"
+        )
+    return sampler
 
 
 def restore_sampler(state: dict[str, Any]) -> Sampler:

@@ -9,7 +9,8 @@ someone restarts the process and calls
 
 * :class:`ShardReplicaSet` — the warm standby, kept as a *base* (the
   per-shard states of a committed-watermark snapshot cut, plus the
-  reserved RNG states that cut implies) and the committed log beyond it.
+  reserved RNG states of the shards the cut holds no state for) and the
+  committed log beyond it.
   The service retakes the base every ``ship_interval`` batches and at
   every paired checkpoint; the standby does no per-batch work. Promotion
   rebuilds the samplers from the base and replays ``(base, committed]``
@@ -44,19 +45,14 @@ second failure before the next cut promotes from it again. Truncation
 must never drop a frame the base still needs: a paired checkpoint adopts
 its own cut as the base *before* it truncates the log.
 
-RNG reconciliation rule
------------------------
+RNG rule
+--------
 
-The standby must draw the same random numbers the primary would have. Two
-cases: a shard **active in the base** is rebuilt from its cut state (which
-embeds the RNG state), and when the primary's sampler owns the shard's
-reserved stream the rebuilt sampler's generator becomes that stream
-again; a shard **not yet active** keeps only the pristine reserved-stream
-state, and on its first replayed frame the factory receives a clone of
-that state — the exact moment, and the exact generator state, at which
-the lazily-creating serial path would have invoked it. Promotion then
-re-aliases the service's reserved streams to the rebuilt generators, so
-post-failover draws continue the same trajectories.
+Every factory call gets a fresh copy of the shard's reserved stream, and
+reserved streams change only on reshard — so a shard active in the base is
+rebuilt from its cut state (which embeds its generator), and any other
+shard's factory gets a copy of its reserved state on its first replayed
+frame, exactly as the primary's did.
 """
 
 from __future__ import annotations
@@ -67,8 +63,9 @@ from typing import TYPE_CHECKING, Any, Callable
 import numpy as np
 
 from repro.core.base import Sampler
-from repro.core.random_utils import generator_from_state, generator_state
+from repro.core.random_utils import generator_state
 from repro.engine.errors import FailoverError
+from repro.engine.shards import build_shard_sampler
 from repro.service.wal import WALError, WriteAheadLog
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
@@ -151,7 +148,6 @@ class ShardReplicaSet:
         base_seq: int,
         states: dict[int, dict[str, Any]],
         rng_states: dict[int, dict[str, Any]],
-        aliased: frozenset[int],
     ) -> None:
         self._factory = factory
         self._wal = wal
@@ -159,54 +155,38 @@ class ShardReplicaSet:
         self.base_seq = int(base_seq)
         #: ``state_dict()`` of every shard active at the base, by shard id.
         self._states = states
-        #: Reserved-stream states of the shards whose sampler does not own
-        #: its stream — every shard not yet active (pristine states, handed
-        #: to the factory on a first replayed frame) and any active shard
-        #: whose sampler keeps a generator of its own.
+        #: Reserved-stream states of the shards not active at the base,
+        #: handed to the factory on a first replayed frame.
         self._rng_states = rng_states
-        #: Active shards whose sampler *is* its reserved stream's owner.
-        self._aliased = aliased
-        #: Samplers and reserved streams rebuilt by :meth:`catch_up`, by
-        #: shard id; handed over (and cleared) by :meth:`promote`.
+        #: Samplers rebuilt by :meth:`catch_up`, by shard id; handed over
+        #: (and cleared) by :meth:`promote`.
         self.samplers: dict[int, Sampler] = {}
-        self.rngs: dict[int, np.random.Generator] = {}
 
     @classmethod
     def capture(cls, service: "SamplerService", cut: "ServiceSnapshot") -> "ShardReplicaSet":
         """Take ``cut`` — a state-bearing cut at the committed watermark — as the base.
 
         The caller holds the service lock and took ``cut`` with
-        ``include_state=True`` at the current watermark, so the service's
-        reserved-stream bookkeeping describes the same moment. The cut's
-        states are kept as they are (cuts are immutable); shards without a
-        view contribute only their pristine reserved-stream state (see the
-        RNG reconciliation rule in the module docstring).
+        ``include_state=True`` at the current watermark. The cut's states
+        are kept as they are (cuts are immutable); shards without a view
+        contribute only their reserved-stream state (see the RNG rule in the
+        module docstring).
         """
         assert service._wal is not None  # replication requires a WAL
         states: dict[int, dict[str, Any]] = {}
         rng_states: dict[int, dict[str, Any]] = {}
-        aliased: set[int] = set()
         for shard_id in range(service.num_shards):
             view = cut.views.get(shard_id)
-            if view is not None:
-                if view.state is None:
-                    raise ValueError(
-                        "a standby base needs a state-bearing cut; take the "
-                        "snapshot with include_state=True"
-                    )
+            if view is None:
+                rng_states[shard_id] = generator_state(service._shard_rngs[shard_id])
+            elif view.state is None:
+                raise ValueError(
+                    "a standby base needs a state-bearing cut; take the "
+                    "snapshot with include_state=True"
+                )
+            else:
                 states[shard_id] = view.state
-                if service._owns_reserved_stream(shard_id):
-                    aliased.add(shard_id)
-                    continue
-            rng_states[shard_id] = generator_state(service._shard_rngs[shard_id])
-        return cls(
-            service._factory,
-            service._wal,
-            cut.watermark,
-            states,
-            rng_states,
-            frozenset(aliased),
-        )
+        return cls(service._factory, service._wal, cut.watermark, states, rng_states)
 
     def lag(self, committed_seq: int) -> int:
         """How many committed batches lie beyond the base."""
@@ -239,46 +219,34 @@ class ShardReplicaSet:
                 f"{self.base_seq}) or the log is damaged — restore offline "
                 "from the last checkpoint"
             )
-        samplers: dict[int, Sampler] = {}
-        rngs: dict[int, np.random.Generator] = {}
-        for shard_id in sorted(self._states):
-            sampler = Sampler.from_state_dict(self._states[shard_id])
-            samplers[shard_id] = sampler
-            rngs[shard_id] = (
-                sampler._rng
-                if shard_id in self._aliased
-                else generator_from_state(self._rng_states[shard_id])
-            )
+        samplers = {
+            shard_id: Sampler.from_state_dict(self._states[shard_id])
+            for shard_id in sorted(self._states)
+        }
         for shard_id in sorted(plan.per_shard):
             sampler = samplers.get(shard_id)
             if sampler is None:
-                clone = generator_from_state(self._rng_states[shard_id])
-                sampler = self._factory(clone)
-                if not isinstance(sampler, Sampler):
-                    raise TypeError(
-                        "sampler_factory must return a repro.core.base.Sampler, "
-                        f"got {type(sampler).__name__}"
-                    )
+                sampler = build_shard_sampler(
+                    self._factory, self._rng_states[shard_id]
+                )
                 samplers[shard_id] = sampler
-                rngs[shard_id] = clone
             batches, times = plan.per_shard[shard_id]
             sampler.ingest_stream(
                 batches, times=times, arrivals=plan.arrivals[shard_id]
             )
-        self.samplers, self.rngs = samplers, rngs
+        self.samplers = samplers
         return set(plan.per_shard)
 
-    def promote(self) -> tuple[dict[int, Sampler], dict[int, np.random.Generator]]:
-        """Hand over the samplers and reserved streams :meth:`catch_up` rebuilt.
+    def promote(self) -> dict[int, Sampler]:
+        """Hand over the samplers :meth:`catch_up` rebuilt.
 
         The caller (the service's failover) adopts them as the new
         primaries. The base is kept: it still describes the promoted
         trajectory, so a later promotion replays from it again until the
         next cut replaces it.
         """
-        samplers, rngs = self.samplers, self.rngs
-        self.samplers, self.rngs = {}, {}
-        return samplers, rngs
+        samplers, self.samplers = self.samplers, {}
+        return samplers
 
 
 @dataclass(frozen=True)

@@ -106,6 +106,7 @@ from repro.engine import (
     FailoverError,
     WindowTask,
     WorkerCrashError,
+    build_shard_sampler,
     get_executor,
     ingest_shard_inplace,
     require_in_place_backend,
@@ -308,8 +309,11 @@ class SamplerService:
     sampler_factory:
         Callable receiving the shard's private RNG and returning a fresh
         :class:`~repro.core.base.Sampler`, e.g.
-        ``lambda rng: RTBS(n=10_000, lambda_=0.07, rng=rng)``. Called once
-        per shard, lazily, on the shard's first arrival. The sampler class
+        ``lambda rng: RTBS(n=10_000, lambda_=0.07, rng=rng)``. Each call
+        receives its own copy of the shard's reserved stream, and the
+        service may call it more than once per shard (to plan a batch, or
+        to attach a shard to a worker), so it must build the same sampler
+        from the same stream. The sampler class
         must implement the snapshot protocol for the service to be
         checkpointable.
     num_shards:
@@ -361,10 +365,10 @@ class SamplerService:
         plus the committed WAL beyond it. A
         :class:`~repro.engine.errors.WorkerCrashError` (or a failed health
         probe) promotes the standby *in place* — the base is rebuilt, the
-        committed log tail beyond it is replayed, RNG streams are
-        reconciled, and pipelined ingest resumes on a fresh worker pool
-        without dropping a batch; post-failover trajectories are
-        bit-identical to an uninterrupted run. Requires ``wal_dir`` (the
+        committed log tail beyond it is replayed, and pipelined ingest
+        resumes on a fresh worker pool without dropping a batch;
+        post-failover trajectories are bit-identical to an uninterrupted
+        run. Requires ``wal_dir`` (the
         promotion replays the log, and its safety argument rests on the
         log's commit watermark).
 
@@ -417,6 +421,9 @@ class SamplerService:
         #: Seeds the per-batch plan streams (``default_rng([tag, key, seq])``)
         #: the driver draws R-TBS shards' acceptances from; checkpointed.
         self._plan_key = _derive_plan_key(self._rng)
+        #: The driver's samplers of the active shards. While the transport is
+        #: attached the workers hold the live ones and these date from the
+        #: attach; detach, failover, restore and reshard each set them anew.
         self._shards: dict[int, Sampler] = {}
         self._time: float = 0.0
         self._batches_seen: int = 0
@@ -460,21 +467,6 @@ class SamplerService:
         #: ``_shards`` on in-process backends; fed by worker acknowledgements
         #: on the transport backend).
         self._activated: set[int] = set(self._shards)
-        #: Whether shard k's sampler shares its RNG object with
-        #: ``_shard_rngs[k]`` (the usual factory pattern); governs whether
-        #: pulling the shard's state back refreshes the reserved stream,
-        #: matching serial bookkeeping.
-        self._retained_rng: dict[int, bool] = {}
-        #: Pristine snapshots of factory-built samplers for shards that have
-        #: not seen data yet, so a close/reopen cycle never re-invokes the
-        #: factory (serial calls it exactly once per shard).
-        self._standby_states: dict[int, dict[str, Any]] = {}
-        #: The generator handed to the factory for each not-yet-activated
-        #: shard. Promoted into ``_shard_rngs`` only when the shard first
-        #: receives items — the moment the lazily-creating serial path would
-        #: have invoked the factory — so the reserved streams of shards that
-        #: never see data stay pristine in checkpoints, exactly as serial.
-        self._standby_rngs: dict[int, np.random.Generator] = {}
         self._transport_attached = False
         #: The write-ahead log, when durability is enabled (``wal_dir=`` at
         #: construction, or attached by ``recover_service``).
@@ -582,15 +574,21 @@ class SamplerService:
         """The sampler behind one shard, created lazily on first arrival."""
         sampler = self._shards.get(shard_id)
         if sampler is None:
-            sampler = self._factory(self._shard_rngs[shard_id])
-            if not isinstance(sampler, Sampler):
-                raise TypeError(
-                    "sampler_factory must return a repro.core.base.Sampler, "
-                    f"got {type(sampler).__name__}"
-                )
+            sampler = self._build_shard(shard_id)
             self._shards[shard_id] = sampler
             self._activated.add(shard_id)
         return sampler
+
+    def _build_shard(self, shard_id: int) -> Sampler:
+        """A fresh sampler for one shard, built on a copy of its reserved stream.
+
+        Every factory call gets its own copy, so the reserved streams
+        change only on reshard and each call for a shard builds the same
+        sampler.
+        """
+        return build_shard_sampler(
+            self._factory, generator_state(self._shard_rngs[shard_id])
+        )
 
     def snapshot(
         self,
@@ -942,9 +940,9 @@ class SamplerService:
         """The plan mirrors, rebuilt from the driver's samplers when stale.
 
         An active shard is read from its sampler; a shard that has seen no
-        data from the sampler the factory builds on its reserved stream —
-        the sampler it will start as. The probe leaves the stream as it
-        found it: whatever the factory drew is put back.
+        data from the sampler it will start as (:meth:`_build_shard`). A
+        factory that builds no sampler is refused here, before the batch
+        reaches the log.
         """
         if self._mirrors is None:
             mirrors: dict[int, RTBSPlanState | None] = {}
@@ -952,10 +950,7 @@ class SamplerService:
                 if shard_id in self._activated:
                     sampler = self._shards[shard_id]
                 else:
-                    rng = self._shard_rngs[shard_id]
-                    pristine = generator_state(rng)
-                    sampler = self._factory(rng)
-                    rng.bit_generator.state = pristine
+                    sampler = self._build_shard(shard_id)
                 mirrors[shard_id] = (
                     sampler.plan_state() if isinstance(sampler, RTBS) else None
                 )
@@ -1282,7 +1277,6 @@ class SamplerService:
             directory = self._wal.checkpoint_dir
         with self._lock:
             cut = self.snapshot(include_items=False, include_state=True)
-            self._refresh_driver_cut(cut)
             shard_states = {
                 shard_id: cut.views[shard_id].state
                 for shard_id in sorted(cut.views)
@@ -1323,41 +1317,19 @@ class SamplerService:
         yet are built by the factory now (any shard may receive items the
         moment the next batch is routed) — but they only count as
         *active*, and only appear in checkpoints, once a worker reports
-        items for them. The factory receives a generator carrying shard
-        ``k``'s reserved stream state, exactly as the lazily-creating serial
-        path would hand it.
+        items for them. The factory receives a copy of shard ``k``'s
+        reserved stream, exactly as the lazily-creating serial path hands
+        it (:meth:`_build_shard`).
         """
         pool = self._executor.transport
         for shard_id in range(self.num_shards):
             sampler = self._shards.get(shard_id)
-            if sampler is not None:
-                self._retained_rng[shard_id] = (
-                    getattr(sampler, "_rng", None) is self._shard_rngs[shard_id]
-                )
-                state = sampler.state_dict()
-            elif shard_id in self._standby_states:
-                state = self._standby_states[shard_id]
-            else:
-                clone = generator_from_state(
-                    generator_state(self._shard_rngs[shard_id])
-                )
-                sampler = self._factory(clone)
-                if not isinstance(sampler, Sampler):
-                    raise TypeError(
-                        "sampler_factory must return a repro.core.base.Sampler, "
-                        f"got {type(sampler).__name__}"
-                    )
-                # The clone (including any construction-time draws) becomes
-                # the shard's reserved stream only on activation — see
-                # ``_standby_rngs``.
-                self._standby_rngs[shard_id] = clone
-                self._retained_rng[shard_id] = getattr(sampler, "_rng", None) is clone
-                state = sampler.state_dict()
-                self._standby_states[shard_id] = state
+            if sampler is None:
+                sampler = self._build_shard(shard_id)
             pool.attach(
                 self._shard_key(shard_id),
                 restore_sampler,
-                state,
+                sampler.state_dict(),
                 worker=shard_id % pool.num_workers,
             )
         self._transport_attached = True
@@ -1368,12 +1340,6 @@ class SamplerService:
             shard_id = int(shard_id)
             self._activated.add(shard_id)
             self._ckpt_dirty.add(shard_id)
-            self._standby_states.pop(shard_id, None)
-            standby_rng = self._standby_rngs.pop(shard_id, None)
-            if standby_rng is not None:
-                # First arrival: adopt the factory's construction-time draws
-                # into the reserved stream, as serial's lazy creation would.
-                self._shard_rngs[shard_id] = standby_rng
 
     def _on_window_result(self, result: Any) -> None:
         """Acknowledgement callback of a worker's ingest window."""
@@ -1478,34 +1444,6 @@ class SamplerService:
             }
         return {shard_id: views[shard_id] for shard_id in sorted(views)}
 
-    def _refresh_driver_cut(self, cut: ServiceSnapshot) -> None:
-        """Adopt a state-bearing cut as the driver's authoritative shard state.
-
-        The second half of the one state-bearing read (:meth:`state_dict`
-        and :meth:`checkpoint` both take it): on the transport backend every
-        view's ``state_dict()`` is restored driver-side and the reserved RNG
-        streams are re-aliased as a detach would, but the states come from
-        the snapshot cut — no barrier. Collecting the cut's markers
-        processed every earlier acknowledgement, so activation bookkeeping
-        is current too. Must be called under the service lock with a cut
-        taken at the current watermark (no writes can have interleaved);
-        in-process backends are a no-op because the driver's samplers are
-        already authoritative.
-        """
-        if not self._transport_attached:
-            return
-        for shard_id in sorted(cut.views):
-            state = cut.views[shard_id].state
-            if state is None:
-                raise ValueError(
-                    "driver refresh needs a state-bearing cut; take the "
-                    "snapshot with include_state=True"
-                )
-            sampler = Sampler.from_state_dict(state)
-            self._shards[shard_id] = sampler
-            if self._retained_rng.get(shard_id):
-                self._shard_rngs[shard_id] = sampler._rng
-
     # ------------------------------------------------------------------
     # warm-standby replication & supervised failover
     # ------------------------------------------------------------------
@@ -1541,17 +1479,6 @@ class SamplerService:
         return rt is not None and (
             rt.replica.lag(self._batches_seen - 1) >= rt.config.ship_interval
         )
-
-    def _owns_reserved_stream(self, shard_id: int) -> bool:
-        """Whether shard ``shard_id``'s sampler draws from its reserved stream.
-
-        Answers for the moment of a cut taken under the service lock: the
-        transport backend recorded the aliasing when it attached the shard;
-        in-process backends hold the live sampler.
-        """
-        if self._transport_attached:
-            return self._retained_rng.get(shard_id, False)
-        return getattr(self._shards.get(shard_id), "_rng", None) is self._shard_rngs[shard_id]
 
     def _replication_tick(self) -> None:
         """Per-window replication upkeep: retake the base on cadence, probe the workers.
@@ -1652,23 +1579,19 @@ class SamplerService:
         # executor usable: the next batch lazily respawns a fresh pool and
         # re-attaches the promoted shards.
         self._transport_attached = False
-        self._retained_rng = {}
-        self._standby_states = {}
-        self._standby_rngs = {}
         # Cached cuts may reference the condemned pool's shard states.
         self._snapshot_cache = None
         self._executor.shutdown()
         # 2. Rebuild the base, replay the log through the last committed
-        # batch, then promote the samplers and reserved RNG streams in
-        # place. The base stays: it describes this same trajectory.
+        # batch, then promote the samplers in place. The reserved RNG
+        # streams never moved, so they need no reconciling. The base stays:
+        # it describes this same trajectory.
         committed = self._batches_seen - 1
         rt.replica.catch_up(committed)
-        samplers, rngs = rt.replica.promote()
+        samplers = rt.replica.promote()
         self._shards = samplers
         self._activated = set(samplers)
         self._mirrors = None
-        for shard_id in sorted(rngs):
-            self._shard_rngs[shard_id] = rngs[shard_id]
         # Every promoted shard must land in the next delta checkpoint: the
         # paired checkpoint's shard files describe the pre-failover sync
         # points, and only dirty shards are rewritten.
@@ -1885,13 +1808,17 @@ class SamplerService:
         # All validation happens before any state changes: a refused reshard
         # must leave the service exactly as it was (same factory included).
         self._check_keys_recoverable()
+        factory = self._factory
+        if sampler_factory is not None:
+            # A factory that builds no sampler is refused now, not once a
+            # shard of the new layout first needs one.
+            factory = sampler_factory
+            build_shard_sampler(factory, generator_state(self._shard_rngs[0]))
         if self._wal is not None:
             # Checkpoint + truncate before re-homing: the logs' per-shard
             # records are keyed by the *old* layout, so everything in them
             # must be durable in the checkpoint before the layout changes.
             self.checkpoint()
-        if sampler_factory is not None:
-            self._factory = sampler_factory
         if self._transport_attached:
             # Drain + detach: the driver's samplers become authoritative and
             # the next ingest re-attaches them under the new layout.
@@ -1912,13 +1839,7 @@ class SamplerService:
         new_rngs = spawn_rngs(self._rng, new_count)
 
         def make_sampler(shard_id: int) -> Sampler:
-            sampler = self._factory(new_rngs[shard_id])
-            if not isinstance(sampler, Sampler):
-                raise TypeError(
-                    "sampler_factory must return a repro.core.base.Sampler, "
-                    f"got {type(sampler).__name__}"
-                )
-            return sampler
+            return build_shard_sampler(factory, generator_state(new_rngs[shard_id]))
 
         def destinations_for(items: np.ndarray) -> np.ndarray:
             # Re-home under the *current* encoding, whatever version the
@@ -1936,15 +1857,13 @@ class SamplerService:
             new_count,
         )
 
+        self._factory = factory
         self.num_shards = new_count
         self._routing_version = int(ROUTING_VERSION)
         self._shard_rngs = new_rngs
         self._shards = new_shards
         self._activated = set(new_shards)
         self._mirrors = None
-        self._retained_rng = {}
-        self._standby_states = {}
-        self._standby_rngs = {}
         # Cached cuts describe the old layout (shard ids, num_shards).
         self._snapshot_cache = None
         if self._wal is not None:
@@ -1968,16 +1887,15 @@ class SamplerService:
 
         Includes the master RNG, the reserved per-shard RNG streams (so
         shards that have *not* been created yet still get the exact stream
-        they would have received), and one sampler snapshot per active
-        shard. Contains only plain containers and NumPy arrays. It
-        serializes from the same state-bearing snapshot cut as
-        :meth:`checkpoint`, so on the transport backend a snapshot taken
-        mid-stream is exact and bit-identical to the serial backend's
-        without draining the pipeline.
+        they would have received; they change only on reshard), and one
+        sampler snapshot per active shard. Contains only plain containers
+        and NumPy arrays. It serializes from the same state-bearing
+        snapshot cut as :meth:`checkpoint`, so on the transport backend a
+        snapshot taken mid-stream is exact and bit-identical to the serial
+        backend's without draining the pipeline.
         """
         with self._lock:
             cut = self.snapshot(include_items=False, include_state=True)
-            self._refresh_driver_cut(cut)
             return {
                 **self._scalar_state(),
                 "shards": {
@@ -1991,9 +1909,8 @@ class SamplerService:
 
         Delta checkpoints persist this part on every save (it is tiny) and
         the per-shard sampler snapshots separately, rewriting only dirty
-        ones. A pure read: callers take a state-bearing cut and
-        :meth:`_refresh_driver_cut` first, so the reserved RNG streams match
-        the cut's shard states.
+        ones. A pure read of driver-side scalars; each active shard's own
+        generator travels in its sampler snapshot.
         """
         return {
             "format_version": STATE_FORMAT_VERSION,
@@ -2032,10 +1949,7 @@ class SamplerService:
             key = self._shard_key(shard_id)
             if shard_id in self._activated:
                 snapshot = pool.detach(key, snapshot_sampler)
-                sampler = Sampler.from_state_dict(snapshot)
-                self._shards[shard_id] = sampler
-                if self._retained_rng.get(shard_id):
-                    self._shard_rngs[shard_id] = sampler._rng
+                self._shards[shard_id] = Sampler.from_state_dict(snapshot)
             else:
                 pool.detach(key, None)
         self._transport_attached = False
@@ -2214,21 +2128,6 @@ class SamplerService:
             int(shard_id): Sampler.from_state_dict(sampler_state)
             for shard_id, sampler_state in state["shards"].items()
         }
-        # Re-establish the RNG aliasing the live service had: with the
-        # usual factory pattern (the sampler retains the generator it was
-        # handed), shard k's sampler and the reserved stream k are one
-        # object, so the reserved stream advances as the sampler draws.
-        # The snapshot stores them as two equal states; restoring them as
-        # two *objects* would freeze the reserved stream while the sampler
-        # draws on — and every later snapshot would diverge from an
-        # uninterrupted run's. Equal states at snapshot time mean the pair
-        # was (observationally) aliased, so re-alias.
-        for shard_id, sampler in service._shards.items():
-            sampler_rng = getattr(sampler, "_rng", None)
-            if sampler_rng is not None and generator_state(
-                sampler_rng
-            ) == generator_state(service._shard_rngs[shard_id]):
-                service._shard_rngs[shard_id] = sampler_rng
         service._routing_version = routing_version
         service._init_transport_state()
         service._verify_restored_routing()

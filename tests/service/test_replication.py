@@ -419,6 +419,35 @@ class TestStandbyBase:
         finally:
             service.close()
 
+    @pytest.mark.parametrize("backend", BASE_BACKENDS, ids=BASE_IDS)
+    def test_reserved_streams_change_only_on_reshard(self, tmp_path, backend):
+        """Factories draw from copies: ingest, failover and close never move a stream."""
+        batches = faults.workload_batches()
+        service = _replicated(tmp_path, backend, ship_interval=3)
+
+        def reserved() -> list[dict]:
+            return service.state_dict()["shard_rng_states"]
+
+        try:
+            pristine = reserved()
+            service.ingest(batches[:8])
+            assert reserved() == pristine
+            service.failover()
+            assert reserved() == pristine
+            service.close()
+            service.ingest(batches[8:16])
+            assert reserved() == pristine
+            service.reshard(3)
+            resharded = reserved()
+            assert len(resharded) == 3
+            service.ingest(batches[16:24])
+            service.failover()
+            service.close()
+            service.ingest(batches[24:])
+            assert reserved() == resharded
+        finally:
+            service.close()
+
     def test_worker_killed_with_cut_markers_in_flight(self, tmp_path, monkeypatch):
         from repro.engine.transport import ShardWorkerPool
 

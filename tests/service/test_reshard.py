@@ -262,6 +262,28 @@ class TestReshardSemantics:
         # Shards lazily created later still come from the original factory.
         assert service._factory(np.random.default_rng(0)).n == _TOTAL_CAPACITY // 4
 
+    @pytest.mark.parametrize("backend", [None, "process:2"], ids=["serial", "process"])
+    def test_a_refused_factory_is_not_installed(self, backend):
+        def build():
+            service = SamplerService(
+                scaled_factory(8), num_shards=8, rng=0, executor=backend
+            )
+            service.ingest_batch(np.full(50, 42))
+            return service
+
+        with build() as service, build() as twin:
+            before = service.state_dict()
+            with pytest.raises(TypeError, match="must return"):
+                service.reshard(3, lambda rng: object())
+            _assert_states_equal(service.state_dict(), before)
+            # Activating a shard after the refusal uses the original factory.
+            for target in (service, twin):
+                target.ingest_batch(np.arange(200))
+            assert len(service.active_shards) > 1
+            for target in (service, twin):
+                target.reshard(3)
+            _assert_states_equal(service.state_dict(), twin.state_dict())
+
     def test_rejected_explicit_key_batches_do_not_poison_resharding(self):
         # A batch whose explicit keys never routed (bad type, bad length)
         # leaves no unrecoverable key behind, so resharding stays allowed.

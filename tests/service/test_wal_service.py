@@ -374,6 +374,24 @@ class TestFailedAppendLeavesTheServiceUnchanged:
         finally:
             recovered.close()
 
+    @pytest.mark.parametrize("backend", [None, "process:2"], ids=["serial", "process"])
+    def test_a_factory_that_builds_no_sampler_commits_nothing(self, tmp_path, backend):
+        service = SamplerService(
+            lambda rng: object(),
+            num_shards=4,
+            rng=7,
+            executor=backend,
+            wal_dir=tmp_path / "wal",
+        )
+        try:
+            with pytest.raises(TypeError, match="must return"):
+                service.ingest_batch(_batches(1)[0])
+            assert service.time == 0.0 and service.batches_seen == 0
+            commit_log = os.path.join(service.wal_dir, "commit.wal")
+            assert read_log_records(commit_log).records == []
+        finally:
+            service.close()
+
 
 class TestCheckpointDurability:
     """Under ``"always"`` a checkpoint is on disk before the log is truncated."""
