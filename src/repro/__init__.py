@@ -4,14 +4,13 @@ The package is organized into seven subpackages:
 
 * :mod:`repro.core` — the sampling algorithms (R-TBS, T-TBS and every
   baseline), plus the fractional-sample machinery and closed-form analysis.
-* :mod:`repro.engine` — the partitioned-execution engine: a pluggable
-  :class:`~repro.engine.Executor` protocol (serial and process-pool
-  backends) with ``map_partitions``/``reduce_merge`` primitives; the
-  service fans shard work out through it and the distributed algorithms
-  run their partition stages on it.
+* :mod:`repro.engine` — the execution engine: pluggable
+  :class:`~repro.engine.Executor` backends (serial and process-pool), each
+  hosting the service's shards behind one shard-host surface, so the
+  service runs one ingest pipeline on every backend.
 * :mod:`repro.service` — the production ingestion layer: a sharded
   :class:`~repro.service.SamplerService` with stable hash routing,
-  executor-parallel shard ingest, and pickle-free whole-service
+  per-shard ingest on any backend, and pickle-free whole-service
   checkpoint/restore.
 * :mod:`repro.streams` — synthetic data-stream generators used by the
   paper's evaluation (batch-size processes, temporal mode patterns, the

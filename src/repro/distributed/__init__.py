@@ -14,10 +14,10 @@ Public surface:
 
 * :class:`~repro.distributed.costmodel.CostModel` and
   :class:`~repro.distributed.cluster.SimulatedCluster` — the execution
-  substrate. The cluster implements the :mod:`repro.engine` ``Executor``
-  protocol: partition tasks run in process, in partition order, while
-  stages are *priced* by the cost model, so simulated runtimes are
-  reproducible anywhere.
+  substrate. The cluster is a :mod:`repro.engine` ``Executor`` with priced
+  ``map_partitions``/``reduce_merge`` stages: partition tasks run in
+  process, in partition order, while stages are *priced* by the cost
+  model, so simulated runtimes are reproducible anywhere.
 * :class:`~repro.distributed.batches.DistributedBatch` — a partitioned
   incoming batch, either materialized (real items) or virtual (counts only)
   for cluster-scale workloads.

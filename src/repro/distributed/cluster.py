@@ -9,15 +9,16 @@ per-worker work (parallel); the simulated stage duration is::
 The cluster accumulates stage records so experiments can report per-batch
 runtimes and break them down by component.
 
-Since the engine refactor the cluster is also an
-:class:`~repro.engine.executors.Executor`: partition-local work reaches it
-through the same ``map_partitions``/``reduce_merge`` protocol the serial
-and process backends implement. What distinguishes the cluster is that it
-*prices* stages with the calibrated
-:class:`~repro.distributed.costmodel.CostModel` instead of measuring
-wall-clock — the simulator stays the executable cost-model spec of the
-paper's Figures 7-9. The tasks themselves run in the calling thread, in
-partition order, so simulated runtimes are reproducible on any machine.
+The cluster is also an :class:`~repro.engine.executors.Executor`, hosting a
+sampler service's shards in process like the serial backend. The
+D-R-TBS/D-T-TBS algorithms hand it their partition-local work through
+:meth:`SimulatedCluster.map_partitions` and
+:meth:`SimulatedCluster.reduce_merge`, which *price* stages with the
+calibrated :class:`~repro.distributed.costmodel.CostModel` instead of
+measuring wall-clock — the simulator stays the executable cost-model spec
+of the paper's Figures 7-9. The tasks themselves run in the calling
+thread, in partition order, so simulated runtimes are reproducible on any
+machine.
 """
 
 from __future__ import annotations
@@ -57,9 +58,6 @@ class SimulatedCluster(Executor):
     """
 
     name = "simulated"
-    # Priced StageCost records ARE the experiment output; runs are bounded
-    # and callers reset_clock between them, so no retention cap applies.
-    max_stage_records = None
 
     def __init__(
         self,
@@ -71,7 +69,10 @@ class SimulatedCluster(Executor):
             raise ValueError(f"num_workers must be positive, got {num_workers}")
         self.num_workers = int(num_workers)
         self.cost_model = cost_model if cost_model is not None else CostModel()
+        #: Every priced stage, in order: the experiment output.
         self.stages: list[StageCost] = []
+        #: Total priced seconds of :attr:`stages`.
+        self.elapsed = 0.0
 
     # ------------------------------------------------------------------
     # pricing (the cost-model spec)
@@ -117,11 +118,8 @@ class SimulatedCluster(Executor):
         return record
 
     # ------------------------------------------------------------------
-    # Executor protocol: tasks run in process, accounting is priced
+    # partition tasks: run in process, accounting is priced
     # ------------------------------------------------------------------
-    def _run_tasks(self, fn: Callable[[T], R], tasks: Sequence[T]) -> list[R]:
-        return [fn(task) for task in tasks]
-
     def map_partitions(
         self,
         fn: Callable[[T], R],
@@ -139,8 +137,7 @@ class SimulatedCluster(Executor):
         an algorithm keep its pricing structure exactly while routing the
         data movement through the engine.
         """
-        tasks = list(partitions)
-        results = self._run_tasks(fn, tasks)
+        results = [fn(task) for task in partitions]
         if costs is not None:
             self.run_stage(description, worker_times=costs, driver_time=driver_time)
         return results
@@ -159,8 +156,13 @@ class SimulatedCluster(Executor):
         return merged
 
     # ------------------------------------------------------------------
-    # bookkeeping helpers (reset_clock is inherited from Executor)
+    # bookkeeping helpers
     # ------------------------------------------------------------------
+    def reset_clock(self) -> None:
+        """Clear accumulated stage records and elapsed time."""
+        self.stages.clear()
+        self.elapsed = 0.0
+
     def split_evenly(self, items: int) -> list[int]:
         """Split ``items`` into per-worker partition sizes as evenly as possible."""
         if items < 0:

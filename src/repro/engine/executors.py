@@ -1,156 +1,204 @@
-"""Pluggable partitioned-execution backends shared by the whole stack.
+"""Pluggable backends: where the sampler service's shards live and ingest.
 
-The paper's Section 5 algorithms and the sampler service share one execution
-shape: *partition-local work* (scan a batch partition, downsample a shard,
-apply inserts/deletes to a reservoir partition) followed by a *driver-side
-merge* (union the partial samples, combine the bookkeeping). An
-:class:`Executor` abstracts where that partition-local work runs:
+An :class:`Executor` decides where shard samplers are *hosted*. Every
+backend's host has one surface — adopt, stage, send, drain, snapshot,
+detach and ``acked_through`` — so the service runs one ingest pipeline
+whatever the backend:
 
-* :class:`SerialExecutor` — in the calling thread, in partition order; the
-  reference backend every other backend must match draw for draw.
+* :class:`SerialExecutor` — an :class:`InProcessShardHost`: the live
+  samplers stay in the calling process, and each staged ingest window runs
+  in the calling thread when it is sent. The reference backend every other
+  backend must match draw for draw.
 * :class:`ProcessPoolExecutor` — a pool of *persistent* worker processes
-  (:class:`~repro.engine.transport.ShardWorkerPool`). Generic tasks cross a
-  process boundary, so the function must be module-level and arguments
-  picklable. Stateful callers go further: shard state is *resident* in the
-  workers — shipped once on attach, returned only on checkpoint or detach —
-  and per-batch arrays cross through shared-memory ring buffers instead of
-  pickle (see :mod:`repro.engine.transport`).
-* :class:`~repro.distributed.cluster.SimulatedCluster` — the third
-  implementation of this protocol: it runs partition tasks in the calling
-  thread, like the serial backend, and *prices* stages with the calibrated
-  cost model instead of measuring them, which keeps the simulator as the
-  executable cost-model spec of the paper's figures.
+  (:class:`~repro.engine.transport.ShardWorkerPool`): shard state is
+  *resident* in the workers — shipped once on attach, returned only on
+  snapshot or detach — and per-batch arrays cross through shared-memory
+  ring buffers instead of pickle (see :mod:`repro.engine.transport`).
+* :class:`~repro.distributed.cluster.SimulatedCluster` — the distributed
+  layer's executor: it hosts shards in process like the serial backend,
+  and runs the D-R-TBS/D-T-TBS partition stages itself, *pricing* them
+  with the calibrated cost model instead of measuring them.
 
 Determinism contract: all randomness must be drawn either driver-side
-(before tasks are submitted) or from per-partition RNG streams owned by the
-task. Under that contract every backend produces identical results —
-regression-tested in ``tests/engine``.
+(before work is staged) or from per-shard RNG streams owned by the shard.
+Under that contract every backend produces identical results —
+regression-tested in ``tests/engine`` and ``tests/service``.
 """
 
 from __future__ import annotations
 
-import time
-from abc import ABC, abstractmethod
-from dataclasses import dataclass
-from typing import Any, Callable, Iterable, Sequence, TypeVar
+from typing import Any, Callable, Sequence
 
-from repro.engine.transport import ShardWorkerPool
+import numpy as np
 
-T = TypeVar("T")
-R = TypeVar("R")
+from repro.engine.errors import EngineError
+from repro.engine.transport import ShardWorkerPool, WindowTask
 
 __all__ = [
-    "StageRecord",
     "Executor",
+    "InProcessShardHost",
     "SerialExecutor",
     "ProcessPoolExecutor",
     "get_executor",
-    "require_in_place_backend",
 ]
 
 
-@dataclass(frozen=True)
-class StageRecord:
-    """Record of one executed stage (a ``map_partitions`` or merge call)."""
+class InProcessShardHost:
+    """Hosts shard samplers in the calling process, behind the pool's surface.
 
-    description: str
-    num_tasks: int
-    duration: float  # seconds: wall-clock for real backends, priced for simulated
+    The in-process counterpart of
+    :class:`~repro.engine.transport.ShardWorkerPool`, with one "worker":
+    the caller. Objects are adopted as they are, with no state round trip,
+    and handed back live on release. The open window holds the staged
+    per-shard sub-batches themselves and runs, in the calling thread, when
+    it is sent; every other call sends it first, as the pool's FIFO pipe
+    does, and acknowledgements are immediate.
+    """
+
+    num_workers = 1
+
+    def __init__(self) -> None:
+        self._residents: dict[Any, Any] = {}
+        self._task: WindowTask | None = None
+        self._entries: list[tuple[float, Sequence[tuple[int, np.ndarray, int | None]]]] = []
+        #: The first tag not yet known ingested, and the last tag staged.
+        self._window_tag: int | None = None
+        self._last_tag: int | None = None
+        #: Set once a window raised: its first tag stays outstanding.
+        self._failed = False
+
+    def adopt(
+        self,
+        key: Any,
+        obj: Any,
+        worker: int,
+        snapshot_fn: Callable[[Any], Any],
+        restore_fn: Callable[[Any], Any],
+    ) -> None:
+        """Host ``obj`` itself under ``key`` (the hooks serve the pool only)."""
+        if key in self._residents:
+            raise EngineError(f"key {key!r} is already attached")
+        self._residents[key] = obj
+
+    def stage_shards(
+        self,
+        task: WindowTask,
+        rows: np.ndarray,
+        sub_batches: Sequence[tuple[int, np.ndarray, int | None]],
+        time: float,
+        tag: int | None = None,
+    ) -> None:
+        """Add one batch's ``(shard_id, rows, arrivals)`` sub-batches to the window.
+
+        The window runs as ``task.fn(residents, payload=None,
+        entries=[(time, sub_batches), ...])``: with no payload, each entry
+        carries its sub-batches' rows itself (see
+        :func:`~repro.engine.shards.service_ingest_window`). ``rows`` is the
+        buffer they slice, which the pool copies from.
+        """
+        if task is not self._task:
+            self.send_staged()
+            self._task = task
+        if tag is not None:
+            if self._window_tag is None:
+                self._window_tag = tag
+            self._last_tag = tag
+        self._entries.append((float(time), sub_batches))
+
+    def send_staged(self) -> None:
+        """Run the open window now, then deliver its result to ``on_result``.
+
+        A window that raises keeps its first tag outstanding for good, as a
+        failed command does on the pool.
+        """
+        task, entries = self._task, self._entries
+        if task is None:
+            return
+        self._task, self._entries = None, []
+        try:
+            result = task.fn(self._residents, payload=None, entries=entries, **task.kwargs)
+        except BaseException:
+            self._failed = True
+            raise
+        if not self._failed:
+            self._window_tag = None
+        if task.on_result is not None:
+            task.on_result(result)
+
+    def drain(self) -> None:
+        """Barrier: run the open window (everything else already ran)."""
+        self.send_staged()
+
+    def acked_through(self) -> int | None:
+        """Highest tag with every batch at or below it ingested (``None`` before any)."""
+        if self._window_tag is not None:
+            return self._window_tag - 1
+        return self._last_tag
+
+    def snapshot(self, key: Any, snapshot_fn: Callable[[Any], Any]) -> Any:
+        """``snapshot_fn`` of one hosted object (it stays hosted)."""
+        self.send_staged()
+        return snapshot_fn(self._residents[key])
+
+    def snapshot_async(
+        self, fn: Callable[..., Any], kwargs: dict[str, Any] | None = None
+    ) -> list[Any]:
+        """Take the cut ``fn(residents, **kwargs)`` now; :meth:`collect` returns it."""
+        self.send_staged()
+        return [fn(self._residents, **(kwargs or {}))]
+
+    def collect(self, markers: list[Any]) -> list[Any]:
+        """The results :meth:`snapshot_async` already took."""
+        return markers
+
+    def detach(self, key: Any, snapshot_fn: Callable[[Any], Any] | None = None) -> Any:
+        """Stop hosting ``key``; return ``snapshot_fn(object)`` if given."""
+        self.send_staged()
+        obj = self._residents.pop(key)
+        return snapshot_fn(obj) if snapshot_fn is not None else None
+
+    def release(
+        self, key: Any, snapshot_fn: Callable[[Any], Any], restore_fn: Callable[[Any], Any]
+    ) -> Any:
+        """Stop hosting ``key`` and hand the live object back."""
+        self.send_staged()
+        return self._residents.pop(key)
 
 
-class Executor(ABC):
-    """Runs partition-local tasks and driver-side merges; records stages.
+class Executor:
+    """Chooses where shards are hosted; the shard host lives as long as the executor.
 
-    Subclasses choose *where* tasks run by implementing :meth:`_run_tasks`;
-    the bookkeeping (stage records, cumulative :attr:`elapsed` seconds) is
-    shared so callers can compare backends — including the simulated
-    cluster, whose ``elapsed`` is priced by the cost model rather than
-    measured — through one interface.
+    The base class hosts shards in process (:class:`InProcessShardHost`);
+    :class:`ProcessPoolExecutor` overrides :attr:`host` with its worker
+    pool.
     """
 
     #: Short backend identifier, ``"serial"`` or ``"process"``.
     name: str = "executor"
-    #: True when tasks cross a process boundary: the task function must be
-    #: module-level, and arguments/results must be picklable. Callers that
-    #: own live, unpicklable objects (samplers holding RNGs and object
-    #: arrays) must ship ``state_dict()`` snapshots instead.
-    ships_state: bool = False
-    #: True when the backend exposes a :attr:`transport`
-    #: (:class:`~repro.engine.transport.ShardWorkerPool`) for resident shard
-    #: state and shared-memory array frames. Checked as a flag so callers do
-    #: not spawn worker processes just by probing for the capability.
+    #: True when shards live in worker processes behind a :attr:`transport`
+    #: (:class:`~repro.engine.transport.ShardWorkerPool`), so liveness
+    #: probes and ring and memory gauges apply. Checked as a flag so callers
+    #: do not spawn worker processes just by probing for the capability.
     provides_transport: bool = False
-    #: Cap on retained :class:`StageRecord` entries — long-running callers
-    #: (the sampler service ingests unbounded streams) dispatch through one
-    #: executor forever, so the record list keeps only the most recent
-    #: stages while :attr:`elapsed` still accumulates the full total.
-    #: ``None`` disables the cap (the simulated cluster's priced records
-    #: are the experiment output and are reset per run by the caller).
-    max_stage_records: int | None = 1024
 
     def __init__(self) -> None:
-        self.stages: list[StageRecord] = []
-        self.elapsed: float = 0.0
+        self._host: InProcessShardHost | None = None
 
-    # ------------------------------------------------------------------
-    # partition/merge primitives
-    # ------------------------------------------------------------------
-    def map_partitions(
-        self,
-        fn: Callable[[T], R],
-        partitions: Iterable[T],
-        description: str = "map-partitions",
-    ) -> list[R]:
-        """Apply ``fn`` to every partition; return results in partition order.
+    @property
+    def host(self) -> InProcessShardHost | ShardWorkerPool:
+        """The shard host (created on first use)."""
+        if self._host is None:
+            self._host = InProcessShardHost()
+        return self._host
 
-        The partition order of the *results* is always preserved regardless
-        of completion order, so a deterministic driver-side merge sees the
-        same sequence under every backend.
-        """
-        tasks = list(partitions)
-        start = time.perf_counter()
-        results = self._run_tasks(fn, tasks)
-        self._record(description, len(tasks), time.perf_counter() - start)
-        return results
-
-    def reduce_merge(
-        self,
-        fn: Callable[[list[R]], Any],
-        results: Iterable[R],
-        description: str = "reduce-merge",
-    ) -> Any:
-        """Driver-side merge of partition results (always runs in the caller)."""
-        collected = list(results)
-        start = time.perf_counter()
-        merged = fn(collected)
-        self._record(description, len(collected), time.perf_counter() - start)
-        return merged
-
-    # ------------------------------------------------------------------
-    # bookkeeping
-    # ------------------------------------------------------------------
-    def _record(self, description: str, num_tasks: int, duration: float) -> None:
-        self.stages.append(StageRecord(description, num_tasks, duration))
-        if self.max_stage_records is not None and len(self.stages) > self.max_stage_records:
-            del self.stages[: -self.max_stage_records]
-        self.elapsed += duration
-
-    def reset_clock(self) -> None:
-        """Clear accumulated stage records and elapsed time."""
-        self.stages.clear()
-        self.elapsed = 0.0
-
-    # ------------------------------------------------------------------
-    # lifecycle
-    # ------------------------------------------------------------------
     def shutdown(self) -> None:
-        """Release any worker pools.
+        """Release the shard host and everything it still hosts.
 
-        The executor stays usable: pooled backends lazily recreate their
-        pool on the next dispatch, as a closed ``SamplerService`` respawns
-        its workers on the next ingest. Call it when a burst of parallel
-        work is done and the workers should not linger.
+        The executor stays usable: the next use of :attr:`host` creates a
+        fresh one, as a closed ``SamplerService`` re-attaches its shards on
+        the next ingest.
         """
+        self._host = None
 
     def __enter__(self) -> "Executor":
         return self
@@ -158,16 +206,9 @@ class Executor(ABC):
     def __exit__(self, *exc_info: Any) -> None:
         self.shutdown()
 
-    # ------------------------------------------------------------------
-    # backend hook
-    # ------------------------------------------------------------------
-    @abstractmethod
-    def _run_tasks(self, fn: Callable[[T], R], tasks: Sequence[T]) -> list[R]:
-        """Run ``fn`` over ``tasks``; return results in task order."""
-
 
 class SerialExecutor(Executor):
-    """Runs every partition task in the calling thread, in partition order.
+    """Hosts every shard in the calling thread (:class:`InProcessShardHost`).
 
     This is the reference backend: parallel backends are correct exactly
     when they reproduce its results (see the determinism contract in the
@@ -176,27 +217,22 @@ class SerialExecutor(Executor):
 
     name = "serial"
 
-    def _run_tasks(self, fn: Callable[[T], R], tasks: Sequence[T]) -> list[R]:
-        return [fn(task) for task in tasks]
-
 
 class ProcessPoolExecutor(Executor):
-    """Runs partition tasks on *persistent* worker processes.
+    """Hosts shards resident in *persistent* worker processes.
 
-    The task function must be defined at module level and every argument and
-    result must be picklable — the move-the-state-not-the-code discipline a
-    real cluster enforces. Beyond the classic ``map_partitions`` path, the
-    backend exposes its :attr:`transport`
-    (:class:`~repro.engine.transport.ShardWorkerPool`): stateful callers
-    attach shard state *once* and stream per-batch arrays through
-    shared-memory ring buffers, which is what makes the process backend
-    faster than re-shipping ``state_dict()`` snapshots every flush. Worker
-    failures surface as :class:`~repro.engine.errors.EngineError` subclasses
-    naming the dead shard worker, never a raw ``BrokenProcessPool``.
+    The backend's :attr:`transport`
+    (:class:`~repro.engine.transport.ShardWorkerPool`) is its shard host:
+    callers attach shard state *once* and stream per-batch arrays through
+    shared-memory ring buffers. What crosses the process boundary is state
+    and module-level functions, never live objects — the
+    move-the-state-not-the-code discipline a real cluster enforces. Worker
+    failures surface as :class:`~repro.engine.errors.EngineError`
+    subclasses naming the dead shard worker, never a raw
+    ``BrokenProcessPool``.
     """
 
     name = "process"
-    ships_state = True
     provides_transport = True
 
     def __init__(self, max_workers: int | None = None) -> None:
@@ -212,6 +248,11 @@ class ProcessPoolExecutor(Executor):
         if self._pool is None:
             self._pool = ShardWorkerPool(max_workers=self._max_workers)
         return self._pool
+
+    @property
+    def host(self) -> ShardWorkerPool:
+        """The worker pool: the shard host of this backend."""
+        return self.transport
 
     def ring_usage(self) -> list[dict[str, int]]:
         """The pool's :meth:`~ShardWorkerPool.ring_usage`; ``[]`` before it starts.
@@ -229,11 +270,6 @@ class ProcessPoolExecutor(Executor):
         """
         pool = self._pool
         return [] if pool is None else pool.worker_memory()
-
-    def _run_tasks(self, fn: Callable[[T], R], tasks: Sequence[T]) -> list[R]:
-        if not tasks:
-            return []
-        return self.transport.run_tasks(fn, tasks)
 
     def shutdown(self) -> None:
         if self._pool is not None:
@@ -275,19 +311,3 @@ def get_executor(spec: "Executor | str | None") -> Executor:
         f"unknown executor backend {spec!r}; expected 'serial' or "
         "'process[:N]'"
     )
-
-
-def require_in_place_backend(backend: Executor, caller: str) -> None:
-    """Raise ``ValueError`` for a backend that ships state without a transport.
-
-    The sampler service mutates its shards in place (serial) or keeps them
-    resident in transport workers; a plain state-shipping backend would run
-    every task on a copy.
-    """
-    if backend.ships_state and not backend.provides_transport:
-        raise ValueError(
-            f"{caller} needs the in-process serial backend or a "
-            "transport-capable process backend; a plain state-shipping "
-            f"backend ({backend.name!r}) cannot mutate driver-held state in "
-            "place"
-        )

@@ -1,15 +1,15 @@
 """Shard work units for the sampler stack.
 
-These module-level functions are the task payloads the engine backends
-run. The in-process task (:func:`ingest_shard_inplace`) ingests a
-sub-stream into a live shard sampler on the serial backend. The rest run
-in the process backend's persistent workers, so they must be importable by
-a worker process (no closures) and take picklable arguments.
-The discipline mirrors a real cluster: what crosses the boundary is shard
-*state* — the pickle-free ``state_dict()`` snapshot of scalars and NumPy
-arrays every sampler implements, shipped once on attach and back on
-snapshot or detach — plus the per-batch array frames, never live objects
-or code.
+These module-level functions are what the shard hosts run on the service's
+behalf: build a shard's sampler, ingest a window of pre-routed sub-batches
+(:func:`service_ingest_window`), publish snapshot views, and the
+attach/snapshot hooks built on the ``state_dict()`` protocol. The process
+backend's persistent workers run them too, so they must be importable by a
+worker process (no closures) and take picklable arguments. The discipline
+mirrors a real cluster: what crosses the boundary is shard *state* — the
+pickle-free ``state_dict()`` snapshot of scalars and NumPy arrays every
+sampler implements, shipped once on attach and back on snapshot or detach —
+plus the per-batch array frames, never live objects or code.
 """
 
 from __future__ import annotations
@@ -23,9 +23,7 @@ from repro.core.base import Sampler, SamplerSnapshotView
 from repro.core.random_utils import generator_from_state
 
 __all__ = [
-    "ShardTask",
     "build_shard_sampler",
-    "ingest_shard_inplace",
     "merge_samples",
     "group_by_destination",
     "restore_sampler",
@@ -33,23 +31,6 @@ __all__ = [
     "service_ingest_window",
     "service_snapshot_views",
 ]
-
-#: One shard's work unit: ``(sampler, batches, times, arrivals)``. ``times``
-#: may be ``None`` for the default ``t+1, t+2, ...`` arrival clock, and
-#: ``arrivals`` ``None`` for unplanned batches (see ``Sampler.ingest_stream``).
-ShardTask = tuple[
-    Any, Sequence[Any], Sequence[float] | None, Sequence[int | None] | None
-]
-
-
-def ingest_shard_inplace(task: ShardTask) -> None:
-    """Ingest a sub-stream into a live shard sampler (serial backend).
-
-    The sampler is mutated in place; per-shard samplers own disjoint state
-    and private RNG streams, so the result does not depend on shard order.
-    """
-    sampler, batches, times, arrivals = task
-    sampler.ingest_stream(batches, times=times, arrivals=arrivals)
 
 
 def build_shard_sampler(
@@ -83,24 +64,27 @@ def snapshot_sampler(sampler: Sampler) -> dict[str, Any]:
 
 def service_ingest_window(
     residents: dict[Any, Any],
-    payload: np.ndarray,
-    entries: Sequence[tuple[float, Sequence[tuple[int, ...]]]],
+    payload: np.ndarray | None,
+    entries: Sequence[tuple[float, Sequence[tuple[Any, ...]]]],
     service_id: int,
     profile: bool = False,
 ) -> dict[int, int] | tuple[dict[int, int], float]:
-    """Worker-side ingest of one window of pre-routed batches (the transport path).
+    """Ingest one window of pre-routed batches into the hosted shards.
 
-    The driver routes each batch once and stages this worker's runs back to
-    back into ``payload``: per batch, in arrival order, its shards' items
-    grouped in ascending shard order. ``entries`` holds one ``(time,
-    [(shard_id, count), ...])`` per staged batch in the same order, so each
-    sub-batch is a zero-copy slice of the frame — no worker-side hashing
-    and no per-shard selection scan. A planned sub-batch is listed as
-    ``(shard_id, count, arrivals)``: its ``count`` rows are the ones the
-    driver accepted out of ``arrivals`` (possibly none of them). Each shard
-    then ingests its slices in one ``ingest_stream`` call at the batches'
-    arrival times: the same sub-streams, in the same order, as the serial
-    path, so trajectories stay bit-identical.
+    The driver routes each batch once and stages its per-shard sub-batches.
+    On the process backend a worker's runs lie back to back in ``payload``:
+    per batch, in arrival order, its shards' items grouped in ascending
+    shard order, and ``entries`` holds one ``(time, [(shard_id, count),
+    ...])`` per staged batch in the same order, so each sub-batch is a
+    zero-copy slice of the frame — no worker-side hashing and no per-shard
+    selection scan. In process there is no frame (``payload`` is ``None``)
+    and each entry lists the sub-batches' rows themselves, ``(shard_id,
+    rows, ...)``. A planned sub-batch carries a third field, ``arrivals``:
+    its rows are the ones the driver accepted out of ``arrivals`` (possibly
+    none of them). Each shard then ingests its sub-batches in one
+    ``ingest_stream`` call at the batches' arrival times, so every backend
+    feeds every shard the same sub-streams and trajectories stay
+    bit-identical.
 
     Returns ``{shard_id: arrivals}`` — the items routed to each shard, the
     accepted ones or not (the driver tracks shard activation from the
@@ -110,22 +94,23 @@ def service_ingest_window(
     """
     begin = perf_counter() if profile else 0.0
     streams: dict[int, tuple[list[np.ndarray], list[float], list[int | None]]] = {}
-    offset = 0
-    for time, shard_sizes in entries:
-        for shard_id, count, *plan in shard_sizes:
-            batches, times, arrivals = streams.setdefault(int(shard_id), ([], [], []))
-            batches.append(payload[offset : offset + count])
-            times.append(time)
-            arrivals.append(plan[0] if plan else None)
-            offset += count
     counts: dict[int, int] = {}
+    offset = 0
+    for time, sub_batches in entries:
+        for shard_id, rows, *plan in sub_batches:
+            if payload is not None:
+                rows, offset = payload[offset : offset + rows], offset + rows
+            planned = plan[0] if plan else None
+            batches, times, arrivals = streams.setdefault(shard_id, ([], [], []))
+            batches.append(rows)
+            times.append(time)
+            arrivals.append(planned)
+            counts[shard_id] = counts.get(shard_id, 0) + (
+                len(rows) if planned is None else planned
+            )
     for shard_id, (batches, times, arrivals) in streams.items():
         residents[("svc", service_id, shard_id)].ingest_stream(
             batches, times=times, arrivals=arrivals
-        )
-        counts[shard_id] = sum(
-            len(batch) if planned is None else planned
-            for batch, planned in zip(batches, arrivals)
         )
     if profile:
         return counts, perf_counter() - begin

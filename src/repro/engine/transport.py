@@ -22,12 +22,15 @@ Stream ingest is **staged**: :meth:`ShardWorkerPool.stage` copies runs of
 rows back to back into the worker's *open window* frame in its ring, and
 :meth:`ShardWorkerPool.send_staged` sends each open window as one command
 (a :class:`WindowTask`) — one command per worker per ingest window, not per
-batch. A window's frame never spans ring halves or segments: rows that do
-not fit the active half, or would grow the segment, send the open window
-first, and so does any other command to the worker, so staging never
-reorders the worker's FIFO pipe. Control messages (``segment``, ``attach``,
-``apply``, ``detach``, ``run``, ``close``) are pickled over that pipe, so
-operations on one resident object run in exactly the order the driver
+batch; :meth:`ShardWorkerPool.stage_shards` stages one routed batch, each
+shard's rows on the worker hosting it. A window's frame never spans ring
+halves or segments: rows that do not fit the active half, or would grow
+the segment, send the open window first, and so does any other command to
+the worker, so staging never reorders the worker's FIFO pipe. (The serial
+backend's :class:`~repro.engine.executors.InProcessShardHost` offers the
+same shard-host surface in process.) Control messages (``segment``,
+``attach``, ``apply``, ``detach``, ``close``) are pickled over that pipe,
+so operations on one resident object run in exactly the order the driver
 issued them — which keeps resident trajectories bit-identical to serial.
 
 Functions shipped by reference must be module-level (code is deployed,
@@ -159,9 +162,6 @@ def _worker_main(conn: Connection, worker_index: int) -> None:
                 _, _, key, snapshot_fn = message
                 obj = residents.pop(key)
                 result = snapshot_fn(obj) if snapshot_fn is not None else None
-            elif kind == "run":
-                _, _, fn, task = message
-                result = fn(task)
             else:  # pragma: no cover - protocol error
                 raise EngineError(f"unknown transport message kind {kind!r}")
         # repro-lint: ignore[error-swallowing] -- worker loop catch-all: every failure is forwarded to the driver as a structured nack and re-raised there as RemoteTaskError; the worker must survive arbitrary task exceptions
@@ -195,7 +195,9 @@ class WindowTask:
     with every staged run back to back in ``rows`` (a ring view; a pickled
     array for object dtypes) and each :meth:`ShardWorkerPool.stage` call's
     ``entry`` in ``entries``, in staging order. ``on_result`` receives the
-    return value on acknowledgement.
+    return value on acknowledgement. The in-process host runs it with
+    ``payload=None`` (see :meth:`InProcessShardHost.stage_shards
+    <repro.engine.executors.InProcessShardHost.stage_shards>`).
     """
 
     fn: Callable[..., Any]
@@ -625,6 +627,17 @@ class ShardWorkerPool:
         handle.resident_keys.add(key)
         self._key_worker[key] = index
 
+    def adopt(
+        self,
+        key: Any,
+        obj: Any,
+        worker: int,
+        snapshot_fn: Callable[[Any], Any],
+        restore_fn: Callable[[Any], Any],
+    ) -> None:
+        """Attach a live driver object: ``snapshot_fn(obj)`` ships, ``restore_fn`` rebuilds it."""
+        self.attach(key, restore_fn, snapshot_fn(obj), worker)
+
     def apply(
         self,
         worker: int,
@@ -694,6 +707,39 @@ class ShardWorkerPool:
         handle = self.workers[worker % self.num_workers]
         handle.poll_acks()
         handle.stage(task, source, runs, entry, None if tag is None else int(tag))
+
+    def stage_shards(
+        self,
+        task: WindowTask,
+        rows: np.ndarray,
+        sub_batches: Sequence[tuple[int, np.ndarray, int | None]],
+        time: float,
+        tag: int | None = None,
+    ) -> None:
+        """Stage one routed batch: each shard's rows in the window of its worker.
+
+        ``sub_batches`` lists ``(shard_id, shard_rows, arrivals)`` per
+        receiving shard, their rows lying back to back in ``rows`` in list
+        order. Shard ``s`` lives on worker ``s % num_workers`` (where
+        :meth:`adopt` puts it when given ``worker=s``), which receives its
+        shards' runs and the entry ``(time, [(shard_id, count, arrivals),
+        ...])`` that :func:`~repro.engine.shards.service_ingest_window`
+        cuts them by. ``tag`` is as in :meth:`stage`.
+        """
+        num_workers = self.num_workers
+        runs: list[list[tuple[int, int]]] = [[] for _ in range(num_workers)]
+        entries: list[list[tuple[int, int, int | None]]] = [[] for _ in range(num_workers)]
+        start = 0
+        for shard_id, shard_rows, arrivals in sub_batches:
+            worker = shard_id % num_workers
+            runs[worker].append((start, start + len(shard_rows)))
+            entries[worker].append((shard_id, len(shard_rows), arrivals))
+            start += len(shard_rows)
+        for worker in range(num_workers):
+            if entries[worker]:
+                self.stage(
+                    worker, task, rows, runs[worker], (float(time), entries[worker]), tag
+                )
 
     def send_staged(self) -> None:
         """Send every worker's open window as one command each (pipelined)."""
@@ -829,20 +875,11 @@ class ShardWorkerPool:
         del self._key_worker[key]
         return handle.wait_for(seq) if snapshot_fn is not None else None
 
-    # ------------------------------------------------------------------
-    # generic map (the classic executor path)
-    # ------------------------------------------------------------------
-    def run_tasks(self, fn: Callable[[Any], Any], tasks: Sequence[Any]) -> list[Any]:
-        """Run ``fn`` over ``tasks`` round-robin across workers; ordered results."""
-        self._check_open()
-        if not tasks:
-            return []
-        results: list[Any] = [None] * len(tasks)
-        for position, task in enumerate(tasks):
-            handle = self.workers[position % self.num_workers]
-            handle.submit((fn, task), kind="run", sink=(results, position))
-        self.drain()
-        return results
+    def release(
+        self, key: Any, snapshot_fn: Callable[[Any], Any], restore_fn: Callable[[Any], Any]
+    ) -> Any:
+        """Detach a resident object and rebuild it live on the driver."""
+        return restore_fn(self.detach(key, snapshot_fn))
 
     # ------------------------------------------------------------------
     # lifecycle

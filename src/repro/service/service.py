@@ -27,10 +27,11 @@ other shards first see data. Per-shard clocks advance only when the shard
 receives items; decay over the skipped interval is exact because the
 samplers decay by the true elapsed gap (see ``Sampler._advance_time``).
 
-Every backend takes a batch through one step: hash every key to its
+Every backend takes a batch through one pipeline: hash every key to its
 shard, *plan* the batch, append the plan to the write-ahead log if
 durability is on, advance the clock once the log holds it, and only then
-dispatch it through a pluggable :mod:`repro.engine` executor. Planning is
+stage it on the shard host of a pluggable :mod:`repro.engine` executor.
+Planning is
 Algorithm 2's acceptance decision taken in the driver: for every R-TBS
 shard the driver mirrors ``W``, ``C`` and the shard clock
 (:func:`~repro.core.rtbs.rtbs_step`), and a saturated shard, which keeps
@@ -38,31 +39,32 @@ only ``StochRound(B n / W)`` of its ``B`` arrivals, has those drawn here
 from a per-batch plan stream. Only the accepted rows are then
 radix-grouped, gathered, logged and shipped — at steady state well under
 one percent of a large batch — while every shard still learns its
-arrival count (see :meth:`~repro.core.base.Sampler.ingest_stream`):
+arrival count (see :meth:`~repro.core.base.Sampler.ingest_stream`). One
+gather of the accepted rows yields contiguous per-shard NumPy slices (the
+sub-batches the WAL records), staged for up to ``window`` batches; at the
+window's end each shard ingests its sub-batches in one ``ingest_stream``
+call. The shards are *attached* to the host while the service ingests,
+and detached again by close, failover and reshard:
 
-* ``"serial"`` (default) ingests in-process: one gather
-  of the accepted rows yields contiguous per-shard NumPy slices (the
-  sub-batches the WAL records), buffered for up to ``window`` batches and
-  handed out as one engine task per shard;
+* ``"serial"`` (default) hosts them in process
+  (:class:`~repro.engine.executors.InProcessShardHost`): the window holds
+  the slices themselves and runs in the calling thread when it is sent;
 * ``"process"`` runs the persistent-worker transport
   (:mod:`repro.engine.transport`): shard samplers live *resident* in the
   worker processes — their state crosses the boundary on attach and again
-  only on checkpoint/read/close. The same gather's per-worker runs are
-  copied into each worker's double-buffered shared-memory ring as the
-  batch is logged, and each window goes out as one command per worker.
-  Ingestion is pipelined: ``ingest`` returns once the windows are sent. A
-  dead worker raises :class:`~repro.engine.errors.WorkerCrashError`.
-
-A backend that ships state without a transport is refused at construction
-(:func:`~repro.engine.executors.require_in_place_backend`).
+  only on checkpoint/read/close. Each worker's runs of the gather are
+  copied into its double-buffered shared-memory ring as the batch is
+  logged, and each window goes out as one command per worker. Ingestion
+  is pipelined: ``ingest`` returns once the windows are sent. A dead
+  worker raises :class:`~repro.engine.errors.WorkerCrashError`.
 
 Every read takes a **snapshot cut**: :meth:`SamplerService.snapshot`
 produces a :class:`ServiceSnapshot` — one immutable copy-on-write view per
 active shard (:meth:`~repro.core.base.Sampler.snapshot_view`), all cut at
-the same committed batch watermark. On the transport backend a snapshot
-marker is enqueued into each worker's FIFO command pipe *behind* every
-batch dispatched so far, so the views form a consistent cut without
-draining the pipeline. ``stats()``, ``sample_items()``, ``shard_samples()``
+the same committed batch watermark. A snapshot marker is enqueued on the
+shard host *behind* every batch dispatched so far — on the process
+backend into each worker's FIFO command pipe — so the views form a
+consistent cut without draining the pipeline. ``stats()``, ``sample_items()``, ``shard_samples()``
 and ``active_shards`` read such cuts and never create shards, draw
 randomness, or block dispatch (the *pure-read* contract, enforced by the
 ``pure-read`` lint rule); ``state_dict()`` and ``checkpoint()`` serialize
@@ -108,8 +110,6 @@ from repro.engine import (
     WorkerCrashError,
     build_shard_sampler,
     get_executor,
-    ingest_shard_inplace,
-    require_in_place_backend,
     restore_sampler,
     service_ingest_window,
     service_snapshot_views,
@@ -405,7 +405,6 @@ class SamplerService:
         self.num_shards = int(num_shards)
         self.key_fn = key_fn
         self._executor = get_executor(executor)
-        require_in_place_backend(self._executor, "SamplerService")
         self._rng = ensure_rng(rng)
         #: The key-encoding version this service's shard layout was computed
         #: under. New services always use the current contract; a restore
@@ -421,9 +420,10 @@ class SamplerService:
         #: Seeds the per-batch plan streams (``default_rng([tag, key, seq])``)
         #: the driver draws R-TBS shards' acceptances from; checkpointed.
         self._plan_key = _derive_plan_key(self._rng)
-        #: The driver's samplers of the active shards. While the transport is
-        #: attached the workers hold the live ones and these date from the
-        #: attach; detach, failover, restore and reshard each set them anew.
+        #: The driver's samplers of the active shards. While the shards are
+        #: attached the host holds the live ones and these date from the
+        #: attach (the in-process host adopts these very objects); detach,
+        #: failover, restore and reshard each set them anew.
         self._shards: dict[int, Sampler] = {}
         self._time: float = 0.0
         self._batches_seen: int = 0
@@ -463,11 +463,13 @@ class SamplerService:
         #: workers. Invalidated on reshard and failover; ordinary ingest
         #: just ages it past its staleness bound.
         self._snapshot_cache: ServiceSnapshot | None = None
-        #: Shards that have received at least one item (mirrors the keys of
-        #: ``_shards`` on in-process backends; fed by worker acknowledgements
-        #: on the transport backend).
+        #: Shards that have received at least one item: the keys of
+        #: ``_shards`` while detached, fed by the host's acknowledgements
+        #: while attached.
         self._activated: set[int] = set(self._shards)
-        self._transport_attached = False
+        #: Whether the shards live on the executor's host (see
+        #: :meth:`_attach_all_shards`).
+        self._attached = False
         #: The write-ahead log, when durability is enabled (``wal_dir=`` at
         #: construction, or attached by ``recover_service``).
         self._wal: WriteAheadLog | None = None
@@ -523,7 +525,7 @@ class SamplerService:
         """Ids of shards that have received at least one item, ascending.
 
         Read from a scalar-only snapshot cut, so shards activated by batches
-        still in flight on the transport are included without a drain.
+        still in flight on the shard host are included without a drain.
         """
         return self.snapshot(include_items=False).active_shards
 
@@ -533,42 +535,35 @@ class SamplerService:
         Raises ``KeyError`` for a shard that has not received any items yet:
         inspecting an idle shard must not create its sampler (that would
         grow :attr:`active_shards` and every subsequent checkpoint as a side
-        effect of monitoring). On the transport backend the returned sampler
-        is rebuilt from the shard's resident snapshot at its current
-        pipeline position — no ``drain()`` barrier, other workers keep
-        ingesting; in-process backends return the live sampler.
+        effect of monitoring). The returned sampler is a copy, rebuilt from
+        the shard's snapshot at its current pipeline position — no
+        ``drain()`` barrier, other workers keep ingesting — so changing it
+        leaves the service as it was.
         """
         if not 0 <= shard_id < self.num_shards:
             raise ValueError(
                 f"shard id {shard_id} out of range for {self.num_shards} shards"
             )
         with self._lock:
-            if self._transport_attached:
+            state = None
+            if self._attached:
                 try:
-                    state = self._executor.transport.snapshot(
+                    state = self._executor.host.snapshot(
                         self._shard_key(shard_id), snapshot_sampler
                     )
                 except WorkerCrashError as error:
                     self._failover(error)
-                else:
-                    sampler = Sampler.from_state_dict(state)
-                    if sampler.batches_seen == 0:
-                        # A pristine standby resident: attached so the next
-                        # batch may route to it, but it holds no data and is
-                        # not part of the active set.
-                        raise KeyError(
-                            f"shard {shard_id} has no sampler yet (no items "
-                            f"routed to it); active shards: "
-                            f"{sorted(self._activated)}"
-                        )
-                    return sampler
-            try:
-                return self._shards[shard_id]
-            except KeyError:
+            if state is None and shard_id in self._shards:
+                state = self._shards[shard_id].state_dict()
+            # Attached, a shard with no data yet is a pristine standby: the
+            # next batch may route to it, but it is not part of the active
+            # set.
+            if state is None or state["batches_seen"] == 0:
                 raise KeyError(
                     f"shard {shard_id} has no sampler yet (no items routed to it); "
                     f"active shards: {sorted(self._activated)}"
-                ) from None
+                )
+            return Sampler.from_state_dict(state)
 
     def _get_or_create_shard(self, shard_id: int) -> Sampler:
         """The sampler behind one shard, created lazily on first arrival."""
@@ -602,13 +597,14 @@ class SamplerService:
         captured at the same ``batches_seen`` watermark, so the per-shard
         views are mutually consistent (their items, weights and clocks
         belong to one moment of the stream). Taking a cut never creates
-        shards, draws no randomness, and never blocks dispatch: on the
-        transport backend a snapshot marker is enqueued into each worker's
-        FIFO command pipe behind every batch dispatched so far, the workers
-        publish copy-on-write views at that batch boundary, and ingest of
-        later batches proceeds underneath — there is no ``drain()``
-        barrier. In-process backends read the driver's samplers directly
-        (writes are serialized against capture by the service lock).
+        shards, draws no randomness, and never blocks dispatch: a snapshot
+        marker is enqueued on the shard host behind every batch dispatched
+        so far (on the process backend into each worker's FIFO command
+        pipe), the host publishes copy-on-write views at that batch
+        boundary, and ingest of later batches proceeds underneath — there
+        is no ``drain()`` barrier. Detached shards are read from the
+        driver's samplers directly (writes are serialized against capture
+        by the service lock).
 
         Parameters
         ----------
@@ -640,7 +636,7 @@ class SamplerService:
                 cached, max_staleness_batches, include_items, include_state
             ):
                 return cached
-            if self._transport_attached:
+            if self._attached:
                 views = self._collect_transport_views(
                     include_items, include_state
                 )
@@ -824,42 +820,23 @@ class SamplerService:
         """The engine backend running per-shard ingest work."""
         return self._executor
 
-    def _dispatch(
-        self, pending: dict[int, tuple[list[Any], list[float], list[int | None]]]
-    ) -> None:
-        """End an ingest window: hand every shard its window of sub-batches.
+    def _dispatch(self) -> None:
+        """End an ingest window: send the host's staged window.
 
-        The transport sends each worker's staged window as one command. An
-        in-process executor gets one engine task per shard, in ascending
-        shard order so every backend sees the same task list: the live
-        shard sampler plus its buffered sub-batches — contiguous slices of
-        the per-batch gather in :meth:`_ingest_step` — their arrival times
-        and their arrival counts, so each task goes straight into the
-        vectorized NumPy kernels.
+        On the process backend each worker's window goes out as one
+        command; the in-process host runs its window in the calling thread.
+        Either way each shard takes one ``ingest_stream`` call over its
+        sub-batches (contiguous slices of the per-batch gather in
+        :meth:`_ingest_step`), their arrival times and arrival counts.
         """
         self._window_task = None
-        if self._transport_attached:
-            begin = perf_counter() if self._profile_enabled else 0.0
-            try:
-                self._executor.transport.send_staged()
-            except WorkerCrashError as error:
-                self._failover(error)
-            finally:
-                if self._profile_enabled:
-                    self._note_phase("dispatch", perf_counter() - begin)
-        shard_ids = sorted(pending)
-        if not shard_ids:
+        if not self._attached:
             return
         begin = perf_counter() if self._profile_enabled else 0.0
-        self._ckpt_dirty.update(shard_ids)
-        tasks = [
-            (self._get_or_create_shard(shard_id), *pending[shard_id])
-            for shard_id in shard_ids
-        ]
         try:
-            self._executor.map_partitions(
-                ingest_shard_inplace, tasks, description="ingest shard sub-streams"
-            )
+            self._executor.host.send_staged()
+        except WorkerCrashError as error:
+            self._failover(error)
         finally:
             if self._profile_enabled:
                 self._note_phase("dispatch", perf_counter() - begin)
@@ -869,7 +846,6 @@ class SamplerService:
         batch: np.ndarray,
         keys: Sequence[Any] | np.ndarray | None,
         time: float | None,
-        pending: dict[int, tuple[list[Any], list[float], list[int | None]]],
     ) -> np.ndarray | None:
         """Route, plan, log, commit, then stage one batch (lock held).
 
@@ -880,11 +856,10 @@ class SamplerService:
         a failed append (a full disk) leaves the service as it was and the
         same batch can be retried. The plan's one gather of the accepted
         rows yields the per-shard sub-batches: the WAL records them (so
-        log replay matches the live run bit for bit), in-process backends
-        buffer them in ``pending``, and the transport copies each worker's
-        runs of them into its ring. Every backend hands them to the shards
-        at the window's end (:meth:`_dispatch`). Returns the items routed
-        to each shard, ``None`` for an empty batch.
+        log replay matches the live run bit for bit) and the shard host
+        stages them, handing them to the shards at the window's end
+        (:meth:`_dispatch`). Returns the items routed to each shard,
+        ``None`` for an empty batch.
         """
         shard_ids, explicit = self._route(batch, keys)
         time, _ = validate_batch_time(
@@ -918,22 +893,13 @@ class SamplerService:
         if plan is None:
             return None
         self._mirrors.update(plan.mirrors)
-        if not self._executor.provides_transport:
-            for shard_id, rows, arrivals in sub_batches:
-                shard_batches, shard_times, shard_arrivals = pending.setdefault(
-                    shard_id, ([], [], [])
-                )
-                shard_batches.append(rows)
-                shard_times.append(time)
-                shard_arrivals.append(arrivals)
-        else:
-            try:
-                self._stage_planned(plan.rows, sub_batches, time)
-            except WorkerCrashError as error:
-                # The batch is already committed to the WAL, so the
-                # promotion's log replay delivers it (and every staged
-                # batch before it) to the promoted samplers.
-                self._failover(error)
+        try:
+            self._stage_planned(plan.rows, sub_batches, time)
+        except WorkerCrashError as error:
+            # The batch is already committed to the WAL, so the promotion's
+            # log replay delivers it (and every staged batch before it) to
+            # the promoted samplers.
+            self._failover(error)
         return plan.arrivals
 
     def _plan_mirrors(self) -> dict[int, RTBSPlanState | None]:
@@ -1031,7 +997,7 @@ class SamplerService:
         on its next arrival — identical bookkeeping to a shard that saw
         every batch. The batch takes the same step as in :meth:`ingest`
         (route, clock, WAL, dispatch), and the call returns only once every
-        shard has ingested it: on the transport backend it waits for the
+        shard has ingested it: on the process backend it waits for the
         workers (failing over if one died). The counts come from the
         batch's routing, so they are the same on every backend, failover
         included.
@@ -1042,11 +1008,10 @@ class SamplerService:
         """
         batch = as_item_array(items)
         with self._lock:
-            pending: dict[int, tuple[list[Any], list[float], list[int | None]]] = {}
-            arrivals = self._ingest_step(batch, keys, time, pending)
+            arrivals = self._ingest_step(batch, keys, time)
             counts: dict[int, int] = {}
             if arrivals is not None:
-                self._dispatch(pending)
+                self._dispatch()
                 self._drain_transport_safely()
                 counts = {
                     shard_id: int(count)
@@ -1066,8 +1031,8 @@ class SamplerService:
         Lets the service stand in wherever a bare
         :class:`~repro.core.base.Sampler` is expected — most importantly the
         :class:`~repro.ml.retraining.ModelManager` loop, which then trains
-        on the union of the shard samples while ingestion fans out over the
-        executor.
+        on the union of the shard samples while the shards ingest on the
+        executor's host.
         """
         self.ingest_batch(batch, time=time)
         return self.sample_items()
@@ -1099,16 +1064,15 @@ class SamplerService:
         to O(``window`` × batch size) — a generator of a million batches
         streams through, it is never materialized whole.
 
-        In-process backends buffer the sub-batches and fan the window out
-        as one engine task per shard. The transport (process) backend
-        copies each worker's runs into its double-buffered shared-memory
-        ring as each batch is logged and sends the window as one pipelined
-        command per worker; a window that outgrows a ring half is sent in
-        several commands, and a full ring blocks until the worker catches
-        up. The call returns as soon as the last window is sent — routing
-        of the next window overlaps worker ingest of the previous one. Call
-        :meth:`flush` to wait for the workers; reads need not, they take
-        snapshot cuts.
+        The serial backend's host holds the sub-batches and runs the window
+        in the calling thread. The process backend copies each worker's
+        runs into its double-buffered shared-memory ring as each batch is
+        logged and sends the window as one pipelined command per worker; a
+        window that outgrows a ring half is sent in several commands, and a
+        full ring blocks until the worker catches up. The call returns as
+        soon as the last window is sent — routing of the next window
+        overlaps worker ingest of the previous one. Call :meth:`flush` to
+        wait for the workers; reads need not, they take snapshot cuts.
 
         If a batch fails mid-stream (bad keys, non-increasing time), every
         batch before it is flushed to the shards and the error is raised;
@@ -1134,7 +1098,6 @@ class SamplerService:
             raise ValueError(f"window must be positive, got {window}")
         key_iter = iter(keys) if keys is not None else None
         time_iter = iter(times) if times is not None else None
-        pending: dict[int, tuple[list[Any], list[float], list[int | None]]] = {}
         buffered = 0
         # Snapshot consistency: a cut must never observe an advanced service
         # clock whose batches have not reached the shards yet. The lock is
@@ -1156,8 +1119,7 @@ class SamplerService:
 
         def flush() -> None:
             nonlocal buffered
-            self._dispatch(pending)
-            pending.clear()
+            self._dispatch()
             buffered = 0
             # The standby's cut must see every logged batch dispatched, so
             # buffered batches only meet the replication tick here.
@@ -1185,7 +1147,7 @@ class SamplerService:
                         ) from None
                 items = as_item_array(batch)
                 acquire()
-                self._ingest_step(items, batch_keys, time, pending)
+                self._ingest_step(items, batch_keys, time)
                 buffered += 1
                 if buffered >= window or self._standby_cut_due():
                     flush()
@@ -1209,7 +1171,7 @@ class SamplerService:
     def flush(self) -> None:
         """Barrier: wait until every enqueued batch has been ingested.
 
-        A no-op on in-process backends, whose ingest calls are synchronous.
+        A no-op on the serial backend, whose ingest calls are synchronous.
         With a WAL, the log is also flushed — to the OS page cache (and to
         disk under the ``"always"`` policy), making everything logged so
         far durable under the configured policy.
@@ -1231,15 +1193,17 @@ class SamplerService:
     def acked_batches(self) -> int:
         """Number of leading batches fully acknowledged by the backend.
 
-        On in-process backends ingestion is synchronous, so this equals
-        :attr:`batches_seen`. On the transport backend with a WAL, batches
-        are pipelined and each one is tagged with its sequence number; this
-        property reads the acknowledgement watermark — batches beyond it
-        are in flight (or lost with a crashed worker) and recovery replays
-        them from the log rather than trusting the pipeline.
+        With a WAL, each batch is staged on the shard host tagged with its
+        sequence number, and this property reads the host's
+        acknowledgement watermark — on the process backend, batches beyond
+        it are in flight (or lost with a crashed worker) and recovery
+        replays them from the log rather than trusting the pipeline. On the
+        serial backend, whose windows run as they are sent, it equals
+        :attr:`batches_seen` at every window's end; so it does whenever the
+        shards are detached.
         """
-        if self._wal is not None and self._transport_attached:
-            acked = self._executor.transport.acked_through()
+        if self._wal is not None and self._attached:
+            acked = self._executor.host.acked_through()
             if acked is not None:
                 return acked + 1
         return self._batches_seen
@@ -1301,7 +1265,7 @@ class SamplerService:
                 self._wal.truncate(watermark)
 
     # ------------------------------------------------------------------
-    # transport (process backend) dispatch
+    # shard host dispatch
     # ------------------------------------------------------------------
     def _note_phase(self, phase: str, seconds: float) -> None:
         """Accumulate one profiled phase's wall time (profiling enabled only)."""
@@ -1311,42 +1275,38 @@ class SamplerService:
         return ("svc", self._service_id, shard_id)
 
     def _attach_all_shards(self) -> None:
-        """Make every shard's sampler resident in the worker pool.
+        """Put every shard's sampler on the executor's shard host.
 
-        Existing shards ship their current snapshots; shards with no data
-        yet are built by the factory now (any shard may receive items the
-        moment the next batch is routed) — but they only count as
-        *active*, and only appear in checkpoints, once a worker reports
-        items for them. The factory receives a copy of shard ``k``'s
-        reserved stream, exactly as the lazily-creating serial path hands
-        it (:meth:`_build_shard`).
+        The in-process host adopts the driver's samplers as they are; the
+        process backend ships their snapshots, shard ``k`` to worker
+        ``k % num_workers``. Shards with no data yet are built by the
+        factory now (any shard may receive items the moment the next batch
+        is routed) — but they only count as *active*, and only appear in
+        checkpoints, once the host reports items for them. The factory
+        receives a copy of shard ``k``'s reserved stream
+        (:meth:`_build_shard`).
         """
-        pool = self._executor.transport
+        host = self._executor.host
         for shard_id in range(self.num_shards):
             sampler = self._shards.get(shard_id)
             if sampler is None:
                 sampler = self._build_shard(shard_id)
-            pool.attach(
+            host.adopt(
                 self._shard_key(shard_id),
+                sampler,
+                shard_id,
+                snapshot_sampler,
                 restore_sampler,
-                sampler.state_dict(),
-                worker=shard_id % pool.num_workers,
             )
-        self._transport_attached = True
-
-    def _note_counts(self, counts: dict[int, int]) -> None:
-        """Acknowledgement callback: record which shards received items."""
-        for shard_id in counts:
-            shard_id = int(shard_id)
-            self._activated.add(shard_id)
-            self._ckpt_dirty.add(shard_id)
+        self._attached = True
 
     def _on_window_result(self, result: Any) -> None:
-        """Acknowledgement callback of a worker's ingest window."""
+        """Acknowledgement callback of an ingest window: note the shards that got items."""
         if self._profile_enabled:
             result, seconds = result
             self._note_phase("worker_ingest", seconds)
-        self._note_counts(result)
+        self._activated.update(result)
+        self._ckpt_dirty.update(result)
 
     def _stage_planned(
         self,
@@ -1354,19 +1314,17 @@ class SamplerService:
         sub_batches: list[tuple[int, np.ndarray, int | None]],
         time: float,
     ) -> None:
-        """Copy one planned batch's per-worker runs into the open ring windows.
+        """Stage one planned batch's per-shard sub-batches in the host's window.
 
         ``rows`` holds the accepted rows grouped by shard and
         ``sub_batches`` the receiving shards' slices of it (see
         :meth:`_PlannedBatch.sub_batches`), so each shard's rows are one
-        contiguous run and each worker receives exactly its shards' runs,
-        back to back, plus the ``(shard_id, count, arrivals)`` list its
-        window task cuts them by — the worker never re-hashes. A shard that
-        accepted none of its arrivals gets an empty run: it still has to
-        decay and count them. Sub-batch contents and within-shard order
-        match the serial path exactly, so trajectories stay bit-identical.
+        contiguous run: the process backend copies each worker's runs into
+        its ring, and the in-process host keeps the slices. The shards never
+        re-hash. A shard that accepted none of its arrivals gets an empty
+        sub-batch: it still has to decay and count them.
         """
-        if not self._transport_attached:
+        if not self._attached:
             self._attach_all_shards()
         if self._window_task is None:
             self._window_task = WindowTask(
@@ -1374,43 +1332,27 @@ class SamplerService:
                 {"service_id": self._service_id, "profile": self._profile_enabled},
                 self._on_window_result,
             )
-        pool = self._executor.transport
         begin = perf_counter() if self._profile_enabled else 0.0
         # With a WAL, each staged batch carries its global sequence number
-        # into the pool's acknowledgement watermark (`acked_through`): after
+        # into the host's acknowledgement watermark (`acked_through`): after
         # a worker crash, it tells recovery exactly which batches never
         # landed. Workers that received no items are safely skipped.
         tag = self._batches_seen - 1 if self._wal is not None else None
-        num_workers = pool.num_workers
-        runs: list[list[tuple[int, int]]] = [[] for _ in range(num_workers)]
-        entries: list[list[tuple[int, int, int | None]]] = [[] for _ in range(num_workers)]
-        start = 0
-        for shard_id, shard_rows, arrivals in sub_batches:
-            worker = shard_id % num_workers
-            runs[worker].append((start, start + len(shard_rows)))
-            entries[worker].append((shard_id, len(shard_rows), arrivals))
-            start += len(shard_rows)
-        for worker in range(num_workers):
-            if entries[worker]:
-                pool.stage(
-                    worker,
-                    self._window_task,
-                    rows,
-                    runs[worker],
-                    entry=(float(time), entries[worker]),
-                    tag=tag,
-                )
+        self._executor.host.stage_shards(
+            self._window_task, rows, sub_batches, time, tag=tag
+        )
         if self._profile_enabled:
             self._note_phase("dispatch", perf_counter() - begin)
 
     def _collect_transport_views(
         self, include_items: bool, include_state: bool
     ) -> dict[int, SamplerSnapshotView]:
-        """Take the committed-watermark cut from the resident worker shards.
+        """Take the committed-watermark cut from the hosted shards.
 
         Enqueues one snapshot marker per worker behind every batch
-        dispatched so far (:meth:`ShardWorkerPool.snapshot_async`), then
-        collects the per-worker view dicts. The collect waits only for the
+        dispatched so far (:meth:`ShardWorkerPool.snapshot_async`; the
+        in-process host takes the cut at once), then collects the
+        per-worker view dicts. The collect waits only for the
         marker acknowledgements — batch acks en route are processed as
         ordinary ack-side frames — so the pipeline is never drained and
         commands enqueued after the markers stay in flight. Workers
@@ -1418,9 +1360,9 @@ class SamplerService:
         pristine standbys), so shards activated by still-unacknowledged
         batches are part of the cut.
         """
-        pool = self._executor.transport
+        host = self._executor.host
         try:
-            markers = pool.snapshot_async(
+            markers = host.snapshot_async(
                 service_snapshot_views,
                 kwargs={
                     "service_id": self._service_id,
@@ -1429,7 +1371,7 @@ class SamplerService:
                 },
             )
             views: dict[int, SamplerSnapshotView] = {}
-            for worker_views in pool.collect(markers):
+            for worker_views in host.collect(markers):
                 views.update(worker_views)
         except WorkerCrashError as error:
             # The cut found the pool dead. With a standby, promote: the
@@ -1497,7 +1439,7 @@ class SamplerService:
         if self._standby_cut_due():
             cut = self.snapshot(include_items=False, include_state=True)
             rt.replica = ShardReplicaSet.capture(self, cut)
-        if self._transport_attached:
+        if self._attached and self._executor.provides_transport:
             verdict = rt.detector.check(self._executor.transport)
             if verdict.failed:
                 self._failover(self._verdict_error(verdict))
@@ -1526,11 +1468,11 @@ class SamplerService:
 
     def _drain_transport_safely(self) -> None:
         """Drain the pipeline, failing over instead of raising when possible."""
-        if not self._transport_attached:
+        if not self._attached:
             return
         begin = perf_counter() if self._profile_enabled else 0.0
         try:
-            self._executor.transport.drain()
+            self._executor.host.drain()
         except WorkerCrashError as error:
             self._failover(error)
         finally:
@@ -1571,14 +1513,14 @@ class SamplerService:
                 "offline and investigate",
                 cause=error,
             )
-        # 1. Condemn the pool. Surviving workers hold shards at
+        # 1. Condemn the host. Surviving workers hold shards at
         # indeterminate pipeline positions; none of that state is salvaged
-        # — the log is the authority. Closing the pool discards every
+        # — the log is the authority. Releasing the host discards every
         # staged, unsent window too: the replay below covers its batches,
         # so sending it would double-apply them. shutdown() leaves the
-        # executor usable: the next batch lazily respawns a fresh pool and
+        # executor usable: the next batch lazily creates a fresh host and
         # re-attaches the promoted shards.
-        self._transport_attached = False
+        self._attached = False
         # Cached cuts may reference the condemned pool's shard states.
         self._snapshot_cache = None
         self._executor.shutdown()
@@ -1624,7 +1566,7 @@ class SamplerService:
         liveness and pipeline progress without draining anything. When the
         failure detector condemns the pool and a standby is configured,
         the promotion happens here and ``failed_over`` is reported
-        ``True``. In-process backends (and a detached pool) always report
+        ``True``. The serial backend (and a detached pool) always reports
         healthy — there are no worker processes to lose. The process
         backend also reports ``worker_memory``: each worker's resident and
         peak memory in bytes (``[]`` while no pool runs). It reads
@@ -1636,9 +1578,10 @@ class SamplerService:
                 "backend": self._executor.name,
                 "failed_over": False,
             }
-            if self._executor.provides_transport:
-                report["worker_memory"] = self._executor.worker_memory()
-            if not self._transport_attached:
+            if not self._executor.provides_transport:
+                return report
+            report["worker_memory"] = self._executor.worker_memory()
+            if not self._attached:
                 return report
             pool = self._executor.transport
             report.update(
@@ -1765,8 +1708,8 @@ class SamplerService:
         the capacity bound necessarily subsamples — for R-TBS via
         Algorithm 3, preserving relative inclusion probabilities.
 
-        Mechanics: the ingest pipeline is drained and resident shard state
-        detached from the worker pool (the next ingest re-attaches under
+        Mechanics: the ingest pipeline is drained and the shards detached
+        from the executor's host (the next ingest re-attaches them under
         the new layout); every active shard is synchronized to the service
         clock (an empty batch at the current time, so idle shards decay by
         their full gap before their items move); the per-sampler
@@ -1808,18 +1751,27 @@ class SamplerService:
         # All validation happens before any state changes: a refused reshard
         # must leave the service exactly as it was (same factory included).
         self._check_keys_recoverable()
-        factory = self._factory
-        if sampler_factory is not None:
-            # A factory that builds no sampler is refused now, not once a
-            # shard of the new layout first needs one.
-            factory = sampler_factory
-            build_shard_sampler(factory, generator_state(self._shard_rngs[0]))
+        factory = self._factory if sampler_factory is None else sampler_factory
+        # A factory that builds no sampler is refused now, not once a shard
+        # of the new layout first needs one; so is one that builds another
+        # class than the active shards' (a new one, or one a restore was
+        # given), whose samplers cannot absorb their retained state.
+        probe = build_shard_sampler(factory, generator_state(self._shard_rngs[0]))
+        active = self.active_shards
+        if active:
+            current = type(self.shard(active[0]))
+            if type(probe) is not current:
+                raise TypeError(
+                    f"sampler_factory builds {type(probe).__name__}, but the "
+                    f"active shards are {current.__name__}; a reshard moves "
+                    "retained state between samplers of one class"
+                )
         if self._wal is not None:
             # Checkpoint + truncate before re-homing: the logs' per-shard
             # records are keyed by the *old* layout, so everything in them
             # must be durable in the checkpoint before the layout changes.
             self.checkpoint()
-        if self._transport_attached:
+        if self._attached:
             # Drain + detach: the driver's samplers become authoritative and
             # the next ingest re-attaches them under the new layout.
             try:
@@ -1890,7 +1842,7 @@ class SamplerService:
         they would have received; they change only on reshard), and one
         sampler snapshot per active shard. Contains only plain containers
         and NumPy arrays. It serializes from the same state-bearing
-        snapshot cut as :meth:`checkpoint`, so on the transport backend a
+        snapshot cut as :meth:`checkpoint`, so on the process backend a
         snapshot taken mid-stream is exact and bit-identical to the serial
         backend's without draining the pipeline.
         """
@@ -1935,38 +1887,41 @@ class SamplerService:
         }
 
     def _detach_all_shards(self) -> None:
-        """Drain the pipeline and pull every resident shard off the workers.
+        """Drain the pipeline and take every shard back from the host.
 
         After this the driver's samplers are authoritative again and the
-        pool holds no state for this service — the precondition for both
-        :meth:`close` (which then releases the pool) and :meth:`reshard`
+        host holds no state for this service — the precondition for both
+        :meth:`close` (which then releases the host) and :meth:`reshard`
         (which re-partitions driver-side; the next ingest re-attaches the
-        shards under the new layout).
+        shards under the new layout). The in-process host hands back the
+        live samplers; the process backend rebuilds them from snapshots.
         """
-        pool = self._executor.transport
-        pool.drain()
+        host = self._executor.host
+        host.drain()
         for shard_id in range(self.num_shards):
             key = self._shard_key(shard_id)
             if shard_id in self._activated:
-                snapshot = pool.detach(key, snapshot_sampler)
-                self._shards[shard_id] = Sampler.from_state_dict(snapshot)
+                self._shards[shard_id] = host.release(
+                    key, snapshot_sampler, restore_sampler
+                )
             else:
-                pool.detach(key, None)
-        self._transport_attached = False
+                host.detach(key, None)
+        self._attached = False
 
     def close(self) -> None:
-        """Detach resident shard state and release the executor's workers.
+        """Detach the shards and release the executor's shard host and workers.
 
-        The service owns its executor lifecycle: one worker pool serves
-        every ingest call, and ``close`` (or leaving the ``with`` block)
-        ends it. Resident shard snapshots are pulled back first, so the
-        service and its samplers stay fully queryable afterwards — and a
-        later ingest transparently re-attaches and respawns workers. (If
-        several services share one executor, closing any of them releases
-        the shared pool; close the services together.)
+        The service owns its executor lifecycle: one shard host (on the
+        process backend, one worker pool) serves every ingest call, and
+        ``close`` (or leaving the ``with`` block) ends it. The shards are
+        taken back first, so the service and its samplers stay fully
+        queryable afterwards — and a later ingest transparently re-attaches
+        them (and respawns workers). (If several services share one
+        executor, closing any of them releases the shared host; close the
+        services together.)
 
         ``close`` is idempotent, including after a worker crash: a second
-        call finds the transport detached and the pool torn down, closes
+        call finds the shards detached and the pool torn down, closes
         the (already-closed) log handles again, and returns cleanly. With
         replication enabled a crash discovered *here* promotes the standby
         instead of raising — the service closes cleanly and stays
@@ -1978,11 +1933,11 @@ class SamplerService:
     def _close_locked(self) -> None:
         failure: BaseException | None = None
         try:
-            if self._transport_attached:
+            if self._attached:
                 try:
                     self._detach_all_shards()
                 except WorkerCrashError as error:
-                    self._transport_attached = False
+                    self._attached = False
                     if self._replication is not None:
                         # Promote rather than raise: the committed log tail
                         # holds every acked batch, so close completes with
@@ -2006,11 +1961,11 @@ class SamplerService:
                     # Same teardown-then-reraise for non-crash engine
                     # failures (a closed pool, a lost pipe outside a
                     # worker death): nothing to promote over.
-                    self._transport_attached = False
+                    self._attached = False
                     self._executor.shutdown()
                     raise
                 finally:
-                    self._transport_attached = False
+                    self._attached = False
             self._executor.shutdown()
         except BaseException as error:
             failure = error
@@ -2101,7 +2056,6 @@ class SamplerService:
         service.num_shards = int(state["num_shards"])
         service.key_fn = key_fn
         service._executor = get_executor(executor)
-        require_in_place_backend(service._executor, "SamplerService")
         service._rng = generator_from_state(state["rng_state"])
         if state["sampling_version"] != SAMPLING_VERSION:
             raise ValueError(

@@ -1,20 +1,27 @@
-"""Tests for the partitioned-execution engine backends."""
+"""Tests for the engine's execution backends and their shard hosts."""
 
 from __future__ import annotations
 
 import threading
 
+import numpy as np
 import pytest
 
+from repro.core import RTBS
 from repro.distributed import SimulatedCluster
 from repro.engine import (
+    EngineError,
     Executor,
+    InProcessShardHost,
     ProcessPoolExecutor,
     SerialExecutor,
+    WindowTask,
     get_executor,
-    map_partitions,
     merge_samples,
-    reduce_merge,
+    restore_sampler,
+    service_ingest_window,
+    service_snapshot_views,
+    snapshot_sampler,
 )
 
 
@@ -22,72 +29,90 @@ def _square(x: int) -> int:
     return x * x
 
 
+def _adopt(host: InProcessShardHost, sampler: RTBS, shard_id: int) -> None:
+    host.adopt(("svc", 1, shard_id), sampler, shard_id, snapshot_sampler, restore_sampler)
+
+
 class TestBackends:
-    @pytest.mark.parametrize("spec", ["serial", "process", "process:1", "process:2"])
-    def test_map_partitions_preserves_partition_order(self, spec):
-        with get_executor(spec) as executor:
-            assert executor.map_partitions(_square, range(20)) == [
-                x * x for x in range(20)
-            ]
+    def test_serial_and_simulated_backends_host_in_process(self):
+        for executor in (SerialExecutor(), SimulatedCluster(num_workers=2)):
+            host = executor.host
+            assert isinstance(host, InProcessShardHost)
+            assert executor.host is host  # one host, reused
+            assert not executor.provides_transport
+            executor.shutdown()
+            assert executor.host is not host
 
-    def test_empty_partition_list(self):
-        for executor in (SerialExecutor(), ProcessPoolExecutor(2)):
-            with executor:
-                assert executor.map_partitions(_square, []) == []
+    def test_process_backend_flags_its_transport_without_starting_it(self):
+        executor = ProcessPoolExecutor(2)
+        assert executor.provides_transport
+        assert executor._pool is None
 
-    def test_reduce_merge_runs_driver_side(self):
-        with ProcessPoolExecutor(2) as executor:
-            driver_thread = threading.get_ident()
-            seen: list[int] = []
 
-            def merge(parts):
-                seen.append(threading.get_ident())
-                return sum(parts)
+class TestInProcessShardHost:
+    def test_adopt_and_release_move_the_live_object(self):
+        # No state round trip: the host holds, and hands back, the very object.
+        host = InProcessShardHost()
+        sampler = RTBS(n=5, lambda_=0.1, rng=0)
+        _adopt(host, sampler, 0)
+        with pytest.raises(EngineError, match="already attached"):
+            _adopt(host, sampler, 0)
+        assert host.release(("svc", 1, 0), snapshot_sampler, restore_sampler) is sampler
+        _adopt(host, sampler, 0)
+        assert host.detach(("svc", 1, 0)) is None
 
-            assert executor.reduce_merge(merge, [1, 2, 3]) == 6
-            assert seen == [driver_thread]
+    def test_a_window_runs_in_the_calling_thread_when_sent(self):
+        host = InProcessShardHost()
+        reference = RTBS(n=20, lambda_=0.2, rng=3)
+        live = RTBS(n=20, lambda_=0.2, rng=3)
+        _adopt(host, live, 2)
+        threads: list[int] = []
+        results: list[dict[int, int]] = []
 
-    def test_serial_tasks_share_the_interpreter(self):
-        # The in-process backend may close over live mutable state.
-        counter = {"value": 0}
+        def ingest(residents, **kwargs):
+            threads.append(threading.get_ident())
+            return service_ingest_window(residents, **kwargs)
 
-        def bump(_):
-            counter["value"] += 1
+        task = WindowTask(ingest, {"service_id": 1}, results.append)
+        for index in range(3):
+            rows = np.arange(index * 40, (index + 1) * 40)
+            reference.process_batch(rows, time=float(index + 1))
+            host.stage_shards(task, rows, [(2, rows, None)], float(index + 1), tag=index)
+            assert live.batches_seen == 0 and host.acked_through() == -1
+        host.send_staged()
+        assert threads == [threading.get_ident()] and results == [{2: 120}]
+        assert host.acked_through() == 2
+        assert live.sample_items() == reference.sample_items()
+        assert live.total_weight == reference.total_weight
 
-        with SerialExecutor() as executor:
-            executor.map_partitions(bump, range(50))
-        assert counter["value"] == 50
+    def test_reads_see_every_staged_batch(self):
+        # As on the pool's FIFO pipe, a read sends the open window first.
+        host = InProcessShardHost()
+        _adopt(host, RTBS(n=20, lambda_=0.2, rng=0), 0)
+        task = WindowTask(service_ingest_window, {"service_id": 1})
+        host.stage_shards(task, np.arange(10), [(0, np.arange(10), None)], 1.0)
+        markers = host.snapshot_async(service_snapshot_views, {"service_id": 1})
+        (views,) = host.collect(markers)
+        assert views[0].batches_seen == 1
+        host.stage_shards(task, np.arange(5), [(0, np.arange(5), None)], 2.0)
+        assert host.snapshot(("svc", 1, 0), snapshot_sampler)["batches_seen"] == 2
 
-    def test_stage_records_accumulate_and_reset(self):
-        executor = SerialExecutor()
-        executor.map_partitions(_square, range(3), description="first")
-        executor.reduce_merge(sum, [1, 2], description="second")
-        assert [record.description for record in executor.stages] == ["first", "second"]
-        assert executor.stages[0].num_tasks == 3
-        assert executor.elapsed >= 0.0
-        executor.reset_clock()
-        assert executor.stages == [] and executor.elapsed == 0.0
+    def test_a_failed_window_keeps_its_tag_outstanding(self):
+        host = InProcessShardHost()
 
-    def test_stage_records_are_capped_for_long_running_callers(self):
-        # An unbounded-stream service dispatches forever through one
-        # executor; only the most recent records are retained while the
-        # elapsed total keeps accumulating.
-        executor = SerialExecutor()
-        executor.max_stage_records = 10
-        for index in range(25):
-            executor.map_partitions(_square, [index], description=f"stage-{index}")
-        assert len(executor.stages) == 10
-        assert executor.stages[-1].description == "stage-24"
-        assert executor.stages[0].description == "stage-15"
+        def fail(residents, **kwargs):
+            raise ValueError("boom")
 
-    def test_ships_state_flags(self):
-        assert not SerialExecutor().ships_state
-        assert ProcessPoolExecutor().ships_state
-
-    def test_module_level_primitives_delegate(self):
-        executor = SerialExecutor()
-        assert map_partitions(executor, _square, [2, 3]) == [4, 9]
-        assert reduce_merge(executor, sum, [4, 9]) == 13
+        host.stage_shards(WindowTask(fail), np.arange(3), [], 1.0, tag=4)
+        with pytest.raises(ValueError, match="boom"):
+            host.drain()
+        assert host.acked_through() == 3
+        host.drain()  # nothing staged: the failed window is gone
+        # A later window that runs does not acknowledge the failed one.
+        task = WindowTask(service_ingest_window, {"service_id": 1})
+        host.stage_shards(task, np.arange(0), [], 2.0, tag=5)
+        host.drain()
+        assert host.acked_through() == 3
 
 
 class TestGetExecutor:

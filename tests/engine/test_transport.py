@@ -26,11 +26,11 @@ from repro.engine import (
 from repro.service import ReplicationConfig, SamplerService
 
 
-def _square(x: int) -> int:
+def _square(residents, x: int) -> int:
     return x * x
 
 
-def _fail(x):
+def _fail(residents, x):
     raise ValueError(f"intentional failure on {x!r}")
 
 
@@ -76,6 +76,27 @@ class TestResidentLifecycle:
         assert final.sample_items() == reference.sample_items()
         assert final.total_weight == reference.total_weight
         assert key not in pool.resident_keys
+
+    def test_stage_shards_puts_each_shard_on_its_worker(self, pool):
+        """adopt/stage_shards/release: shard ``s`` lives on worker ``s % 2``."""
+        references = {s: RTBS(n=20, lambda_=0.2, rng=s) for s in range(3)}
+        for shard_id in range(3):
+            sampler = RTBS(n=20, lambda_=0.2, rng=shard_id)
+            pool.adopt(("svc", 4, shard_id), sampler, shard_id, snapshot_sampler, restore_sampler)
+            assert pool.worker_for(("svc", 4, shard_id)) == shard_id % 2
+        task = WindowTask(service_ingest_window, {"service_id": 4})
+        for index in range(4):
+            rows = np.arange(index * 90, (index + 1) * 90)
+            sub_batches = [(s, rows[s * 30 : (s + 1) * 30], None) for s in range(3)]
+            for shard_id, shard_rows, _ in sub_batches:
+                references[shard_id].process_batch(shard_rows, time=float(index + 1))
+            pool.stage_shards(task, rows, sub_batches, float(index + 1))
+        pool.send_staged()
+        for shard_id, reference in references.items():
+            live = pool.release(("svc", 4, shard_id), snapshot_sampler, restore_sampler)
+            assert live.sample_items() == reference.sample_items()
+            assert live.total_weight == reference.total_weight
+        assert pool.resident_keys == set()
 
     def test_detach_without_snapshot_discards(self, pool):
         pool.attach("junk", restore_sampler, RTBS(n=5, lambda_=0.1, rng=0).state_dict(), worker=1)
@@ -144,17 +165,14 @@ def _get_attached_type_of_payload(residents, payload):
 
 
 class TestGenericTasks:
-    def test_run_tasks_preserves_order(self, pool):
-        assert pool.run_tasks(_square, list(range(23))) == [x * x for x in range(23)]
-
     def test_remote_errors_carry_the_original_traceback(self, pool):
         with pytest.raises(RemoteTaskError, match="intentional failure"):
-            pool.run_tasks(_fail, [1, 2, 3])
+            pool.apply(1, _fail, {"x": 1}, sync=True)
 
     def test_pool_survives_task_errors(self, pool):
         with pytest.raises(RemoteTaskError):
-            pool.run_tasks(_fail, [1])
-        assert pool.run_tasks(_square, [5]) == [25]
+            pool.apply(0, _fail, {"x": 1}, sync=True)
+        assert pool.apply(0, _square, {"x": 5}, sync=True) == 25
 
 
 class TestWorkerCrash:
@@ -267,17 +285,18 @@ class TestExecutorIntegration:
             assert executor.provides_transport
             pool = executor.transport
             assert pool is executor.transport  # one pool, reused
-            assert pool.run_tasks(_square, [3]) == [9]
+            assert executor.host is pool  # the pool is the shard host
+            assert pool.apply(1, _square, {"x": 3}, sync=True) == 9
 
     def test_shutdown_closes_and_recreates_the_pool(self):
         executor = ProcessPoolExecutor(1)
         first = executor.transport
         executor.shutdown()
         with pytest.raises(EngineError, match="closed"):
-            first.run_tasks(_square, [1])
+            first.apply(0, _square, {"x": 1}, sync=True)
         second = executor.transport
         assert second is not first
-        assert second.run_tasks(_square, [4]) == [16]
+        assert second.apply(0, _square, {"x": 4}, sync=True) == 16
         executor.shutdown()
 
 
@@ -304,7 +323,7 @@ class TestWorkerMemory:
         executor = ProcessPoolExecutor(2)
         assert executor.worker_memory() == []
         assert executor._pool is None
-        executor.transport.run_tasks(_square, [1])
+        executor.transport.apply(0, _square, {"x": 1}, sync=True)
         assert len(executor.worker_memory()) == 2
         executor.shutdown()
         assert executor.worker_memory() == []
@@ -343,7 +362,7 @@ class TestHeapRelease:
         del chunks
         driver_rss = _driver_rss_bytes()
         with ShardWorkerPool(max_workers=2) as pool:
-            assert pool.run_tasks(_square, [3]) == [9]
+            assert pool.apply(1, _square, {"x": 3}, sync=True) == 9
             peaks = [worker["peak_rss_bytes"] for worker in pool.worker_memory()]
         assert len(pin) == 65536
         for peak in peaks:
@@ -619,6 +638,23 @@ class TestServiceIngestWindow:
             assert live.sample_items() == reference[shard].sample_items()
             assert live.time == reference[shard].time
             assert live.total_weight == reference[shard].total_weight
+
+    def test_in_process_entries_carry_their_rows(self):
+        # No payload frame: each entry lists the sub-batches' rows themselves.
+        framed = {("svc", 7, s): RTBS(n=20, lambda_=0.1, rng=s) for s in (0, 2)}
+        in_process = {("svc", 7, s): RTBS(n=20, lambda_=0.1, rng=s) for s in (0, 2)}
+        payload = np.arange(90)
+        entries = [(1.0, [(0, 30), (2, 20)]), (2.5, [(2, 10, 40)]), (4.0, [(0, 30)])]
+        sliced = [
+            (1.0, [(0, payload[:30]), (2, payload[30:50])]),
+            (2.5, [(2, payload[50:60], 40)]),
+            (4.0, [(0, payload[60:])]),
+        ]
+        counts = service_ingest_window(framed, payload, entries, 7)
+        assert service_ingest_window(in_process, None, sliced, 7) == counts == {0: 60, 2: 60}
+        for key, sampler in framed.items():
+            assert in_process[key].sample_items() == sampler.sample_items()
+            assert in_process[key].total_weight == sampler.total_weight
 
     def test_profile_reports_ingest_seconds(self):
         residents = {("svc", 1, 0): RTBS(n=5, lambda_=0.1, rng=0)}

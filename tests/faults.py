@@ -236,7 +236,7 @@ def install_worker_kill_hook(service: SamplerService, crash_index: int, worker: 
     def hook(site: str) -> None:
         if fired or next(counter) != crash_index:
             return
-        if not service._transport_attached:
+        if not (service.executor.provides_transport and service._attached):
             return
         pool = service.executor.transport
         handle = pool.workers[worker % pool.num_workers]

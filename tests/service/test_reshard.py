@@ -262,8 +262,20 @@ class TestReshardSemantics:
         # Shards lazily created later still come from the original factory.
         assert service._factory(np.random.default_rng(0)).n == _TOTAL_CAPACITY // 4
 
+    @pytest.mark.parametrize(
+        "refused, message",
+        [
+            (lambda rng: object(), "must return"),
+            # Retained R-TBS state cannot be absorbed into T-TBS shards.
+            (
+                lambda rng: TTBS(n=50, lambda_=0.1, mean_batch_size=10, rng=rng),
+                "builds TTBS, but the active shards are RTBS",
+            ),
+        ],
+        ids=["not-a-sampler", "another-class"],
+    )
     @pytest.mark.parametrize("backend", [None, "process:2"], ids=["serial", "process"])
-    def test_a_refused_factory_is_not_installed(self, backend):
+    def test_a_refused_factory_is_not_installed(self, backend, refused, message):
         def build():
             service = SamplerService(
                 scaled_factory(8), num_shards=8, rng=0, executor=backend
@@ -273,8 +285,8 @@ class TestReshardSemantics:
 
         with build() as service, build() as twin:
             before = service.state_dict()
-            with pytest.raises(TypeError, match="must return"):
-                service.reshard(3, lambda rng: object())
+            with pytest.raises(TypeError, match=message):
+                service.reshard(3, refused)
             _assert_states_equal(service.state_dict(), before)
             # Activating a shard after the refusal uses the original factory.
             for target in (service, twin):
@@ -283,6 +295,20 @@ class TestReshardSemantics:
             for target in (service, twin):
                 target.reshard(3)
             _assert_states_equal(service.state_dict(), twin.state_dict())
+
+    def test_a_restored_factory_of_another_class_is_refused(self):
+        # A restore takes whatever factory it is given; resharding onto it
+        # would absorb R-TBS state into T-TBS samplers.
+        service = SamplerService(scaled_factory(4), num_shards=4, rng=0)
+        service.ingest(_batches(2))
+        restored = SamplerService.from_state_dict(
+            service.state_dict(),
+            lambda rng: TTBS(n=50, lambda_=0.1, mean_batch_size=10, rng=rng),
+        )
+        before = restored.state_dict()
+        with pytest.raises(TypeError, match="builds TTBS, but the active shards are RTBS"):
+            restored.reshard(3)
+        _assert_states_equal(restored.state_dict(), before)
 
     def test_rejected_explicit_key_batches_do_not_poison_resharding(self):
         # A batch whose explicit keys never routed (bad type, bad length)

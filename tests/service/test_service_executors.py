@@ -12,6 +12,7 @@ from __future__ import annotations
 import functools
 import os
 import signal
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -31,10 +32,10 @@ import repro.engine.transport as transport
 from repro.engine import (
     EngineError,
     ProcessPoolExecutor,
-    SerialExecutor,
     ShardWorkerPool,
     WorkerCrashError,
 )
+from repro.distributed import SimulatedCluster
 from repro.service import ReplicationConfig, SamplerService, load_service, save_service
 
 
@@ -220,27 +221,6 @@ class TestDrawingFactoryBitIdentity:
             _assert_states_equal(resident.state_dict(), serial.state_dict())
 
 
-class TestPlainStateShippingExecutor:
-    def test_plain_state_shipping_backend_is_rejected(self):
-        # A backend that ships state but has no resident transport would
-        # ingest into copies of the shards: refused at construction and on
-        # restore, before any state exists.
-        class SnapshotShipper(SerialExecutor):
-            name = "shipper"
-            ships_state = True
-
-        with pytest.raises(ValueError, match="transport-capable"):
-            SamplerService(
-                rtbs_factory, num_shards=4, rng=29, executor=SnapshotShipper()
-            )
-        serial = SamplerService(rtbs_factory, num_shards=4, rng=29)
-        serial.ingest(_batches(2))
-        with pytest.raises(ValueError, match="transport-capable"):
-            SamplerService.from_state_dict(
-                serial.state_dict(), rtbs_factory, executor=SnapshotShipper()
-            )
-
-
 class TestTransportRoutingModes:
     """Each of the three frame routing modes must match serial routing."""
 
@@ -290,22 +270,81 @@ class TestTransportRoutingModes:
             assert resident.sample_items() == serial.sample_items()
 
 
-class TestExecutorLifecycle:
-    def test_close_detaches_and_later_ingest_reattaches(self):
-        batches = _batches(12)
-        serial = SamplerService(rtbs_factory, num_shards=4, rng=31)
+class TestOnePipeline:
+    """Every backend hosts its shards; the serial host runs windows in process."""
+
+    @pytest.mark.parametrize("backend", ["serial", "process:2"])
+    def test_changing_a_shard_read_leaves_the_service_as_it_was(self, backend):
+        with SamplerService(rtbs_factory, num_shards=4, rng=5, executor=backend) as service:
+            service.ingest(_batches(4))
+            for _ in ("attached", "detached by close"):
+                before = service.state_dict()
+                shard_id = service.active_shards[0]
+                service.shard(shard_id).process_batch(
+                    np.arange(10**6, 10**6 + 50), time=service.time + 1.0
+                )
+                _assert_states_equal(service.state_dict(), before)
+                service.close()
+
+    def test_each_shard_ingests_once_per_window(self, monkeypatch):
+        # The amortization bulk ingest rests on: one ingest_stream call per
+        # active shard per window, holding every batch of the window.
+        calls: list[tuple[int, int]] = []
+        ingest_stream = RTBS.ingest_stream
+
+        def spy(sampler, batches, *args, **kwargs):
+            calls.append((id(sampler), len(batches)))
+            return ingest_stream(sampler, batches, *args, **kwargs)
+
+        monkeypatch.setattr(RTBS, "ingest_stream", spy)
+        service = SamplerService(rtbs_factory, num_shards=4, rng=9)
+        service.ingest(_batches(8), window=3)
+        assert len(service.active_shards) == 4
+        assert sorted(size for _, size in calls) == [2] * 4 + [3] * 8
+        assert sorted(Counter(sampler for sampler, _ in calls).values()) == [3] * 4
+        calls.clear()
+        for batch in _batches(2, start=10_000):
+            service.ingest_batch(batch)
+        assert [size for _, size in calls] == [1] * 8
+
+    def test_the_simulated_cluster_hosts_shards_in_process(self):
+        batches = _batches(6)
+        serial = SamplerService(rtbs_factory, num_shards=4, rng=13)
         serial.ingest(batches)
-        resident = SamplerService(
-            rtbs_factory, num_shards=4, rng=31, executor="process:2"
+        with SamplerService(
+            rtbs_factory, num_shards=4, rng=13, executor=SimulatedCluster(2)
+        ) as simulated:
+            simulated.ingest(batches)
+            _assert_states_equal(simulated.state_dict(), serial.state_dict())
+
+
+class TestExecutorLifecycle:
+    @pytest.mark.parametrize("backend", ["serial", "process:2"])
+    def test_close_detaches_and_later_ingest_reattaches(self, tmp_path, backend):
+        batches = _batches(12)
+        uninterrupted = SamplerService(rtbs_factory, num_shards=4, rng=31)
+        uninterrupted.ingest(batches)
+        service = SamplerService(
+            rtbs_factory,
+            num_shards=4,
+            rng=31,
+            executor=backend,
+            wal_dir=tmp_path / "wal",
+            replication=ReplicationConfig(ship_interval=4),
         )
-        resident.ingest(batches[:6])
-        resident.close()  # workers gone; state pulled back to the driver
-        resident.ingest(batches[6:])  # transparently respawns + re-attaches
+        service.ingest(batches[:6])
+        service.close()  # shards taken back to the driver; workers gone
+        halfway = SamplerService(rtbs_factory, num_shards=4, rng=31)
+        halfway.ingest(batches[:6])
+        # Reads of the detached service see the driver's samplers.
+        assert service.sample_items() == halfway.sample_items()
+        assert service.stats()["active_shards"] == 4
+        service.ingest(batches[6:])  # transparently re-attaches (and respawns)
         try:
-            assert resident.sample_items() == serial.sample_items()
-            _assert_states_equal(resident.state_dict(), serial.state_dict())
+            assert service.sample_items() == uninterrupted.sample_items()
+            _assert_states_equal(service.state_dict(), uninterrupted.state_dict())
         finally:
-            resident.close()
+            service.close()
 
     def test_flush_is_a_barrier_and_a_noop_in_process(self):
         serial = SamplerService(rtbs_factory, num_shards=2, rng=0)
