@@ -15,7 +15,8 @@ Layout:
   protocol, ``# repro-lint: ignore[rule] -- reason`` waivers, and
   :func:`run_lint`;
 * :mod:`repro.analysis.rules` — the shipped AST rules (determinism,
-  pickle-ban, error-swallowing, iter-order, state-dict);
+  pickle-ban, error-swallowing, iter-order, state-dict, pure-read,
+  env-config);
 * :mod:`repro.analysis.fingerprint` — the routing-fingerprint rule and the
   AST normalizer it hashes with;
 * :mod:`repro.analysis.fingerprints` — recorded golden fingerprints per

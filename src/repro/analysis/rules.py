@@ -17,6 +17,8 @@ Each rule encodes one invariant from ``docs/CONTRACTS.md``:
   ``sample_items``, ``shard``, ``shard_samples``, ``snapshot``,
   ``snapshot_view``) must not drain the ingest pipeline, create shards, or
   draw randomness.
+* :class:`EnvConfigRule` — no ``os.environ``/``os.getenv`` reads inside
+  the deterministic packages: configuration arrives as arguments.
 
 The routing-fingerprint rule lives in :mod:`repro.analysis.fingerprint`.
 """
@@ -36,6 +38,7 @@ __all__ = [
     "IterOrderRule",
     "StateDictRule",
     "PureReadRule",
+    "EnvConfigRule",
     "ALL_RULES",
     "default_rules",
 ]
@@ -638,6 +641,53 @@ class PureReadRule(Rule):
                 )
 
 
+class EnvConfigRule(Rule):
+    id = "env-config"
+    description = (
+        "no os.environ/os.getenv reads in the deterministic packages: an "
+        "environment switch is a second code path no caller can see"
+    )
+    _HINT = (
+        "take the setting as a constructor argument, or make the behaviour "
+        "unconditional; a switch read from the environment changes what "
+        "the code does without any call site saying so"
+    )
+    _ENV_NAMES = frozenset({"environ", "environb", "getenv", "getenvb"})
+
+    def applies_to(self, module: SourceModule) -> bool:
+        return module.in_package(*DETERMINISTIC_PACKAGES)
+
+    def check(self, module: SourceModule) -> Iterator[Finding]:
+        os_names: set[str] = set()
+        for node in ast.walk(module.tree):
+            if isinstance(node, ast.Import):
+                for alias in node.names:
+                    if alias.name == "os":
+                        os_names.add(alias.asname or "os")
+            elif isinstance(node, ast.ImportFrom) and node.module == "os":
+                for alias in node.names:
+                    if alias.name in self._ENV_NAMES:
+                        yield self.finding(
+                            module,
+                            node,
+                            f"import of os.{alias.name} (environment configuration)",
+                            self._HINT,
+                        )
+        for node in ast.walk(module.tree):
+            if (
+                isinstance(node, ast.Attribute)
+                and node.attr in self._ENV_NAMES
+                and isinstance(node.value, ast.Name)
+                and node.value.id in os_names
+            ):
+                yield self.finding(
+                    module,
+                    node,
+                    f"read of os.{node.attr} (environment configuration)",
+                    self._HINT,
+                )
+
+
 def default_rules() -> list[Rule]:
     """Fresh instances of every shipped rule."""
     return [
@@ -647,6 +697,7 @@ def default_rules() -> list[Rule]:
         IterOrderRule(),
         StateDictRule(),
         PureReadRule(),
+        EnvConfigRule(),
         RoutingFingerprintRule(),
     ]
 

@@ -67,8 +67,7 @@ def service_ingest_window(
     payload: np.ndarray | None,
     entries: Sequence[tuple[float, Sequence[tuple[Any, ...]]]],
     service_id: int,
-    profile: bool = False,
-) -> dict[int, int] | tuple[dict[int, int], float]:
+) -> tuple[dict[int, int], float]:
     """Ingest one window of pre-routed batches into the hosted shards.
 
     The driver routes each batch once and stages its per-shard sub-batches.
@@ -86,13 +85,12 @@ def service_ingest_window(
     feeds every shard the same sub-streams and trajectories stay
     bit-identical.
 
-    Returns ``{shard_id: arrivals}`` — the items routed to each shard, the
-    accepted ones or not (the driver tracks shard activation from the
-    counts without blocking the pipeline); with ``profile=True`` the
-    window's ingest wall time rides along for the service's
-    phase-breakdown hook.
+    Returns ``({shard_id: arrivals}, seconds)``: the items routed to each
+    shard, the accepted ones or not (the driver tracks shard activation
+    from the counts without blocking the pipeline), and the window's ingest
+    wall time, which the service reports as its ``worker_ingest`` phase.
     """
-    begin = perf_counter() if profile else 0.0
+    begin = perf_counter()
     streams: dict[int, tuple[list[np.ndarray], list[float], list[int | None]]] = {}
     counts: dict[int, int] = {}
     offset = 0
@@ -112,9 +110,7 @@ def service_ingest_window(
         residents[("svc", service_id, shard_id)].ingest_stream(
             batches, times=times, arrivals=arrivals
         )
-    if profile:
-        return counts, perf_counter() - begin
-    return counts
+    return counts, perf_counter() - begin
 
 
 def service_snapshot_views(

@@ -146,6 +146,9 @@ _SERVICE_IDS = itertools.count(1)
 #: generator seeded from the same key alone.
 _PLAN_TAG = 0x504C414E
 
+#: The ingest phases ``stats()["profile"]`` reports, in pipeline order.
+_PHASES = ("hash", "split", "wal", "dispatch", "worker_ingest", "ack")
+
 
 def _derive_plan_key(rng: np.random.Generator) -> int:
     """A service's plan key: the master stream's next draw, without advancing it."""
@@ -311,11 +314,10 @@ class SamplerService:
         :class:`~repro.core.base.Sampler`, e.g.
         ``lambda rng: RTBS(n=10_000, lambda_=0.07, rng=rng)``. Each call
         receives its own copy of the shard's reserved stream, and the
-        service may call it more than once per shard (to plan a batch, or
-        to attach a shard to a worker), so it must build the same sampler
-        from the same stream. The sampler class
-        must implement the snapshot protocol for the service to be
-        checkpointable.
+        service calls it again for a shard with no data each time the shards
+        are re-attached (after a close or a failover), so it must build the
+        same sampler from the same stream. The sampler class must implement
+        the snapshot protocol for the service to be checkpointable.
     num_shards:
         Number of hash shards in the current layout. The layout is
         *elastic*: :meth:`reshard` changes it live (and
@@ -482,15 +484,15 @@ class SamplerService:
         #: Warm-standby replication state (config + replica + failure
         #: detector), or ``None`` when replication is off.
         self._replication: ReplicationRuntime | None = None
-        #: Opt-in phase-breakdown profiling (``REPRO_SERVICE_PROFILE=1``):
-        #: wall time accumulated per ingest phase (hash/split/wal/dispatch/
-        #: worker_ingest/ack), reported by :meth:`stats`. ``perf_counter``
-        #: deltas only — never part of the statistical trajectory.
-        self._profile_enabled = os.environ.get(
-            "REPRO_SERVICE_PROFILE", ""
-        ) not in ("", "0")
-        self._profile_times: dict[str, float] = {}
-        self._profile_batches = 0
+        #: Wall time per ingest phase and the batches it covers, since
+        #: construction or restore. The key set is fixed here, so
+        #: :meth:`stats` reads the dict without the lock.
+        self._phase_seconds = dict.fromkeys(_PHASES, 0.0)
+        self._phase_batches = 0
+        #: Time of the windows run in the calling thread (see _phase_clock).
+        self._inline_seconds = 0.0
+        #: Samplers the plan built for shards with no data, for the attach.
+        self._pristine: dict[int, Sampler] = {}
         #: The command the open ingest window's staged frames are sent as.
         #: Held only while a window is open: its callback references the
         #: service, and a lasting cycle would keep closed services alive.
@@ -722,7 +724,8 @@ class SamplerService:
         backend it lists each worker's ring capacity (``ring_bytes``) and
         the furthest offset within a ring half any frame has reached
         (``ring_high_water_bytes``), read without a worker round-trip
-        (``[]`` while no worker pool runs).
+        (``[]`` while no worker pool runs). ``"profile"`` holds the ingest
+        phase timers, whose schema ``docs/CONTRACTS.md`` gives.
         """
         cut = self.snapshot(
             max_staleness_batches=max_staleness_batches, include_items=False
@@ -770,7 +773,7 @@ class SamplerService:
                 ),
             }
         )
-        report: dict[str, Any] = {
+        return {
             "num_shards": self.num_shards,
             "active_shards": len(shards),
             "executor": self._executor.name,
@@ -788,16 +791,11 @@ class SamplerService:
                 else None
             ),
             "shards": shards,
+            "profile": {
+                "batches": self._phase_batches,
+                "seconds": dict(self._phase_seconds),
+            },
         }
-        if self._profile_enabled:
-            report["profile"] = {
-                "batches": self._profile_batches,
-                "seconds": {
-                    phase: self._profile_times[phase]
-                    for phase in sorted(self._profile_times)
-                },
-            }
-        return report
 
     @property
     def total_weight(self) -> float:
@@ -830,16 +828,8 @@ class SamplerService:
         :meth:`_ingest_step`), their arrival times and arrival counts.
         """
         self._window_task = None
-        if not self._attached:
-            return
-        begin = perf_counter() if self._profile_enabled else 0.0
-        try:
-            self._executor.host.send_staged()
-        except WorkerCrashError as error:
-            self._failover(error)
-        finally:
-            if self._profile_enabled:
-                self._note_phase("dispatch", perf_counter() - begin)
+        if self._attached:
+            self._call_host("dispatch", self._executor.host.send_staged)
 
     def _ingest_step(
         self,
@@ -869,22 +859,19 @@ class SamplerService:
         plan = None
         sub_batches: list[tuple[int, np.ndarray, int | None]] = []
         if shard_ids is not None:
-            begin = perf_counter() if self._profile_enabled else 0.0
+            begin = self._phase_clock()
             plan = self._plan_batch(batch, shard_ids, time, seq)
             sub_batches = plan.sub_batches()
-            if self._profile_enabled:
-                self._note_phase("split", perf_counter() - begin)
+            self._note_phase("split", begin)
         explicit = explicit or self._explicit_keys_used
         if self._wal is not None:
-            begin = perf_counter() if self._profile_enabled else 0.0
+            begin = self._phase_clock()
             self._wal.append_batch(seq, time, sub_batches, explicit)
-            if self._profile_enabled:
-                self._note_phase("wal", perf_counter() - begin)
+            self._note_phase("wal", begin)
         # Committed: the batch is the service's from here on.
         self._time = time
         self._batches_seen = seq + 1
-        if self._profile_enabled:
-            self._profile_batches += 1
+        self._phase_batches += 1
         if explicit:
             # Recorded only once the keys actually routed items: a rejected
             # ingest (unroutable key types, length mismatch) must not
@@ -906,9 +893,9 @@ class SamplerService:
         """The plan mirrors, rebuilt from the driver's samplers when stale.
 
         An active shard is read from its sampler; a shard that has seen no
-        data from the sampler it will start as (:meth:`_build_shard`). A
-        factory that builds no sampler is refused here, before the batch
-        reaches the log.
+        data from the sampler it will start as (:meth:`_build_shard`), which
+        the next attach then hosts. A factory that builds no sampler is
+        refused here, before the batch reaches the log.
         """
         if self._mirrors is None:
             mirrors: dict[int, RTBSPlanState | None] = {}
@@ -916,7 +903,7 @@ class SamplerService:
                 if shard_id in self._activated:
                     sampler = self._shards[shard_id]
                 else:
-                    sampler = self._build_shard(shard_id)
+                    sampler = self._pristine[shard_id] = self._build_shard(shard_id)
                 mirrors[shard_id] = (
                     sampler.plan_state() if isinstance(sampler, RTBS) else None
                 )
@@ -1152,21 +1139,15 @@ class SamplerService:
                 if buffered >= window or self._standby_cut_due():
                     flush()
                     release()
-        except BaseException:
-            # Deliver the complete batches routed before the failure, so the
+        finally:
+            # Deliver every batch routed so far. After a failure, the
             # observable state is "everything before the bad batch was
-            # ingested" — the same semantics as a per-batch ingest loop.
+            # ingested": the same semantics as a per-batch ingest loop.
             acquire()
             try:
                 flush()
             finally:
                 release()
-            raise
-        acquire()
-        try:
-            flush()
-        finally:
-            release()
 
     def flush(self) -> None:
         """Barrier: wait until every enqueued batch has been ingested.
@@ -1267,9 +1248,17 @@ class SamplerService:
     # ------------------------------------------------------------------
     # shard host dispatch
     # ------------------------------------------------------------------
-    def _note_phase(self, phase: str, seconds: float) -> None:
-        """Accumulate one profiled phase's wall time (profiling enabled only)."""
-        self._profile_times[phase] = self._profile_times.get(phase, 0.0) + seconds
+    def _phase_clock(self) -> float:
+        """``perf_counter`` stopped while a window runs in the calling thread.
+
+        A dispatch or ack that runs a window so leaves its time to
+        ``worker_ingest``, and no two phases overlap.
+        """
+        return perf_counter() - self._inline_seconds
+
+    def _note_phase(self, phase: str, begin: float) -> None:
+        """Add the phase-clock time since ``begin`` to ``phase``."""
+        self._phase_seconds[phase] += self._phase_clock() - begin
 
     def _shard_key(self, shard_id: int) -> tuple:
         return ("svc", self._service_id, shard_id)
@@ -1284,11 +1273,12 @@ class SamplerService:
         is routed) — but they only count as *active*, and only appear in
         checkpoints, once the host reports items for them. The factory
         receives a copy of shard ``k``'s reserved stream
-        (:meth:`_build_shard`).
+        (:meth:`_build_shard`), unless the plan already built the sampler.
         """
         host = self._executor.host
+        pristine, self._pristine = self._pristine, {}
         for shard_id in range(self.num_shards):
-            sampler = self._shards.get(shard_id)
+            sampler = self._shards.get(shard_id, pristine.get(shard_id))
             if sampler is None:
                 sampler = self._build_shard(shard_id)
             host.adopt(
@@ -1301,12 +1291,14 @@ class SamplerService:
         self._attached = True
 
     def _on_window_result(self, result: Any) -> None:
-        """Acknowledgement callback of an ingest window: note the shards that got items."""
-        if self._profile_enabled:
-            result, seconds = result
-            self._note_phase("worker_ingest", seconds)
-        self._activated.update(result)
-        self._ckpt_dirty.update(result)
+        """Acknowledgement callback of an ingest window: note its shards and its time."""
+        counts, seconds = result
+        self._phase_seconds["worker_ingest"] += seconds
+        if not self._executor.provides_transport:
+            # The window ran in the calling thread, inside another phase.
+            self._inline_seconds += seconds
+        self._activated.update(counts)
+        self._ckpt_dirty.update(counts)
 
     def _stage_planned(
         self,
@@ -1329,10 +1321,10 @@ class SamplerService:
         if self._window_task is None:
             self._window_task = WindowTask(
                 service_ingest_window,
-                {"service_id": self._service_id, "profile": self._profile_enabled},
+                {"service_id": self._service_id},
                 self._on_window_result,
             )
-        begin = perf_counter() if self._profile_enabled else 0.0
+        begin = self._phase_clock()
         # With a WAL, each staged batch carries its global sequence number
         # into the host's acknowledgement watermark (`acked_through`): after
         # a worker crash, it tells recovery exactly which batches never
@@ -1341,8 +1333,7 @@ class SamplerService:
         self._executor.host.stage_shards(
             self._window_task, rows, sub_batches, time, tag=tag
         )
-        if self._profile_enabled:
-            self._note_phase("dispatch", perf_counter() - begin)
+        self._note_phase("dispatch", begin)
 
     def _collect_transport_views(
         self, include_items: bool, include_state: bool
@@ -1468,16 +1459,18 @@ class SamplerService:
 
     def _drain_transport_safely(self) -> None:
         """Drain the pipeline, failing over instead of raising when possible."""
-        if not self._attached:
-            return
-        begin = perf_counter() if self._profile_enabled else 0.0
+        if self._attached:
+            self._call_host("ack", self._executor.host.drain)
+
+    def _call_host(self, phase: str, call: Callable[[], None]) -> None:
+        """Run one host call timed as ``phase``; a worker crash fails over."""
+        begin = self._phase_clock()
         try:
-            self._executor.host.drain()
+            call()
         except WorkerCrashError as error:
             self._failover(error)
         finally:
-            if self._profile_enabled:
-                self._note_phase("ack", perf_counter() - begin)
+            self._note_phase(phase, begin)
 
     def _failover(self, error: WorkerCrashError | None) -> None:
         """Promote the warm standby over the (dead or condemned) worker pool.
@@ -1646,13 +1639,12 @@ class SamplerService:
                 keys = [self.key_fn(item) for item in batch]
             else:
                 keys = batch
-        begin = perf_counter() if self._profile_enabled else 0.0
+        begin = self._phase_clock()
         if isinstance(keys, np.ndarray) and keys.ndim == 1 and keys.dtype.kind in "iubf":
             shard_ids = _numeric_shard_ids(keys, self.num_shards)
         else:
             shard_ids = shard_ids_for_keys(keys, self.num_shards, self._routing_version)
-        if self._profile_enabled:
-            self._note_phase("hash", perf_counter() - begin)
+        self._note_phase("hash", begin)
         return shard_ids, explicit
 
     # ------------------------------------------------------------------
@@ -1816,6 +1808,7 @@ class SamplerService:
         self._shards = new_shards
         self._activated = set(new_shards)
         self._mirrors = None
+        self._pristine = {}
         # Cached cuts describe the old layout (shard ids, num_shards).
         self._snapshot_cache = None
         if self._wal is not None:

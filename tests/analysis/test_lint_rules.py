@@ -100,6 +100,16 @@ class TestSeededViolations:
         assert "ROUTING_VERSION is still 1" in finding.message
         assert "bump ROUTING_VERSION" in finding.hint
 
+    def test_env_config_flags_environment_reads_and_imports(self) -> None:
+        report = lint(VIOLATIONS / "repro" / "service" / "env_switch.py")
+        grouped = findings_by_rule(report)
+        messages = [f.message for f in grouped.pop("env-config")]
+        assert not grouped
+        assert sum("read of os.environ" in m for m in messages) == 2  # alias too
+        assert any("read of os.getenv" in m for m in messages)
+        assert any("import of os.getenv" in m for m in messages)
+        assert all("constructor argument" in f.hint for f in report.findings)
+
     def test_whole_violation_tree_fails_lint(self) -> None:
         report = lint(VIOLATIONS)
         assert report.exit_code == 1
@@ -110,6 +120,7 @@ class TestSeededViolations:
             "iter-order",
             "state-dict",
             "pure-read",
+            "env-config",
             "routing-fingerprint",
         }
 
@@ -119,7 +130,7 @@ class TestCleanFixtures:
         report = lint(CLEAN)
         assert report.findings == []
         assert report.exit_code == 0
-        assert report.files_checked == 5
+        assert report.files_checked == 7
 
     def test_scoping_files_outside_repro_are_ignored(self, tmp_path) -> None:
         rogue = tmp_path / "rogue.py"

@@ -71,6 +71,7 @@ class TestCli:
             "error-swallowing",
             "iter-order",
             "state-dict",
+            "env-config",
             "routing-fingerprint",
         ):
             assert rule_id in result.stdout

@@ -67,7 +67,7 @@ class TestInProcessShardHost:
         live = RTBS(n=20, lambda_=0.2, rng=3)
         _adopt(host, live, 2)
         threads: list[int] = []
-        results: list[dict[int, int]] = []
+        results: list[tuple[dict[int, int], float]] = []
 
         def ingest(residents, **kwargs):
             threads.append(threading.get_ident())
@@ -80,7 +80,8 @@ class TestInProcessShardHost:
             host.stage_shards(task, rows, [(2, rows, None)], float(index + 1), tag=index)
             assert live.batches_seen == 0 and host.acked_through() == -1
         host.send_staged()
-        assert threads == [threading.get_ident()] and results == [{2: 120}]
+        assert threads == [threading.get_ident()]
+        assert [counts for counts, _ in results] == [{2: 120}]
         assert host.acked_through() == 2
         assert live.sample_items() == reference.sample_items()
         assert live.total_weight == reference.total_weight

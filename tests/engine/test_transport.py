@@ -627,7 +627,7 @@ class TestServiceIngestWindow:
         residents = {("svc", 7, s): RTBS(n=20, lambda_=0.1, rng=s) for s in (0, 2)}
         payload = np.arange(120)
         entries = [(1.0, [(0, 30), (2, 20)]), (2.5, [(2, 40)]), (4.0, [(0, 30)])]
-        counts = service_ingest_window(residents, payload, entries, 7)
+        counts, _ = service_ingest_window(residents, payload, entries, 7)
         assert counts == {0: 60, 2: 60}
         reference[0].process_batch(payload[:30], time=1.0)
         reference[2].process_batch(payload[30:50], time=1.0)
@@ -650,8 +650,8 @@ class TestServiceIngestWindow:
             (2.5, [(2, payload[50:60], 40)]),
             (4.0, [(0, payload[60:])]),
         ]
-        counts = service_ingest_window(framed, payload, entries, 7)
-        assert service_ingest_window(in_process, None, sliced, 7) == counts == {0: 60, 2: 60}
+        counts, _ = service_ingest_window(framed, payload, entries, 7)
+        assert service_ingest_window(in_process, None, sliced, 7)[0] == counts == {0: 60, 2: 60}
         for key, sampler in framed.items():
             assert in_process[key].sample_items() == sampler.sample_items()
             assert in_process[key].total_weight == sampler.total_weight
@@ -659,7 +659,7 @@ class TestServiceIngestWindow:
     def test_profile_reports_ingest_seconds(self):
         residents = {("svc", 1, 0): RTBS(n=5, lambda_=0.1, rng=0)}
         counts, seconds = service_ingest_window(
-            residents, np.arange(3), [(1.0, [(0, 3)])], 1, profile=True
+            residents, np.arange(3), [(1.0, [(0, 3)])], 1
         )
         assert counts == {0: 3}
         assert seconds >= 0.0

@@ -307,6 +307,25 @@ class TestOnePipeline:
             service.ingest_batch(batch)
         assert [size for _, size in calls] == [1] * 8
 
+    @pytest.mark.parametrize("backend", ["serial", "process:2"])
+    def test_each_pristine_shard_is_built_once(self, backend):
+        # The first batch's plan builds every shard's sampler to read its
+        # mirror; the attach that follows hosts those very samplers.
+        built: list[int] = []
+
+        def counting_factory(rng):
+            built.append(1)
+            return _drawing_factory(rng)
+
+        reference = SamplerService(_drawing_factory, num_shards=8, rng=23)
+        reference.ingest(_batches(5))
+        with SamplerService(
+            counting_factory, num_shards=8, rng=23, executor=backend
+        ) as service:
+            service.ingest(_batches(5))
+            assert len(built) == 8
+            _assert_states_equal(service.state_dict(), reference.state_dict())
+
     def test_the_simulated_cluster_hosts_shards_in_process(self):
         batches = _batches(6)
         serial = SamplerService(rtbs_factory, num_shards=4, rng=13)
