@@ -437,8 +437,8 @@ def test_service_wal_durability_operating_point(throughput, tmp_path):
     """WAL-enabled service ingest at batch size 100k (serial, fsync="os").
 
     Measures what durability costs on the ingest hot path: every batch is
-    framed, CRC'd, and appended to the per-shard logs (raw array bytes, no
-    pickle) before it is dispatched. Both services run in the same process
+    framed, CRC'd, and appended to the log as one record (raw array bytes,
+    no pickle) before it is dispatched. Both services run in the same process
     back to back, so the overhead ratio is a within-run comparison immune
     to machine-to-machine drift; the recorded operating point additionally
     feeds the cross-run ``compare_bench.py --relative`` gate in CI.
@@ -467,7 +467,7 @@ def test_service_wal_durability_operating_point(throughput, tmp_path):
     durable.ingest(_large_batches(_SERVICE_WARMUP))
     wal_latency = float("inf")
     for _ in range(rounds):
-        # Checkpointing truncates the logs and recycles their segments, so
+        # Checkpointing truncates the log and recycles its segment, so
         # each round times steady-state logging over warm pages — the
         # regime a periodically-checkpointed deployment actually runs in.
         durable.checkpoint()

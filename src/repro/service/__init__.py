@@ -20,8 +20,8 @@ a long-running service:
   sampler trajectory; damaged checkpoints raise :class:`CheckpointError`
   naming the bad file. Delta checkpoints (:func:`save_service_delta`)
   rewrite only the shards that changed since the last save;
-* :mod:`repro.service.wal` — the durability layer: a per-shard
-  write-ahead log (``wal_dir=`` on the service) records every batch before
+* :mod:`repro.service.wal` — the durability layer: a write-ahead log
+  (``wal_dir=`` on the service) records every batch, as one record, before
   dispatch, delta checkpoints truncate it at their watermark, and
   :func:`recover_service` rebuilds a crashed service bit-identically —
   last checkpoint plus log replay, on any executor backend;

@@ -31,11 +31,11 @@ someone restarts the process and calls
 Why promotion is safe (the watermark argument)
 ----------------------------------------------
 
-``append_batch`` completes — shard records, then the commit record —
-*before* a batch is dispatched to any worker. So every batch the driver
-has ever observed as ingested is durably committed in the log, no matter
-how far the pipelined workers got with it. Failover therefore never
-salvages worker state: the pool is discarded wholesale, the base is
+``append_batch`` completes — the batch's one log record, whose frame is
+its commit point — *before* it is dispatched to any worker. So every batch
+the driver has ever observed as ingested is durably committed in the log,
+no matter how far the pipelined workers got with it. Failover therefore
+never salvages worker state: the pool is discarded wholesale, the base is
 rebuilt and the committed tail ``(base, committed]`` replayed into it, and
 the promoted samplers are bit-identical to an uninterrupted run through
 the last committed batch — independent of *when* the failure was

@@ -358,8 +358,9 @@ class SamplerService:
         Log flush policy: ``"os"`` (default) flushes every batch to the OS
         page cache — durable against process crash; ``"always"`` fsyncs
         every batch — durable against power loss, at a large latency cost;
-        ``"none"`` buffers in userspace until ``flush()``/checkpoint/close
-        — fastest, replay lag bounded by the last flush.
+        ``"none"`` hands records to the page cache but promises
+        durability only at ``flush()``/checkpoint/close — fastest, replay
+        lag bounded by the last flush.
     replication:
         Optional :class:`~repro.service.replication.ReplicationConfig`
         enabling a warm standby: a driver-side base cut of every shard,
@@ -842,11 +843,11 @@ class SamplerService:
         The one per-batch step of every backend. Keys and the arrival time
         are validated first, and nothing changes until the WAL holds the
         batch: the service clock, ``batches_seen`` and the plan mirrors
-        advance only after the commit record lands, so a rejected batch or
-        a failed append (a full disk) leaves the service as it was and the
-        same batch can be retried. The plan's one gather of the accepted
-        rows yields the per-shard sub-batches: the WAL records them (so
-        log replay matches the live run bit for bit) and the shard host
+        advance only after the batch's log record lands, so a rejected
+        batch or a failed append (a full disk) leaves the service as it was
+        and the same batch can be retried. The plan's one gather of the
+        accepted rows yields the per-shard sub-batches: the WAL records them
+        (so log replay matches the live run bit for bit) and the shard host
         stages them, handing them to the shards at the window's end
         (:meth:`_dispatch`). Returns the items routed to each shard,
         ``None`` for an empty batch.
@@ -1193,13 +1194,12 @@ class SamplerService:
         """Write a delta checkpoint, rewriting only shards changed since the last.
 
         With no ``directory`` the WAL's paired checkpoint
-        (``<wal_dir>/checkpoint``) is written, after which each log is
-        truncated at the checkpoint watermark — the log shrinks back to
-        (usually) nothing, and recovery replay is bounded by the data that
-        arrived since this call. An explicit ``directory`` writes a
-        self-contained delta checkpoint elsewhere (every shard rewritten;
-        incremental reuse is only safe against the paired directory's own
-        history) and leaves the WAL untouched.
+        (``<wal_dir>/checkpoint``) is written, after which the log, whose
+        every batch the checkpoint now holds, is emptied — recovery replay
+        is bounded by the data that arrived since this call. An explicit
+        ``directory`` writes a self-contained delta checkpoint elsewhere
+        (every shard rewritten; incremental reuse is only safe against the
+        paired directory's own history) and leaves the WAL untouched.
 
         The save serializes from a committed-watermark snapshot cut
         (:meth:`snapshot` with ``include_state=True``) rather than draining
@@ -1243,7 +1243,7 @@ class SamplerService:
                     # watermark; promotion replays from the standby's base,
                     # so the base moves up to this very cut first.
                     self._replication.replica = ShardReplicaSet.capture(self, cut)
-                self._wal.truncate(watermark)
+                self._wal.truncate()
 
     # ------------------------------------------------------------------
     # shard host dispatch
@@ -1759,8 +1759,8 @@ class SamplerService:
                     "retained state between samplers of one class"
                 )
         if self._wal is not None:
-            # Checkpoint + truncate before re-homing: the logs' per-shard
-            # records are keyed by the *old* layout, so everything in them
+            # Checkpoint + truncate before re-homing: the log's entries are
+            # keyed by the *old* layout's shard ids, so everything in it
             # must be durable in the checkpoint before the layout changes.
             self.checkpoint()
         if self._attached:
@@ -1812,7 +1812,7 @@ class SamplerService:
         # Cached cuts describe the old layout (shard ids, num_shards).
         self._snapshot_cache = None
         if self._wal is not None:
-            # Fresh, empty logs for the new layout, and a checkpoint of the
+            # A fresh, empty log for the new layout, and a checkpoint of the
             # re-homed state: every shard changed identity, so all are
             # dirty, and a crash right after this point must recover the
             # *post*-reshard deployment.
@@ -1943,7 +1943,7 @@ class SamplerService:
                         # it would lose pipelined batches silently — under
                         # a WAL those batches are on disk and
                         # recover_service replays them. (The ``finally``
-                        # still closes the log handles, so the logs are
+                        # still closes the log handle, so the log is
                         # flushed and ready for recovery. ``__exit__``
                         # suppresses the re-raise when another exception —
                         # usually this same crash, surfaced on the ingest

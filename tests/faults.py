@@ -2,7 +2,7 @@
 
 The durability layer exposes named *failpoints* (``repro.service.wal._fault``
 calls) at every crash-relevant step: each WAL record append, each log flush
-and fsync, each truncation rewrite, and each stage of a delta checkpoint
+and fsync, each truncation write, and each stage of a delta checkpoint
 (shard sub-checkpoints, service state, the atomic manifest swap, garbage
 collection). This module turns those into a crash-at-any-point property
 test:
@@ -44,9 +44,9 @@ SEED = 123
 CKPT_EVERY = 7
 NUM_BATCHES = 30
 BATCH_SIZE = 200
-#: One batch mid-stream is empty: it advances the service clock and lands
-#: in the commit log but in no shard log — recovery must replay the clock
-#: advance anyway or every later default arrival time shifts.
+#: One batch mid-stream is empty: it advances the service clock and is
+#: logged as a record with no shard entries — recovery must replay the
+#: clock advance anyway or every later default arrival time shifts.
 EMPTY_BATCH_INDEX = 11
 
 

@@ -16,9 +16,9 @@ that ride with it:
   SIGKILL sweep lives in ``test_replication_chaos.py``);
 * ``close()`` idempotency after a worker crash (satellite: double-close
   and masked-exception paths);
-* :class:`~repro.service.wal.WALLayoutError` on damaged or foreign
-  segment sets (satellite: manifest-without-segments and foreign
-  ``num_shards`` layouts fail with a named error).
+* :class:`~repro.service.wal.WALLayoutError` on a damaged or foreign
+  log (a log missing under a live manifest, or one written under a
+  foreign ``num_shards`` layout, fails with a named error).
 """
 
 from __future__ import annotations
@@ -522,8 +522,8 @@ class TestStandbyBase:
                 if index == 2 * faults.CKPT_EVERY - 1:
                     # The checkpoint truncated every frame, and its own cut
                     # is the base: promotion needs nothing truncation took.
-                    commit_log = os.path.join(service.wal_dir, "commit.wal")
-                    assert read_log_records(commit_log).records == []
+                    log = os.path.join(service.wal_dir, "batches.wal")
+                    assert read_log_records(log).records == []
                     stats = service.stats()["durability"]
                     assert stats["replication"]["standby_base_seq"] == index
                     assert stats["checkpoint_watermark"] == index
@@ -740,49 +740,29 @@ class TestCloseAfterCrash:
 
 
 # ----------------------------------------------------------------------
-# WALLayoutError on damaged / foreign segment sets (satellite 2)
+# WALLayoutError on a damaged or foreign log
 # ----------------------------------------------------------------------
 class TestLayoutGuards:
-    def _deployed(self, tmp_path, num_shards=2):
-        service = SamplerService(
-            _factory(), num_shards=num_shards, rng=0, wal_dir=tmp_path / "wal"
-        )
+    def _deployed(self, tmp_path):
+        service = SamplerService(_factory(), num_shards=2, rng=0, wal_dir=tmp_path / "wal")
         for batch in _batches(4):
             service.ingest_batch(batch)
         service.close()
         return os.path.join(tmp_path, "wal")
 
-    def test_missing_shard_segments_under_a_live_manifest_refuse_attach(
-        self, tmp_path
-    ):
+    def test_a_missing_log_under_a_live_manifest_refuses_attach(self, tmp_path):
         wal_dir = self._deployed(tmp_path)
-        os.unlink(os.path.join(wal_dir, "shard-00001.wal"))
-        with pytest.raises(WALLayoutError, match=r"missing for shards \[1\]"):
+        os.unlink(os.path.join(wal_dir, "batches.wal"))
+        with pytest.raises(WALLayoutError, match="batches.wal is missing"):
             WriteAheadLog.attach(wal_dir, num_shards=2)
 
     def test_recover_service_surfaces_the_layout_error(self, tmp_path):
         wal_dir = self._deployed(tmp_path)
-        for shard_id in range(2):
-            os.unlink(os.path.join(wal_dir, f"shard-{shard_id:05d}.wal"))
-        with pytest.raises(WALLayoutError, match="segment"):
+        os.unlink(os.path.join(wal_dir, "batches.wal"))
+        with pytest.raises(WALLayoutError, match="restore the full WAL directory"):
             recover_service(wal_dir, _factory())
 
     def test_foreign_shard_count_with_records_refuses_attach(self, tmp_path):
         wal_dir = self._deployed(tmp_path)
         with pytest.raises(WALLayoutError, match="2-shard service"):
             WriteAheadLog.attach(wal_dir, num_shards=4)
-
-    def test_stray_foreign_segment_with_records_refuses_attach(self, tmp_path):
-        wal_dir = self._deployed(tmp_path, num_shards=2)
-        # A third shard's log from some other deployment lands in the dir.
-        stray = WriteAheadLog.create(tmp_path / "other", num_shards=3)
-        stray.append_batch(
-            0, 1.0, [(2, np.arange(5))], explicit_keys=False
-        )
-        stray.close()
-        os.replace(
-            os.path.join(stray.directory, "shard-00002.wal"),
-            os.path.join(wal_dir, "shard-00002.wal"),
-        )
-        with pytest.raises(WALLayoutError, match="shard-00002"):
-            WriteAheadLog.attach(wal_dir, num_shards=2)

@@ -3,15 +3,16 @@
 The reader contract under damage: a *torn tail* (the final frame cut short —
 the artifact of a crash mid-append) ends the scan at the last valid frame
 and is reported with its byte offset; *corruption* (a CRC mismatch on a
-fully-present frame, garbage headers, out-of-order sequence numbers) raises
-:class:`~repro.service.WALError` naming the file and offset. No raw
-``struct``/``json`` error ever escapes.
+fully-present frame, a malformed body, garbage headers, out-of-order
+sequence numbers) raises :class:`~repro.service.WALError` naming the file
+and offset. No raw ``struct``/``json`` error ever escapes.
 """
 
 from __future__ import annotations
 
 import os
 import struct
+import zlib
 from pathlib import Path
 
 import numpy as np
@@ -25,6 +26,10 @@ def _routed(batch: np.ndarray, num_shards: int = 2):
     return [(int(index % num_shards), batch[index::num_shards]) for index in range(num_shards)]
 
 
+def _log(wal) -> str:
+    return os.path.join(wal.directory, "batches.wal")
+
+
 @pytest.fixture
 def wal(tmp_path):
     log = WriteAheadLog.create(tmp_path / "wal", num_shards=2)
@@ -33,19 +38,31 @@ def wal(tmp_path):
 
 
 class TestRoundTrip:
-    def test_shard_and_commit_records_round_trip(self, wal):
+    def test_batch_records_round_trip(self, wal):
         batches = [np.arange(10) + 100 * seq for seq in range(3)]
         for seq, batch in enumerate(batches):
             wal.append_batch(seq, float(seq + 1), _routed(batch), explicit_keys=False)
         wal.flush()
-        commit = read_log_records(os.path.join(wal.directory, "commit.wal"))
-        assert [record.seq for record in commit.records] == [0, 1, 2]
-        assert [record.time for record in commit.records] == [1.0, 2.0, 3.0]
-        assert commit.torn is None
-        shard0 = read_log_records(os.path.join(wal.directory, "shard-00000.wal"))
-        for record, batch in zip(shard0.records, batches):
-            np.testing.assert_array_equal(record.payload, batch[0::2])
-            assert record.payload.dtype == batch.dtype
+        scan = read_log_records(_log(wal))
+        assert scan.num_shards == 2 and scan.torn is None
+        assert [record.seq for record in scan.records] == [0, 1, 2]
+        assert [record.time for record in scan.records] == [1.0, 2.0, 3.0]
+        for record, batch in zip(scan.records, batches):
+            assert [shard_id for shard_id, _, _ in record.entries] == [0, 1]
+            for shard_id, rows, arrivals in record.entries:
+                np.testing.assert_array_equal(rows, batch[shard_id::2])
+                assert rows.dtype == batch.dtype and arrivals is None
+
+    def test_planned_entries_keep_their_arrival_counts(self, wal):
+        wal.append_batch(
+            0, 1.0, [(0, np.arange(3), 50), (1, np.arange(0), 7)], explicit_keys=False
+        )
+        wal.flush()
+        (record,) = read_log_records(_log(wal)).records
+        assert [(shard, len(rows), count) for shard, rows, count in record.entries] == [
+            (0, 3, 50),
+            (1, 0, 7),
+        ]
 
     @pytest.mark.parametrize(
         "batch",
@@ -64,25 +81,25 @@ class TestRoundTrip:
     def test_every_payload_dtype_round_trips(self, wal, batch):
         wal.append_batch(0, 1.0, [(0, batch)], explicit_keys=False)
         wal.flush()
-        scan = read_log_records(os.path.join(wal.directory, "shard-00000.wal"))
-        (record,) = scan.records
-        assert record.payload.dtype == batch.dtype
-        assert record.payload.tolist() == batch.tolist()
+        (record,) = read_log_records(_log(wal)).records
+        ((_, rows, _),) = record.entries
+        assert rows.dtype == batch.dtype
+        assert rows.tolist() == batch.tolist()
 
     def test_explicit_keys_flag_round_trips(self, wal):
         wal.append_batch(0, 1.0, [], explicit_keys=False)
         wal.append_batch(1, 2.0, [], explicit_keys=True)
         wal.flush()
-        scan = read_log_records(os.path.join(wal.directory, "commit.wal"))
+        scan = read_log_records(_log(wal))
         assert [record.flags & 1 for record in scan.records] == [0, 1]
 
-    def test_empty_batch_is_commit_only(self, wal):
+    def test_empty_batch_is_a_record_with_no_entries(self, wal):
         wal.append_batch(0, 1.0, [], explicit_keys=False)
         wal.flush()
-        assert len(read_log_records(os.path.join(wal.directory, "commit.wal")).records) == 1
-        # No shard record was ever written: the segment (eagerly created
-        # with every other one at create()) holds only its header.
-        assert read_log_records(os.path.join(wal.directory, "shard-00000.wal")).records == []
+        (record,) = read_log_records(_log(wal)).records
+        assert (record.seq, record.time, record.entries) == (0, 1.0, [])
+        # One log holds every batch: no other file appears.
+        assert os.listdir(wal.directory) == ["batches.wal"]
 
 
 class TestTornTails:
@@ -90,7 +107,7 @@ class TestTornTails:
         for seq in range(3):
             wal.append_batch(seq, float(seq + 1), _routed(np.arange(40)), explicit_keys=False)
         wal.close()
-        return os.path.join(wal.directory, "shard-00001.wal")
+        return _log(wal)
 
     @pytest.mark.parametrize("cut", [1, 3, 7])
     def test_truncated_tail_stops_at_last_valid_frame(self, wal, cut):
@@ -128,13 +145,33 @@ class TestTornTails:
         with pytest.raises(WALError, match="torn write at offset 0"):
             read_log_records(path, strict=True)
 
+    def test_a_torn_record_never_committed_and_the_next_append_overwrites_it(
+        self, wal
+    ):
+        path = self._filled(wal)
+        data = Path(path).read_bytes()
+        last = read_log_records(path).records[-1]
+        with open(path, "wb") as fh:
+            fh.write(data[: last.start + 30])
+        attached = WriteAheadLog.attach(wal.directory, num_shards=2)
+        plan = attached.collect_replay(-1)
+        assert plan.last_seq == 1 and [len(b) for b, _ in plan.per_shard.values()] == [2, 2]
+        attached.append_batch(2, 9.0, _routed(np.arange(4)), explicit_keys=False)
+        attached.close()
+        scan = read_log_records(path, strict=True)
+        assert [(record.seq, record.time) for record in scan.records] == [
+            (0, 1.0),
+            (1, 2.0),
+            (2, 9.0),
+        ]
+
 
 class TestCorruption:
     def _filled(self, wal) -> str:
         for seq in range(4):
             wal.append_batch(seq, float(seq + 1), _routed(np.arange(60)), explicit_keys=False)
         wal.close()
-        return os.path.join(wal.directory, "shard-00000.wal")
+        return _log(wal)
 
     def test_bit_flip_mid_log_raises_crc_error_with_offset(self, wal):
         path = self._filled(wal)
@@ -158,14 +195,14 @@ class TestCorruption:
         with pytest.raises(WALError, match="bad magic"):
             read_log_records(path)
 
-    @pytest.mark.parametrize("version", [99, 3, 1])
+    @pytest.mark.parametrize("version", [99, 4, 1])
     def test_any_other_format_version_is_refused(self, tmp_path, version):
         # A build reads only the format it writes: newer logs and the
         # formats earlier builds wrote are refused alike.
         path = tmp_path / "other.wal"
         path.write_bytes(struct.pack("<8sHHi", b"REPROWAL", version, 1, 0))
         with pytest.raises(
-            WALError, match=f"unsupported WAL format version {version}; this build reads 4"
+            WALError, match=f"unsupported WAL format version {version}; this build reads 5"
         ):
             read_log_records(path)
 
@@ -174,7 +211,7 @@ class TestCorruption:
         log.append_batch(5, 1.0, [(0, np.arange(3))], explicit_keys=False)
         log.append_batch(6, 2.0, [(0, np.arange(3))], explicit_keys=False)
         log.close()
-        path = os.path.join(log.directory, "shard-00000.wal")
+        path = _log(log)
         data = Path(path).read_bytes()
         scan = read_log_records(path)
         first = data[scan.records[0].start : scan.records[0].end]
@@ -183,6 +220,58 @@ class TestCorruption:
             fh.write(data[: scan.records[0].start] + second + first)
         with pytest.raises(WALError, match="not after"):
             read_log_records(path)
+
+    @staticmethod
+    def _reframed(path: str, head: bytes, body: bytes) -> None:
+        """Write a log holding one frame around ``body``, its CRC recomputed."""
+        with open(path, "wb") as fh:
+            fh.write(head + struct.pack("<II", len(body), zlib.crc32(body)) + body)
+
+    def test_every_proper_prefix_of_a_record_is_refused(self, tmp_path):
+        log = WriteAheadLog.create(tmp_path / "wal", num_shards=4)
+        log.append_batch(
+            0,
+            1.0,
+            [
+                (0, np.arange(5), 40),
+                (1, np.array(["a", "bc"])),
+                (2, np.array([1, "x"], dtype=object), 9),
+                (3, np.array([(1, 2.5)], dtype=[("a", "<i8"), ("b", "<f8")])),
+            ],
+            explicit_keys=True,
+        )
+        log.close()
+        path = _log(log)
+        data = Path(path).read_bytes()
+        (record,) = read_log_records(path).records
+        head, body = data[: record.start], data[record.start + 8 : record.end]
+        # A cut at 0 is the zero-length terminator, not a record; every
+        # other prefix is well framed but must not decode as a record.
+        for cut in range(1, len(body)):
+            self._reframed(path, head, body[:cut])
+            with pytest.raises(WALError, match="offset"):
+                read_log_records(path)
+        self._reframed(path, head, body + b"\x00")
+        with pytest.raises(WALError, match="1 bytes past its 4 entries"):
+            read_log_records(path)
+        self._reframed(path, head, body)
+        assert len(read_log_records(path, strict=True).records[0].entries) == 4
+
+    @pytest.mark.parametrize(
+        "routed,message",
+        [
+            ([(1, np.arange(3)), (1, np.arange(2))], "shard 1 of 2 after shard 1"),
+            ([(1, np.arange(3)), (0, np.arange(2))], "shard 0 of 2 after shard 1"),
+            ([(2, np.arange(3))], "shard 2 of 2 after shard -1"),
+            ([(0, np.arange(5), 3)], "shard 0 of 2 after shard -1 .5 items, arrivals 3"),
+        ],
+        ids=["repeated", "unordered", "foreign", "more-rows-than-arrivals"],
+    )
+    def test_a_malformed_entry_is_refused(self, wal, routed, message):
+        wal.append_batch(0, 1.0, routed, explicit_keys=False)
+        wal.close()
+        with pytest.raises(WALError, match=f"malformed entry for {message}"):
+            read_log_records(_log(wal))
 
 
 class TestLifecycle:
@@ -204,63 +293,70 @@ class TestLifecycle:
         log = WriteAheadLog.create(tmp_path / "wal", num_shards=3)
         log.append_batch(0, 1.0, [(0, np.arange(3))], explicit_keys=False)
         log.close()
-        with pytest.raises(WALError, match="3-shard"):
+        with pytest.raises(WALLayoutError, match="3-shard"):
             WriteAheadLog.attach(tmp_path / "wal", num_shards=5)
 
-    def test_truncate_drops_records_at_or_below_watermark(self, wal):
+    def test_attach_normalizes_an_empty_log_of_another_layout(self, tmp_path):
+        # reshard's crash window: the new layout's empty log was swapped in,
+        # but the manifest still restores the old layout.
+        WriteAheadLog.create(tmp_path / "wal", num_shards=3).close()
+        attached = WriteAheadLog.attach(tmp_path / "wal", num_shards=5)
+        attached.append_batch(0, 1.0, [(4, np.arange(3))], explicit_keys=False)
+        attached.close()
+        scan = read_log_records(_log(attached), strict=True)
+        assert scan.num_shards == 5 and [r.seq for r in scan.records] == [0]
+
+    @pytest.mark.parametrize("damage", ["deleted", "header-torn"])
+    def test_attach_refuses_a_missing_log(self, wal, damage):
+        wal.append_batch(0, 1.0, _routed(np.arange(10)), explicit_keys=False)
+        wal.close()
+        if damage == "deleted":
+            os.unlink(_log(wal))
+        else:
+            with open(_log(wal), "r+b") as fh:
+                fh.truncate(5)
+        with pytest.raises(WALLayoutError, match="batches.wal is missing"):
+            WriteAheadLog.attach(wal.directory, num_shards=2)
+
+    def test_truncate_recycles_the_segment_in_place(self, wal):
         for seq in range(5):
             wal.append_batch(seq, float(seq + 1), _routed(np.arange(20)), explicit_keys=False)
-        wal.truncate(2)
-        commit = read_log_records(os.path.join(wal.directory, "commit.wal"))
-        assert [record.seq for record in commit.records] == [3, 4]
-        shard = read_log_records(os.path.join(wal.directory, "shard-00000.wal"))
-        assert [record.seq for record in shard.records] == [3, 4]
-        # Appends continue seamlessly after a truncation.
+        size = os.path.getsize(_log(wal))
+        wal.truncate()
+        assert read_log_records(_log(wal)).records == []
+        # The segment keeps its length (and its warm pages) ...
+        assert os.path.getsize(_log(wal)) == size
+        # ... and appends continue seamlessly after a truncation.
         wal.append_batch(5, 6.0, _routed(np.arange(20)), explicit_keys=False)
         wal.flush()
-        commit = read_log_records(os.path.join(wal.directory, "commit.wal"))
-        assert [record.seq for record in commit.records] == [3, 4, 5]
+        assert [record.seq for record in read_log_records(_log(wal)).records] == [5]
 
 
 class TestCollectReplay:
-    def test_uncommitted_shard_records_are_orphans(self, wal):
-        from repro.service.wal import _encode_payload
-
-        wal.append_batch(0, 1.0, _routed(np.arange(20)), explicit_keys=False)
-        # Simulate the crash window: shard record written, commit never was.
-        encoding, chunks = _encode_payload(np.arange(5))
-        wal._shards[0].append(
-            [struct.pack("<Qd", 1, 2.0), bytes([encoding]), *chunks]
-        )
+    def test_each_shard_gets_its_entries_in_batch_order(self, wal):
+        wal.append_batch(0, 1.0, [(1, np.arange(4), 9)], explicit_keys=False)
+        wal.append_batch(1, 2.0, [], explicit_keys=True)
+        wal.append_batch(2, 3.0, _routed(np.arange(6)), explicit_keys=False)
         wal.close()
-        plan = WriteAheadLog.attach(wal.directory, num_shards=2).collect_replay(-1)
-        assert plan.last_seq == 0
-        assert plan.orphaned_shards == [0]
+        plan = WriteAheadLog.attach(wal.directory, num_shards=2).collect_replay(0)
+        assert (plan.last_seq, plan.last_time, plan.explicit_keys) == (2, 3.0, True)
         assert sorted(plan.per_shard) == [0, 1]
-        (batches, times) = plan.per_shard[0]
-        assert len(batches) == 1 and times == [1.0]
+        assert plan.per_shard[1][1] == [3.0] and plan.arrivals[1] == [None]
+        np.testing.assert_array_equal(plan.per_shard[1][0][0], np.arange(6)[1::2])
+        everything = WriteAheadLog.attach(wal.directory, num_shards=2).collect_replay(-1)
+        assert everything.per_shard[1][1] == [1.0, 3.0]
+        assert everything.arrivals[1] == [9, None]
 
     def test_commit_gap_raises(self, wal):
         for seq in (0, 1, 2):
             wal.append_batch(seq, float(seq + 1), _routed(np.arange(10)), explicit_keys=False)
         wal.close()
-        path = os.path.join(wal.directory, "commit.wal")
+        path = _log(wal)
         data = Path(path).read_bytes()
         scan = read_log_records(path)
         middle = scan.records[1]
-        with open(path, "wb") as fh:  # excise the middle commit
+        with open(path, "wb") as fh:  # excise the middle record
             fh.write(data[: middle.start] + data[middle.end :])
         attached = WriteAheadLog.attach(wal.directory, num_shards=2)
         with pytest.raises(WALError, match="jump"):
             attached.collect_replay(-1)
-
-    def test_shard_record_without_any_commit_refuses_attach(self, wal):
-        # A deleted (or never-copied) commit log must not silently orphan
-        # every shard record — their committed prefix is unknowable, so
-        # attach refuses with a named layout error instead of quietly
-        # dropping committed data as "uncommitted".
-        wal.append_batch(0, 1.0, _routed(np.arange(10)), explicit_keys=False)
-        wal.close()
-        os.unlink(os.path.join(wal.directory, "commit.wal"))
-        with pytest.raises(WALLayoutError, match="commit.wal is missing"):
-            WriteAheadLog.attach(wal.directory, num_shards=2)

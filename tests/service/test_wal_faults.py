@@ -8,21 +8,26 @@ still owed, and asserts the final state is **bit-identical** to the
 uninterrupted golden run — and that the next checkpoint is too. Crash
 points are drawn from fixed seeds (the CI matrix) across all three executor
 backends; ``REPRO_FAULT_EXHAUSTIVE=1`` sweeps *every* failpoint of the
-serial workload instead.
+serial workload instead, under both the ``"os"`` and ``"always"`` policies.
 """
 
 from __future__ import annotations
 
 import os
+import re
 import signal
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import repro.service.checkpoint as checkpoint_module
+import repro.service.wal as wal_module
 from repro.service import SamplerService, load_service_delta
 
 from tests.faults import (
     CKPT_EVERY,
+    EMPTY_BATCH_INDEX,
     NUM_BATCHES,
     assert_states_equal,
     count_failpoints,
@@ -64,7 +69,10 @@ def _run_case(
         occurrence=occurrence,
     )
     # -SIGKILL when the failpoint fired; 0 when the chosen point lies past
-    # the workload's end (then recovery is from a cleanly closed log).
+    # the workload's end (then recovery is from a cleanly closed log). A
+    # named site must fire: one the workload never reaches tests nothing.
+    if site_prefix is not None:
+        assert exitcode == -signal.SIGKILL, (site_prefix, occurrence, exitcode)
     assert exitcode in (0, -signal.SIGKILL), exitcode
     service = recover_and_finish(wal_dir, backend, fsync=fsync)
     try:
@@ -107,14 +115,13 @@ def test_crash_at_random_point_recovers_bit_identically(
 # meaningful as the failpoint count drifts. fsync="always" runs exercise
 # the mid-fsync window the "os" policy never enters.
 NAMED_SITES = [
-    ("wal.append:commit.wal", 1, "os"),
-    ("wal.append:shard-", 1, "os"),
-    ("wal.append:shard-", 40, "os"),
+    ("wal.append:batches.wal", 1, "os"),
+    ("wal.append:batches.wal", EMPTY_BATCH_INDEX + 1, "os"),
+    ("wal.append:batches.wal", NUM_BATCHES, "os"),
     ("wal.flush", 5, "os"),
     ("wal.fsync", 1, "always"),
     ("wal.fsync", 9, "always"),
     ("wal.truncate-write", 1, "os"),
-    ("wal.truncate-replace", 2, "os"),
     ("ckpt.shard-dir", 1, "os"),
     ("ckpt.service-dir", 2, "os"),
     ("ckpt.manifest-swap", 1, "os"),  # mid-construction: restart from scratch
@@ -140,11 +147,34 @@ def test_crash_at_named_site_recovers_bit_identically(
     not os.environ.get("REPRO_FAULT_EXHAUSTIVE"),
     reason="set REPRO_FAULT_EXHAUSTIVE=1 to sweep every failpoint (slow)",
 )
-def test_exhaustive_crash_sweep_serial(tmp_path, golden, failpoint_sites):
-    for crash_index in range(1, len(failpoint_sites) + 1):
+@pytest.mark.parametrize("fsync", ["os", "always"])
+def test_exhaustive_crash_sweep_serial(tmp_path, golden, fsync):
+    sites = count_failpoints(str(tmp_path / "count"), fsync=fsync)
+    for crash_index in range(1, len(sites) + 1):
         case_dir = tmp_path / f"crash-{crash_index}"
         case_dir.mkdir()
-        _run_case(case_dir, None, golden, crash_index=crash_index)
+        _run_case(case_dir, None, golden, crash_index=crash_index, fsync=fsync)
+
+
+def _site_prefix(site: str) -> str:
+    return site.split(":", 1)[0]
+
+
+def test_every_declared_failpoint_is_reached(tmp_path, failpoint_sites):
+    """The sweeps reach every failpoint the durability layer declares.
+
+    A failpoint no workload passes through is a crash window no test ever
+    opens; the union of the ``"os"`` and ``"always"`` runs must cover them
+    all (only ``"always"`` fsyncs the log per batch).
+    """
+    declared = {
+        _site_prefix(site)
+        for module in (wal_module, checkpoint_module)
+        for site in re.findall(r'_fault\(f?"([^"{]+)', Path(module.__file__).read_text())
+    }
+    always = count_failpoints(str(tmp_path), fsync="always")
+    reached = {_site_prefix(site) for site in [*failpoint_sites, *always]}
+    assert declared == reached
 
 
 def test_replay_lag_is_bounded_by_checkpoint_cadence(tmp_path, golden, failpoint_sites):

@@ -157,20 +157,18 @@ class TestReshard:
         )
         for batch in _batches(8):
             service.ingest_batch(batch)
-        assert len(read_log_records(wal_dir / "commit.wal").records) == 8
+        assert len(read_log_records(wal_dir / "batches.wal").records) == 8
 
         service.reshard(6)
 
-        # Everything that was in the logs is now durable in the checkpoint;
-        # the logs were truncated and rebuilt for the new layout.
+        # Everything that was in the log is now durable in the checkpoint;
+        # the log was truncated and rebuilt for the new layout.
         assert service.num_shards == 6
-        # Logs were atomically swapped for empty segments under the new
-        # layout (commit last, so no crash window leaves the commit log
-        # absent): every segment exists, none holds a record.
-        assert read_log_records(wal_dir / "commit.wal").records == []
-        for shard_id in range(6):
-            assert read_log_records(wal_dir / f"shard-{shard_id:05d}.wal").records == []
-        assert not os.path.exists(wal_dir / "shard-00006.wal")
+        # The log was atomically swapped for an empty one whose header
+        # names the new layout; the directory holds nothing else.
+        scan = read_log_records(wal_dir / "batches.wal", strict=True)
+        assert scan.records == [] and scan.num_shards == 6
+        assert sorted(os.listdir(wal_dir)) == ["batches.wal", "checkpoint"]
         _, watermark = load_service_delta(wal_dir / "checkpoint")
         assert watermark == 8 - 1
         assert service.stats()["durability"]["replay_lag_batches"] == 0
@@ -214,7 +212,7 @@ class TestLifecycleAndGuards:
         assert watermark == len(batches) - 1
         restored = SamplerService.from_state_dict(state, _factory())
         assert restored.batches_seen == len(batches)
-        assert len(read_log_records(wal_dir / "commit.wal").records) == len(batches)
+        assert len(read_log_records(wal_dir / "batches.wal").records) == len(batches)
         assert service.stats()["durability"]["checkpoint_watermark"] == -1
         service.close()
 
@@ -224,7 +222,7 @@ class TestLifecycleAndGuards:
         for batch in _batches(3):
             service.ingest_batch(batch)
         service.flush()
-        scan = read_log_records(wal_dir / "commit.wal")
+        scan = read_log_records(wal_dir / "batches.wal")
         assert [record.seq for record in scan.records] == [0, 1, 2]
         service.close()
 
@@ -331,8 +329,11 @@ class TestObservability:
 class TestFailedAppendLeavesTheServiceUnchanged:
     """A write error during a batch's log append must not advance anything."""
 
+    @pytest.mark.parametrize("site", ["wal.append:", "wal.flush:"])
     @pytest.mark.parametrize("backend", [None, "process:2"], ids=["serial", "process"])
-    def test_enospc_at_the_second_shard_append_is_retryable(self, tmp_path, backend):
+    def test_enospc_at_the_batch_append_or_its_flush_is_retryable(
+        self, tmp_path, backend, site
+    ):
         import errno
 
         import repro.service.wal as wal_module
@@ -341,13 +342,13 @@ class TestFailedAppendLeavesTheServiceUnchanged:
         service = SamplerService(
             _factory(), num_shards=4, rng=7, executor=backend, wal_dir=tmp_path / "wal"
         )
-        shard_appends: list[str] = []
+        log = tmp_path / "wal" / "batches.wal"
 
-        def full_disk(site: str) -> None:
-            if site.startswith("wal.append:shard-"):
-                shard_appends.append(site)
-                if len(shard_appends) == 2:
-                    raise OSError(errno.ENOSPC, "No space left on device")
+        def full_disk(reached: str) -> None:
+            # The batch's one append, or its flush once the record is
+            # written: either way the log is rewound to the batch's start.
+            if reached.startswith(site):
+                raise OSError(errno.ENOSPC, "No space left on device")
 
         try:
             service.ingest_batch(batches[0], time=1.0)
@@ -360,6 +361,7 @@ class TestFailedAppendLeavesTheServiceUnchanged:
                 wal_module._FAULT_HOOK = None
             assert service.time == 1.0 and service.batches_seen == 1
             assert_states_equal(service.state_dict(), before)
+            assert [r.seq for r in read_log_records(log, strict=True).records] == [0]
             service.ingest_batch(batches[1], time=2.0)
             service.ingest_batch(batches[2], time=3.0)
             service.ingest_batch(batches[3], time=4.0)
@@ -387,8 +389,8 @@ class TestFailedAppendLeavesTheServiceUnchanged:
             with pytest.raises(TypeError, match="must return"):
                 service.ingest_batch(_batches(1)[0])
             assert service.time == 0.0 and service.batches_seen == 0
-            commit_log = os.path.join(service.wal_dir, "commit.wal")
-            assert read_log_records(commit_log).records == []
+            log = os.path.join(service.wal_dir, "batches.wal")
+            assert read_log_records(log).records == []
         finally:
             service.close()
 
@@ -489,12 +491,13 @@ class TestPlannedLogRecords:
             assert sum(counts.values()) == 2_000
         finally:
             service.close()
-        records = read_log_records(tmp_path / "wal" / "shard-00001.wal").records
-        last = records[-1]
-        # Planned: the record carries the shard's arrival count, and holds
+        last = read_log_records(tmp_path / "wal" / "batches.wal").records[-1]
+        entries = {shard_id: (rows, count) for shard_id, rows, count in last.entries}
+        # Planned: each entry carries the shard's arrival count, and holds
         # only the few arrivals the driver accepted (n = 30 of about 500).
-        assert last.arrivals == counts[1]
-        assert len(last.payload) < last.arrivals // 4
+        rows, arrivals = entries[1]
+        assert arrivals == counts[1]
+        assert len(rows) < arrivals // 4
 
     def test_unplanned_records_replay_as_ordinary_batches(self, tmp_path):
         from repro.core import TTBS
@@ -510,15 +513,17 @@ class TestPlannedLogRecords:
             live = service.state_dict()
         finally:
             service.close()
-        records = read_log_records(tmp_path / "wal" / "shard-00000.wal").records
-        assert records and all(record.arrivals is None for record in records)
+        records = read_log_records(tmp_path / "wal" / "batches.wal").records
+        assert records and all(
+            count is None for record in records for _, _, count in record.entries
+        )
         recovered = recover_service(tmp_path / "wal", factory)
         try:
             assert_states_equal(recovered.state_dict(), live)
         finally:
             recovered.close()
 
-    def test_a_format_3_directory_is_refused(self, tmp_path):
+    def test_a_format_4_directory_is_refused(self, tmp_path):
         import struct
 
         service = SamplerService(_factory(), num_shards=4, rng=7, wal_dir=tmp_path / "wal")
@@ -527,16 +532,15 @@ class TestPlannedLogRecords:
                 service.ingest_batch(batch)
         finally:
             service.close()
-        # A commit log whose header names format 3: an earlier build's
-        # directory. Recovery refuses it and leaves every log as it was.
-        commit = tmp_path / "wal" / "commit.wal"
-        data = bytearray(commit.read_bytes())
-        struct.pack_into("<H", data, 8, 3)
-        commit.write_bytes(bytes(data))
-        logs = {path: path.read_bytes() for path in sorted((tmp_path / "wal").glob("*.wal"))}
-        with pytest.raises(WALError, match="unsupported WAL format version 3; this build reads 4"):
+        # A log whose header names format 4: an earlier build's directory.
+        # Recovery refuses it and leaves the log as it was.
+        log = tmp_path / "wal" / "batches.wal"
+        data = bytearray(log.read_bytes())
+        struct.pack_into("<H", data, 8, 4)
+        log.write_bytes(bytes(data))
+        with pytest.raises(WALError, match="unsupported WAL format version 4; this build reads 5"):
             recover_service(tmp_path / "wal", _factory())
-        assert {path: path.read_bytes() for path in logs} == logs
+        assert log.read_bytes() == bytes(data)
 
 
 class TestSamplingVersion:
