@@ -49,6 +49,10 @@ items re-homed per second — the latency a deployment pays to scale its
 shard count without discarding its sample — and asserting conservation of
 the aggregate bookkeeping across every reshard.
 
+A seventh point times a warm-standby promotion after the longest log
+replay a 64-batch checkpoint cadence leaves (63 batches) and checks the
+promoted state bit for bit; it is printed, not recorded.
+
 Every operating point's items/sec is recorded through the ``throughput``
 fixture and flushed to ``benchmarks/BENCH_throughput.json`` at session end,
 so the performance trajectory is machine-readable across PRs.
@@ -503,10 +507,9 @@ def test_service_replicated_durability_operating_point(throughput, tmp_path):
     """Warm-standby replication overhead at batch size 100k (process pool).
 
     Both services run a process-backed pool with a WAL; the second also
-    keeps a warm standby — a base cut of every shard, retaken every few
-    batches (``ReplicationConfig(ship_interval=...)``) and at each
+    keeps a warm standby — a base cut of every shard, retaken at each
     checkpoint, plus the committed log beyond it — and runs the failure
-    detector after each dispatch. Measured back to back in one
+    detector after each window's dispatch. Measured back to back in one
     process, the ratio is a within-run comparison; the recorded operating
     points additionally feed the cross-run ``compare_bench.py --relative``
     gate in CI, whose budget is 20% replication overhead.
@@ -529,7 +532,7 @@ def test_service_replicated_durability_operating_point(throughput, tmp_path):
     samples = {}
     for label, replication in (
         ("wal-process", None),
-        ("replicated", ReplicationConfig(ship_interval=2)),
+        ("replicated", ReplicationConfig()),
     ):
         service = build(tmp_path / label, replication)
         service.ingest(_large_batches(_BACKEND_WARMUP))
@@ -537,7 +540,8 @@ def test_service_replicated_durability_operating_point(throughput, tmp_path):
         best = float("inf")
         for _ in range(rounds):
             # Checkpoint between rounds so each times steady-state logging
-            # (and, replicated, steady-state base cuts) over recycled pages.
+            # over recycled pages; replicated, the checkpoint also retakes
+            # the standby's base, outside the timed region.
             service.checkpoint()
             begin = time.perf_counter()
             service.ingest(timed)
@@ -569,12 +573,75 @@ def test_service_replicated_durability_operating_point(throughput, tmp_path):
     assert samples["replicated"] == samples["wal-process"]
     # ... and the standby must stay cheap. The budget is 20%, asserted by
     # the CI relative gate on dedicated runners; the in-run bound is a
-    # coarse tripwire (each base cut waits for the workers to reach its
-    # markers and copies every shard's state back to the driver).
+    # coarse tripwire (between checkpoints the standby costs one failure
+    # probe per window).
     assert overhead <= 2.5, (
         f"warm-standby replication overhead regressed: {overhead:.2f}x the "
         "wal+process ingest latency (budget is 1.2x on dedicated hardware)"
     )
+
+
+def test_service_promotion_after_the_longest_replay(tmp_path):
+    """Promotion latency after the longest replay a 64-batch checkpoint cadence allows.
+
+    The standby's base moves only at checkpoints, so a promotion replays
+    every committed batch since the last one. A process-backed service of
+    the ``durable-100k`` shape (8 R-TBS shards of capacity 1,250,
+    100k-item batches routed on Zipf-skewed keys, WAL, warm standby)
+    checkpoints after its first batch, ingests 63 more without another
+    checkpoint, and is then promoted by hand; the timed region is
+    ``failover()`` alone. The promoted state must be bit-identical to an
+    uninterrupted serial run. The latency is printed, not recorded: it has
+    no within-run partner to gate against.
+    """
+    from repro.service import ReplicationConfig
+    from tests.faults import assert_states_equal
+
+    users = 1 << 20
+    rng = np.random.default_rng(1)
+    cdf = np.cumsum(1.0 / np.arange(1, users + 1, dtype=np.float64))
+    cdf /= cdf[-1]
+    pool = np.minimum(np.searchsorted(cdf, rng.random(users), side="right"), users - 1)
+    batches = _large_batches(64)
+    # Each batch's keys are a stretch of one Zipf pool, a prime stride apart.
+    keys = [
+        pool[start : start + _LARGE_BATCH]
+        for start in (
+            index * 104_729 % (users - _LARGE_BATCH + 1) for index in range(64)
+        )
+    ]
+
+    def factory(rng):
+        return RTBS(n=_CAPACITY // _SERVICE_SHARDS, lambda_=_LAMBDA, rng=rng)
+
+    reference = SamplerService(factory, num_shards=_SERVICE_SHARDS, rng=0)
+    reference.ingest(batches, keys=keys)
+    service = SamplerService(
+        factory,
+        num_shards=_SERVICE_SHARDS,
+        rng=0,
+        executor="process:2",
+        wal_dir=tmp_path / "wal",
+        replication=ReplicationConfig(),
+    )
+    try:
+        service.ingest_batch(batches[0], keys=keys[0])
+        service.checkpoint()
+        service.ingest(batches[1:], keys=keys[1:])
+        service.flush()
+        replication = service.stats()["durability"]["replication"]
+        assert replication["standby_lag_batches"] == 63
+        begin = time.perf_counter()
+        service.failover()
+        seconds = time.perf_counter() - begin
+        print(
+            f"\nSamplerService promotion after a 63-batch replay "
+            f"(batch {_LARGE_BATCH:,}, process:2): {seconds * 1e3:.1f} ms"
+        )
+        assert service.stats()["durability"]["replication"]["failovers"] == 1
+        assert_states_equal(service.state_dict(), reference.state_dict())
+    finally:
+        service.close()
 
 
 def test_service_string_key_routing_operating_point(throughput):

@@ -5,11 +5,11 @@
 second failure mode: one shard *worker* of the process pool dies while the
 driver is alive and mid-stream. Passing ``replication=`` to a WAL-enabled
 service closes that gap with a **warm standby**: a base cut of every shard,
-retaken every ``ship_interval`` batches and at every checkpoint, plus the
-committed log beyond it, promoted automatically when a worker crashes or
+retaken at every checkpoint, plus the committed log beyond it, promoted automatically when a worker crashes or
 stalls. Because every batch is committed to the log *before* it is
 dispatched, promotion rebuilds the base and replays the committed tail
-beyond it once — no batch is lost, none is applied twice,
+beyond it once — every batch since the last checkpoint, so the checkpoint
+cadence bounds the replay. No batch is lost, none is applied twice,
 and the post-failover trajectory is bit-identical to a run that never
 crashed, RNG state included.
 
@@ -41,6 +41,7 @@ CAPACITY_PER_SHARD = 250
 LAMBDA = 0.05
 BATCH_SIZE = 2_000
 NUM_BATCHES = 40
+CHECKPOINT_AFTER = 12
 KILL_AFTER = 18
 
 
@@ -73,18 +74,24 @@ def main() -> None:
             # The injected clock arms ack-staleness detection; the liveness
             # half (dead child PIDs) needs no clock at all. Modules under
             # repro.* never read ambient time — the caller supplies it.
-            # ship_interval=4 retakes the standby's base every 4 batches,
-            # so a promotion replays at most 4 batches from the log.
-            replication=ReplicationConfig(
-                ship_interval=4, clock=time.monotonic, ack_timeout=30.0
-            ),
+            replication=ReplicationConfig(clock=time.monotonic, ack_timeout=30.0),
         )
 
-        service.ingest(sensor_batches(KILL_AFTER))
+        service.ingest(sensor_batches(CHECKPOINT_AFTER))
+        # The checkpoint truncates the log and moves the standby's base up
+        # to its own cut: a promotion from here replays only what follows.
+        service.checkpoint()
+        service.ingest(
+            sensor_batches(
+                KILL_AFTER - CHECKPOINT_AFTER, start=CHECKPOINT_AFTER * BATCH_SIZE
+            )
+        )
         report = service.check_health()
+        replication = service.stats()["durability"]["replication"]
         print(
             f"before the kill: batches={service.batches_seen}, "
-            f"workers={report['workers']}, failed_over={report['failed_over']}"
+            f"workers={report['workers']}, failed_over={report['failed_over']}, "
+            f"standby_lag={replication['standby_lag_batches']}"
         )
 
         # Murder one primary shard worker, pipeline still open. A real
@@ -94,7 +101,7 @@ def main() -> None:
         # The next health probe notices and promotes the standby — exactly
         # what a supervisor loop would do between batches. (Ingesting
         # without probing works too: the failure detector runs after every
-        # dispatched batch, and a write to the dead worker surfaces as a
+        # dispatched window, and a write to the dead worker surfaces as a
         # crash that triggers the same promotion.)
         while not service.check_health()["failed_over"]:
             time.sleep(0.01)  # SIGKILL is in flight; the probe is passive

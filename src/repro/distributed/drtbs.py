@@ -335,8 +335,9 @@ class DistributedRTBS:
 
         deletions = 0
         if floor_target == 0:
-            swap = u > (frac_current / current if frac_current > 0 else 0.0)
-            if swap:
+            # With no partial (frac_current == 0) a full item must become
+            # the partial, even on the draw u == 0.0 (as in core.latent).
+            if frac_current <= 0.0 or u > frac_current / current:
                 self._promote_full_to_partial(drop_old_partial=True)
                 deletions = max(0, floor_current - 1)
             else:

@@ -27,8 +27,8 @@ a long-running service:
   last checkpoint plus log replay, on any executor backend;
 * :mod:`repro.service.replication` — warm-standby replicas over the same
   log: :class:`ReplicationConfig` (``replication=`` on the service) keeps
-  a driver-side standby as a periodic base cut plus the committed WAL
-  beyond it, and a worker crash (or failed health probe) promotes it in
+  a driver-side standby as the last checkpoint's cut plus the committed
+  WAL beyond it, and a worker crash (or failed health probe) promotes it in
   place (base rebuilt, log tail replayed once) — pipelined
   ingest resumes without dropping a batch, bit-identical to an
   uninterrupted run.

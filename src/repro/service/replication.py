@@ -11,12 +11,14 @@ someone restarts the process and calls
   per-shard states of a committed-watermark snapshot cut, plus the
   reserved RNG states of the shards the cut holds no state for) and the
   committed log beyond it.
-  The service retakes the base every ``ship_interval`` batches and at
-  every paired checkpoint; the standby does no per-batch work. Promotion
+  The service takes the base when replication starts (construction or
+  recovery) and retakes it only at every paired checkpoint; the standby
+  does no per-batch work. Promotion
   rebuilds the samplers from the base and replays ``(base, committed]``
   once through :meth:`~repro.service.wal.WriteAheadLog.collect_replay` —
   the reader, and the checkpoint-plus-replay argument, of offline
-  recovery.
+  recovery. The operator's checkpoint cadence bounds that replay, as it
+  bounds offline recovery's.
 * :class:`FailureDetector` — declares the worker pool failed from two
   passive signals: process liveness (the driver-side mirror of the
   workers' orphan watchdog) and acknowledgement staleness (the pool's ack
@@ -41,7 +43,7 @@ the promoted samplers are bit-identical to an uninterrupted run through
 the last committed batch — independent of *when* the failure was
 detected, with no batch dropped and none double-applied. The base stays
 valid across a promotion (the promoted trajectory is the same one), so a
-second failure before the next cut promotes from it again. Truncation
+second failure before the next checkpoint promotes from it again. Truncation
 must never drop a frame the base still needs: a paired checkpoint adopts
 its own cut as the base *before* it truncates the log.
 
@@ -85,16 +87,11 @@ __all__ = [
 class ReplicationConfig:
     """Deployment knobs for warm-standby replication.
 
+    The standby's base moves at every paired checkpoint, so the
+    deployment's checkpoint cadence bounds a promotion's replay.
+
     Parameters
     ----------
-    ship_interval:
-        Cut cadence: retake the standby's base (a state-bearing snapshot
-        cut of every shard) once this many committed batches lie beyond
-        it. It bounds how many batches a promotion replays from the log;
-        ``1`` cuts after every batch, larger values take fewer cuts but
-        lengthen the replay a failover performs. Every paired checkpoint
-        also retakes the base (truncation must never drop a frame the base
-        needs).
     clock:
         Injectable monotonic clock (e.g. ``time.monotonic`` passed in by
         the deployment) enabling acknowledgement-staleness detection. With
@@ -110,16 +107,11 @@ class ReplicationConfig:
         every worker it meets would otherwise respawn-and-crash forever).
     """
 
-    ship_interval: int = 8
     clock: Callable[[], float] | None = None
     ack_timeout: float = 30.0
     max_failovers: int | None = None
 
     def __post_init__(self) -> None:
-        if self.ship_interval < 1:
-            raise ValueError(
-                f"ship_interval must be at least 1, got {self.ship_interval}"
-            )
         if self.ack_timeout <= 0:
             raise ValueError(f"ack_timeout must be positive, got {self.ack_timeout}")
         if self.max_failovers is not None and self.max_failovers < 1:
@@ -134,9 +126,9 @@ class ShardReplicaSet:
     The base lives driver-side (the driver survives worker crashes — the
     failure domain replication defends against is the worker pool) and is
     never advanced batch by batch: the service replaces the whole replica
-    set with a fresh :meth:`capture` on cadence and at every paired
-    checkpoint. :meth:`catch_up` rebuilds the samplers from the base and
-    replays the committed tail beyond it through ``ingest_stream`` — the
+    set with a fresh :meth:`capture` at every paired checkpoint.
+    :meth:`catch_up` rebuilds the samplers from the base and replays the
+    committed tail beyond it through ``ingest_stream`` — the
     identical replay path offline recovery uses, so the rebuilt samplers
     are bit-identical to the primary's at the replayed watermark.
     """

@@ -364,8 +364,8 @@ class SamplerService:
     replication:
         Optional :class:`~repro.service.replication.ReplicationConfig`
         enabling a warm standby: a driver-side base cut of every shard,
-        retaken every ``ship_interval`` batches and at every checkpoint,
-        plus the committed WAL beyond it. A
+        taken at construction (or recovery) and retaken at every paired
+        checkpoint, plus the committed WAL beyond it. A
         :class:`~repro.engine.errors.WorkerCrashError` (or a failed health
         probe) promotes the standby *in place* — the base is rebuilt, the
         committed log tail beyond it is replayed, and pipelined ingest
@@ -628,8 +628,10 @@ class SamplerService:
         # Stale-tolerant fast path, deliberately outside the lock: the
         # cached cut is immutable once published and the staleness bound is
         # the caller's explicit tolerance, so serving it needs no mutual
-        # exclusion — readers polling at 100+ Hz never queue behind an
-        # in-flight ingest window or flush barrier.
+        # exclusion. While the cached cut is within the bound, readers
+        # polling at 100+ Hz never queue behind an in-flight ingest window
+        # or flush barrier; once it is not, the read takes the lock and
+        # waits for the window to end (``ingest(window=...)`` bounds that).
         cached = self._snapshot_cache
         if self._serves(cached, max_staleness_batches, include_items, include_state):
             return cached
@@ -765,7 +767,6 @@ class SamplerService:
             else {
                 "standby_base_seq": rt.replica.base_seq,
                 "standby_lag_batches": rt.replica.lag(self._batches_seen - 1),
-                "ship_interval": rt.config.ship_interval,
                 "failovers": rt.failovers,
                 "failure_detection": (
                     "liveness+ack-staleness"
@@ -1078,9 +1079,10 @@ class SamplerService:
             Optional iterable of strictly increasing arrival times; when
             omitted, batches arrive at ``t+1, t+2, ...``.
         window:
-            Number of batches per window on every backend. A window also
-            ends early when the warm standby's base is due
-            (``ship_interval``), and at the end of the call.
+            Number of batches per window on every backend; the last window
+            ends with the call (or at a failing batch). The lock is held
+            for a whole window, so ``window`` also bounds how long a read
+            that the cached cut cannot serve waits.
         """
         if window <= 0:
             raise ValueError(f"window must be positive, got {window}")
@@ -1109,8 +1111,8 @@ class SamplerService:
             nonlocal buffered
             self._dispatch()
             buffered = 0
-            # The standby's cut must see every logged batch dispatched, so
-            # buffered batches only meet the replication tick here.
+            # A promotion replays every logged batch, so the failure probe
+            # runs only once the buffered batches are dispatched.
             self._replication_tick()
 
         try:
@@ -1137,7 +1139,7 @@ class SamplerService:
                 acquire()
                 self._ingest_step(items, batch_keys, time)
                 buffered += 1
-                if buffered >= window or self._standby_cut_due():
+                if buffered >= window:
                     flush()
                     release()
         finally:
@@ -1406,30 +1408,19 @@ class SamplerService:
             ),
         )
 
-    def _standby_cut_due(self) -> bool:
-        """Whether ``ship_interval`` committed batches lie beyond the base."""
-        rt = self._replication
-        return rt is not None and (
-            rt.replica.lag(self._batches_seen - 1) >= rt.config.ship_interval
-        )
-
     def _replication_tick(self) -> None:
-        """Per-window replication upkeep: retake the base on cadence, probe the workers.
+        """Per-window failure probe of the workers; a failed pool fails over.
 
         Runs once per ingest window on every backend, *after* the window's
         batches are committed and dispatched — never between commit and
         dispatch, where a promotion would replay a batch into the promoted
         samplers and the still-pending dispatch would then double-apply
-        it, and where a cut would miss the batch. A crash found
-        by the cadence cut promotes from the previous base inside
-        :meth:`snapshot`; the cut it returns is then the promoted state.
+        it. The standby's base does not move here: only a paired
+        :meth:`checkpoint` retakes it.
         """
         rt = self._replication
         if rt is None:
             return
-        if self._standby_cut_due():
-            cut = self.snapshot(include_items=False, include_state=True)
-            rt.replica = ShardReplicaSet.capture(self, cut)
         if self._attached and self._executor.provides_transport:
             verdict = rt.detector.check(self._executor.transport)
             if verdict.failed:

@@ -12,6 +12,23 @@ def rng() -> np.random.Generator:
     return np.random.default_rng(20180129)
 
 
+class ForcedFirstDraw(np.random.Generator):
+    """A real Generator whose first scalar ``random()`` returns a chosen value.
+
+    That first call does not advance the underlying stream.
+    """
+
+    def __init__(self, first: float, seed: int = 0) -> None:
+        super().__init__(np.random.PCG64(seed))
+        self._pending: float | None = first
+
+    def random(self, *args, **kwargs):  # type: ignore[no-untyped-def]
+        if self._pending is not None and not args and not kwargs:
+            value, self._pending = self._pending, None
+            return value
+        return super().random(*args, **kwargs)
+
+
 def make_batches(num_batches: int, batch_size: int) -> list[list[tuple[int, int]]]:
     """Batches of identifiable items ``(batch_index, position)`` (1-based batches)."""
     return [

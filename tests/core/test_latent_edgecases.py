@@ -16,20 +16,7 @@ import numpy as np
 import pytest
 
 from repro.core.latent import LatentSample, downsample
-
-
-class _ForcedFirstDraw(np.random.Generator):
-    """A real Generator whose first ``random()`` returns a chosen value."""
-
-    def __init__(self, first: float, seed: int = 0) -> None:
-        super().__init__(np.random.PCG64(seed))
-        self._pending: float | None = first
-
-    def random(self, *args, **kwargs):  # type: ignore[no-untyped-def]
-        if self._pending is not None and not args and not kwargs:
-            value, self._pending = self._pending, None
-            return value
-        return super().random(*args, **kwargs)
+from tests.conftest import ForcedFirstDraw
 
 
 class TestDownsampleZeroDraw:
@@ -38,7 +25,7 @@ class TestDownsampleZeroDraw:
         # one partial item. With u == 0.0 the old code kept the (empty)
         # partial and crashed in check_invariants.
         latent = LatentSample.from_full_items([10, 20])
-        result = downsample(latent, 0.5, rng=_ForcedFirstDraw(0.0))
+        result = downsample(latent, 0.5, rng=ForcedFirstDraw(0.0))
         assert result.weight == pytest.approx(0.5)
         assert result.has_partial
         assert result.fraction == pytest.approx(0.5)
@@ -47,17 +34,17 @@ class TestDownsampleZeroDraw:
 
     def test_zero_draw_matches_nonzero_draw_distribution_support(self) -> None:
         latent = LatentSample.from_full_items([10, 20])
-        forced = downsample(latent, 0.5, rng=_ForcedFirstDraw(0.0, seed=7))
-        organic = downsample(latent, 0.5, rng=_ForcedFirstDraw(0.5, seed=7))
+        forced = downsample(latent, 0.5, rng=ForcedFirstDraw(0.0, seed=7))
+        organic = downsample(latent, 0.5, rng=ForcedFirstDraw(0.5, seed=7))
         # Same RNG consumption on both paths: the swap draw comes second.
         assert forced.partial == organic.partial
 
     def test_existing_partial_kept_on_zero_draw(self) -> None:
         # With a real partial present, u == 0.0 keeps it — unchanged behavior.
         base = LatentSample.from_full_items([1, 2])
-        with_partial = downsample(base, 1.5, rng=_ForcedFirstDraw(0.9))
+        with_partial = downsample(base, 1.5, rng=ForcedFirstDraw(0.9))
         assert with_partial.has_partial
-        kept = downsample(with_partial, 0.25, rng=_ForcedFirstDraw(0.0))
+        kept = downsample(with_partial, 0.25, rng=ForcedFirstDraw(0.0))
         assert kept.has_partial
         assert kept.partial == with_partial.partial
 

@@ -10,7 +10,7 @@ from repro.distributed.batches import DistributedBatch
 from repro.distributed.cluster import SimulatedCluster
 from repro.distributed.drtbs import DistributedRTBS
 from repro.distributed.dttbs import DistributedTTBS
-from tests.conftest import make_batches
+from tests.conftest import ForcedFirstDraw, make_batches
 
 
 def _run_drtbs(num_batches, batch_size, n, lambda_, workers=4, seed=0, **kwargs):
@@ -101,6 +101,33 @@ class TestDistributedRTBSStatistics:
         algorithm.process_batch([1, 2, 3])
         with pytest.raises(ValueError):
             algorithm.process_batch(DistributedBatch.virtual(5, 2, batch_id=2))
+
+
+class TestDistributedRTBSZeroDraw:
+    def test_integral_weight_below_one_keeps_a_partial_on_zero_draw(self):
+        """Decay below weight 1 with no partial must promote a full item.
+
+        Two items (weight 2.0, no partial) decay to about 0.74 before the
+        next batch lands. Whatever ``u`` is, one of them must survive as
+        the master's partial item, also on the draw ``u == 0.0``: deleting
+        both would keep a positive fractional weight with no partial item.
+        """
+        # The first batch draws no scalar, so the forced draw is the
+        # second batch's downsampling ``u``.
+        rng = ForcedFirstDraw(0.0, seed=3)
+        algorithm = DistributedRTBS(
+            n=10, lambda_=1.0, cluster=SimulatedCluster(num_workers=2), rng=rng
+        )
+        algorithm.process_batch(["a", "b"], time=1.0)
+        assert rng._pending == 0.0
+        algorithm.process_batch(["c"], time=2.0)
+        assert rng._pending is None
+        assert algorithm.sample_weight == pytest.approx(2.0 * np.exp(-1.0) + 1.0)
+        assert algorithm.full_item_count() == 1
+        items = algorithm.sample_items()
+        assert len(items) == 2
+        assert items[0] == "c"
+        assert items[1] in ("a", "b")
 
 
 class TestDistributedRTBSCosts:

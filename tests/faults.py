@@ -252,7 +252,6 @@ def run_replicated_workload(
     backend: str = "process:2",
     kill_at: int | None = None,
     worker: int = 0,
-    ship_interval: int = 3,
 ) -> tuple[dict, int]:
     """The canonical workload on a replicated service, surviving one SIGKILL.
 
@@ -271,7 +270,7 @@ def run_replicated_workload(
         rng=SEED,
         executor=backend,
         wal_dir=wal_dir,
-        replication=ReplicationConfig(ship_interval=ship_interval),
+        replication=ReplicationConfig(),
     )
     try:
         if kill_at is not None:

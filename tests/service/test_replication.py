@@ -9,7 +9,7 @@ that ride with it:
   clock;
 * the standby's base on ``serial`` and ``process:2``, each run ending
   bit-identical to ``tests/faults.py::golden_state``: shards that first
-  activate after the base, a worker killed while a cadence cut's markers
+  activate after the base, a worker killed while a checkpoint cut's markers
   are in flight, and a crash right after ``checkpoint()`` truncated the
   log;
 * forced failover on ``serial`` and ``process:2`` (the process backend's
@@ -204,7 +204,7 @@ class TestForcedFailover:
             rng=3,
             executor=backend,
             wal_dir=tmp_path / "wal",
-            replication=ReplicationConfig(ship_interval=3),
+            replication=ReplicationConfig(),
         )
         for index, batch in enumerate(batches):
             service.ingest_batch(batch)
@@ -225,7 +225,7 @@ class TestForcedFailover:
             num_shards=2,
             rng=5,
             wal_dir=tmp_path / "wal",
-            replication=ReplicationConfig(ship_interval=2),
+            replication=ReplicationConfig(),
         )
         for index, batch in enumerate(batches):
             service.ingest_batch(batch)
@@ -282,7 +282,7 @@ class TestForcedFailover:
         recovered = recover_service(
             tmp_path / "wal",
             _factory(),
-            replication=ReplicationConfig(ship_interval=1),
+            replication=ReplicationConfig(),
         )
         for index, batch in enumerate(batches[5:]):
             recovered.ingest_batch(batch)
@@ -334,20 +334,20 @@ class TestIngestBuildsNoSample:
 
 
 # ----------------------------------------------------------------------
-# The standby's base: cadence cuts, checkpoint cuts, late activation
+# The standby's base: construction cut, checkpoint cuts, late activation
 # ----------------------------------------------------------------------
 BASE_BACKENDS = [None, "process:2"]
 BASE_IDS = ["serial", "process"]
 
 
-def _replicated(tmp_path, backend, ship_interval, factory=None):
+def _replicated(tmp_path, backend, factory=None):
     return SamplerService(
         factory or faults.make_factory(),
         num_shards=faults.NUM_SHARDS,
         rng=faults.SEED,
         executor=backend,
         wal_dir=tmp_path / "wal",
-        replication=ReplicationConfig(ship_interval=ship_interval),
+        replication=ReplicationConfig(),
     )
 
 
@@ -367,12 +367,18 @@ def _kill_worker(service: SamplerService, worker: int = 0) -> None:
 class TestStandbyBase:
     @pytest.mark.parametrize("backend", BASE_BACKENDS, ids=BASE_IDS)
     def test_bulk_ingest_cuts_see_every_dispatched_batch(self, tmp_path, backend):
-        """In-process bulk ingest buffers a window; the cut waits for its dispatch."""
+        """A windowed ingest never moves the base; a checkpoint's cut covers it all."""
         batches = faults.workload_batches()
-        service = _replicated(tmp_path, backend, ship_interval=3)
+        service = _replicated(tmp_path, backend)
         try:
             service.ingest(batches[:17], window=5)
-            assert _replication_stats(service)["standby_lag_batches"] < 3
+            stats = _replication_stats(service)
+            assert stats["standby_base_seq"] == -1
+            assert stats["standby_lag_batches"] == 17
+            service.checkpoint()
+            stats = _replication_stats(service)
+            assert stats["standby_base_seq"] == service.batches_seen - 1
+            assert stats["standby_lag_batches"] == 0
             service.failover()
             service.ingest(batches[17:], window=5)
             assert_states_equal(service.state_dict(), faults.golden_state())
@@ -398,12 +404,10 @@ class TestStandbyBase:
                 handed.append(generator_state(rng))
             return inner(rng)
 
-        # No cadence cut and no checkpoint: the base stays the empty cut
-        # the constructor took, so every shard first activates during the
-        # promotion's replay.
-        service = _replicated(
-            tmp_path, backend, ship_interval=faults.NUM_BATCHES + 1, factory=factory
-        )
+        # No checkpoint: the base stays the empty cut the constructor
+        # took, so every shard first activates during the promotion's
+        # replay.
+        service = _replicated(tmp_path, backend, factory=factory)
         try:
             for index, batch in enumerate(faults.workload_batches()):
                 service.ingest_batch(batch)
@@ -423,7 +427,7 @@ class TestStandbyBase:
     def test_reserved_streams_change_only_on_reshard(self, tmp_path, backend):
         """Factories draw from copies: ingest, failover and close never move a stream."""
         batches = faults.workload_batches()
-        service = _replicated(tmp_path, backend, ship_interval=3)
+        service = _replicated(tmp_path, backend)
 
         def reserved() -> list[dict]:
             return service.state_dict()["shard_rng_states"]
@@ -449,9 +453,15 @@ class TestStandbyBase:
             service.close()
 
     def test_worker_killed_with_cut_markers_in_flight(self, tmp_path, monkeypatch):
+        """A worker dies while a checkpoint's cut markers are in flight.
+
+        The promotion comes from the previous checkpoint's base, takes no
+        cut of its own, and the checkpoint then adopts the promoted cut as
+        the new base.
+        """
         from repro.engine.transport import ShardWorkerPool
 
-        service = _replicated(tmp_path, "process:2", ship_interval=4)
+        service = _replicated(tmp_path, "process:2")
         cuts: list[int] = []
         snapshots_during_failover: list[int] = []
         promoted_from: list[int] = []
@@ -465,7 +475,7 @@ class TestStandbyBase:
             cuts.append(service.batches_seen - 1)
             if len(cuts) != 2:
                 return snapshot_async(pool, fn, kwargs)
-            # The second cadence cut: its markers are enqueued, and the
+            # The second checkpoint's cut: its markers are enqueued, and the
             # worker dies before answering them (stopped first, so it
             # cannot answer in the moment before the kill lands).
             os.kill(pool.workers[0].process.pid, signal.SIGSTOP)
@@ -494,15 +504,21 @@ class TestStandbyBase:
         monkeypatch.setattr(ShardReplicaSet, "catch_up", recording_catch_up)
         monkeypatch.setattr(SamplerService, "_failover", recording_failover)
         try:
-            for batch in faults.workload_batches():
+            for index, batch in enumerate(faults.workload_batches()):
                 service.ingest_batch(batch)
-            # Cadence cuts after batches 3 and 7; the second found the
+                if index in (3, 7):
+                    service.checkpoint()
+            # Checkpoints after batches 3 and 7; the second's cut found the
             # pool dead, promoted from the first's base (batch 3) without
-            # taking another cut, and its tick adopted the promoted state.
-            assert cuts[:2] == [3, 7]
+            # taking another cut, and the checkpoint adopted the promoted
+            # state as the base and as its watermark.
+            assert cuts == [3, 7]
             assert promoted_from == [3]
             assert snapshots_during_failover == []
-            assert _replication_stats(service)["failovers"] == 1
+            durability = service.stats()["durability"]
+            assert durability["replication"]["standby_base_seq"] == 7
+            assert durability["checkpoint_watermark"] == 7
+            assert durability["replication"]["failovers"] == 1
             assert_states_equal(service.state_dict(), faults.golden_state())
         finally:
             monkeypatch.undo()
@@ -512,8 +528,8 @@ class TestStandbyBase:
     def test_crash_after_checkpoint_promotes_from_the_checkpoint_cut(
         self, tmp_path, backend
     ):
-        # No cadence cut: only the checkpoints move the base.
-        service = _replicated(tmp_path, backend, ship_interval=faults.NUM_BATCHES + 1)
+        # Only the checkpoints move the base.
+        service = _replicated(tmp_path, backend)
         try:
             for index, batch in enumerate(faults.workload_batches()):
                 service.ingest_batch(batch)
@@ -552,7 +568,7 @@ class TestIngestBatchCountsAfterFailover:
         reference = SamplerService(
             faults.make_factory(), num_shards=faults.NUM_SHARDS, rng=faults.SEED
         )
-        service = _replicated(tmp_path, "process:2", ship_interval=3)
+        service = _replicated(tmp_path, "process:2")
         drain = SamplerService._drain_transport_safely
         stopped: list = []
 
@@ -587,14 +603,17 @@ class TestCrashWhileFramesAreStaged:
     def test_staged_windows_die_with_the_condemned_pool(self, tmp_path, monkeypatch):
         """A crash found while staging discards every staged, unsent window.
 
-        ``ship_interval=8`` ends an ingest window every 8 batches, and the
+        ``window=8`` ends an ingest window every 8 batches, and the
         smallest ring (32 KiB halves) holds one batch's runs (about 20 KB
         per worker), so each staged batch sends the worker's previous one
         early: mid-window a worker holds a sent-but-unacknowledged command
         and an open window at once. The samplers never saturate, so the
-        driver ships every arrival instead of a thinned few. Worker 1 is stopped after the first
-        window's upkeep, so its early sends stay unacknowledged, and killed
-        as the driver stages its third batch after that: the crash surfaces
+        driver ships every arrival instead of a thinned few. After the bulk
+        call's first window and its upkeep, the test waits until both
+        workers have acknowledged every frame (a full ring would otherwise
+        block the next stage on a stopped worker) and stops worker 1, so
+        its next early sends stay unacknowledged. It is killed as the
+        driver stages its third batch after that: the crash surfaces
         inside ``stage`` while both workers hold staged, unsent frames. The
         promotion replays every committed batch, so those frames must die
         with the condemned pool: not one of them may be sent.
@@ -607,7 +626,7 @@ class TestCrashWhileFramesAreStaged:
             return RTBS(n=100_000, lambda_=0.15, rng=rng)
 
         reference = SamplerService(factory, num_shards=faults.NUM_SHARDS, rng=faults.SEED)
-        service = _replicated(tmp_path, "process:2", ship_interval=8, factory=factory)
+        service = _replicated(tmp_path, "process:2", factory=factory)
         stopped: list = []
         crashes: list[WorkerCrashError] = []
         condemned: list[ShardWorkerPool] = []
@@ -622,7 +641,8 @@ class TestCrashWhileFramesAreStaged:
                 # than hang the next cut on a stopped worker.
                 _kill_worker(svc, worker=1)
             tick(svc)
-            if svc is service and svc.batches_seen == 8 and not stopped:
+            if svc is service and svc.batches_seen == 12 and not stopped:
+                svc.flush()
                 process = svc.executor.transport.workers[1].process
                 os.kill(process.pid, signal.SIGSTOP)
                 stopped.append(process)
@@ -651,8 +671,8 @@ class TestCrashWhileFramesAreStaged:
         try:
             for batch in batches[:4]:
                 assert service.ingest_batch(batch) == reference.ingest_batch(batch)
-            service.ingest(batches[4:28])
-            reference.ingest(batches[4:28])
+            service.ingest(batches[4:28], window=8)
+            reference.ingest(batches[4:28], window=8)
             for batch in batches[28:]:
                 assert service.ingest_batch(batch) == reference.ingest_batch(batch)
             assert len(crashes) == 1
@@ -706,7 +726,7 @@ class TestCloseAfterCrash:
             rng=1,
             executor="process:2",
             wal_dir=tmp_path / "wal",
-            replication=ReplicationConfig(ship_interval=2),
+            replication=ReplicationConfig(),
         )
         for batch in batches:
             service.ingest_batch(batch)

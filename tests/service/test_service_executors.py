@@ -349,7 +349,7 @@ class TestExecutorLifecycle:
             rng=31,
             executor=backend,
             wal_dir=tmp_path / "wal",
-            replication=ReplicationConfig(ship_interval=4),
+            replication=ReplicationConfig(),
         )
         service.ingest(batches[:6])
         service.close()  # shards taken back to the driver; workers gone

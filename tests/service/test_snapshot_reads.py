@@ -22,7 +22,12 @@ import numpy as np
 import pytest
 
 from repro.core import RTBS
-from repro.service import SamplerService, ServiceSnapshot, load_service_delta
+from repro.service import (
+    ReplicationConfig,
+    SamplerService,
+    ServiceSnapshot,
+    load_service_delta,
+)
 
 BACKENDS = ["serial", "process:1", "process:2"]
 
@@ -146,6 +151,61 @@ class TestReadersUnderIngest:
             _check_cut(final)
             # ...and the readers left the trajectory bit-identical to the
             # same-seed run that had no readers at all.
+            _assert_states_equal(service.state_dict(), reference)
+
+
+class TestStaleTolerantReadsDuringAWindow:
+    def test_bounded_reads_stay_within_their_bound_through_long_windows(
+        self, tmp_path
+    ):
+        """A bounded read is served within its bound, from cache or a fresh cut.
+
+        The standby's base moves only at checkpoints, so nothing refreshes
+        the cached cut inside a 16-batch window: a read whose bound the
+        cached cut exceeds takes the lock and waits for the window to end.
+        Either way its watermark may trail the ``batches_seen`` read just
+        before the call by at most the bound.
+        """
+        staleness = 4
+        batches = _batches(count=32, size=_BATCH // 10)
+        quiet = SamplerService(rtbs_factory, num_shards=_SHARDS, rng=23)
+        quiet.ingest(batches, window=16)
+        reference = quiet.state_dict()
+
+        with SamplerService(
+            rtbs_factory,
+            num_shards=_SHARDS,
+            rng=23,
+            executor="process:2",
+            wal_dir=tmp_path / "wal",
+            replication=ReplicationConfig(),
+        ) as service:
+            stop = threading.Event()
+            reads: list[tuple[int, int]] = []
+            errors: list[BaseException] = []
+
+            def poll() -> None:
+                try:
+                    while not stop.is_set():
+                        before = service.batches_seen
+                        stats = service.stats(max_staleness_batches=staleness)
+                        reads.append((before, stats["watermark"]))
+                except BaseException as error:  # noqa: BLE001 - re-raised below
+                    errors.append(error)
+
+            reader = threading.Thread(target=poll, daemon=True)
+            reader.start()
+            try:
+                service.ingest(batches, window=16)
+            finally:
+                stop.set()
+                reader.join(timeout=30)
+            if errors:
+                raise errors[0]
+            assert not reader.is_alive()
+            assert reads
+            for before, watermark in reads:
+                assert watermark >= before - 1 - staleness, (before, watermark)
             _assert_states_equal(service.state_dict(), reference)
 
 
