@@ -38,14 +38,21 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Any, Sequence
+from typing import Any, NamedTuple, Sequence
 
 import numpy as np
 
 from repro.core.arrays import as_item_array, concat_items, empty_item_array, readonly_view
 from repro.core.random_utils import choose_indices, ensure_rng
 
-__all__ = ["FrozenLatentView", "LatentSample", "downsample", "merge_latent_samples"]
+__all__ = [
+    "DownsamplePlan",
+    "FrozenLatentView",
+    "LatentSample",
+    "downsample",
+    "downsample_plan",
+    "merge_latent_samples",
+]
 
 _WEIGHT_TOLERANCE = 1e-9
 
@@ -491,24 +498,90 @@ class LatentSample:
 
 
 # ----------------------------------------------------------------------
-# Algorithm 3 primitives (array form)
+# Algorithm 3
 # ----------------------------------------------------------------------
-def _swap1(rng: np.random.Generator, full: _Items, partial: _Items) -> tuple[_Items, _Items]:
-    """``Swap1(A, pi)``: move a random full item to ``pi``, old partial item to ``A``."""
-    if not len(full):
-        raise ValueError("Swap1 requires at least one full item")
-    index = int(rng.integers(len(full)))
-    chosen = full.take(np.array([index]))
-    return full.drop_index(index).concat(partial), chosen
+class DownsamplePlan(NamedTuple):
+    """Algorithm 3's decision for one downsampling (see :func:`downsample_plan`).
+
+    Applied in one order by every caller: the promotion if
+    :attr:`promote_first`, then the deletions, then the promotion otherwise,
+    then the partial slot is emptied unless :attr:`keep_partial`. The
+    position draws (which items go) stay with the caller.
+    """
+
+    #: How many uniformly random full items are deleted.
+    deletions: int
+    #: Whether a uniformly random full item moves to the partial slot.
+    promote: bool
+    #: On a promotion, whether the old partial item rejoins the full items
+    #: (``Swap1``) rather than being dropped (``Move1``).
+    swap: bool
+    #: Whether the promotion comes before the deletions (``floor(C') == 0``).
+    promote_first: bool
+    #: Whether a partial item survives (``frac(C') > 0``).
+    keep_partial: bool
 
 
-def _move1(rng: np.random.Generator, full: _Items, partial: _Items) -> tuple[_Items, _Items]:
-    """``Move1(A, pi)``: move a random full item to ``pi``, discarding the old partial item."""
+def downsample_plan(
+    rng: np.random.Generator, weight: float, target_weight: float
+) -> DownsamplePlan | None:
+    """Algorithm 3's decision for downsampling weight ``C`` to ``C'``, from one draw ``u``.
+
+    Returns ``None`` (and draws nothing) when ``C'`` is within tolerance of
+    ``C``: the sample is kept as it is.
+
+    Raises
+    ------
+    ValueError
+        If ``target_weight`` is not in ``(0, C)``.
+    """
+    if target_weight <= 0:
+        raise ValueError(f"target weight must be positive, got {target_weight}")
+    if target_weight >= weight - _WEIGHT_TOLERANCE:
+        if abs(target_weight - weight) <= _WEIGHT_TOLERANCE:
+            return None
+        raise ValueError(
+            f"target weight {target_weight} must be smaller than the current weight {weight}"
+        )
+    frac_c = _frac(weight)
+    frac_cprime = _frac(target_weight)
+    floor_c = _floor(weight)
+    floor_cprime = _floor(target_weight)
+    keep_partial = frac_cprime > 0.0
+    u = rng.random()
+
+    if floor_cprime == 0:
+        # No full items are retained; only a partial item survives. With no
+        # current partial (frac_c == 0) a full item *must* become the partial:
+        # gating that on ``u > 0`` would, on the measure-zero draw u == 0.0,
+        # emit a sample with positive fractional weight and no partial item.
+        promote = frac_c <= 0.0 or u > frac_c / weight
+        deletions = floor_c - 1 if promote else floor_c
+        return DownsamplePlan(deletions, promote, False, True, keep_partial)
+    if floor_cprime == floor_c:
+        # No items are deleted; the partial item may be promoted to full.
+        keep_probability = (1.0 - (target_weight / weight) * frac_c) / (1.0 - frac_cprime)
+        return DownsamplePlan(0, u > keep_probability, True, False, keep_partial)
+    # 0 < floor(C') < floor(C): some full items are deleted.
+    if frac_c > 0.0 and u <= (target_weight / weight) * frac_c:
+        return DownsamplePlan(floor_c - floor_cprime, True, True, False, keep_partial)
+    return DownsamplePlan(floor_c - floor_cprime - 1, True, False, False, keep_partial)
+
+
+def _promote(
+    rng: np.random.Generator, full: _Items, partial: _Items, swap: bool
+) -> tuple[_Items, _Items]:
+    """``Swap1``/``Move1``: a random full item becomes the partial item.
+
+    The old partial item rejoins the full items under ``Swap1`` (``swap``)
+    and is dropped under ``Move1``.
+    """
     if not len(full):
-        raise ValueError("Move1 requires at least one full item")
+        raise ValueError("promoting to the partial slot requires at least one full item")
     index = int(rng.integers(len(full)))
     chosen = full.take(np.array([index]))
-    return full.drop_index(index), chosen
+    rest = full.drop_index(index)
+    return (rest.concat(partial) if swap else rest), chosen
 
 
 def _subsample(rng: np.random.Generator, columns: _Items, size: int) -> _Items:
@@ -528,9 +601,9 @@ def downsample(
     Produces a new latent sample ``L' = (A', pi', C')`` with
     ``C' = target_weight`` such that ``Pr[i in S'] = (C'/C) Pr[i in S]`` for
     every item ``i`` of the input (Theorem 4.1). The input is not modified.
-
-    All item movement is expressed as whole-array selection, so the cost is a
-    handful of NumPy operations regardless of how many items are deleted.
+    The decision is :func:`downsample_plan`'s; all item movement is
+    whole-array selection, so the cost is a handful of NumPy operations
+    regardless of how many items are deleted.
 
     Raises
     ------
@@ -538,47 +611,17 @@ def downsample(
         If ``target_weight`` is not in ``(0, C)``.
     """
     rng = ensure_rng(rng)
-    weight = latent.weight
-    if target_weight <= 0:
-        raise ValueError(f"target weight must be positive, got {target_weight}")
-    if target_weight >= weight - _WEIGHT_TOLERANCE:
-        if abs(target_weight - weight) <= _WEIGHT_TOLERANCE:
-            return latent.copy()
-        raise ValueError(
-            f"target weight {target_weight} must be smaller than the current weight {weight}"
-        )
-
+    plan = downsample_plan(rng, latent.weight, target_weight)
+    if plan is None:
+        return latent.copy()
     full = latent._full
     partial = latent._partial
-    frac_c = _frac(weight)
-    frac_cprime = _frac(target_weight)
-    floor_cprime = _floor(target_weight)
-    floor_c = _floor(weight)
-    u = rng.random()
-
-    if floor_cprime == 0:
-        # No full items are retained; only a partial item survives. With no
-        # current partial (frac_c == 0) a full item *must* become the partial:
-        # gating that on ``u > 0`` would, on the measure-zero draw u == 0.0,
-        # emit a sample with positive fractional weight and no partial item.
-        if frac_c <= 0.0 or u > frac_c / weight:
-            full, partial = _swap1(rng, full, partial)
-        full = _Items.empty()
-    elif floor_cprime == floor_c:
-        # No items are deleted; the partial item may be promoted to full.
-        keep_probability = (1.0 - (target_weight / weight) * frac_c) / (1.0 - frac_cprime)
-        if u > keep_probability:
-            full, partial = _swap1(rng, full, partial)
-    else:
-        # 0 < floor(C') < floor(C): some full items are deleted.
-        if frac_c > 0.0 and u <= (target_weight / weight) * frac_c:
-            full = _subsample(rng, full, floor_cprime)
-            full, partial = _swap1(rng, full, partial)
-        else:
-            full = _subsample(rng, full, floor_cprime + 1)
-            full, partial = _move1(rng, full, partial)
-
-    if frac_cprime == 0.0:
+    if plan.promote and plan.promote_first:
+        full, partial = _promote(rng, full, partial, plan.swap)
+    full = _subsample(rng, full, len(full) - plan.deletions)
+    if plan.promote and not plan.promote_first:
+        full, partial = _promote(rng, full, partial, plan.swap)
+    if not plan.keep_partial:
         partial = _Items.empty()
 
     result = LatentSample(full, partial, float(target_weight))

@@ -119,6 +119,11 @@ class RTBSStep(NamedTuple):
         """Whether only ``StochRound(B n / W)`` of the ``B`` arrivals enter."""
         return self.branch >= SATURATED
 
+    @property
+    def empties(self) -> bool:
+        """Whether the sample decays to nothing before the arrivals enter."""
+        return self.target <= _WEIGHT_EPSILON
+
     def acceptance(self, rng: np.random.Generator, arrivals: int, n: int) -> int:
         """Draw how many of ``arrivals`` enter in a thinning branch (one draw)."""
         accepted = stochastic_round(rng, arrivals * n / self.total_weight)
@@ -146,7 +151,9 @@ def rtbs_step(
     A pure function of its arguments, with exactly the float operations
     :class:`RTBS` performs on its latent sample, so a driver that mirrors
     a shard's ``W``, ``C`` and clock with it plans the shard's batches
-    from the same numbers the shard itself holds. It goes through
+    from the same numbers the shard itself holds, and D-R-TBS
+    (:class:`~repro.distributed.drtbs.DistributedRTBS`) steps its master's
+    ``W`` and ``C`` with it. It goes through
     Algorithm 2's four branches: unsaturated, undershoot, classic
     saturated and the post-reshard underfull state.
     """
@@ -457,10 +464,10 @@ class RTBS(Sampler):
             # target (by its own weight — identical to decaying by W on
             # invariant states, where C == W bit for bit), then every
             # arriving item enters as a full item.
-            if step.target > _WEIGHT_EPSILON:
-                self._latent = downsample(self._latent, step.target, self._rng)
-            else:
+            if step.empties:
                 self._latent = self._emptied()
+            else:
+                self._latent = downsample(self._latent, step.target, self._rng)
             self._latent = self._latent.with_appended_full(rows, timestamp=self._time)
         if self._latent.weight > self.n:
             # Overshoot: one extra round of downsampling brings the weight to n.

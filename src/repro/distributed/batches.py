@@ -10,17 +10,23 @@ are supported:
   lazily as ``(batch_id, partition, position)`` tuples when selected for
   insertion. This lets the performance experiments simulate batches of 10^7
   to 10^10 items without allocating them.
+
+:class:`DistributedSampler` is the batch plumbing the distributed samplers
+share: arrival times, list-to-batch coercion, the virtual/materialized mode
+check and the per-batch runtime log.
 """
 
 from __future__ import annotations
 
-from typing import Any, Sequence
+from typing import Any, Iterable, Sequence
 
 import numpy as np
 
+from repro.core.base import validate_batch_time
 from repro.core.random_utils import ensure_rng
+from repro.distributed.cluster import SimulatedCluster
 
-__all__ = ["DistributedBatch"]
+__all__ = ["DistributedBatch", "DistributedSampler"]
 
 
 class DistributedBatch:
@@ -87,6 +93,13 @@ class DistributedBatch:
     def __len__(self) -> int:
         return sum(self.partition_sizes)
 
+    def worker_sizes(self, num_workers: int) -> list[int]:
+        """Items per worker, partition ``p`` living on worker ``p % num_workers``."""
+        per_worker = [0] * num_workers
+        for partition, size in enumerate(self.partition_sizes):
+            per_worker[partition % num_workers] += size
+        return per_worker
+
     def item_at(self, partition: int, position: int) -> Any:
         """The item at a ``(partition, position)`` location (lazy for virtual batches)."""
         size = self.partition_sizes[partition]
@@ -135,3 +148,88 @@ class DistributedBatch:
             for partition in range(self.num_partitions)
             for position in range(self.partition_sizes[partition])
         ]
+
+
+class DistributedSampler:
+    """Batch plumbing of a distributed sampler on a simulated cluster.
+
+    A subclass implements :meth:`_process_batch`, which runs one batch's
+    priced stages on :attr:`cluster`; this class validates arrival times,
+    turns plain item lists into :class:`DistributedBatch` objects, keeps a run
+    from mixing virtual and materialized batches, and records each batch's
+    simulated runtime in :attr:`batch_runtimes`.
+    """
+
+    def __init__(self, cluster: SimulatedCluster) -> None:
+        self.cluster = cluster
+        self.batch_runtimes: list[float] = []
+        # Virtual mode: batches carry no payloads; only counts are tracked.
+        self._virtual_mode = False
+        self._batches_seen = 0
+        self._time = 0.0
+
+    @property
+    def time(self) -> float:
+        """Arrival time of the most recently processed batch."""
+        return self._time
+
+    def process_stream(
+        self,
+        batches: Iterable[DistributedBatch | Sequence[Any]],
+        times: Iterable[float] | None = None,
+    ) -> list[float]:
+        """Ingest a sequence of batches; return the per-batch simulated runtimes.
+
+        Convenience counterpart of
+        :meth:`repro.core.base.Sampler.process_stream`; each batch is
+        processed exactly as by :meth:`process_batch`, with ``times``
+        consumed in lockstep when given.
+        """
+        if times is None:
+            return [self.process_batch(batch) for batch in batches]
+        time_iter = iter(times)
+        runtimes = []
+        for batch in batches:
+            try:
+                time = next(time_iter)
+            except StopIteration:
+                raise ValueError(
+                    "times iterable exhausted before batches; provide one "
+                    "arrival time per batch or omit times entirely"
+                ) from None
+            runtimes.append(self.process_batch(batch, time=time))
+        return runtimes
+
+    def process_batch(
+        self, batch: DistributedBatch | Sequence[Any], time: float | None = None
+    ) -> float:
+        """Process one batch; return the simulated runtime of this batch (seconds).
+
+        ``time`` is the batch's arrival time, as in
+        :meth:`repro.core.base.Sampler.process_batch`: it defaults to the
+        previous time plus one and must be strictly increasing, and decay
+        spans the true gap since the previous batch (the first batch's gap
+        is its distance from time 0). Virtual and materialized batches may
+        not be mixed within one run.
+        """
+        if not isinstance(batch, DistributedBatch):
+            batch = DistributedBatch.from_items(
+                list(batch), self.cluster.num_workers, batch_id=self._batches_seen + 1
+            )
+        if self._batches_seen == 0:
+            self._virtual_mode = not batch.is_materialized
+        elif self._virtual_mode != (not batch.is_materialized):
+            raise ValueError("cannot mix virtual and materialized batches in one run")
+        self._time, elapsed = validate_batch_time(
+            self._time, time, first_batch=self._batches_seen == 0
+        )
+        self._batches_seen += 1
+        start_elapsed = self.cluster.elapsed
+        self._process_batch(batch, elapsed)
+        runtime = self.cluster.elapsed - start_elapsed
+        self.batch_runtimes.append(runtime)
+        return runtime
+
+    def _process_batch(self, batch: DistributedBatch, elapsed: float) -> None:
+        """Run one batch, arriving ``elapsed`` after the previous one, on the cluster."""
+        raise NotImplementedError

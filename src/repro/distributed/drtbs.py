@@ -20,9 +20,18 @@ Four implementation variants from Figure 7 are supported, combining
   decisions — standard *repartition* join (shuffles the whole batch) vs the
   customized co-located join of Figure 6(a).
 
+The master's decisions are core R-TBS's: :func:`~repro.core.rtbs.rtbs_step`
+steps ``(W, C)`` and picks Algorithm 2's branch, and
+:func:`~repro.core.latent.downsample_plan` makes Algorithm 3's decision
+(how many full items go, whether one is promoted to the partial slot), so
+the master's ``W`` and ``C`` follow the single-node
+:class:`~repro.core.rtbs.RTBS` trajectory exactly. Only the item movement
+is distributed.
+
 Batches may be materialized (real items; used by correctness tests) or
 virtual (counts only; used by the Figure 7-9 performance experiments at
-cluster scale). Cost accounting is identical in both modes because it is
+cluster scale). In virtual mode the reservoir holds ``floor(C)`` full items
+by definition. Cost accounting is identical in both modes because it is
 driven by operation counts.
 
 Execution is structured as the engine's plan/apply composition
@@ -37,19 +46,15 @@ partitions touch disjoint buckets, so they need no ordering between them.
 
 from __future__ import annotations
 
-import math
 from enum import Enum
-from typing import Any, Iterable, Sequence
+from typing import Any, Sequence
 
 import numpy as np
 
-from repro.core.base import validate_batch_time
-from repro.core.random_utils import (
-    ensure_rng,
-    multivariate_hypergeometric,
-    stochastic_round,
-)
-from repro.distributed.batches import DistributedBatch
+from repro.core.latent import _floor, _frac, downsample_plan
+from repro.core.random_utils import ensure_rng, multivariate_hypergeometric
+from repro.core.rtbs import SATURATED, rtbs_step
+from repro.distributed.batches import DistributedBatch, DistributedSampler
 from repro.distributed.cluster import SimulatedCluster
 from repro.engine.shards import group_by_destination, merge_samples
 from repro.distributed.reservoirs import (
@@ -59,8 +64,6 @@ from repro.distributed.reservoirs import (
 )
 
 __all__ = ["ReservoirBackend", "DecisionStrategy", "JoinStrategy", "DistributedRTBS"]
-
-_WEIGHT_EPSILON = 1e-12
 
 
 class ReservoirBackend(str, Enum):
@@ -84,21 +87,7 @@ class JoinStrategy(str, Enum):
     CO_LOCATED = "colocated"
 
 
-def _frac(x: float) -> float:
-    f = x - math.floor(x)
-    if f < 1e-9 or f > 1.0 - 1e-9:
-        return 0.0
-    return f
-
-
-def _floor(x: float) -> int:
-    nearest = round(x)
-    if abs(x - nearest) < 1e-9:
-        return int(nearest)
-    return int(math.floor(x))
-
-
-class DistributedRTBS:
+class DistributedRTBS(DistributedSampler):
     """Distributed R-TBS over a simulated cluster.
 
     Parameters
@@ -132,9 +121,9 @@ class DistributedRTBS:
             raise ValueError(f"maximum sample size must be positive, got {n}")
         if lambda_ < 0:
             raise ValueError(f"decay rate must be non-negative, got {lambda_}")
+        super().__init__(cluster)
         self.n = int(n)
         self.lambda_ = float(lambda_)
-        self.cluster = cluster
         self.reservoir_backend = ReservoirBackend(reservoir)
         self.decisions = DecisionStrategy(decisions)
         self.join = JoinStrategy(join)
@@ -151,13 +140,6 @@ class DistributedRTBS:
         self._partial_item: Any | None = None
         self._total_weight = 0.0
         self._sample_weight = 0.0
-        # Virtual mode: batches carry no payloads; only counts are tracked.
-        self._virtual_mode = False
-        self._virtual_full_count = 0
-        self._virtual_has_partial = False
-        self.batch_runtimes: list[float] = []
-        self._batches_seen = 0
-        self._time = 0.0
 
     # ------------------------------------------------------------------
     # queries
@@ -176,15 +158,10 @@ class DistributedRTBS:
     def is_saturated(self) -> bool:
         return self._total_weight >= self.n
 
-    @property
-    def time(self) -> float:
-        """Arrival time of the most recently processed batch."""
-        return self._time
-
     def full_item_count(self) -> int:
         """Number of full items currently in the distributed reservoir."""
         if self._virtual_mode:
-            return self._virtual_full_count
+            return _floor(self._sample_weight)
         return self._reservoir.total_items()
 
     def sample_items(self) -> list[Any]:
@@ -206,167 +183,54 @@ class DistributedRTBS:
         return items
 
     # ------------------------------------------------------------------
-    # batch processing
+    # batch processing (Algorithm 2, distributed execution)
     # ------------------------------------------------------------------
-    def process_stream(
-        self,
-        batches: Iterable[DistributedBatch | Sequence[Any]],
-        times: Iterable[float] | None = None,
-    ) -> list[float]:
-        """Ingest a sequence of batches; return the per-batch simulated runtimes.
-
-        Convenience counterpart of
-        :meth:`repro.core.base.Sampler.process_stream` so the experiment
-        harness can feed whole simulated streams through one uniform
-        bulk-ingest interface; each batch is processed exactly as by
-        :meth:`process_batch`, with ``times`` consumed in lockstep when
-        given. Virtual and materialized batches are both accepted, but may
-        not be mixed within one run.
-        """
-        if times is None:
-            return [self.process_batch(batch) for batch in batches]
-        time_iter = iter(times)
-        runtimes = []
-        for batch in batches:
-            try:
-                time = next(time_iter)
-            except StopIteration:
-                raise ValueError(
-                    "times iterable exhausted before batches; provide one "
-                    "arrival time per batch or omit times entirely"
-                ) from None
-            runtimes.append(self.process_batch(batch, time=time))
-        return runtimes
-
-    def process_batch(
-        self, batch: DistributedBatch | Sequence[Any], time: float | None = None
-    ) -> float:
-        """Process one batch; return the simulated runtime of this batch (seconds).
-
-        ``time`` is the batch's wall-clock arrival time, mirroring
-        :meth:`repro.core.base.Sampler.process_batch`: it defaults to the
-        previous time plus one, must be strictly increasing, and the decay
-        applied to ``W_t`` is ``e^{-lambda * elapsed}`` for the true gap —
-        not a hardcoded one-unit step — so a D-R-TBS trajectory with
-        non-unit gaps matches the single-node :class:`~repro.core.rtbs.RTBS`
-        bookkeeping exactly.
-        """
-        batch = self._coerce_batch(batch)
-        if self._batches_seen == 0:
-            self._virtual_mode = not batch.is_materialized
-        elif self._virtual_mode != (not batch.is_materialized):
-            raise ValueError("cannot mix virtual and materialized batches in one run")
-        elapsed = self._advance_time(time)
-        self._batches_seen += 1
-
-        start_elapsed = self.cluster.elapsed
+    def _process_batch(self, batch: DistributedBatch, elapsed: float) -> None:
+        """One batch of Algorithm 2: :func:`rtbs_step` sets ``W`` and picks the branch."""
         model = self.cluster.cost_model
-        batch_size = len(batch)
-        workers = self.cluster.num_workers
-
         # Stage 1: ingest the batch and aggregate local sizes at the master.
         self.cluster.run_stage(
             "ingest batch & aggregate sizes",
-            worker_times=[model.local(size) for size in self._per_worker(batch)],
+            worker_times=[
+                model.local(size) for size in batch.worker_sizes(self.cluster.num_workers)
+            ],
         )
-
-        decay = math.exp(-self.lambda_ * elapsed)
-        if self._total_weight < self.n:
-            self._process_unsaturated(batch, batch_size, decay)
+        step = rtbs_step(
+            self._total_weight, self._sample_weight, self.n, self.lambda_, elapsed, len(batch)
+        )
+        self._total_weight = step.total_weight
+        if step.thinned:
+            accepted = step.acceptance(self._rng, len(batch), self.n)
+            self._accept(batch, accepted, replace=step.branch == SATURATED)
         else:
-            self._process_saturated(batch, batch_size, decay)
-
-        runtime = self.cluster.elapsed - start_elapsed
-        self.batch_runtimes.append(runtime)
-        return runtime
-
-    # ------------------------------------------------------------------
-    # R-TBS cases (Algorithm 2, distributed execution)
-    # ------------------------------------------------------------------
-    def _process_unsaturated(
-        self, batch: DistributedBatch, batch_size: int, decay: float
-    ) -> None:
-        new_weight = self._total_weight * decay
-        if new_weight > _WEIGHT_EPSILON:
-            self._downsample(new_weight)
-        else:
-            new_weight = 0.0
-            self._clear_sample()
-        self._insert_all(batch)
-        self._total_weight = new_weight + batch_size
-        self._sample_weight = self._sample_weight + batch_size
-        if self._total_weight > self.n:
-            self._downsample(float(self.n))
-
-    def _process_saturated(
-        self, batch: DistributedBatch, batch_size: int, decay: float
-    ) -> None:
-        decayed = self._total_weight * decay
-        self._total_weight = decayed + batch_size
-        if self._total_weight >= self.n:
-            accepted = stochastic_round(
-                self._rng, batch_size * self.n / self._total_weight
-            )
-            accepted = min(accepted, batch_size, self.n)
-            self._replace(batch, accepted)
-            self._sample_weight = float(self.n)
-        else:
-            target = self._total_weight - batch_size
-            if target > _WEIGHT_EPSILON:
-                self._downsample(target)
-            else:
+            accepted = len(batch)
+            if step.empties:
                 self._clear_sample()
+            else:
+                self._downsample(step.target)
             self._insert_all(batch)
-            self._sample_weight = self._sample_weight + batch_size
+        if step.branch != SATURATED:
+            # The accepted items entered as full items, replacing nothing.
+            self._sample_weight += accepted
+        settled = step.settled_weight(accepted, self.n)
+        if settled < self._sample_weight:
+            # Overshoot: one more round of Algorithm 3 brings C down to n.
+            self._downsample(settled)
 
-    # ------------------------------------------------------------------
-    # distributed downsampling (Algorithm 3 with master-held partial item)
-    # ------------------------------------------------------------------
     def _downsample(self, target_weight: float) -> None:
-        current = self._sample_weight
-        if target_weight >= current - 1e-12:
-            self._sample_weight = min(current, target_weight)
+        """Algorithm 3 on the distributed reservoir; the master holds the partial item."""
+        plan = downsample_plan(self._rng, self._sample_weight, target_weight)
+        if plan is None:
             return
-        frac_current = _frac(current)
-        frac_target = _frac(target_weight)
-        floor_current = _floor(current)
-        floor_target = _floor(target_weight)
-        u = self._rng.random()
-
-        deletions = 0
-        if floor_target == 0:
-            # With no partial (frac_current == 0) a full item must become
-            # the partial, even on the draw u == 0.0 (as in core.latent).
-            if frac_current <= 0.0 or u > frac_current / current:
-                self._promote_full_to_partial(drop_old_partial=True)
-                deletions = max(0, floor_current - 1)
-            else:
-                deletions = floor_current
-            self._delete_uniform(deletions)
-        elif floor_target == floor_current:
-            keep_probability = (
-                1.0 - (target_weight / current) * frac_current
-            ) / (1.0 - frac_target) if frac_target < 1.0 else 0.0
-            if u > keep_probability:
-                old_partial = self._take_partial()
-                self._promote_full_to_partial(drop_old_partial=True)
-                self._insert_master_item(old_partial)
-        else:
-            if frac_current > 0 and u <= (target_weight / current) * frac_current:
-                deletions = floor_current - floor_target
-                self._delete_uniform(deletions)
-                old_partial = self._take_partial()
-                self._promote_full_to_partial(drop_old_partial=True)
-                self._insert_master_item(old_partial)
-            else:
-                deletions = floor_current - floor_target - 1
-                self._delete_uniform(deletions)
-                self._promote_full_to_partial(drop_old_partial=True)
-
-        if frac_target == 0.0:
-            self._drop_partial()
+        if plan.promote and plan.promote_first:
+            self._promote(plan.swap)
+        self._delete_uniform(plan.deletions)
+        if plan.promote and not plan.promote_first:
+            self._promote(plan.swap)
+        if not plan.keep_partial:
+            self._partial_item = None
         self._sample_weight = float(target_weight)
-        self._charge_delete_stage(deletions)
+        self._charge_delete_stage(plan.deletions)
 
     # ------------------------------------------------------------------
     # data-movement primitives (materialized + virtual)
@@ -420,111 +284,74 @@ class DistributedRTBS:
 
     def _insert_all(self, batch: DistributedBatch) -> None:
         """Insert every batch item as a full item (unsaturated arrival)."""
-        batch_size = len(batch)
-        if self._virtual_mode:
-            self._virtual_full_count += batch_size
-        else:
+        if not self._virtual_mode:
             planned: dict[int, list[list[Any]]] = {}
             for partition in range(batch.num_partitions):
                 self._plan_piece_inserts(
                     planned, partition, batch.partition_items(partition)
                 )
             self._engine_apply_inserts(planned)
-        self._charge_insert_stage(batch_size, full_batch=True)
+        self._charge_insert_stage(len(batch), full_batch=True)
 
-    def _replace(self, batch: DistributedBatch, accepted: int) -> None:
-        """Saturated case: ``accepted`` batch items replace random reservoir victims."""
-        batch_size = len(batch)
-        if accepted > 0:
-            if self._virtual_mode:
-                self._virtual_full_count = min(self.n, self._virtual_full_count)
-            else:
-                counts = multivariate_hypergeometric(
-                    self._rng, self._reservoir.partition_sizes(), min(accepted, len(self._reservoir))
+    def _accept(self, batch: DistributedBatch, accepted: int, replace: bool) -> None:
+        """Thinned arrival: ``accepted`` random batch items enter as full items.
+
+        With ``replace`` (the classic saturated step) each one overwrites a
+        uniformly random reservoir victim; otherwise they add to the
+        reservoir.
+        """
+        victims = accepted if replace else 0
+        if accepted > 0 and not self._virtual_mode:
+            self._delete_uniform(victims)
+            insert_counts = multivariate_hypergeometric(
+                self._rng, batch.partition_sizes, accepted
+            )
+            planned: dict[int, list[list[Any]]] = {}
+            for partition, count in enumerate(insert_counts):
+                # Interleave position draws and destination planning per
+                # partition — the exact draw order of the pre-engine
+                # implementation (the KV placement stream is the master
+                # RNG, so the interleaving is observable).
+                positions = batch.sample_positions(partition, count, self._rng)
+                self._plan_piece_inserts(
+                    planned, partition, batch.take(partition, positions)
                 )
-                self._engine_apply_deletes(
-                    self._reservoir.plan_deletes(counts, self._rng)
-                )
-                insert_counts = multivariate_hypergeometric(
-                    self._rng, batch.partition_sizes, accepted
-                )
-                planned: dict[int, list[list[Any]]] = {}
-                for partition, count in enumerate(insert_counts):
-                    # Interleave position draws and destination planning per
-                    # partition — the exact draw order of the pre-engine
-                    # implementation (the KV placement stream is the master
-                    # RNG, so the interleaving is observable).
-                    positions = batch.sample_positions(partition, count, self._rng)
-                    self._plan_piece_inserts(
-                        planned, partition, batch.take(partition, positions)
-                    )
-                self._engine_apply_inserts(planned)
-        self._charge_plan_stage(accepted, accepted)
-        self._charge_retrieve_stage(batch_size, accepted)
-        self._charge_delete_stage(accepted)
+            self._engine_apply_inserts(planned)
+        self._charge_plan_stage(accepted, victims)
+        self._charge_retrieve_stage(len(batch), accepted)
+        self._charge_delete_stage(victims)
         self._charge_insert_stage(accepted, full_batch=False)
 
     def _delete_uniform(self, count: int) -> None:
         """Delete ``count`` uniformly random full items from the reservoir."""
-        if count <= 0:
-            return
-        if self._virtual_mode:
-            self._virtual_full_count = max(0, self._virtual_full_count - count)
+        if count <= 0 or self._virtual_mode:
             return
         sizes = self._reservoir.partition_sizes()
         count = min(count, sum(sizes))
         counts = multivariate_hypergeometric(self._rng, sizes, count)
         self._engine_apply_deletes(self._reservoir.plan_deletes(counts, self._rng))
 
-    def _promote_full_to_partial(self, drop_old_partial: bool) -> None:
-        """Remove one uniformly random full item and make it the master's partial item."""
-        if drop_old_partial:
-            self._partial_item = None
-            self._virtual_has_partial = False
-        if self._virtual_mode:
-            if self._virtual_full_count > 0:
-                self._virtual_full_count -= 1
-                self._virtual_has_partial = True
-            return
+    def _promote(self, swap: bool) -> None:
+        """``Swap1``/``Move1``: a uniformly random full item becomes the partial item.
+
+        Under ``Swap1`` (``swap``) the old partial item rejoins the reservoir
+        as a full item, in a uniformly random partition; under ``Move1`` it
+        is dropped. A virtual reservoir stores no items, so there is nothing
+        to move.
+        """
+        old_partial, self._partial_item = self._partial_item, None
         sizes = self._reservoir.partition_sizes()
-        total = sum(sizes)
-        if total == 0:
-            return
-        counts = multivariate_hypergeometric(self._rng, sizes, 1)
-        removed = self._reservoir.delete_per_partition(counts, self._rng)
-        if removed:
-            self._partial_item = removed[0]
-
-    def _take_partial(self) -> Any | None:
-        item = self._partial_item
-        self._partial_item = None
-        had = self._virtual_has_partial
-        self._virtual_has_partial = False
-        if self._virtual_mode:
-            return "virtual-partial" if had else None
-        return item
-
-    def _drop_partial(self) -> None:
-        self._partial_item = None
-        self._virtual_has_partial = False
-
-    def _insert_master_item(self, item: Any | None) -> None:
-        """Insert a single master-held item back into the reservoir as a full item."""
-        if item is None:
-            return
-        if self._virtual_mode:
-            self._virtual_full_count += 1
-            return
-        partition = int(self._rng.integers(self.cluster.num_workers))
-        self._reservoir.insert([item], partition)
+        if sum(sizes):
+            counts = multivariate_hypergeometric(self._rng, sizes, 1)
+            self._partial_item = self._reservoir.delete_per_partition(counts, self._rng)[0]
+        if swap and old_partial is not None:
+            partition = int(self._rng.integers(self.cluster.num_workers))
+            self._reservoir.insert([old_partial], partition)
 
     def _clear_sample(self) -> None:
         self._partial_item = None
-        self._virtual_has_partial = False
         self._sample_weight = 0.0
-        if self._virtual_mode:
-            self._virtual_full_count = 0
-        else:
+        if not self._virtual_mode:
             self._reservoir = self._make_reservoir()
 
     # ------------------------------------------------------------------
@@ -563,7 +390,7 @@ class DistributedRTBS:
         workers = self.cluster.num_workers
         # Victim selection touches the local reservoir partition regardless of
         # the storage backend; the backend determines how deletes are applied.
-        scan = model.local(self._reservoir_size_estimate() / workers)
+        scan = model.local(self.full_item_count() / workers)
         if self.reservoir_backend is ReservoirBackend.KEY_VALUE:
             worker = scan + model.kv(deletes / workers)
         else:
@@ -585,24 +412,6 @@ class DistributedRTBS:
     # ------------------------------------------------------------------
     # helpers
     # ------------------------------------------------------------------
-    def _advance_time(self, time: float | None) -> float:
-        """Validate and apply a batch-arrival time; return the elapsed gap.
-
-        Same contract as :meth:`repro.core.base.Sampler._advance_time`: the
-        clock starts at 0, times are strictly increasing, and the first
-        batch's elapsed time is its full distance from the origin.
-        """
-        self._time, elapsed = validate_batch_time(
-            self._time, time, first_batch=self._batches_seen == 0
-        )
-        return elapsed
-
-    def _reservoir_size_estimate(self) -> int:
-        """Current number of full reservoir items (works in both modes)."""
-        if self._virtual_mode:
-            return self._virtual_full_count
-        return self._reservoir.total_items()
-
     def _make_reservoir(self) -> DistributedReservoir:
         if self.reservoir_backend is ReservoirBackend.KEY_VALUE:
             return KeyValueStoreReservoir(self.cluster.num_workers, rng=self._rng)
@@ -611,17 +420,3 @@ class DistributedRTBS:
     def _target_partition(self, batch_partition: int) -> int:
         """Reservoir partition receiving items from the given batch partition."""
         return batch_partition % self.cluster.num_workers
-
-    def _coerce_batch(self, batch: DistributedBatch | Sequence[Any]) -> DistributedBatch:
-        if isinstance(batch, DistributedBatch):
-            return batch
-        return DistributedBatch.from_items(
-            list(batch), self.cluster.num_workers, batch_id=self._batches_seen + 1
-        )
-
-    def _per_worker(self, batch: DistributedBatch) -> list[int]:
-        """Map batch partitions onto workers and return per-worker item counts."""
-        per_worker = [0] * self.cluster.num_workers
-        for partition, size in enumerate(batch.partition_sizes):
-            per_worker[partition % self.cluster.num_workers] += size
-        return per_worker

@@ -21,20 +21,19 @@ on its own worker's state.
 from __future__ import annotations
 
 import math
-from typing import Any, Iterable, Sequence
+from typing import Any
 
 import numpy as np
 
 from repro.core.arrays import as_item_array, concat_items, empty_item_array
-from repro.core.base import validate_batch_time
 from repro.core.random_utils import binomial, ensure_rng, spawn_rngs
-from repro.distributed.batches import DistributedBatch
+from repro.distributed.batches import DistributedBatch, DistributedSampler
 from repro.distributed.cluster import SimulatedCluster
 
 __all__ = ["DistributedTTBS"]
 
 
-class DistributedTTBS:
+class DistributedTTBS(DistributedSampler):
     """Distributed targeted-size time-biased sampler over a simulated cluster."""
 
     def __init__(
@@ -59,10 +58,10 @@ class DistributedTTBS:
             )
         if mean_batch_size <= 0:
             raise ValueError(f"mean batch size must be positive, got {mean_batch_size}")
+        super().__init__(cluster)
         self.n = int(n)
         self.lambda_ = float(lambda_)
         self.mean_batch_size = float(mean_batch_size)
-        self.cluster = cluster
         self.retention_probability = math.exp(-lambda_)
         self.acceptance_probability = min(
             1.0, n * (1.0 - self.retention_probability) / mean_batch_size
@@ -73,10 +72,6 @@ class DistributedTTBS:
             empty_item_array() for _ in range(cluster.num_workers)
         ]
         self._virtual_counts: list[int] = [0] * cluster.num_workers
-        self._virtual_mode = False
-        self._batches_seen = 0
-        self._time = 0.0
-        self.batch_runtimes: list[float] = []
 
     # ------------------------------------------------------------------
     # queries
@@ -93,67 +88,20 @@ class DistributedTTBS:
             return sum(self._virtual_counts)
         return sum(len(p) for p in self._partitions)
 
-    @property
-    def time(self) -> float:
-        """Arrival time of the most recently processed batch."""
-        return self._time
-
     # ------------------------------------------------------------------
     # processing
     # ------------------------------------------------------------------
-    def process_stream(
-        self,
-        batches: Iterable[DistributedBatch | Sequence[Any]],
-        times: Iterable[float] | None = None,
-    ) -> list[float]:
-        """Ingest a sequence of batches; return the per-batch simulated runtimes.
+    def _process_batch(self, batch: DistributedBatch, elapsed: float) -> None:
+        """One batch as a single priced stage of per-worker thinning.
 
-        Convenience counterpart of
-        :meth:`repro.core.base.Sampler.process_stream`; each batch is
-        processed exactly as by :meth:`process_batch`, with ``times``
-        consumed in lockstep when given.
-        """
-        if times is None:
-            return [self.process_batch(batch) for batch in batches]
-        time_iter = iter(times)
-        runtimes = []
-        for batch in batches:
-            try:
-                time = next(time_iter)
-            except StopIteration:
-                raise ValueError(
-                    "times iterable exhausted before batches; provide one "
-                    "arrival time per batch or omit times entirely"
-                ) from None
-            runtimes.append(self.process_batch(batch, time=time))
-        return runtimes
-
-    def process_batch(
-        self, batch: DistributedBatch | Sequence[Any], time: float | None = None
-    ) -> float:
-        """Process one batch; return the simulated runtime of this batch (seconds).
-
-        ``time`` mirrors :meth:`repro.core.base.Sampler.process_batch`:
-        retention over a non-unit gap is ``e^{-lambda * elapsed}`` — the
-        same per-item survival probability the single-node
+        Retention over a gap is ``e^{-lambda * elapsed}`` — the same
+        per-item survival probability the single-node
         :class:`~repro.core.ttbs.TTBS` applies — while the acceptance
         probability ``q`` stays the per-arrival constant of Algorithm 1.
         """
-        if not isinstance(batch, DistributedBatch):
-            batch = DistributedBatch.from_items(
-                list(batch), self.cluster.num_workers, batch_id=self._batches_seen + 1
-            )
-        if self._batches_seen == 0:
-            self._virtual_mode = not batch.is_materialized
-        elif self._virtual_mode != (not batch.is_materialized):
-            raise ValueError("cannot mix virtual and materialized batches in one run")
-        elapsed = self._advance_time(time)
-        self._batches_seen += 1
         retention = math.exp(-self.lambda_ * elapsed)
-
-        start_elapsed = self.cluster.elapsed
         model = self.cluster.cost_model
-        per_worker_batch = self._per_worker_sizes(batch)
+        per_worker_batch = batch.worker_sizes(self.cluster.num_workers)
         worker_times = []
         for worker in range(self.cluster.num_workers):
             if self._virtual_mode:
@@ -170,29 +118,10 @@ class DistributedTTBS:
             description="local downsample and union",
             costs=worker_times,
         )
-        runtime = self.cluster.elapsed - start_elapsed
-        self.batch_runtimes.append(runtime)
-        return runtime
 
     # ------------------------------------------------------------------
     # internals
     # ------------------------------------------------------------------
-    def _advance_time(self, time: float | None) -> float:
-        """Validate and apply a batch-arrival time; return the elapsed gap.
-
-        Same contract as :meth:`repro.core.base.Sampler._advance_time`.
-        """
-        self._time, elapsed = validate_batch_time(
-            self._time, time, first_batch=self._batches_seen == 0
-        )
-        return elapsed
-
-    def _per_worker_sizes(self, batch: DistributedBatch) -> list[int]:
-        per_worker = [0] * self.cluster.num_workers
-        for partition, size in enumerate(batch.partition_sizes):
-            per_worker[partition % self.cluster.num_workers] += size
-        return per_worker
-
     def _update_worker(self, worker: int, batch: DistributedBatch, retention: float) -> None:
         rng = self._worker_rngs[worker]
         batch_partitions = [

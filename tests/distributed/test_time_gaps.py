@@ -6,6 +6,12 @@ applied the wrong decay. These tests pin the corrected contract: with
 explicit arrival times, the D-R-TBS ``W_t``/``C_t`` trajectory matches the
 single-node R-TBS bookkeeping exactly, and D-T-TBS retention uses the
 per-gap survival probability.
+
+D-R-TBS steps ``(W, C)`` with the same :func:`~repro.core.rtbs.rtbs_step`
+and decides Algorithm 3 with the same
+:func:`~repro.core.latent.downsample_plan` as :class:`RTBS`, so the
+agreement is exact float equality, full-item counts included, also at the
+tolerance edges (``lambda`` near 0, a ``C`` left just above ``n``).
 """
 
 from __future__ import annotations
@@ -15,7 +21,8 @@ import math
 import numpy as np
 import pytest
 
-from repro.core.rtbs import RTBS
+from repro.core.rtbs import RTBS, UNDERFULL, rtbs_step
+from repro.distributed.batches import DistributedBatch
 from repro.distributed.cluster import SimulatedCluster
 from repro.distributed.drtbs import DistributedRTBS
 from repro.distributed.dttbs import DistributedTTBS
@@ -48,12 +55,8 @@ class TestDistributedRTBSTimeGaps:
         for batch, time in zip(_batches(sizes), times):
             serial.process_batch(batch, time=time)
             distributed.process_batch(batch, time=time)
-            assert distributed.total_weight == pytest.approx(
-                serial.total_weight, rel=1e-12, abs=1e-12
-            )
-            assert distributed.sample_weight == pytest.approx(
-                serial.sample_weight, rel=1e-12, abs=1e-12
-            )
+            assert distributed.total_weight == serial.total_weight
+            assert distributed.sample_weight == serial.sample_weight
             assert distributed.is_saturated == serial.is_saturated
             assert distributed.time == serial.time
 
@@ -104,6 +107,64 @@ class TestDistributedRTBSTimeGaps:
         )
         with pytest.raises(ValueError, match="first batch time"):
             fresh.process_batch([1], time=-1.0)
+
+
+def _assert_same_kernel_state(distributed: DistributedRTBS, serial: RTBS, label: str) -> None:
+    assert distributed.total_weight == serial.total_weight, label
+    assert distributed.sample_weight == serial.sample_weight, label
+    assert distributed.full_item_count() == serial.latent.full_count, label
+
+
+def _lockstep(n, lambda_, sizes, times, materialized, seed=0):
+    """Feed the same batches and times to RTBS and D-R-TBS, comparing after each."""
+    workers = 3
+    serial = RTBS(n=n, lambda_=lambda_, rng=seed)
+    distributed = DistributedRTBS(
+        n=n, lambda_=lambda_, cluster=SimulatedCluster(num_workers=workers), rng=seed
+    )
+    for index, (batch, time) in enumerate(zip(_batches(sizes), times)):
+        serial.process_batch(batch, time=time)
+        if not materialized:
+            batch = DistributedBatch.virtual(len(batch), workers, batch_id=index + 1)
+        distributed.process_batch(batch, time=time)
+        _assert_same_kernel_state(
+            distributed, serial, f"n={n} lambda={lambda_} seed={seed} batch={index}"
+        )
+    return serial, distributed
+
+
+class TestDistributedRTBSKernelAgreement:
+    @pytest.mark.parametrize("materialized", [True, False], ids=["materialized", "virtual"])
+    @pytest.mark.parametrize("lambda_", [0.0, 1e-11, 0.01, 0.25, 1.0, 3.0])
+    def test_seed_sweep_matches_rtbs_exactly(self, lambda_, materialized):
+        """W, C and the full-item count equal RTBS's after every batch."""
+        for seed in range(50):
+            rng = np.random.default_rng(seed)
+            n = int(rng.integers(1, 401))
+            sizes = [int(size) for size in rng.integers(0, 61, size=40)]
+            times = np.cumsum(rng.uniform(0.25, 7.0, size=40)).tolist()
+            _lockstep(n, lambda_, sizes, times, materialized, seed=seed)
+
+    @pytest.mark.parametrize("materialized", [True, False], ids=["materialized", "virtual"])
+    def test_weight_left_just_above_n_takes_the_underfull_branch(self, materialized):
+        """The overshoot's 1e-9 snap leaves C = 20.0000000005 > n = 20.
+
+        RTBS keeps that weight and steps the next batch through UNDERFULL:
+        its arrivals enter without victims, and the sample then downsamples
+        to n. D-R-TBS must hold the same C, not snap it to n.
+        """
+        second = 1.0 + math.log(19 / 18.0000000005)
+        serial, distributed = _lockstep(20, 1.0, [19, 2], [1.0, second], materialized)
+        assert serial.sample_weight > 20
+        step = rtbs_step(serial.total_weight, serial.sample_weight, 20, 1.0, 0.01, 5)
+        assert step.branch == UNDERFULL
+        third = list(range(21, 26))
+        serial.process_batch(third, time=second + 0.01)
+        if not materialized:
+            third = DistributedBatch.virtual(5, 3, batch_id=3)
+        distributed.process_batch(third, time=second + 0.01)
+        _assert_same_kernel_state(distributed, serial, "batch 3")
+        assert distributed.sample_weight == 20.0
 
 
 class TestDistributedTTBSTimeGaps:
