@@ -471,9 +471,9 @@ def test_service_wal_durability_operating_point(throughput, tmp_path):
     durable.ingest(_large_batches(_SERVICE_WARMUP))
     wal_latency = float("inf")
     for _ in range(rounds):
-        # Checkpointing truncates the log and recycles its segment, so
-        # each round times steady-state logging over warm pages — the
-        # regime a periodically-checkpointed deployment actually runs in.
+        # Each checkpoint starts a fresh log segment, so every round times
+        # logging from the same short log — the regime a periodically
+        # checkpointed deployment actually runs in.
         durable.checkpoint()
         begin = time.perf_counter()
         durable.ingest(timed)
@@ -539,9 +539,9 @@ def test_service_replicated_durability_operating_point(throughput, tmp_path):
         service.flush()
         best = float("inf")
         for _ in range(rounds):
-            # Checkpoint between rounds so each times steady-state logging
-            # over recycled pages; replicated, the checkpoint also retakes
-            # the standby's base, outside the timed region.
+            # Checkpoint between rounds so each times logging into a fresh
+            # segment; replicated, the checkpoint also retakes the standby's
+            # base, outside the timed region.
             service.checkpoint()
             begin = time.perf_counter()
             service.ingest(timed)

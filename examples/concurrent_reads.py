@@ -15,8 +15,8 @@ ingest pipeline:
 3. the final state is bit-identical to a same-seed run with no readers at
    all: reads never create shards, never draw randomness, never touch the
    stream (contract rule ``pure-read``, CONTRACTS.md section 7);
-4. a checkpoint is serialized *from a snapshot cut* mid-stream and restores
-   exactly.
+4. ``checkpoint(directory)`` serializes a classic directory checkpoint
+   *from a snapshot cut* mid-stream, and it restores exactly.
 
 Run with:  python examples/concurrent_reads.py
 """
@@ -29,7 +29,7 @@ import threading
 import numpy as np
 
 from repro import RTBS, SamplerService
-from repro.service import load_service_delta
+from repro.service import load_checkpoint
 
 NUM_SHARDS = 4
 SHARD_CAPACITY = 500
@@ -116,7 +116,8 @@ def checkpoint_from_a_cut() -> None:
         service.checkpoint(tmp)  # serialized from a cut — no drain barrier
         service.ingest(stream[NUM_BATCHES // 2 :], window=4)
 
-        state, watermark = load_service_delta(tmp)
+        state = load_checkpoint(tmp)
+        watermark = state["batches_seen"] - 1
         restored = SamplerService.from_state_dict(
             state, lambda rng: RTBS(n=SHARD_CAPACITY, lambda_=LAMBDA, rng=rng)
         )

@@ -4,10 +4,11 @@ Plain checkpoints (see ``service_checkpointing.py``) are exact but cost
 O(sample) per snapshot, so a production stream takes them sparingly — and a
 crash between checkpoints silently loses every batch since the last one.
 Passing ``wal_dir=`` closes that gap: every batch is appended to a
-CRC-framed, per-shard write-ahead log *before* it is dispatched, so recovery
-is "last delta checkpoint + replay of the log tail" and lands bit-identical
-to a run that never crashed, even for batches a crashed worker never
-acknowledged.
+CRC-framed write-ahead log *before* it is dispatched. The WAL directory
+holds one file, ``batches.wal``, and each checkpoint starts it afresh with
+the checkpoint as its first record, so recovery is "the log's checkpoint +
+replay of the batches behind it" and lands bit-identical to a run that
+never crashed, even for batches a crashed worker never acknowledged.
 
 This example streams sensor readings into a WAL-enabled 4-shard service,
 checkpoints once mid-stream, keeps ingesting, then hard-"crashes" (the
@@ -75,7 +76,7 @@ def main() -> None:
             make_sampler, num_shards=NUM_SHARDS, rng=42, wal_dir=wal_dir
         )
         live.ingest(sensor_batches(CHECKPOINT_AT))
-        live.checkpoint()  # delta checkpoint; the logs truncate behind it
+        live.checkpoint()  # a fresh log whose first record is this checkpoint
         live.ingest(
             sensor_batches(CRASH_AFTER - CHECKPOINT_AT, start=CHECKPOINT_AT * BATCH_SIZE)
         )

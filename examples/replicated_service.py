@@ -78,7 +78,7 @@ def main() -> None:
         )
 
         service.ingest(sensor_batches(CHECKPOINT_AFTER))
-        # The checkpoint truncates the log and moves the standby's base up
+        # The checkpoint starts a fresh log and moves the standby's base up
         # to its own cut: a promotion from here replays only what follows.
         service.checkpoint()
         service.ingest(

@@ -2,8 +2,8 @@
 
 Scenario: a fleet of sensors streams readings keyed by sensor id. We run a
 4-shard :class:`repro.service.SamplerService` with one R-TBS sampler per
-shard, checkpoint it mid-stream to a plain directory (JSON manifest + npz
-arrays — no pickle), "crash", restore in a fresh service object, and verify
+shard, checkpoint it mid-stream to a plain directory (a JSON manifest plus
+an uncompressed npz archive — no pickle), "crash", restore in a fresh service object, and verify
 the recovered trajectory is bit-identical to a run that never crashed.
 
 Run with:

@@ -43,13 +43,12 @@ __all__ = [
 #: backwards-incompatible changes to the snapshot layout.
 STATE_FORMAT_VERSION = 1
 
-#: Version tag embedded in every on-disk checkpoint manifest (classic
-#: directory checkpoints and delta-checkpoint MANIFESTs alike). Distinct
+#: Version tag embedded in every directory checkpoint's manifest. Distinct
 #: from :data:`STATE_FORMAT_VERSION`, which versions the *in-memory*
 #: snapshot mapping: the manifest version covers the directory layout —
-#: file naming, the manifest's own keys, the delta structure. A build
-#: reads only the version it writes; a manifest without the field (the
-#: pre-durability version 1) or with any other value is refused.
+#: file naming and the manifest's own keys. A build reads only the version
+#: it writes; a manifest without the field (the pre-durability version 1)
+#: or with any other value is refused.
 CHECKPOINT_MANIFEST_VERSION = 2
 
 

@@ -18,11 +18,12 @@ a long-running service:
 * :mod:`repro.service.checkpoint` — pickle-free directory checkpoints
   (JSON manifest + npz arrays) with exact, bit-identical restore of every
   sampler trajectory; damaged checkpoints raise :class:`CheckpointError`
-  naming the bad file. Delta checkpoints (:func:`save_service_delta`)
-  rewrite only the shards that changed since the last save;
+  naming the bad file. A WAL's paired checkpoint
+  (:func:`save_service_delta`) encodes the same tree as one log record;
 * :mod:`repro.service.wal` — the durability layer: a write-ahead log
   (``wal_dir=`` on the service) records every batch, as one record, before
-  dispatch, delta checkpoints truncate it at their watermark, and
+  dispatch, each paired checkpoint starts a fresh log as its first record,
+  and
   :func:`recover_service` rebuilds a crashed service bit-identically —
   last checkpoint plus log replay, on any executor backend;
 * :mod:`repro.service.replication` — warm-standby replicas over the same

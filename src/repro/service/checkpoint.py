@@ -6,7 +6,7 @@ A checkpoint is a directory with two files:
   every NumPy array replaced by a tagged reference, plus the name of the
   array archive it belongs to;
 * ``arrays-<token>.npz`` — the referenced numeric arrays, stored losslessly
-  in NumPy's native format under a unique name per save.
+  (and uncompressed) in NumPy's native format under a unique name per save.
 
 Saving into a directory that already holds a checkpoint is crash-safe: the
 new array archive is written under a fresh name first, then the manifest is
@@ -26,13 +26,18 @@ writing a checkpoint that cannot be restored.
 
 JSON floats round-trip exactly (``repr``-based shortest representation), so
 ``W_t``/``C_t`` bookkeeping and RNG states restore bit for bit.
+
+A WAL-enabled service's *paired* checkpoint uses the same tree encoding in
+a single file: it is the base record at the head of the service's log
+(:func:`save_service_delta`, :func:`load_service_delta`; see
+:mod:`repro.service.wal`).
 """
 
 from __future__ import annotations
 
 import json
 import os
-import shutil
+import struct
 import tempfile
 import zipfile
 import zlib
@@ -41,7 +46,14 @@ from typing import Any
 import numpy as np
 
 from repro.core.base import CHECKPOINT_MANIFEST_VERSION
-from repro.service.wal import _fault
+from repro.service.wal import (
+    _LOG_NAME,
+    WALError,
+    WriteAheadLog,
+    _decode_payload,
+    _encode_payload,
+    read_log_records,
+)
 
 __all__ = [
     "CheckpointError",
@@ -138,18 +150,7 @@ def _decode(node: Any, arrays: Any) -> Any:
     return node
 
 
-def _fsync_directory(directory: str | os.PathLike) -> None:
-    """Make ``directory``'s entries (created, renamed files) durable."""
-    fd = os.open(directory, os.O_RDONLY)
-    try:
-        os.fsync(fd)
-    finally:
-        os.close(fd)
-
-
-def save_checkpoint(
-    state: dict[str, Any], directory: str | os.PathLike, fsync: bool = False
-) -> None:
+def save_checkpoint(state: dict[str, Any], directory: str | os.PathLike) -> None:
     """Persist a snapshot mapping (``state_dict()`` output) to ``directory``.
 
     Crash-safe for a single writer overwriting a previous checkpoint in the
@@ -157,9 +158,9 @@ def save_checkpoint(
     the manifest (which names its archive) is swapped in atomically via
     ``os.replace``, and only then are superseded archives garbage-collected.
     Interrupting the save at any point leaves a loadable checkpoint — the
-    old one until the manifest swap, the new one after. That covers a
-    process crash; with ``fsync=True`` it also covers power loss: both
-    files are fsynced before their swaps, and the directory after.
+    old one until the manifest swap, the new one after (a process crash;
+    nothing is fsynced). The arrays are stored uncompressed: a deflated
+    archive is about 3x smaller, but writing it takes about 7x as long.
     """
     os.makedirs(directory, exist_ok=True)
     arrays: dict[str, np.ndarray] = {}
@@ -172,10 +173,7 @@ def save_checkpoint(
         # Write through the open handle: np.savez would append ".npz" to a
         # path that does not already end with it.
         with os.fdopen(fd, "wb") as fh:
-            np.savez_compressed(fh, **arrays)
-            if fsync:
-                fh.flush()
-                os.fsync(fh.fileno())
+            np.savez(fh, **arrays)
         arrays_name = os.path.basename(arrays_tmp)[: -len(".tmp")]
         os.replace(arrays_tmp, os.path.join(directory, arrays_name))
     except BaseException:
@@ -191,13 +189,8 @@ def save_checkpoint(
     fd, manifest_tmp = tempfile.mkstemp(dir=directory, prefix="manifest-", suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            json.dump(manifest, fh, indent=1)
-            if fsync:
-                fh.flush()
-                os.fsync(fh.fileno())
+            json.dump(manifest, fh, separators=(",", ":"))
         os.replace(manifest_tmp, os.path.join(directory, _MANIFEST_NAME))
-        if fsync:
-            _fsync_directory(directory)
     except BaseException:
         if os.path.exists(manifest_tmp):
             os.unlink(manifest_tmp)
@@ -327,20 +320,13 @@ def load_service(
     shard its key hashes to under ``M`` and total weight is conserved (see
     :meth:`~repro.service.service.SamplerService.reshard`).
 
-    Both checkpoint layouts load transparently: the classic monolithic
-    directory written by :func:`save_service`, and the *delta* layout
-    written by :func:`save_service_delta` (one sub-checkpoint per shard,
-    as produced by a WAL-enabled service — note that loading a delta
-    checkpoint alone recovers the service only *up to its watermark*; use
-    :func:`~repro.service.wal.recover_service` to also replay the WAL
-    tail).
+    The paired checkpoint of a WAL directory is not a directory
+    checkpoint: :func:`~repro.service.wal.recover_service` restores it,
+    together with the batches logged behind it.
     """
     from repro.service.service import SamplerService
 
-    if os.path.exists(os.path.join(directory, _DELTA_MANIFEST_NAME)):
-        state, _ = load_service_delta(directory)
-    else:
-        state = load_checkpoint(directory)
+    state = load_checkpoint(directory)
     return SamplerService.from_state_dict(
         state,
         sampler_factory,
@@ -351,199 +337,67 @@ def load_service(
 
 
 # ----------------------------------------------------------------------
-# delta checkpoints (incremental per-shard service snapshots)
+# the paired checkpoint: the base record of a WAL's log
 # ----------------------------------------------------------------------
-_DELTA_MANIFEST_NAME = "MANIFEST.json"
-_DELTA_KIND = "service-delta"
-_SERVICE_PREFIX = "service-"
-_SHARD_PREFIX = "shard-"
-
-
-def _shard_dir_prefix(shard_id: int) -> str:
-    return f"{_SHARD_PREFIX}{int(shard_id):05d}-"
+_BASE = struct.Struct("<QI")  # JSON length, array count
 
 
 def save_service_delta(
     scalar_state: dict[str, Any],
     shard_states: dict[int, dict[str, Any]],
-    directory: str | os.PathLike,
+    wal: WriteAheadLog,
     watermark: int,
-    dirty: set[int] | None = None,
-    fsync: bool = False,
 ) -> None:
-    """Write an incremental service checkpoint, rewriting only dirty shards.
+    """Write a service cut as the paired checkpoint of ``wal``.
 
-    The delta layout keeps one sub-checkpoint directory per active shard
-    (``shard-<id>-<token>/``) plus one for the service's scalar state
-    (``service-<token>/``, always rewritten — it is tiny), all named by a
-    top-level ``MANIFEST.json``. A save rewrites the sub-checkpoints of the
-    shards in ``dirty`` (plus any shard the previous manifest did not know),
-    re-references the rest untouched, and swaps the new manifest in with an
-    atomic ``os.replace`` — the same crash-safety protocol as
-    :func:`save_checkpoint`, extended over a directory tree: a crash at any
-    point leaves the previous delta checkpoint fully loadable. Superseded
-    sub-checkpoints are garbage-collected after the swap.
-
-    ``watermark`` is the global sequence number of the last batch the
-    snapshot includes — the WAL truncation point; ``-1`` for a snapshot
-    taken before any batch. ``dirty=None`` rewrites every shard (a full
-    save in delta clothing).
-
-    ``fsync=True`` (a WAL under the ``"always"`` policy) makes the save
-    durable against power loss before the log is truncated behind it:
-    every rewritten sub-checkpoint's files and directory are fsynced, and
-    the checkpoint directory too, before the manifest swap (the manifest
-    itself is always fsynced), and the directory again after it.
+    The cut — ``scalar_state`` plus each active shard's state, taken at
+    ``watermark``, the global sequence number of the last batch it holds
+    (``-1`` before any batch) — becomes the base record of a fresh log
+    segment (:meth:`~repro.service.wal.WriteAheadLog.truncate`). Its bytes
+    are the tree as compact JSON, every array replaced by a reference
+    exactly as in a directory checkpoint's manifest, followed by the arrays
+    in the log's pickle-free payload encoding.
     """
-    directory = os.fspath(directory)
-    os.makedirs(directory, exist_ok=True)
-    manifest_path = os.path.join(directory, _DELTA_MANIFEST_NAME)
-    previous: dict[str, str] = {}
-    if os.path.exists(manifest_path):
-        try:
-            with open(manifest_path, "r", encoding="utf-8") as fh:
-                old_manifest = json.load(fh)
-            previous = dict(old_manifest.get("shards", {}))
-        except (ValueError, OSError, AttributeError):
-            # A damaged previous manifest cannot tell us which shard dirs
-            # are current, so rewrite everything — correctness over reuse.
-            previous = {}
-    if dirty is None:
-        rewrite = set(shard_states)
-    else:
-        rewrite = {
-            shard_id
-            for shard_id in shard_states
-            if shard_id in dirty or str(shard_id) not in previous
-        }
-
-    shard_dirs: dict[str, str] = {}
-    for shard_id, state in sorted(shard_states.items()):
-        if shard_id in rewrite:
-            shard_dir = tempfile.mkdtemp(
-                dir=directory, prefix=_shard_dir_prefix(shard_id)
-            )
-            save_checkpoint(state, shard_dir, fsync=fsync)
-            _fault(f"ckpt.shard-dir:{shard_id}")
-            shard_dirs[str(shard_id)] = os.path.basename(shard_dir)
-        else:
-            shard_dirs[str(shard_id)] = previous[str(shard_id)]
-
-    service_dir = tempfile.mkdtemp(dir=directory, prefix=_SERVICE_PREFIX)
-    save_checkpoint(scalar_state, service_dir, fsync=fsync)
-    _fault("ckpt.service-dir")
-    if fsync:
-        _fsync_directory(directory)
-
-    manifest = {
-        "manifest_version": CHECKPOINT_MANIFEST_VERSION,
-        "kind": _DELTA_KIND,
-        "watermark": int(watermark),
-        "service": os.path.basename(service_dir),
-        "shards": shard_dirs,
-    }
-    fd, manifest_tmp = tempfile.mkstemp(dir=directory, prefix="MANIFEST-", suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            json.dump(manifest, fh, indent=1)
-            fh.flush()
-            os.fsync(fh.fileno())
-        _fault("ckpt.manifest-swap")
-        os.replace(manifest_tmp, manifest_path)
-        if fsync:
-            _fsync_directory(directory)
-    except BaseException:
-        if os.path.exists(manifest_tmp):
-            os.unlink(manifest_tmp)
-        raise
-
-    # The new manifest is the only live reference; drop every sub-directory
-    # (and stray manifest temp) it does not name. Best effort, like the
-    # classic GC — leftover debris never breaks a load.
-    _fault("ckpt.gc")
-    live = {manifest["service"], *shard_dirs.values()}
-    for name in os.listdir(directory):
-        path = os.path.join(directory, name)
-        if os.path.isdir(path) and (
-            name.startswith(_SERVICE_PREFIX) or name.startswith(_SHARD_PREFIX)
-        ):
-            if name not in live:
-                shutil.rmtree(path, ignore_errors=True)
-        elif name.startswith("MANIFEST-") and name.endswith(".tmp"):
-            try:
-                os.unlink(path)
-            except OSError:
-                pass
+    arrays: dict[str, np.ndarray] = {}
+    tree = _encode(
+        {**scalar_state, "shards": {str(k): v for k, v in sorted(shard_states.items())}},
+        arrays,
+        path="$",
+    )
+    text = json.dumps(tree, separators=(",", ":")).encode("utf-8")
+    chunks: list[bytes | memoryview] = [_BASE.pack(len(text), len(arrays)), text]
+    for array in arrays.values():
+        encoding, payload = _encode_payload(array)
+        chunks += [bytes((encoding,)), *payload]
+    wal.truncate(watermark, chunks, scalar_state["num_shards"])
 
 
-def load_service_delta(directory: str | os.PathLike) -> tuple[dict[str, Any], int]:
-    """Load a delta checkpoint; return ``(service state_dict, watermark)``.
+def load_service_delta(wal_dir: str | os.PathLike) -> tuple[dict[str, Any], int]:
+    """Load the paired checkpoint of a WAL directory: ``(state_dict, watermark)``.
 
-    Every shard sub-checkpoint is probed before anything is raised: a
-    partially-written or partially-copied delta directory reports **all**
-    missing or damaged shard checkpoints in one :class:`CheckpointError`
-    (each with its path and failure), instead of failing on the first
-    absent archive — one error message tells the operator the full extent
-    of the damage.
+    Reads only the log's base record. A directory without a log raises
+    :class:`MissingCheckpointError`; a damaged or undecodable base record
+    raises :class:`~repro.service.wal.WALError` naming the file.
     """
-    directory = os.fspath(directory)
-    manifest_path = os.path.join(directory, _DELTA_MANIFEST_NAME)
-    if not os.path.exists(manifest_path):
-        raise MissingCheckpointError(f"no delta-checkpoint manifest at {manifest_path}")
-    with open(manifest_path, "r", encoding="utf-8") as fh:
-        try:
-            manifest = json.load(fh)
-        except ValueError as error:
-            raise CheckpointError(
-                f"corrupt delta-checkpoint manifest {manifest_path}: not valid "
-                f"JSON ({error}); the checkpoint was truncated or partially "
-                "copied"
-            ) from error
-    if (
-        not isinstance(manifest, dict)
-        or manifest.get("kind") != _DELTA_KIND
-        or "service" not in manifest
-        or "shards" not in manifest
-        or "watermark" not in manifest
-    ):
-        raise CheckpointError(
-            f"corrupt delta-checkpoint manifest {manifest_path}: expected a "
-            f"mapping with kind={_DELTA_KIND!r} and 'service', 'shards', "
-            "'watermark' keys"
-        )
-    _check_manifest_version(manifest, manifest_path)
-
-    problems: list[str] = []
-    scalar_state: dict[str, Any] | None = None
-    service_dir = os.path.join(directory, manifest["service"])
+    path = os.path.join(os.fspath(wal_dir), _LOG_NAME)
+    if not os.path.exists(path):
+        raise MissingCheckpointError(f"no WAL log at {path}")
+    scan = read_log_records(path, strict=True, base_only=True)
+    body = scan.base
+    if body is None:
+        raise WALError(f"{path}: the log holds no base record")
+    where = f"{path}: base record"
     try:
-        scalar_state = load_checkpoint(service_dir)
-    except CheckpointError as error:
-        problems.append(f"service state {service_dir}: {error}")
-
-    shards: dict[str, dict[str, Any]] = {}
-    for shard_id, dirname in sorted(
-        manifest["shards"].items(), key=lambda pair: int(pair[0])
-    ):
-        shard_dir = os.path.join(directory, dirname)
-        try:
-            shards[shard_id] = load_checkpoint(shard_dir)
-        except MissingCheckpointError:
-            problems.append(
-                f"shard {shard_id}: checkpoint {shard_dir} is missing (named "
-                f"by {manifest_path})"
+        text_length, count = _BASE.unpack_from(body, 0)
+        offset = _BASE.size + text_length
+        tree = json.loads(bytes(body[_BASE.size : offset]).decode("utf-8"))
+        arrays: dict[str, np.ndarray] = {}
+        for index in range(count):
+            arrays[f"a{index}"], offset = _decode_payload(
+                body[offset], body, offset + 1, where
             )
-        except CheckpointError as error:
-            problems.append(f"shard {shard_id}: stale or damaged checkpoint — {error}")
-    if problems:
-        details = "\n  - ".join(problems)
-        raise CheckpointError(
-            f"delta checkpoint {directory} is incomplete: "
-            f"{len(problems)} of {len(manifest['shards']) + 1} sub-checkpoints "
-            f"unreadable; the directory is crash debris or a partial copy.\n"
-            f"  - {details}"
-        )
-    assert scalar_state is not None
-    state = dict(scalar_state)
-    state["shards"] = shards
-    return state, int(manifest["watermark"])
+        if offset != len(body):
+            raise ValueError(f"{len(body) - offset} bytes past its {count} arrays")
+        return _decode(tree, arrays), scan.watermark
+    except (ValueError, KeyError, IndexError, TypeError, struct.error) as error:
+        raise WALError(f"{where} is undecodable ({error})") from error

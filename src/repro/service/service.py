@@ -132,7 +132,7 @@ from repro.service.routing import (
     split_by_shard,  # noqa: F401
     split_order,
 )
-from repro.service.wal import WriteAheadLog
+from repro.service.wal import WALError, WriteAheadLog
 
 __all__ = ["SamplerService", "ServiceSnapshot"]
 
@@ -346,12 +346,12 @@ class SamplerService:
     wal_dir:
         Enable durability: every ingested batch is appended to a
         write-ahead log in this directory *before* dispatch, and
-        :meth:`checkpoint` writes delta checkpoints that truncate the log
-        at their watermark. After a crash,
+        :meth:`checkpoint` starts a fresh log whose first record is the
+        checkpoint. After a crash,
         :func:`~repro.service.wal.recover_service` rebuilds the service
         bit-identically from the last checkpoint plus log replay. The
         directory must be empty (or new); a directory holding a previous
-        deployment's logs is refused — recover it instead. A WAL-enabled
+        deployment's log is refused — recover it instead. A WAL-enabled
         service should not share its executor's worker pool with other
         services (the acknowledgement watermark is pool-wide).
     wal_fsync:
@@ -476,12 +476,6 @@ class SamplerService:
         #: The write-ahead log, when durability is enabled (``wal_dir=`` at
         #: construction, or attached by ``recover_service``).
         self._wal: WriteAheadLog | None = None
-        #: Global sequence number of the last batch covered by the paired
-        #: delta checkpoint; everything after it lives only in the WAL.
-        self._wal_watermark: int = -1
-        #: Shards ingested since the last delta checkpoint; cleared only by
-        #: :meth:`checkpoint`.
-        self._ckpt_dirty: set[int] = set()
         #: Warm-standby replication state (config + replica + failure
         #: detector), or ``None`` when replication is off.
         self._replication: ReplicationRuntime | None = None
@@ -756,8 +750,8 @@ class SamplerService:
             durability.update(
                 wal_dir=self._wal.directory,
                 fsync=self._wal.fsync,
-                checkpoint_watermark=self._wal_watermark,
-                replay_lag_batches=self._batches_seen - 1 - self._wal_watermark,
+                checkpoint_watermark=self._wal.watermark,
+                replay_lag_batches=self._batches_seen - 1 - self._wal.watermark,
                 acked_batches=self.acked_batches,
             )
         rt = self._replication
@@ -867,6 +861,12 @@ class SamplerService:
             self._note_phase("split", begin)
         explicit = explicit or self._explicit_keys_used
         if self._wal is not None:
+            if self._wal.num_shards != self.num_shards:
+                raise WALError(
+                    f"the log still holds the {self._wal.num_shards}-shard "
+                    "layout: the checkpoint of a reshard failed; call "
+                    "checkpoint() to install the new layout's log first"
+                )
             begin = self._phase_clock()
             self._wal.append_batch(seq, time, sub_batches, explicit)
             self._note_phase("wal", begin)
@@ -1166,7 +1166,7 @@ class SamplerService:
                 self._wal.flush()
 
     # ------------------------------------------------------------------
-    # durability (write-ahead log + delta checkpoints)
+    # durability (write-ahead log + paired checkpoint)
     # ------------------------------------------------------------------
     @property
     def wal_dir(self) -> str | None:
@@ -1193,59 +1193,48 @@ class SamplerService:
         return self._batches_seen
 
     def checkpoint(self, directory: str | os.PathLike | None = None) -> None:
-        """Write a delta checkpoint, rewriting only shards changed since the last.
+        """Checkpoint the service.
 
-        With no ``directory`` the WAL's paired checkpoint
-        (``<wal_dir>/checkpoint``) is written, after which the log, whose
-        every batch the checkpoint now holds, is emptied — recovery replay
-        is bounded by the data that arrived since this call. An explicit
-        ``directory`` writes a self-contained delta checkpoint elsewhere
-        (every shard rewritten; incremental reuse is only safe against the
-        paired directory's own history) and leaves the WAL untouched.
+        With no ``directory`` the WAL's paired checkpoint is written: the
+        log is replaced by a fresh segment whose first record is the
+        checkpoint, so recovery replay is bounded by the data that arrives
+        after this call. An explicit ``directory`` receives a classic
+        directory checkpoint (:func:`~repro.service.checkpoint.save_service`,
+        restored by :func:`~repro.service.checkpoint.load_service`) and the
+        WAL is left untouched.
 
-        The save serializes from a committed-watermark snapshot cut
+        Both serialize from a committed-watermark snapshot cut
         (:meth:`snapshot` with ``include_state=True``) rather than draining
         the pipeline: shard states are published at the cut's batch
-        boundary while ingest of later batches proceeds underneath. It
-        uses the same atomic-swap protocol as
-        :func:`~repro.service.checkpoint.save_checkpoint` — a crash mid-save
-        leaves the previous checkpoint fully loadable.
+        boundary while ingest of later batches proceeds underneath. Both
+        are atomic: a crash or an I/O error mid-save leaves the previous
+        checkpoint (and its log) as it was.
         """
-        from repro.service.checkpoint import save_service_delta
+        from repro.service.checkpoint import save_service, save_service_delta
 
-        paired = directory is None
-        if paired:
-            if self._wal is None:
-                raise ValueError(
-                    "checkpoint() without a directory writes the WAL's paired "
-                    "checkpoint, but this service has no WAL; pass a directory "
-                    "or construct the service with wal_dir="
-                )
-            directory = self._wal.checkpoint_dir
+        if directory is not None:
+            save_service(self, directory)
+            return
+        if self._wal is None:
+            raise ValueError(
+                "checkpoint() without a directory writes the WAL's paired "
+                "checkpoint, but this service has no WAL; pass a directory "
+                "or construct the service with wal_dir="
+            )
         with self._lock:
             cut = self.snapshot(include_items=False, include_state=True)
             shard_states = {
                 shard_id: cut.views[shard_id].state
                 for shard_id in sorted(cut.views)
             }
-            watermark = cut.watermark
             save_service_delta(
-                self._scalar_state(),
-                shard_states,
-                directory,
-                watermark,
-                dirty=set(self._ckpt_dirty) if paired else None,
-                fsync=self._wal is not None and self._wal.fsync == "always",
+                self._scalar_state(), shard_states, self._wal, cut.watermark
             )
-            if paired:
-                self._ckpt_dirty.clear()
-                self._wal_watermark = watermark
-                if self._replication is not None:
-                    # Truncation drops every frame at or below the
-                    # watermark; promotion replays from the standby's base,
-                    # so the base moves up to this very cut first.
-                    self._replication.replica = ShardReplicaSet.capture(self, cut)
-                self._wal.truncate()
+            if self._replication is not None:
+                # The new segment holds no batch at or below the cut, and
+                # promotion replays from the standby's base: the base moves
+                # up to this very cut.
+                self._replication.replica = ShardReplicaSet.capture(self, cut)
 
     # ------------------------------------------------------------------
     # shard host dispatch
@@ -1300,7 +1289,6 @@ class SamplerService:
             # The window ran in the calling thread, inside another phase.
             self._inline_seconds += seconds
         self._activated.update(counts)
-        self._ckpt_dirty.update(counts)
 
     def _stage_planned(
         self,
@@ -1518,10 +1506,6 @@ class SamplerService:
         self._shards = samplers
         self._activated = set(samplers)
         self._mirrors = None
-        # Every promoted shard must land in the next delta checkpoint: the
-        # paired checkpoint's shard files describe the pre-failover sync
-        # points, and only dirty shards are rewritten.
-        self._ckpt_dirty.update(self._activated)
         rt.failovers += 1
         rt.events.append(
             f"failover {rt.failovers} at batch {committed}: "
@@ -1749,20 +1733,15 @@ class SamplerService:
                     f"active shards are {current.__name__}; a reshard moves "
                     "retained state between samplers of one class"
                 )
-        if self._wal is not None:
-            # Checkpoint + truncate before re-homing: the log's entries are
-            # keyed by the *old* layout's shard ids, so everything in it
-            # must be durable in the checkpoint before the layout changes.
-            self.checkpoint()
         if self._attached:
             # Drain + detach: the driver's samplers become authoritative and
             # the next ingest re-attaches them under the new layout.
             try:
                 self._detach_all_shards()
             except WorkerCrashError as error:
-                # The checkpoint above made its cut the standby's base, so
-                # promotion loses nothing; the reshard proceeds on the
-                # promoted samplers.
+                # The old layout's log still holds every batch beyond the
+                # standby's base, so promotion loses nothing; the reshard
+                # proceeds on the promoted samplers.
                 self._failover(error)
         # Bring every active shard to the service clock so the split sees
         # fully decayed bookkeeping (idle shards decay by their whole gap).
@@ -1803,14 +1782,11 @@ class SamplerService:
         # Cached cuts describe the old layout (shard ids, num_shards).
         self._snapshot_cache = None
         if self._wal is not None:
-            # A fresh, empty log for the new layout, and a checkpoint of the
-            # re-homed state: every shard changed identity, so all are
-            # dirty, and a crash right after this point must recover the
-            # *post*-reshard deployment.
-            self._wal.reset_layout(new_count)
-            self._ckpt_dirty = set(new_shards)
-            # The checkpoint also makes the re-homed state the standby's
-            # base, replacing the old layout's.
+            # One swap replaces the old layout's log (its checkpoint and
+            # every batch since, keyed by the old shard ids) with a log for
+            # the new layout whose base is the re-homed state: a crash on
+            # either side of it recovers a whole deployment. The checkpoint
+            # also makes the re-homed state the standby's base.
             self.checkpoint()
             if self._replication is not None:
                 self._replication.detector.reset()
@@ -1843,10 +1819,9 @@ class SamplerService:
     def _scalar_state(self) -> dict[str, Any]:
         """The service-level half of :meth:`state_dict` (everything but shards).
 
-        Delta checkpoints persist this part on every save (it is tiny) and
-        the per-shard sampler snapshots separately, rewriting only dirty
-        ones. A pure read of driver-side scalars; each active shard's own
-        generator travels in its sampler snapshot.
+        The paired checkpoint takes it next to the cut's per-shard sampler
+        snapshots. A pure read of driver-side scalars; each active shard's
+        own generator travels in its sampler snapshot.
         """
         return {
             "format_version": STATE_FORMAT_VERSION,

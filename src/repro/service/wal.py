@@ -6,7 +6,8 @@ checkpoints would silently lose every batch since the last one. This module
 closes that gap: every batch is appended to an on-disk log *before* it is
 dispatched to the shard samplers, so recovery is
 
-    last delta checkpoint  +  replay of the log tail,
+    the log's base record (the paired checkpoint)  +  replay of the batches
+    behind it,
 
 and by the engine's determinism contract (serial/process backends are
 bit-identical for a fixed seed) the replayed service is bit-identical to an
@@ -15,29 +16,20 @@ uninterrupted run — not merely statistically equivalent.
 Layout of a WAL directory
 -------------------------
 
-::
-
-    wal_dir/
-      batches.wal       one record per ingested batch, in batch order
-      checkpoint/       the paired delta checkpoint (see repro.service.checkpoint)
-
-Each batch is written as one record: the batch's global sequence number,
-arrival time and an explicit-keys flag, then one entry per receiving shard
-holding that shard's routed sub-batch. The record's frame is the commit
-point: a batch whose record is absent or torn (a crash mid-append) never
-committed and is discarded on recovery as if it never arrived, so a
-multi-shard batch can never be half-applied.
-
-Record framing
---------------
-
-The log starts with a 14-byte header (magic, format version, shard count)
-followed by length-prefixed, CRC32-framed records::
+A WAL directory holds one file, ``batches.wal``: a 14-byte header (magic,
+format version, shard count) followed by length-prefixed, CRC32-framed
+records::
 
     <u32 body_length> <u32 crc32(body)> <body>
 
-A body is ``(seq: u64, time: f64, flags: u8, entries: u32)`` followed by
-that many shard entries, each ``(shard_id: u32, arrivals: u64,
+The first record is the *base*: the paired checkpoint, a cut of the whole
+service at a watermark (the sequence number of the last batch it holds).
+Its body is ``(watermark: i64)`` followed by the checkpoint bytes of
+:func:`~repro.service.checkpoint.save_service_delta`. Every later record is
+one ingested batch, in batch order, each beyond the watermark.
+
+A batch record's body is ``(seq: u64, time: f64, flags: u8, entries: u32)``
+followed by that many shard entries, each ``(shard_id: u32, arrivals: u64,
 encoding: u8)`` plus one encoded payload array (raw fixed-width bytes for
 simple dtypes, ``.npy`` for exotic ones, JSON for object arrays — never
 pickle, matching the checkpoint layer's trust model; object payloads
@@ -49,25 +41,29 @@ The all-ones value marks an unplanned entry, which holds the shard's whole
 sub-batch and replays as an ordinary batch. An empty batch is a record with
 no entries. Every field is always present and every payload states its
 length, so a body decodes to exactly its own length or is refused: a record
-cut short and re-framed never passes for a shorter one.
+cut short and re-framed never passes for a shorter one. The record's frame
+is the commit point: a batch whose record is absent or torn (a crash
+mid-append) never committed and is discarded on recovery as if it never
+arrived, so a multi-shard batch can never be half-applied.
 
-A zero-length frame is a *terminator*: the log segment is recycled —
-truncation at a checkpoint rewrites the terminator at the head of the file
-rather than shrinking it, so steady-state appends overwrite the segment's
-warm pages instead of paying the kernel's first-touch cost for fresh ones
-(the same reason production databases recycle redo-log segments). Replay
-stops at the terminator; stale frame bytes beyond it are invisible.
+Checkpoints start a fresh segment
+---------------------------------
+
+A paired checkpoint (:meth:`WriteAheadLog.truncate`) writes
+``batches.wal.tmp`` holding the header and the new base record, fsyncs it,
+``os.replace``\\ s it over ``batches.wal`` and fsyncs the directory. The
+replace is the commit point: a crash before it leaves the old segment (old
+base, every batch since), a crash after it the new one (new base, no
+batches yet). Either recovers to the same committed state.
 
 A *torn tail* — fewer bytes than the last frame promises, the crash artifact
 of an interrupted append — ends replay at the last valid frame and is
-reported, not fatal; the next append overwrites the debris. A CRC mismatch
-on a fully-present frame is *corruption* (bit rot, a partial copy) and
-raises :class:`WALError` naming the file and byte offset; no raw
-``struct``/``json`` error ever escapes this module. A log missing under a
-checkpoint manifest, or one whose header names another shard count while it
-holds records, raises :class:`WALLayoutError` on
-:meth:`WriteAheadLog.attach` instead of silently recovering less than was
-committed.
+reported, not fatal; it is cut off when the log is next opened for
+appending. A CRC mismatch on a fully-present frame is *corruption* (bit rot,
+a partial copy) and raises :class:`WALError` naming the file and byte
+offset; no raw ``struct``/``json`` error ever escapes this module. A log
+whose header names another shard count than its checkpoint restores raises
+:class:`WALLayoutError` on :meth:`WriteAheadLog.attach`.
 
 Fsync policy
 ------------
@@ -77,7 +73,8 @@ Fsync policy
 against process crash; the page cache orders completed writes); ``"none"``
 promises only flush()/checkpoint/close durability — records still reach the
 page cache per append (the writes are unbuffered), but no per-batch ordering
-or fsync work is done on their behalf. See docs/ARCHITECTURE.md.
+or fsync work is done on their behalf. A checkpoint fsyncs its new segment
+and the directory under every policy. See docs/ARCHITECTURE.md.
 """
 
 from __future__ import annotations
@@ -103,15 +100,11 @@ __all__ = [
 _MAGIC = b"REPROWAL"
 #: Format version of the on-disk log encoding: a build reads only the
 #: version it writes, so a log from any other build is refused, not misread.
-WAL_FORMAT_VERSION = 5
+WAL_FORMAT_VERSION = 6
 
 _HEADER = struct.Struct("<8sHI")  # magic, version, num_shards
 _FRAME = struct.Struct("<II")  # body length, crc32(body)
-#: A zero-length frame marks the *logical* end of a recycled log segment:
-#: truncation overwrites in place instead of shrinking the file, so the
-#: file's pages stay allocated (and warm) for the next round of appends.
-#: No real record has a zero-length body, so the marker is unambiguous.
-_ZERO_FRAME = b"\x00" * _FRAME.size
+_WATERMARK = struct.Struct("<q")  # a base record's first field
 _RECORD = struct.Struct("<QdBI")  # seq, time, flags, entry count
 _ENTRY = struct.Struct("<IQB")  # shard id, arrivals, payload encoding
 #: The ``arrivals`` field of an unplanned entry.
@@ -124,14 +117,16 @@ _ENC_JSON = 1  # JSON of .tolist() (object arrays)
 _ENC_NPY = 2  # .npy bytes, allow_pickle=False (structured/exotic dtypes)
 
 _LOG_NAME = "batches.wal"
-_CHECKPOINT_NAME = "checkpoint"
+#: The most buffers one writev(2) takes (IOV_MAX on Linux and macOS).
+_IOV_MAX = 1024
 
 _FSYNC_POLICIES = ("always", "os", "none")
 
 #: Test-only failpoint: when set, called with a site name at every durability
-#: -relevant step (record writes, flushes, fsyncs, truncation writes). The
-#: fault-injection suite installs a hook that kills the process after a
-#: chosen number of calls, giving "crash at any point" coverage.
+#: -relevant step (record writes, flushes, fsyncs, each step of a segment
+#: swap). The fault-injection suite installs a hook that kills the process
+#: (or raises an I/O error) at a chosen call, giving "crash at any point"
+#: coverage.
 _FAULT_HOOK: Callable[[str], None] | None = None
 
 
@@ -150,14 +145,13 @@ class WALError(RuntimeError):
 
 
 class WALLayoutError(WALError):
-    """A WAL directory's log does not match its checkpoint layout.
+    """A WAL log's header does not match the checkpoint it holds.
 
-    Raised by :meth:`WriteAheadLog.attach` when the log is missing (or cut
-    short before its header) under a checkpoint manifest, or when its header
-    names a different ``num_shards`` layout while it holds records — the
-    signatures of a partial copy, a mixed-up directory, or an operator
-    deleting ``*.wal`` files, none of which recovery may paper over
-    silently.
+    Raised by :meth:`WriteAheadLog.attach` when the header names a
+    different ``num_shards`` layout than the one its base record restores.
+    The writer puts both in one file with one atomic swap, so a mismatch is
+    damage (a rewritten header, files mixed between deployments) that
+    recovery may not paper over silently.
     """
 
 
@@ -284,16 +278,13 @@ class LogScan:
     """Everything :func:`read_log_records` learned about one log file."""
 
     num_shards: int
+    #: The base record's watermark (``-1`` without a base).
+    watermark: int = -1
+    #: The base record's checkpoint bytes (``None`` when the log holds no
+    #: complete base record).
+    base: memoryview | None = None
     records: list[LogRecord] = field(default_factory=list)
     torn: TornTail | None = None
-
-
-def _check_version(path: str, version: int) -> None:
-    if version != WAL_FORMAT_VERSION:
-        raise WALError(
-            f"{path}: unsupported WAL format version {version}; "
-            f"this build reads {WAL_FORMAT_VERSION}"
-        )
 
 
 def _decode_record(
@@ -328,8 +319,10 @@ def _decode_record(
     return int(seq), float(time), int(flags), entries
 
 
-def read_log_records(path: str | os.PathLike, strict: bool = False) -> LogScan:
-    """Read every valid record of one log file.
+def read_log_records(
+    path: str | os.PathLike, strict: bool = False, base_only: bool = False
+) -> LogScan:
+    """Read the base record and every valid batch record of one log file.
 
     A torn tail (truncated final frame — the artifact of a crash mid-append)
     ends the scan at the last valid frame and is reported in the returned
@@ -337,11 +330,17 @@ def read_log_records(path: str | os.PathLike, strict: bool = False) -> LogScan:
     naming the file and offset instead. Damage *before* the tail — a CRC
     mismatch on a fully-present frame, a malformed body, out-of-order
     sequence numbers, a bad header — always raises :class:`WALError`. No
-    raw ``struct`` error ever escapes.
+    raw ``struct`` error ever escapes. ``base_only=True`` reads no further
+    than the base record.
     """
     path = os.fspath(path)
     with open(path, "rb") as fh:
-        data = fh.read()
+        if base_only:
+            data = fh.read(_HEADER.size + _FRAME.size)
+            if len(data) == _HEADER.size + _FRAME.size:
+                data += fh.read(_FRAME.unpack_from(data, _HEADER.size)[0])
+        else:
+            data = fh.read()
     if len(data) < _HEADER.size:
         scan = LogScan(num_shards=0)
         scan.torn = TornTail(
@@ -353,7 +352,11 @@ def read_log_records(path: str | os.PathLike, strict: bool = False) -> LogScan:
     magic, version, num_shards = _HEADER.unpack_from(data, 0)
     if magic != _MAGIC:
         raise WALError(f"{path}: not a repro WAL file (bad magic {magic!r})")
-    _check_version(path, version)
+    if version != WAL_FORMAT_VERSION:
+        raise WALError(
+            f"{path}: unsupported WAL format version {version}; "
+            f"this build reads {WAL_FORMAT_VERSION}"
+        )
     scan = LogScan(num_shards=num_shards)
     position = _HEADER.size
     previous_seq = -1
@@ -366,12 +369,6 @@ def read_log_records(path: str | os.PathLike, strict: bool = False) -> LogScan:
             )
             break
         length, crc = _FRAME.unpack_from(data, position)
-        if length == 0:
-            # Recycled-segment terminator: the log logically ends here even
-            # though stale frame bytes (or zero padding) may follow. The crc
-            # field is deliberately not checked — a crash mid-terminator
-            # leaves its tail bytes stale, and either way the log ends.
-            break
         body_start = position + _FRAME.size
         if length > len(data) - body_start:
             scan.torn = TornTail(
@@ -389,6 +386,17 @@ def read_log_records(path: str | os.PathLike, strict: bool = False) -> LogScan:
                 "replica or accept the loss by truncating at this offset"
             )
         where = f"{path} @ offset {position}"
+        end = body_start + length
+        if scan.base is None:
+            if length < _WATERMARK.size:
+                raise WALError(f"{where}: malformed base record ({length} bytes)")
+            (scan.watermark,) = _WATERMARK.unpack_from(body, 0)
+            scan.base = body[_WATERMARK.size :]
+            previous_seq = scan.watermark
+            position = end
+            if base_only:
+                break
+            continue
         seq, time, flags, entries = _decode_record(body, num_shards, where)
         if seq <= previous_seq:
             raise WALError(
@@ -396,7 +404,6 @@ def read_log_records(path: str | os.PathLike, strict: bool = False) -> LogScan:
                 "records are out of order — the log was rewritten inconsistently"
             )
         previous_seq = seq
-        end = body_start + length
         scan.records.append(LogRecord(seq, time, flags, entries, position, end))
         position = end
     if scan.torn is not None and strict:
@@ -409,109 +416,116 @@ def read_log_records(path: str | os.PathLike, strict: bool = False) -> LogScan:
 # ----------------------------------------------------------------------
 # writing
 # ----------------------------------------------------------------------
-def _replace_with_header(path: str, num_shards: int) -> None:
-    """Atomically swap ``path`` for a fresh, empty (header-only) log file."""
-    temporary = path + ".tmp"
-    with open(temporary, "wb") as fh:
-        fh.write(_HEADER.pack(_MAGIC, WAL_FORMAT_VERSION, num_shards))
-        fh.flush()
-        os.fsync(fh.fileno())
-    os.replace(temporary, path)
+def _framed(chunks: Sequence[bytes | memoryview]) -> tuple[list[bytes | memoryview], int]:
+    """One record's buffers (frame header, then ``chunks``) and their byte count.
+
+    The CRC runs over the chunks incrementally, so the payload reaches the
+    page cache with zero userspace copies.
+    """
+    crc = 0
+    length = 0
+    for chunk in chunks:
+        crc = zlib.crc32(chunk, crc)
+        length += len(chunk)
+    return [_FRAME.pack(length, crc), *chunks], _FRAME.size + length
 
 
-def _scan_logical_end(path: str) -> int:
-    """Find the append position of an existing log without decoding bodies.
+def _write_all(fd: int, buffers: Sequence[bytes | memoryview], total: int) -> None:
+    # One writev(2) gathers every buffer in the kernel. Per-chunk buffered
+    # writes measured ~5x slower at the 100k-item operating point — the
+    # write round trips, not the bytes, dominated. writev refuses more than
+    # IOV_MAX buffers (EINVAL), which a record of a few hundred shards
+    # needs, so longer lists go out in IOV_MAX-sized groups.
+    groups = [(buffers, total)]
+    if len(buffers) > _IOV_MAX:
+        groups = [
+            (group, sum(len(buffer) for buffer in group))
+            for group in (
+                buffers[start : start + _IOV_MAX]
+                for start in range(0, len(buffers), _IOV_MAX)
+            )
+        ]
+    for group, size in groups:
+        written = os.writev(fd, group)
+        if written != size:  # pragma: no cover - regular files write fully
+            remainder = memoryview(b"".join(bytes(b) for b in group))[written:]
+            while remainder:
+                remainder = remainder[os.write(fd, remainder) :]
+
+
+def _valid_end(fh: Any) -> int:
+    """The offset just past the last whole frame of an open log.
 
     Walks the frame chain with seeks (bodies are skipped, not read or CRC
     checked — :func:`read_log_records` remains the integrity gate) and stops
-    at the recycled-segment terminator, the end of the file, or the first
-    frame the file is too short to hold (a torn tail; appending there
-    overwrites the debris).
+    at the end of the file or at the first frame the file is too short to
+    hold: a torn tail.
     """
-    with open(path, "rb") as fh:
-        size = os.fstat(fh.fileno()).st_size
-        position = min(_HEADER.size, size)
-        while position + _FRAME.size <= size:
-            fh.seek(position)
-            frame = fh.read(_FRAME.size)
-            if len(frame) < _FRAME.size:
-                break
-            length, _ = _FRAME.unpack(frame)
-            if length == 0:
-                break
-            end = position + _FRAME.size + length
-            if end > size:
-                break
-            position = end
+    size = os.fstat(fh.fileno()).st_size
+    position = min(_HEADER.size, size)
+    while position + _FRAME.size <= size:
+        fh.seek(position)
+        length, _ = _FRAME.unpack(fh.read(_FRAME.size))
+        end = position + _FRAME.size + length
+        if end > size:
+            break
+        position = end
     return position
 
 
-class _LogFile:
-    """The append-only log file, with lazy (re)opening and segment recycling.
+def _fsync_directory(directory: str) -> None:
+    """Make ``directory``'s entries (a replaced file) durable."""
+    fd = os.open(directory, os.O_RDONLY)
+    try:
+        os.fsync(fd)
+    finally:
+        os.close(fd)
 
-    Records are written with a single unbuffered ``writev(2)`` carrying the
-    frame header, the body, *and* a trailing zero-frame terminator; the file
-    position then steps back over the terminator so the next record
-    overwrites it. Truncation (:meth:`recycle`) just rewrites the
-    terminator at the head of the file instead of shrinking it: the
-    segment's pages stay allocated, so steady-state appends overwrite warm
-    pages rather than paying the kernel's first-touch cost for freshly
-    extended files. Because record and terminator share one ``writev(2)``,
-    a killed process leaves the log at a record boundary; only out-of-order
-    page writeback (power loss) can tear a frame, and replay reports
-    exactly where.
+
+class _LogFile:
+    """The append-only log file, opened lazily for appending.
+
+    Each record is one unbuffered ``writev(2)`` of its frame header and
+    body, so a killed process leaves the log at a record boundary; only
+    out-of-order page writeback (power loss) can tear a frame, and replay
+    reports exactly where. Opening the log cuts a torn tail off, so a new
+    record never lands in front of stale bytes that would read as a
+    corrupt frame.
     """
 
-    def __init__(self, path: str, num_shards: int) -> None:
+    def __init__(self, path: str) -> None:
         self.path = path
-        self.num_shards = num_shards
         self._basename = os.path.basename(path)
         self._fh: Any = None
 
     def _open(self) -> Any:
         if self._fh is None or self._fh.closed:
-            end = _scan_logical_end(self.path)
-            self._fh = open(self.path, "r+b", buffering=0)
-            self._fh.seek(end)
+            fh = open(self.path, "r+b", buffering=0)
+            end = _valid_end(fh)
+            fh.truncate(end)
+            fh.seek(end)
+            self._fh = fh
         return self._fh
 
     def append(self, chunks: Sequence[bytes | memoryview]) -> None:
-        # One writev(2) per record: frame header, body chunks, and the
-        # terminator are gathered in the kernel, so the payload reaches the
-        # page cache with zero userspace copies beyond the incremental CRC.
-        # Per-chunk buffered writes measured ~5x slower at the 100k-item
-        # operating point — the write round trips, not the bytes, dominated.
-        crc = 0
-        length = 0
-        for chunk in chunks:
-            crc = zlib.crc32(chunk, crc)
-            length += len(chunk)
-        buffers = [_FRAME.pack(length, crc), *chunks, _ZERO_FRAME]
+        buffers, total = _framed(chunks)
         fh = self._open()
         _fault(f"wal.append:{self._basename}")
-        total = _FRAME.size + length + _FRAME.size
-        written = os.writev(fh.fileno(), buffers)
-        if written != total:  # pragma: no cover - regular files write fully
-            remainder = memoryview(b"".join(bytes(b) for b in buffers))[written:]
-            while remainder:
-                remainder = remainder[fh.write(remainder) :]
-        fh.seek(-_FRAME.size, os.SEEK_CUR)
+        _write_all(fh.fileno(), buffers, total)
 
     def tell(self) -> int:
-        """The append position: the offset of the current terminator."""
+        """The append position: the end of the last record."""
         return self._open().tell()
 
     def rewind(self, offset: int) -> None:
         """Drop everything appended since :meth:`tell` returned ``offset``.
 
-        Rewrites the zero-frame terminator at ``offset`` and parks the
-        append position on it, so a failed append's partial (or complete
-        but unacknowledged) frame is invisible to replay and the retried
-        append overwrites it.
+        Cuts the file at ``offset``, so a failed append's partial (or
+        complete but unacknowledged) frame is gone and the retried append
+        lands where it began.
         """
         fh = self._open()
-        fh.seek(offset)
-        fh.write(_ZERO_FRAME)
+        fh.truncate(offset)
         fh.seek(offset)
 
     def flush(self, fsync: bool) -> None:
@@ -536,21 +550,33 @@ class _LogFile:
             finally:
                 self._fh.close()
 
-    def recycle(self) -> None:
-        """Empty the log in place, without reading its records.
+    def replace(self, num_shards: int, base: Sequence[bytes | memoryview]) -> None:
+        """Swap the log for a fresh segment holding only ``base``.
 
-        Rewrites the header and a zero-frame terminator at the head of the
-        file, fsyncs, and parks the append position on the terminator. The
-        file keeps its length, so its already-touched pages serve the next
-        round of appends. A crash at any point leaves a readable log, and
-        replay filters by the checkpoint watermark anyway.
+        Writes the header and the base record to ``<log>.tmp``, fsyncs it
+        and ``os.replace``\\ s it over the log. Until the replace, the old
+        segment is the log and any error leaves it as it was (the temporary
+        file is removed); from the replace on, the new segment is, and the
+        old segment's handle is closed.
         """
-        fh = self._open()
-        _fault(f"wal.truncate-write:{self._basename}")
-        fh.seek(0)
-        fh.write(_HEADER.pack(_MAGIC, WAL_FORMAT_VERSION, self.num_shards) + _ZERO_FRAME)
-        os.fsync(fh.fileno())
-        fh.seek(_HEADER.size)
+        temporary = self.path + ".tmp"
+        buffers, total = _framed(base)
+        header = _HEADER.pack(_MAGIC, WAL_FORMAT_VERSION, num_shards)
+        try:
+            _fault(f"wal.segment-write:{self._basename}")
+            with open(temporary, "wb", buffering=0) as fh:
+                _write_all(fh.fileno(), [header, *buffers], _HEADER.size + total)
+                _fault(f"wal.segment-fsync:{self._basename}")
+                os.fsync(fh.fileno())
+            _fault(f"wal.segment-replace:{self._basename}")
+            os.replace(temporary, self.path)
+        except BaseException:
+            try:
+                os.unlink(temporary)
+            except OSError:
+                pass
+            raise
+        self.close()
 
 
 @dataclass
@@ -568,13 +594,14 @@ class ReplayPlan:
 
 
 class WriteAheadLog:
-    """The per-service log file plus its paired checkpoint directory.
+    """The per-service log file, whose base record is the paired checkpoint.
 
     Created by :class:`~repro.service.service.SamplerService` when
     ``wal_dir=`` is given (:meth:`create`, which refuses a directory already
     holding a deployment's log) or by :func:`recover_service`
     (:meth:`attach`). All appends go through :meth:`append_batch`, which
-    writes each batch as one record.
+    writes each batch as one record; every checkpoint goes through
+    :meth:`truncate`, which starts a fresh segment.
     """
 
     def __init__(
@@ -586,48 +613,38 @@ class WriteAheadLog:
             )
         self.directory = os.fspath(directory)
         self.fsync = fsync
-        self._log = _LogFile(os.path.join(self.directory, _LOG_NAME), int(num_shards))
+        self._log = _LogFile(os.path.join(self.directory, _LOG_NAME))
+        #: The shard count the log's header names.
+        self.num_shards = int(num_shards)
+        #: Global sequence number of the last batch the log's base record
+        #: (the paired checkpoint) covers; everything after it lives only
+        #: in the log's batch records.
+        self.watermark = -1
 
     # -- lifecycle -----------------------------------------------------
-    @property
-    def checkpoint_dir(self) -> str:
-        """The paired delta-checkpoint directory (``<wal_dir>/checkpoint``)."""
-        return os.path.join(self.directory, _CHECKPOINT_NAME)
-
     @classmethod
     def create(
         cls, directory: str | os.PathLike, num_shards: int, fsync: str = "os"
     ) -> "WriteAheadLog":
-        """Start a fresh WAL directory for a brand-new service.
+        """Claim a WAL directory for a brand-new service.
 
-        Refuses a directory that already holds a deployment — a log with
-        committed records, or a completed checkpoint manifest: silently
-        appending a *new* service's batches to an old deployment's log
-        would make its recovery nonsense. Recover the old deployment with
+        Refuses a directory that already holds a log: silently replacing an
+        old deployment's log would lose it. Recover the old deployment with
         :func:`recover_service`, or point the new service at an empty
-        directory. Debris from a service that crashed *mid-construction*
-        (checkpoint sub-directories without a manifest, an empty log —
-        nothing was ever durable) does not count as a deployment: the log is
-        replaced.
+        directory. A ``batches.wal.tmp`` left by a crash mid-construction is
+        not a deployment: nothing was ever durable, and it is overwritten.
 
-        The log is created eagerly, header-only and fsynced, before the
-        first checkpoint: :meth:`attach` treats a missing log as damage.
+        The log itself is written by the first :meth:`truncate` — the
+        service's constructor checkpoints at once — and appends need it.
         """
-        from repro.service.checkpoint import _DELTA_MANIFEST_NAME
-
         directory = os.fspath(directory)
         os.makedirs(directory, exist_ok=True)
-        path = os.path.join(directory, _LOG_NAME)
-        manifest = os.path.join(directory, _CHECKPOINT_NAME, _DELTA_MANIFEST_NAME)
-        if os.path.exists(manifest) or (
-            os.path.exists(path) and read_log_records(path).records
-        ):
+        if os.path.exists(os.path.join(directory, _LOG_NAME)):
             raise WALError(
                 f"WAL directory {directory} already holds a deployment's log; "
                 "recover it with repro.service.recover_service(...) or start "
                 "the new service in an empty directory"
             )
-        _replace_with_header(path, int(num_shards))
         return cls(directory, num_shards, fsync=fsync)
 
     @classmethod
@@ -637,41 +654,20 @@ class WriteAheadLog:
         """Reopen an existing WAL directory for recovery + continued appends.
 
         Validates the log against the ``num_shards`` layout the caller's
-        checkpoint restores, raising :class:`WALLayoutError` when committed
-        data could be silently lost: the log is missing (or shorter than its
-        header), or its header names a different shard count while it holds
-        records (two deployments' files mixed together).
-
-        A log of any format version but the current one raises
-        :class:`WALError`. The benign crash artifact is normalized, not
-        fatal: an empty log under a foreign-layout header — the signature
-        of a crash inside ``reshard`` between its log reset and its
-        checkpoint — is atomically rewritten for the attaching layout.
+        checkpoint restores: a header naming another shard count raises
+        :class:`WALLayoutError`. A damaged header or base record, or a log
+        of any format version but the current one, raises :class:`WALError`.
         """
         path = os.path.join(os.fspath(directory), _LOG_NAME)
-        head = b""
-        if os.path.exists(path):
-            with open(path, "rb") as fh:
-                head = fh.read(_HEADER.size)
-        if len(head) < _HEADER.size:
+        scan = read_log_records(path, strict=True, base_only=True)
+        if scan.num_shards != num_shards:
             raise WALLayoutError(
-                f"{path} is missing or shorter than its header; a WAL "
-                "directory holds its log from creation on, so it was deleted "
-                "or not copied — restore the full WAL directory"
+                f"{path} was written by a {scan.num_shards}-shard service, "
+                f"but the checkpoint restores {num_shards} shards; the "
+                "directory mixes deployments"
             )
-        magic, version, logged_shards = _HEADER.unpack(head)
-        if magic != _MAGIC:
-            raise WALError(f"{path}: not a repro WAL file")
-        _check_version(path, version)
         wal = cls(directory, num_shards, fsync=fsync)
-        if logged_shards != num_shards:
-            if read_log_records(path).records:
-                raise WALLayoutError(
-                    f"{path} was written by a {logged_shards}-shard service, "
-                    f"but the checkpoint restores {num_shards} shards; the "
-                    "directory mixes deployments"
-                )
-            wal.reset_layout(num_shards)
+        wal.watermark = scan.watermark
         return wal
 
     # -- appending -----------------------------------------------------
@@ -720,32 +716,38 @@ class WriteAheadLog:
         """Flush and close the log file handle (the log stays on disk). Idempotent."""
         self._log.close()
 
-    # -- truncation / layout -------------------------------------------
-    def truncate(self) -> None:
-        """Empty the log after a paired checkpoint.
+    # -- checkpointing -------------------------------------------------
+    def truncate(
+        self,
+        watermark: int,
+        checkpoint: Sequence[bytes | memoryview],
+        num_shards: int,
+    ) -> None:
+        """Replace the log with a fresh segment whose base record is a checkpoint.
 
-        The caller's checkpoint must cover every logged batch, as
-        ``checkpoint()`` does: it cuts at the last committed batch under
-        the service lock. So nothing survives, and the segment is recycled
-        without being read. Crash-safe: replay filters by the manifest
-        watermark regardless. A replication caller must move its standby's
-        base up to the watermark first — promotion replays from the base,
-        and truncated frames are gone.
+        ``checkpoint`` holds the bytes of a cut at ``watermark`` (see
+        :func:`~repro.service.checkpoint.save_service_delta`) and must cover
+        every logged batch, as the service's ``checkpoint()`` does: it cuts
+        at the last committed batch under the service lock. ``num_shards``
+        is the layout the cut holds, written into the new header — a
+        ``reshard`` changes it with the same one swap.
+
+        The swap is atomic (see :meth:`_LogFile.replace`). If it raises
+        before the new segment replaces the old one, the log, its handle,
+        :attr:`num_shards` and :attr:`watermark` are unchanged and the call
+        can be retried; if the directory fsync after it raises, the new
+        segment is the log. A replication caller must move its standby's
+        base up to the watermark as the swap lands — promotion replays from
+        the base, and the new segment holds no batch at or below the
+        watermark.
         """
-        self._log.recycle()
-
-    def reset_layout(self, num_shards: int) -> None:
-        """Replace the log with an empty one under a new shard count.
-
-        Called by ``reshard`` *after* it has checkpointed (so the log is
-        already empty). The log is swapped via tmp-file + ``os.replace``, so
-        a crash at any point leaves a directory :meth:`attach` accepts —
-        either the old header (its manifest still current) or an empty
-        foreign-layout log that attach normalizes.
-        """
-        self.close()
-        self._log.num_shards = int(num_shards)
-        _replace_with_header(self._log.path, self._log.num_shards)
+        self._log.replace(
+            int(num_shards), [_WATERMARK.pack(int(watermark)), *checkpoint]
+        )
+        self.num_shards, self.watermark = int(num_shards), int(watermark)
+        # Last, so that the swap survives power loss.
+        _fault(f"wal.segment-dirsync:{_LOG_NAME}")
+        _fsync_directory(self.directory)
 
     # -- recovery ------------------------------------------------------
     def collect_replay(self, watermark: int) -> ReplayPlan:
@@ -754,16 +756,21 @@ class WriteAheadLog:
         Reads the log (a torn tail is tolerated — that is the expected
         crash artifact; the batch it held never committed) and gathers
         each shard's sub-batches from the records in ``(watermark,
-        last]``, where ``last`` is the final readable record. A gap in
-        that range raises :class:`WALError` — a crash cannot produce one,
-        only corruption or a log truncated inconsistently with its
-        checkpoint.
+        last]``, where ``last`` is the final readable record. A log whose
+        base lies beyond ``watermark``, or a gap in that range, raises
+        :class:`WALError` — a crash cannot produce either, only corruption
+        or a log truncated past the caller's checkpoint.
         """
-        records = [
-            record
-            for record in read_log_records(self._log.path).records
-            if record.seq > watermark
-        ]
+        scan = read_log_records(self._log.path)
+        if scan.base is None:
+            raise WALError(f"{self._log.path}: the log holds no complete base record")
+        if scan.watermark > watermark:
+            raise WALError(
+                f"{self._log.path}: the log was truncated at batch "
+                f"{scan.watermark}, past batch {watermark}; the committed "
+                "batches between are not in it"
+            )
+        records = [record for record in scan.records if record.seq > watermark]
         per_shard: dict[int, tuple[list[np.ndarray], list[float]]] = {}
         arrivals: dict[int, list[int | None]] = {}
         for expected, record in enumerate(records, start=watermark + 1):
@@ -797,21 +804,20 @@ def recover_service(
 ):
     """Rebuild a WAL-enabled service after a crash: checkpoint + log replay.
 
-    Loads the paired delta checkpoint (``<wal_dir>/checkpoint``), replays
-    each shard's sub-batches from the log tail beyond the checkpoint
-    watermark through the normal ``ingest_stream`` path, and returns a live
-    service with the WAL re-attached for continued appends. By the
-    determinism contract the result is bit-identical to the uninterrupted
-    run through the last *committed* batch — on any executor backend.
-    ``service.batches_seen`` tells the producer where to resume its stream.
+    Restores the log's base record (the paired checkpoint), replays each
+    shard's sub-batches from the batch records behind it through the normal
+    ``ingest_stream`` path, and returns a live service with the WAL
+    re-attached for continued appends. By the determinism contract the
+    result is bit-identical to the uninterrupted run through the last
+    *committed* batch — on any executor backend. ``service.batches_seen``
+    tells the producer where to resume its stream.
 
     A torn log tail (crash mid-append) is tolerated: recovery stops at the
-    last committed batch, and the next append overwrites the debris.
-    Corruption below the tail raises :class:`WALError`; a missing or
-    foreign-layout log under a live manifest raises
-    :class:`WALLayoutError`; a damaged checkpoint raises
-    :class:`~repro.service.checkpoint.CheckpointError` naming every
-    missing or stale shard.
+    last committed batch, and the next append cuts the debris off. A
+    directory without a log raises
+    :class:`~repro.service.checkpoint.MissingCheckpointError`; corruption
+    raises :class:`WALError`, and a header naming another shard count than
+    the base restores raises :class:`WALLayoutError`.
 
     ``replication=`` (a :class:`~repro.service.replication.ReplicationConfig`)
     re-enables warm-standby replication on the recovered service, exactly as
@@ -820,8 +826,7 @@ def recover_service(
     from repro.service.checkpoint import load_service_delta
     from repro.service.service import SamplerService
 
-    wal_dir = os.fspath(wal_dir)
-    state, watermark = load_service_delta(os.path.join(wal_dir, _CHECKPOINT_NAME))
+    state, watermark = load_service_delta(wal_dir)
     service = SamplerService.from_state_dict(
         state, sampler_factory, key_fn=key_fn, executor=executor
     )
@@ -831,14 +836,12 @@ def recover_service(
         batches, times = plan.per_shard[shard_id]
         sampler = service._get_or_create_shard(shard_id)
         sampler.ingest_stream(batches, times=times, arrivals=plan.arrivals[shard_id])
-        service._ckpt_dirty.add(shard_id)
     if plan.last_seq > watermark:
         service._time = plan.last_time
         service._batches_seen = plan.last_seq + 1
         if plan.explicit_keys:
             service._explicit_keys_used = True
     service._wal = wal
-    service._wal_watermark = watermark
     if replication is not None:
         service._enable_replication(replication)
     return service

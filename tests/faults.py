@@ -2,10 +2,9 @@
 
 The durability layer exposes named *failpoints* (``repro.service.wal._fault``
 calls) at every crash-relevant step: each WAL record append, each log flush
-and fsync, each truncation write, and each stage of a delta checkpoint
-(shard sub-checkpoints, service state, the atomic manifest swap, garbage
-collection). This module turns those into a crash-at-any-point property
-test:
+and fsync, and each step of a checkpoint's segment swap (the new segment's
+write, its fsync, the atomic replace, the directory fsync). This module
+turns those into a crash-at-any-point property test:
 
 1. :func:`count_failpoints` runs the canonical workload once with a
    recording hook, learning the ordered list of failpoint sites it passes
@@ -122,7 +121,7 @@ def install_crash_hook(
     Either at the ``crash_index``-th failpoint overall (1-based), or at the
     ``occurrence``-th failpoint whose site name starts with ``site_prefix``
     — the latter pins a test to a semantically meaningful moment
-    (mid-fsync, just before the manifest swap) regardless of how many
+    (mid-fsync, just before a segment swap) regardless of how many
     failpoints precede it.
     """
     overall = itertools.count(1)
@@ -213,7 +212,7 @@ def recover_and_finish(
     # below the watermark came from the checkpoint, and at most one
     # checkpoint interval of batches (plus the one mid-append batch a crash
     # can lose) rides the log.
-    assert service.batches_seen - 1 - service._wal_watermark <= CKPT_EVERY + 1
+    assert service.batches_seen - 1 - service._wal.watermark <= CKPT_EVERY + 1
     for index in range(resume, len(batches)):
         service.ingest_batch(batches[index])
     return service

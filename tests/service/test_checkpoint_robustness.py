@@ -12,7 +12,8 @@ from __future__ import annotations
 import gc
 import json
 import os
-import shutil
+import struct
+import zlib
 
 import numpy as np
 import pytest
@@ -23,10 +24,12 @@ from repro.service import (
     CheckpointError,
     MissingCheckpointError,
     SamplerService,
+    WALError,
     load_checkpoint,
     load_sampler,
     load_service,
     load_service_delta,
+    recover_service,
     save_sampler,
     save_service,
 )
@@ -167,21 +170,16 @@ class TestManifestVersioning:
         with pytest.raises(CheckpointError, match="unsupported manifest_version 99"):
             load_checkpoint(checkpoint_dir)
 
-    @pytest.mark.parametrize("layout", ["classic", "delta"])
-    def test_versionless_legacy_manifest_is_refused(self, tmp_path, layout):
+    def test_versionless_legacy_manifest_is_refused(self, tmp_path):
         # Manifests written before versioning carry no marker; a build reads
-        # only the version it writes, so they are refused, in either layout.
+        # only the version it writes, so they are refused.
         service = SamplerService(
             lambda rng: RTBS(n=20, lambda_=0.2, rng=rng), num_shards=2, rng=3
         )
         service.ingest_batch(np.arange(300))
-        directory = tmp_path / layout
-        if layout == "classic":
-            save_service(service, directory)
-            manifest_path = directory / "manifest.json"
-        else:
-            service.checkpoint(directory)
-            manifest_path = directory / "MANIFEST.json"
+        directory = tmp_path / "classic"
+        save_service(service, directory)
+        manifest_path = directory / "manifest.json"
         manifest = json.loads(manifest_path.read_text())
         del manifest["manifest_version"]
         manifest_path.write_text(json.dumps(manifest))
@@ -189,92 +187,75 @@ class TestManifestVersioning:
             load_service(directory, lambda rng: RTBS(n=20, lambda_=0.2, rng=rng))
 
 
+def _factory():
+    return lambda rng: RTBS(n=20, lambda_=0.2, rng=rng)
+
+
 @pytest.fixture
-def delta_dir(tmp_path):
-    """A healthy delta checkpoint of a 4-shard service, all shards active."""
-    service = SamplerService(
-        lambda rng: RTBS(n=20, lambda_=0.2, rng=rng), num_shards=4, rng=3
-    )
+def paired_log(tmp_path):
+    """The log of a WAL directory whose base is a 4-shard cut at batch 3."""
+    service = SamplerService(_factory(), num_shards=4, rng=3, wal_dir=tmp_path / "wal")
     for start in range(0, 4):
         service.ingest_batch(np.arange(start * 300, (start + 1) * 300))
-    directory = tmp_path / "delta"
-    service.checkpoint(directory)
-    return directory
+    service.checkpoint()
+    service.close()
+    return tmp_path / "wal" / "batches.wal"
 
 
-class TestDamagedDeltaCheckpoints:
-    def test_partial_copy_reports_every_missing_and_stale_shard(self, delta_dir):
-        """One error names *all* the damage, not just the first absent file."""
-        manifest = json.loads((delta_dir / "MANIFEST.json").read_text())
-        shard_dirs = {
-            int(shard_id): delta_dir / dirname
-            for shard_id, dirname in manifest["shards"].items()
-        }
-        assert sorted(shard_dirs) == [0, 1, 2, 3]
-        shutil.rmtree(shard_dirs[1])  # missing outright
-        shutil.rmtree(shard_dirs[3])  # missing outright
-        (archive,) = shard_dirs[2].glob("arrays-*.npz")  # present but damaged
-        archive.write_bytes(b"not a zip")
+class TestDamagedPairedCheckpoints:
+    """The paired checkpoint is the log's base record: damage is a WALError."""
 
-        with pytest.raises(CheckpointError) as excinfo:
-            load_service_delta(delta_dir)
-        message = str(excinfo.value)
-        assert "3 of 5 sub-checkpoints" in message
-        assert "shard 1" in message and "shard 3" in message
-        assert "is missing" in message
-        assert "shard 2" in message and "stale or damaged" in message
-        # The service-level loader (auto-detecting the delta layout) surfaces
-        # the same aggregate report.
-        with pytest.raises(CheckpointError, match="3 of 5 sub-checkpoints"):
-            load_service(
-                delta_dir, lambda rng: RTBS(n=20, lambda_=0.2, rng=rng)
-            )
+    _HEAD = 14 + 8  # log header, then the base record's frame
 
-    def test_damaged_service_state_is_reported_alongside_shards(self, delta_dir):
-        manifest = json.loads((delta_dir / "MANIFEST.json").read_text())
-        shutil.rmtree(delta_dir / manifest["service"])
-        shutil.rmtree(delta_dir / manifest["shards"]["0"])
-        with pytest.raises(CheckpointError) as excinfo:
-            load_service_delta(delta_dir)
-        message = str(excinfo.value)
-        assert "2 of 5 sub-checkpoints" in message
-        assert "service state" in message and "shard 0" in message
+    def test_paired_checkpoint_of_another_format_is_refused(self, paired_log):
+        data = bytearray(paired_log.read_bytes())
+        struct.pack_into("<H", data, 8, 99)
+        paired_log.write_bytes(bytes(data))
+        with pytest.raises(WALError, match="unsupported WAL format version 99"):
+            load_service_delta(paired_log.parent)
 
-    def test_delta_manifest_from_the_future_is_refused(self, delta_dir):
-        manifest_path = delta_dir / "MANIFEST.json"
-        manifest = json.loads(manifest_path.read_text())
-        manifest["manifest_version"] = 99
-        manifest_path.write_text(json.dumps(manifest))
-        with pytest.raises(CheckpointError, match="unsupported manifest_version 99"):
-            load_service_delta(delta_dir)
+    def test_a_bit_flip_in_the_base_record_is_a_crc_error(self, paired_log):
+        data = bytearray(paired_log.read_bytes())
+        data[self._HEAD + 40] ^= 0xFF
+        paired_log.write_bytes(bytes(data))
+        with pytest.raises(WALError, match="CRC mismatch at offset 14"):
+            load_service_delta(paired_log.parent)
 
-    def test_corrupt_delta_manifest_is_not_a_json_error(self, delta_dir):
-        manifest_path = delta_dir / "MANIFEST.json"
-        text = manifest_path.read_text()
-        manifest_path.write_text(text[: len(text) // 2])
-        with pytest.raises(CheckpointError, match="not valid JSON"):
-            load_service_delta(delta_dir)
-
-    def test_wrong_kind_is_rejected(self, delta_dir):
-        manifest_path = delta_dir / "MANIFEST.json"
-        manifest = json.loads(manifest_path.read_text())
-        manifest["kind"] = "something-else"
-        manifest_path.write_text(json.dumps(manifest))
-        with pytest.raises(CheckpointError, match="service-delta"):
-            load_service_delta(delta_dir)
-
-    def test_unreferenced_crash_debris_is_collected_by_the_next_save(self, delta_dir):
-        # Orphan sub-directories — a writer that died between writing new
-        # shard dirs and swapping the manifest — are swept by the next
-        # successful checkpoint and never break a load in the meantime.
-        (delta_dir / "shard-00002-deadbeef").mkdir()
-        (delta_dir / "shard-00002-deadbeef" / "junk").write_text("partial")
-        state, watermark = load_service_delta(delta_dir)
-        service = SamplerService.from_state_dict(
-            state, lambda rng: RTBS(n=20, lambda_=0.2, rng=rng)
+    def test_corrupt_base_record_is_not_a_json_error(self, paired_log):
+        # A base whose JSON was cut short, re-framed with a valid CRC: the
+        # decoder refuses it with a named error, not a raw JSONDecodeError.
+        data = paired_log.read_bytes()
+        (length,) = struct.unpack_from("<I", data, 14)
+        body = data[self._HEAD : self._HEAD + length]
+        text_length, count = struct.unpack_from("<QI", body, 8)
+        text = body[20 : 20 + text_length]
+        damaged = (
+            body[:8]
+            + struct.pack("<QI", len(text) // 2, count)
+            + text[: len(text) // 2]
+            + body[20 + text_length :]
         )
-        assert watermark == 3 and service.batches_seen == 4
-        service.ingest_batch(np.arange(100))
-        service.checkpoint(delta_dir)
-        assert not (delta_dir / "shard-00002-deadbeef").exists()
-        load_service_delta(delta_dir)
+        paired_log.write_bytes(
+            data[:14]
+            + struct.pack("<II", len(damaged), zlib.crc32(damaged))
+            + damaged
+            + data[self._HEAD + length :]
+        )
+        with pytest.raises(WALError, match="base record is undecodable"):
+            load_service_delta(paired_log.parent)
+
+    def test_unswapped_crash_debris_is_replaced_by_the_next_save(self, paired_log):
+        # A segment that a writer left unswapped — it died before the
+        # replace — never breaks a load, and the next checkpoint replaces it.
+        wal_dir = paired_log.parent
+        (wal_dir / "batches.wal.tmp").write_bytes(b"REPROWAL partial")
+        state, watermark = load_service_delta(wal_dir)
+        assert watermark == 3 and state["batches_seen"] == 4
+        service = recover_service(wal_dir, _factory())
+        try:
+            service.ingest_batch(np.arange(100))
+            service.checkpoint()
+        finally:
+            service.close()
+        assert os.listdir(wal_dir) == ["batches.wal"]
+        assert load_service_delta(wal_dir)[1] == 4

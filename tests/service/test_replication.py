@@ -16,9 +16,9 @@ that ride with it:
   SIGKILL sweep lives in ``test_replication_chaos.py``);
 * ``close()`` idempotency after a worker crash (satellite: double-close
   and masked-exception paths);
-* :class:`~repro.service.wal.WALLayoutError` on a damaged or foreign
-  log (a log missing under a live manifest, or one written under a
-  foreign ``num_shards`` layout, fails with a named error).
+* named errors for a damaged or foreign log: a deleted log is a missing
+  checkpoint, and a header naming a foreign ``num_shards`` layout raises
+  :class:`~repro.service.wal.WALLayoutError`.
 """
 
 from __future__ import annotations
@@ -34,6 +34,7 @@ from repro.core import RTBS
 import repro.engine.transport as transport
 from repro.engine import FailoverError, ShardWorkerPool, WorkerCrashError
 from repro.service import (
+    MissingCheckpointError,
     ReplicationConfig,
     SamplerService,
     ShardReplicaSet,
@@ -754,6 +755,7 @@ class TestCloseAfterCrash:
 
     def test_wal_close_is_idempotent(self, tmp_path):
         wal = WriteAheadLog.create(tmp_path / "wal", num_shards=2)
+        wal.truncate(-1, [b"checkpoint"], 2)
         wal.append_batch(0, 1.0, _routed(np.arange(10)), explicit_keys=False)
         wal.close()
         wal.close()  # second close: no ValueError from closed handles
@@ -770,16 +772,19 @@ class TestLayoutGuards:
         service.close()
         return os.path.join(tmp_path, "wal")
 
-    def test_a_missing_log_under_a_live_manifest_refuses_attach(self, tmp_path):
+    def test_a_deleted_log_is_a_missing_checkpoint(self, tmp_path):
         wal_dir = self._deployed(tmp_path)
         os.unlink(os.path.join(wal_dir, "batches.wal"))
-        with pytest.raises(WALLayoutError, match="batches.wal is missing"):
-            WriteAheadLog.attach(wal_dir, num_shards=2)
+        with pytest.raises(MissingCheckpointError, match="batches.wal"):
+            recover_service(wal_dir, _factory())
 
     def test_recover_service_surfaces_the_layout_error(self, tmp_path):
         wal_dir = self._deployed(tmp_path)
-        os.unlink(os.path.join(wal_dir, "batches.wal"))
-        with pytest.raises(WALLayoutError, match="restore the full WAL directory"):
+        log = os.path.join(wal_dir, "batches.wal")
+        with open(log, "r+b") as fh:  # the header's shard count (offset 10)
+            fh.seek(10)
+            fh.write((4).to_bytes(4, "little"))
+        with pytest.raises(WALLayoutError, match="4-shard service"):
             recover_service(wal_dir, _factory())
 
     def test_foreign_shard_count_with_records_refuses_attach(self, tmp_path):

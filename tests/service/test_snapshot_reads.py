@@ -26,7 +26,7 @@ from repro.service import (
     ReplicationConfig,
     SamplerService,
     ServiceSnapshot,
-    load_service_delta,
+    load_checkpoint,
 )
 
 BACKENDS = ["serial", "process:1", "process:2"]
@@ -219,8 +219,8 @@ class TestSnapshotCheckpoint:
             service.ingest(batches, window=2)
             service.checkpoint(tmp_path / "cut")
 
-            state, watermark = load_service_delta(tmp_path / "cut")
-            assert watermark == len(batches) - 1
+            state = load_checkpoint(tmp_path / "cut")
+            assert state["batches_seen"] == len(batches)
             restored = SamplerService.from_state_dict(state, rtbs_factory)
             # The snapshot-based checkpoint restores bit-identical to the
             # drained state_dict of the service that wrote it.

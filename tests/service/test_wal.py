@@ -1,11 +1,13 @@
 """Format-level tests for the write-ahead log: framing, torn tails, corruption.
 
-The reader contract under damage: a *torn tail* (the final frame cut short —
-the artifact of a crash mid-append) ends the scan at the last valid frame
-and is reported with its byte offset; *corruption* (a CRC mismatch on a
-fully-present frame, a malformed body, garbage headers, out-of-order
-sequence numbers) raises :class:`~repro.service.WALError` naming the file
-and offset. No raw ``struct``/``json`` error ever escapes.
+A log is a header, a base record (the paired checkpoint, opaque at this
+level) and one record per batch. The reader contract under damage: a
+*torn tail* (the final frame cut short — the artifact of a crash
+mid-append) ends the scan at the last valid frame and is reported with
+its byte offset; *corruption* (a CRC mismatch on a fully-present frame, a
+malformed body, garbage headers, out-of-order sequence numbers) raises
+:class:`~repro.service.WALError` naming the file and offset. No raw
+``struct``/``json`` error ever escapes.
 """
 
 from __future__ import annotations
@@ -30,9 +32,16 @@ def _log(wal) -> str:
     return os.path.join(wal.directory, "batches.wal")
 
 
+def _created(directory, num_shards: int = 2) -> WriteAheadLog:
+    """A new log whose base record is a stand-in checkpoint at watermark -1."""
+    log = WriteAheadLog.create(directory, num_shards=num_shards)
+    log.truncate(-1, [b"checkpoint"], num_shards)
+    return log
+
+
 @pytest.fixture
 def wal(tmp_path):
-    log = WriteAheadLog.create(tmp_path / "wal", num_shards=2)
+    log = _created(tmp_path / "wal")
     yield log
     log.close()
 
@@ -45,6 +54,7 @@ class TestRoundTrip:
         wal.flush()
         scan = read_log_records(_log(wal))
         assert scan.num_shards == 2 and scan.torn is None
+        assert (scan.watermark, bytes(scan.base)) == (-1, b"checkpoint")
         assert [record.seq for record in scan.records] == [0, 1, 2]
         assert [record.time for record in scan.records] == [1.0, 2.0, 3.0]
         for record, batch in zip(scan.records, batches):
@@ -85,6 +95,21 @@ class TestRoundTrip:
         ((_, rows, _),) = record.entries
         assert rows.dtype == batch.dtype
         assert rows.tolist() == batch.tolist()
+
+    def test_records_of_more_buffers_than_one_writev_takes_round_trip(self, tmp_path):
+        # 400 entries and 1,100 base chunks are more than IOV_MAX (1,024)
+        # buffers, so each record is written in several writev(2) groups.
+        log = WriteAheadLog.create(tmp_path / "wal", num_shards=400)
+        log.truncate(-1, [bytes([index % 256]) for index in range(1_100)], 400)
+        routed = [(shard_id, np.arange(shard_id, shard_id + 3)) for shard_id in range(400)]
+        log.append_batch(0, 1.0, routed, explicit_keys=False)
+        log.close()
+        scan = read_log_records(_log(log), strict=True)
+        assert bytes(scan.base) == bytes(index % 256 for index in range(1_100))
+        (record,) = scan.records
+        assert [(shard_id, rows.tolist()) for shard_id, rows, _ in record.entries] == [
+            (shard_id, rows.tolist()) for shard_id, rows in routed
+        ]
 
     def test_explicit_keys_flag_round_trips(self, wal):
         wal.append_batch(0, 1.0, [], explicit_keys=False)
@@ -195,19 +220,19 @@ class TestCorruption:
         with pytest.raises(WALError, match="bad magic"):
             read_log_records(path)
 
-    @pytest.mark.parametrize("version", [99, 4, 1])
+    @pytest.mark.parametrize("version", [99, 5, 4, 1])
     def test_any_other_format_version_is_refused(self, tmp_path, version):
         # A build reads only the format it writes: newer logs and the
         # formats earlier builds wrote are refused alike.
         path = tmp_path / "other.wal"
         path.write_bytes(struct.pack("<8sHHi", b"REPROWAL", version, 1, 0))
         with pytest.raises(
-            WALError, match=f"unsupported WAL format version {version}; this build reads 5"
+            WALError, match=f"unsupported WAL format version {version}; this build reads 6"
         ):
             read_log_records(path)
 
     def test_out_of_order_sequence_numbers_are_corruption(self, tmp_path):
-        log = WriteAheadLog.create(tmp_path / "wal", num_shards=1)
+        log = _created(tmp_path / "wal", num_shards=1)
         log.append_batch(5, 1.0, [(0, np.arange(3))], explicit_keys=False)
         log.append_batch(6, 2.0, [(0, np.arange(3))], explicit_keys=False)
         log.close()
@@ -228,7 +253,7 @@ class TestCorruption:
             fh.write(head + struct.pack("<II", len(body), zlib.crc32(body)) + body)
 
     def test_every_proper_prefix_of_a_record_is_refused(self, tmp_path):
-        log = WriteAheadLog.create(tmp_path / "wal", num_shards=4)
+        log = _created(tmp_path / "wal", num_shards=4)
         log.append_batch(
             0,
             1.0,
@@ -245,9 +270,9 @@ class TestCorruption:
         data = Path(path).read_bytes()
         (record,) = read_log_records(path).records
         head, body = data[: record.start], data[record.start + 8 : record.end]
-        # A cut at 0 is the zero-length terminator, not a record; every
-        # other prefix is well framed but must not decode as a record.
-        for cut in range(1, len(body)):
+        # Every prefix, the empty one included, is well framed but must not
+        # decode as a record.
+        for cut in range(len(body)):
             self._reframed(path, head, body[:cut])
             with pytest.raises(WALError, match="offset"):
                 read_log_records(path)
@@ -276,60 +301,55 @@ class TestCorruption:
 
 class TestLifecycle:
     def test_create_refuses_a_deployments_directory(self, tmp_path):
-        log = WriteAheadLog.create(tmp_path / "wal", num_shards=2)
-        log.append_batch(0, 1.0, [(0, np.arange(3))], explicit_keys=False)
-        log.close()
+        _created(tmp_path / "wal").close()
         with pytest.raises(WALError, match="recover_service"):
             WriteAheadLog.create(tmp_path / "wal", num_shards=2)
 
     def test_create_tolerates_mid_construction_debris(self, tmp_path):
-        # A checkpoint directory with no manifest (crash before the first
-        # swap) is not a deployment: nothing was ever durable.
-        (tmp_path / "wal" / "checkpoint").mkdir(parents=True)
-        (tmp_path / "wal" / "checkpoint" / "service-abc").mkdir()
-        WriteAheadLog.create(tmp_path / "wal", num_shards=2).close()
+        # A segment left unswapped by a crash before the first checkpoint
+        # landed is not a deployment: nothing was ever durable.
+        (tmp_path / "wal").mkdir()
+        (tmp_path / "wal" / "batches.wal.tmp").write_bytes(b"REPROWAL partial")
+        _created(tmp_path / "wal").close()
+        assert os.listdir(tmp_path / "wal") == ["batches.wal"]
 
     def test_attach_refuses_mismatched_shard_count(self, tmp_path):
-        log = WriteAheadLog.create(tmp_path / "wal", num_shards=3)
+        log = _created(tmp_path / "wal", num_shards=3)
         log.append_batch(0, 1.0, [(0, np.arange(3))], explicit_keys=False)
         log.close()
         with pytest.raises(WALLayoutError, match="3-shard"):
             WriteAheadLog.attach(tmp_path / "wal", num_shards=5)
 
-    def test_attach_normalizes_an_empty_log_of_another_layout(self, tmp_path):
-        # reshard's crash window: the new layout's empty log was swapped in,
-        # but the manifest still restores the old layout.
-        WriteAheadLog.create(tmp_path / "wal", num_shards=3).close()
-        attached = WriteAheadLog.attach(tmp_path / "wal", num_shards=5)
-        attached.append_batch(0, 1.0, [(4, np.arange(3))], explicit_keys=False)
-        attached.close()
-        scan = read_log_records(_log(attached), strict=True)
-        assert scan.num_shards == 5 and [r.seq for r in scan.records] == [0]
-
-    @pytest.mark.parametrize("damage", ["deleted", "header-torn"])
-    def test_attach_refuses_a_missing_log(self, wal, damage):
+    @pytest.mark.parametrize("cut", [5, 20, 30], ids=["header", "frame", "base"])
+    def test_attach_refuses_a_torn_head(self, wal, cut):
+        # The head is written whole before it is swapped in, so a short one
+        # is damage, not a crash artifact.
         wal.append_batch(0, 1.0, _routed(np.arange(10)), explicit_keys=False)
         wal.close()
-        if damage == "deleted":
-            os.unlink(_log(wal))
-        else:
-            with open(_log(wal), "r+b") as fh:
-                fh.truncate(5)
-        with pytest.raises(WALLayoutError, match="batches.wal is missing"):
+        with open(_log(wal), "r+b") as fh:
+            fh.truncate(cut)
+        with pytest.raises(WALError, match="torn write"):
             WriteAheadLog.attach(wal.directory, num_shards=2)
 
-    def test_truncate_recycles_the_segment_in_place(self, wal):
+    def test_truncate_starts_a_fresh_segment_whose_base_is_the_checkpoint(self, wal):
         for seq in range(5):
             wal.append_batch(seq, float(seq + 1), _routed(np.arange(20)), explicit_keys=False)
-        size = os.path.getsize(_log(wal))
-        wal.truncate()
-        assert read_log_records(_log(wal)).records == []
-        # The segment keeps its length (and its warm pages) ...
-        assert os.path.getsize(_log(wal)) == size
-        # ... and appends continue seamlessly after a truncation.
-        wal.append_batch(5, 6.0, _routed(np.arange(20)), explicit_keys=False)
+        wal.truncate(4, [b"cut at ", b"batch 4"], 3)
+        scan = read_log_records(_log(wal), strict=True)
+        assert scan.records == [] and scan.num_shards == 3
+        assert (scan.watermark, bytes(scan.base)) == (4, b"cut at batch 4")
+        assert wal.watermark == 4
+        # The segment holds nothing but its head, and nothing else is left.
+        assert os.path.getsize(_log(wal)) == 14 + 8 + 8 + len(b"cut at batch 4")
+        assert os.listdir(wal.directory) == ["batches.wal"]
+        # Appends continue behind the new base; one at or below its
+        # watermark reads as out of order.
+        wal.append_batch(5, 6.0, [(2, np.arange(20))], explicit_keys=False)
         wal.flush()
         assert [record.seq for record in read_log_records(_log(wal)).records] == [5]
+        wal.append_batch(4, 7.0, [], explicit_keys=False)
+        with pytest.raises(WALError, match="sequence 4 is not after 5"):
+            read_log_records(_log(wal))
 
 
 class TestCollectReplay:

@@ -2,13 +2,14 @@
 
 A child process runs the canonical durable-ingest workload and is
 ``SIGKILL``\\ ed at an injected failpoint — mid-WAL-append, mid-flush,
-mid-fsync, mid-delta-checkpoint, mid-truncation. The parent recovers from
-the child's WAL directory, feeds the batches the recovered clock says are
-still owed, and asserts the final state is **bit-identical** to the
-uninterrupted golden run — and that the next checkpoint is too. Crash
-points are drawn from fixed seeds (the CI matrix) across all three executor
-backends; ``REPRO_FAULT_EXHAUSTIVE=1`` sweeps *every* failpoint of the
-serial workload instead, under both the ``"os"`` and ``"always"`` policies.
+mid-fsync, at every step of a checkpoint's segment swap. The parent
+recovers from the child's WAL directory, feeds the batches the recovered
+clock says are still owed, and asserts the final state is
+**bit-identical** to the uninterrupted golden run — and that the next
+checkpoint is too. Crash points are drawn from fixed seeds (the CI matrix)
+across all three executor backends; ``REPRO_FAULT_EXHAUSTIVE=1`` sweeps
+*every* failpoint of the serial workload instead, under both the ``"os"``
+and ``"always"`` policies.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ import pytest
 import repro.service.checkpoint as checkpoint_module
 import repro.service.wal as wal_module
 from repro.service import SamplerService, load_service_delta
+from repro.service.wal import read_log_records
 
 from tests.faults import (
     CKPT_EVERY,
@@ -74,6 +76,10 @@ def _run_case(
     if site_prefix is not None:
         assert exitcode == -signal.SIGKILL, (site_prefix, occurrence, exitcode)
     assert exitcode in (0, -signal.SIGKILL), exitcode
+    _check_recovery(wal_dir, backend, golden, fsync)
+
+
+def _check_recovery(wal_dir, backend, golden, fsync="os"):
     service = recover_and_finish(wal_dir, backend, fsync=fsync)
     try:
         assert_states_equal(service.state_dict(), golden)
@@ -81,7 +87,7 @@ def _run_case(
         # it back, and compare the restored service's snapshot (restoring
         # normalizes JSON round-trip types exactly as any recovery would).
         service.checkpoint()
-        state, watermark = load_service_delta(os.path.join(wal_dir, "checkpoint"))
+        state, watermark = load_service_delta(wal_dir)
         assert watermark == NUM_BATCHES - 1
         restored = SamplerService.from_state_dict(state, make_factory())
         assert_states_equal(restored.state_dict(), golden)
@@ -121,12 +127,16 @@ NAMED_SITES = [
     ("wal.flush", 5, "os"),
     ("wal.fsync", 1, "always"),
     ("wal.fsync", 9, "always"),
-    ("wal.truncate-write", 1, "os"),
-    ("ckpt.shard-dir", 1, "os"),
-    ("ckpt.service-dir", 2, "os"),
-    ("ckpt.manifest-swap", 1, "os"),  # mid-construction: restart from scratch
-    ("ckpt.manifest-swap", 2, "os"),
-    ("ckpt.gc", 2, "os"),
+    # Mid-construction, before the first segment is swapped in: nothing
+    # was ever durable, so the deployment restarts from scratch.
+    ("wal.segment-write", 1, "os"),
+    ("wal.segment-replace", 1, "always"),
+    # Construction's swap landed: the empty deployment recovers.
+    ("wal.segment-dirsync", 1, "os"),
+    # Mid-fsync of the first checkpoint after construction; just before
+    # and just after its swap, see
+    # test_crash_around_the_swap_recovers_one_whole_segment.
+    ("wal.segment-fsync", 2, "always"),
 ]
 
 
@@ -141,6 +151,35 @@ def test_crash_at_named_site_recovers_bit_identically(
     _run_case(
         tmp_path, None, golden, site_prefix=site, occurrence=occurrence, fsync=fsync
     )
+
+
+@pytest.mark.parametrize(
+    "site,files,watermark",
+    [
+        ("wal.segment-replace", ["batches.wal", "batches.wal.tmp"], -1),
+        ("wal.segment-dirsync", ["batches.wal"], CKPT_EVERY - 1),
+    ],
+    ids=["before", "after"],
+)
+def test_crash_around_the_swap_recovers_one_whole_segment(
+    tmp_path, golden, site, files, watermark
+):
+    """A crash on either side of a checkpoint's swap leaves one whole log.
+
+    Before it, the old segment is the log: construction's base and every
+    batch since. After it, the new one: the checkpoint's base and no batch.
+    Either recovers to the same committed state.
+    """
+    wal_dir = str(tmp_path / "wal")
+    exitcode = crash_workload(wal_dir, None, site_prefix=site, occurrence=2)
+    assert exitcode == -signal.SIGKILL
+    assert sorted(os.listdir(wal_dir)) == files
+    scan = read_log_records(os.path.join(wal_dir, "batches.wal"), strict=True)
+    assert scan.watermark == watermark
+    assert [record.seq for record in scan.records] == list(
+        range(watermark + 1, CKPT_EVERY)
+    )
+    _check_recovery(wal_dir, None, golden)
 
 
 @pytest.mark.skipif(

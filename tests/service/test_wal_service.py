@@ -4,24 +4,30 @@ Complements :mod:`tests.service.test_wal` (format level) and
 :mod:`tests.service.test_wal_faults` (crash-at-any-point property). Here the
 service is exercised through its public API: logging must not perturb the
 sampling trajectory on any backend, recovery after a clean close or a worker
-crash must be bit-identical, resharding must checkpoint-and-truncate before
-re-homing, and the observability surface (``stats()["durability"]``,
+crash must be bit-identical, resharding must swap in the new layout's log
+in one step, a checkpoint that fails mid-swap must change nothing, and the
+observability surface (``stats()["durability"]``,
 ``acked_batches``) must tell the truth.
 """
 
 from __future__ import annotations
 
+import errno
 import os
+import shutil
 import signal
 
 import numpy as np
 import pytest
 
+import repro.service.wal as wal_module
 from repro.engine import EngineError
 from repro.service import (
     MissingCheckpointError,
+    ReplicationConfig,
     SamplerService,
     WALError,
+    load_checkpoint,
     load_service_delta,
     recover_service,
 )
@@ -150,7 +156,7 @@ class TestRecovery:
 
 
 class TestReshard:
-    def test_reshard_checkpoints_and_truncates_before_rehoming(self, tmp_path):
+    def test_reshard_swaps_in_one_log_for_the_new_layout(self, tmp_path):
         wal_dir = tmp_path / "wal"
         service = SamplerService(
             _factory(), num_shards=4, rng=7, wal_dir=wal_dir
@@ -161,16 +167,15 @@ class TestReshard:
 
         service.reshard(6)
 
-        # Everything that was in the log is now durable in the checkpoint;
-        # the log was truncated and rebuilt for the new layout.
+        # The log was atomically swapped for one whose header names the new
+        # layout and whose base holds every batch that was in the old one;
+        # the directory holds nothing else.
         assert service.num_shards == 6
-        # The log was atomically swapped for an empty one whose header
-        # names the new layout; the directory holds nothing else.
         scan = read_log_records(wal_dir / "batches.wal", strict=True)
         assert scan.records == [] and scan.num_shards == 6
-        assert sorted(os.listdir(wal_dir)) == ["batches.wal", "checkpoint"]
-        _, watermark = load_service_delta(wal_dir / "checkpoint")
-        assert watermark == 8 - 1
+        assert os.listdir(wal_dir) == ["batches.wal"]
+        state, watermark = load_service_delta(wal_dir)
+        assert watermark == 8 - 1 and state["num_shards"] == 6
         assert service.stats()["durability"]["replay_lag_batches"] == 0
 
         # The resharded service keeps logging under the new layout, and
@@ -181,6 +186,46 @@ class TestReshard:
         service.close()
         recovered = recover_service(wal_dir, _factory())
         try:
+            assert_states_equal(recovered.state_dict(), live)
+        finally:
+            recovered.close()
+
+
+    def test_a_reshard_whose_swap_failed_refuses_ingest_until_a_checkpoint(
+        self, tmp_path
+    ):
+        wal_dir = tmp_path / "wal"
+        service = SamplerService(_factory(), num_shards=4, rng=7, wal_dir=wal_dir)
+
+        def full_disk(reached: str) -> None:
+            if reached.startswith("wal.segment-write:"):
+                raise OSError(errno.ENOSPC, "No space left on device")
+
+        try:
+            for batch in _batches(6):
+                service.ingest_batch(batch)
+            wal_module._FAULT_HOOK = full_disk
+            try:
+                with pytest.raises(OSError, match="No space left"):
+                    service.reshard(3)
+            finally:
+                wal_module._FAULT_HOOK = None
+            # The service holds the new layout, the log the old one: a
+            # batch logged now would replay onto the wrong shards.
+            assert service.num_shards == 3
+            assert read_log_records(wal_dir / "batches.wal").num_shards == 4
+            with pytest.raises(WALError, match="4-shard layout"):
+                service.ingest_batch(_batches(1, start=6)[0])
+            assert service.batches_seen == 6
+            service.checkpoint()
+            for batch in _batches(2, start=6):
+                service.ingest_batch(batch)
+            live = service.state_dict()
+        finally:
+            service.close()
+        recovered = recover_service(wal_dir, _factory())
+        try:
+            assert recovered.num_shards == 3
             assert_states_equal(recovered.state_dict(), live)
         finally:
             recovered.close()
@@ -206,11 +251,11 @@ class TestLifecycleAndGuards:
         for batch in batches:
             service.ingest_batch(batch)
         service.checkpoint(tmp_path / "elsewhere")
-        # The side checkpoint is complete and loadable, but the paired
-        # log/watermark pair still owns recovery: nothing was truncated.
-        state, watermark = load_service_delta(tmp_path / "elsewhere")
-        assert watermark == len(batches) - 1
-        restored = SamplerService.from_state_dict(state, _factory())
+        # The side checkpoint is a complete classic directory, but the
+        # paired log still owns recovery: nothing was truncated.
+        restored = SamplerService.from_state_dict(
+            load_checkpoint(tmp_path / "elsewhere"), _factory()
+        )
         assert restored.batches_seen == len(batches)
         assert len(read_log_records(wal_dir / "batches.wal").records) == len(batches)
         assert service.stats()["durability"]["checkpoint_watermark"] == -1
@@ -396,7 +441,7 @@ class TestFailedAppendLeavesTheServiceUnchanged:
 
 
 class TestCheckpointDurability:
-    """Under ``"always"`` a checkpoint is on disk before the log is truncated."""
+    """Under every policy a checkpoint is on disk before its segment becomes the log."""
 
     @staticmethod
     def _record(monkeypatch) -> list[tuple[str, str, str]]:
@@ -416,49 +461,10 @@ class TestCheckpointDurability:
         return events
 
     @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc")
-    def test_always_syncs_every_rewritten_file_and_directory_before_the_swap(
-        self, tmp_path, monkeypatch
+    @pytest.mark.parametrize("fsync", ["always", "os", "none"])
+    def test_every_policy_syncs_the_segment_before_the_swap_and_the_directory_after(
+        self, tmp_path, monkeypatch, fsync
     ):
-        service = SamplerService(
-            _factory(), num_shards=4, rng=7, wal_dir=tmp_path / "wal", wal_fsync="always"
-        )
-        try:
-            for batch in _batches(3):
-                service.ingest_batch(batch)
-            events = self._record(monkeypatch)
-            service.checkpoint()
-            monkeypatch.undo()
-        finally:
-            service.close()
-        ckpt = os.path.realpath(tmp_path / "wal" / "checkpoint")
-        swap = next(
-            index
-            for index, (kind, _, dst) in enumerate(events)
-            if kind == "replace" and dst == os.path.join(ckpt, "MANIFEST.json")
-        )
-        synced = {path for kind, path, _ in events[:swap] if kind == "fsync"}
-        # Every file of every rewritten sub-checkpoint was fsynced before
-        # its own rename, and every such directory before the swap.
-        sub_replaces = [
-            (src, dst) for kind, src, dst in events[:swap]
-            if kind == "replace" and os.path.dirname(os.path.dirname(dst)) == ckpt
-        ]
-        rewritten = {os.path.dirname(dst) for _, dst in sub_replaces}
-        assert len(rewritten) == 5  # four dirty shards plus the service state
-        for index, (kind, src, dst) in enumerate(events[:swap]):
-            if kind == "replace" and os.path.dirname(dst) in rewritten:
-                assert ("fsync", src, "") in events[:index], src
-        assert rewritten <= synced
-        assert ckpt in synced
-        after = events[swap + 1 :]
-        assert ("fsync", ckpt, "") in after
-        # The log is truncated only after the checkpoint is durable.
-        log_syncs = [i for i, (kind, path, _) in enumerate(events) if path.endswith(".wal")]
-        assert log_syncs and min(log_syncs) > swap
-
-    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc")
-    @pytest.mark.parametrize("fsync", ["os", "none"])
-    def test_other_policies_add_no_fsync(self, tmp_path, monkeypatch, fsync):
         service = SamplerService(
             _factory(), num_shards=4, rng=7, wal_dir=tmp_path / "wal", wal_fsync=fsync
         )
@@ -470,15 +476,80 @@ class TestCheckpointDurability:
             monkeypatch.undo()
         finally:
             service.close()
-        synced = [path for kind, path, _ in events if kind == "fsync"]
-        # Only what every policy always synced: the manifest's temp file and
-        # the truncated log segments.
-        assert synced
-        for path in synced:
-            name = os.path.basename(path)
-            assert name.endswith(".wal") or (
-                name.startswith("MANIFEST-") and name.endswith(".tmp")
-            ), path
+        wal_dir = os.path.realpath(tmp_path / "wal")
+        log = os.path.join(wal_dir, "batches.wal")
+        assert events == [
+            ("fsync", log + ".tmp", ""),
+            ("replace", log + ".tmp", log),
+            ("fsync", wal_dir, ""),
+        ]
+
+
+class TestFailedCheckpointLeavesTheServiceUnchanged:
+    """An I/O error before a checkpoint's segment swap lands changes nothing."""
+
+    @pytest.mark.parametrize("code", [errno.ENOSPC, errno.EIO], ids=["ENOSPC", "EIO"])
+    @pytest.mark.parametrize(
+        "site", ["wal.segment-write:", "wal.segment-fsync:", "wal.segment-replace:"]
+    )
+    def test_an_io_error_at_the_swap_is_retryable(self, tmp_path, site, code):
+        batches = _batches(6)
+        wal_dir = tmp_path / "wal"
+        log = wal_dir / "batches.wal"
+        service = SamplerService(
+            _factory(),
+            num_shards=4,
+            rng=7,
+            wal_dir=wal_dir,
+            replication=ReplicationConfig(),
+        )
+
+        def failing(reached: str) -> None:
+            if reached.startswith(site):
+                raise OSError(code, os.strerror(code))
+
+        def observed() -> dict:
+            stats = service.stats()
+            del stats["profile"]  # wall times, which move on every call
+            return stats
+
+        try:
+            for batch in batches[:4]:
+                service.ingest_batch(batch)
+            stats, data = observed(), log.read_bytes()
+            wal_module._FAULT_HOOK = failing
+            try:
+                with pytest.raises(OSError) as raised:
+                    service.checkpoint()
+            finally:
+                wal_module._FAULT_HOOK = None
+            assert raised.value.errno == code
+            assert observed() == stats
+            assert log.read_bytes() == data
+            assert os.listdir(wal_dir) == ["batches.wal"]
+            # The directory as the failure left it recovers the committed
+            # prefix; the retried checkpoint then lands.
+            shutil.copytree(wal_dir, tmp_path / "copy")
+            copy = recover_service(tmp_path / "copy", _factory())
+            try:
+                assert_states_equal(copy.state_dict(), _golden(batches[:4]))
+            finally:
+                copy.close()
+            service.checkpoint()
+            durability = service.stats()["durability"]
+            assert durability["checkpoint_watermark"] == 3
+            assert durability["replication"]["standby_base_seq"] == 3
+            for batch in batches[4:]:
+                service.ingest_batch(batch)
+            live = service.state_dict()
+        finally:
+            service.close()
+        assert_states_equal(live, _golden(batches))
+        recovered = recover_service(wal_dir, _factory())
+        try:
+            assert_states_equal(recovered.state_dict(), live)
+        finally:
+            recovered.close()
 
 
 class TestPlannedLogRecords:
@@ -523,7 +594,7 @@ class TestPlannedLogRecords:
         finally:
             recovered.close()
 
-    def test_a_format_4_directory_is_refused(self, tmp_path):
+    def test_a_format_5_directory_is_refused(self, tmp_path):
         import struct
 
         service = SamplerService(_factory(), num_shards=4, rng=7, wal_dir=tmp_path / "wal")
@@ -532,13 +603,13 @@ class TestPlannedLogRecords:
                 service.ingest_batch(batch)
         finally:
             service.close()
-        # A log whose header names format 4: an earlier build's directory.
+        # A log whose header names format 5: an earlier build's directory.
         # Recovery refuses it and leaves the log as it was.
         log = tmp_path / "wal" / "batches.wal"
         data = bytearray(log.read_bytes())
-        struct.pack_into("<H", data, 8, 4)
+        struct.pack_into("<H", data, 8, 5)
         log.write_bytes(bytes(data))
-        with pytest.raises(WALError, match="unsupported WAL format version 4; this build reads 5"):
+        with pytest.raises(WALError, match="unsupported WAL format version 5; this build reads 6"):
             recover_service(tmp_path / "wal", _factory())
         assert log.read_bytes() == bytes(data)
 
@@ -555,9 +626,9 @@ class TestSamplingVersion:
             service.close()
         assert state["sampling_version"] == SAMPLING_VERSION == 2
         assert isinstance(state["plan_key"], int)
-        scalar, _ = load_service_delta(tmp_path / "wal" / "checkpoint")
-        assert scalar["sampling_version"] == 2
-        assert scalar["plan_key"] == state["plan_key"]
+        paired, _ = load_service_delta(tmp_path / "wal")
+        assert paired["sampling_version"] == 2
+        assert paired["plan_key"] == state["plan_key"]
 
     def test_restore_continues_the_trajectory_and_refuses_other_versions(self):
         batches = _batches(8)
