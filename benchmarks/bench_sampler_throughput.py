@@ -507,9 +507,9 @@ def test_service_replicated_durability_operating_point(throughput, tmp_path):
     """Warm-standby replication overhead at batch size 100k (process pool).
 
     Both services run a process-backed pool with a WAL; the second also
-    keeps a warm standby — a base cut of every shard, retaken at each
-    checkpoint, plus the committed log beyond it — and runs the failure
-    detector after each window's dispatch. Measured back to back in one
+    keeps a warm standby — the log itself, promoted by replaying the
+    committed batches behind its base — and runs the failure detector
+    after each window's dispatch. Measured back to back in one
     process, the ratio is a within-run comparison; the recorded operating
     points additionally feed the cross-run ``compare_bench.py --relative``
     gate in CI, whose budget is 20% replication overhead.
@@ -540,8 +540,7 @@ def test_service_replicated_durability_operating_point(throughput, tmp_path):
         best = float("inf")
         for _ in range(rounds):
             # Checkpoint between rounds so each times logging into a fresh
-            # segment; replicated, the checkpoint also retakes the standby's
-            # base, outside the timed region.
+            # segment, outside the timed region.
             service.checkpoint()
             begin = time.perf_counter()
             service.ingest(timed)
@@ -584,8 +583,8 @@ def test_service_replicated_durability_operating_point(throughput, tmp_path):
 def test_service_promotion_after_the_longest_replay(tmp_path):
     """Promotion latency after the longest replay a 64-batch checkpoint cadence allows.
 
-    The standby's base moves only at checkpoints, so a promotion replays
-    every committed batch since the last one. A process-backed service of
+    The standby is the log, so a promotion reads the log's base record
+    and replays every committed batch since the last checkpoint. A process-backed service of
     the ``durable-100k`` shape (8 R-TBS shards of capacity 1,250,
     100k-item batches routed on Zipf-skewed keys, WAL, warm standby)
     checkpoints after its first batch, ingests 63 more without another

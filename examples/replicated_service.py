@@ -4,14 +4,15 @@
 ``recover_service`` rebuilds it from the WAL. A pipelined deployment has a
 second failure mode: one shard *worker* of the process pool dies while the
 driver is alive and mid-stream. Passing ``replication=`` to a WAL-enabled
-service closes that gap with a **warm standby**: a base cut of every shard,
-retaken at every checkpoint, plus the committed log beyond it, promoted automatically when a worker crashes or
-stalls. Because every batch is committed to the log *before* it is
-dispatched, promotion rebuilds the base and replays the committed tail
-beyond it once — every batch since the last checkpoint, so the checkpoint
-cadence bounds the replay. No batch is lost, none is applied twice,
-and the post-failover trajectory is bit-identical to a run that never
-crashed, RNG state included.
+service closes that gap with a **warm standby** that is the log itself:
+its base record (the last checkpoint) plus the committed batches behind
+it, promoted automatically when a worker crashes or stalls. Because every
+batch is committed to the log *before* it is dispatched, promotion reads
+the log's base, rebuilds the shards from it and replays the committed
+tail behind it once — every batch since the last checkpoint, so the
+checkpoint cadence bounds the replay. No batch is lost, none is applied
+twice, and the post-failover trajectory is bit-identical to a run that
+never crashed, RNG state included.
 
 This example streams sensor readings through a process-backed replicated
 service, SIGKILLs one of the pool's worker processes mid-stream, and lets
@@ -78,8 +79,8 @@ def main() -> None:
         )
 
         service.ingest(sensor_batches(CHECKPOINT_AFTER))
-        # The checkpoint starts a fresh log and moves the standby's base up
-        # to its own cut: a promotion from here replays only what follows.
+        # The checkpoint starts a fresh log whose base is its own cut: a
+        # promotion from here replays only what follows.
         service.checkpoint()
         service.ingest(
             sensor_batches(
@@ -107,8 +108,8 @@ def main() -> None:
             time.sleep(0.01)  # SIGKILL is in flight; the probe is passive
 
         # Keep streaming as if nothing happened: the standby was promoted
-        # (its base rebuilt, the committed tail beyond it replayed once)
-        # and a fresh pool respawns lazily on the next dispatch.
+        # (the log's base rebuilt, the committed tail behind it replayed
+        # once) and a fresh pool respawns lazily on the next dispatch.
         service.ingest(
             sensor_batches(NUM_BATCHES - KILL_AFTER, start=KILL_AFTER * BATCH_SIZE)
         )

@@ -373,7 +373,7 @@ class Sampler:
             stats polling needs.
         include_state:
             When true, also capture a full restorable :meth:`state_dict`
-            (used by snapshot-based checkpointing and replica capture).
+            (used by snapshot-based checkpointing).
         """
         items: tuple[Any, ...] | None = None
         if include_items:

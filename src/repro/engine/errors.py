@@ -15,8 +15,9 @@ kinds:
   traceback text are carried along for debugging.
 * :class:`FailoverError` — a supervised failover (warm-standby promotion in
   :mod:`repro.service.replication`) could not complete: no standby is
-  configured, the failover budget is exhausted, or the committed log tail
-  the standby needs is gone. When this is raised the service is back in the
+  configured, the failover budget is exhausted, the log holds another
+  shard layout than the service, or committed batches are missing from
+  the log. When this is raised the service is back in the
   offline-recovery regime: restore from the last checkpoint.
 """
 

@@ -26,11 +26,11 @@ a long-running service:
   and
   :func:`recover_service` rebuilds a crashed service bit-identically —
   last checkpoint plus log replay, on any executor backend;
-* :mod:`repro.service.replication` — warm-standby replicas over the same
-  log: :class:`ReplicationConfig` (``replication=`` on the service) keeps
-  a driver-side standby as the last checkpoint's cut plus the committed
-  WAL beyond it, and a worker crash (or failed health probe) promotes it in
-  place (base rebuilt, log tail replayed once) — pipelined
+* :mod:`repro.service.replication` — a warm standby that is the same
+  log: with :class:`ReplicationConfig` (``replication=`` on the service) a
+  worker crash (or failed health probe) promotes the log in place — its
+  base record rebuilt, the committed tail behind it replayed once, as
+  :func:`recover_service` does — pipelined
   ingest resumes without dropping a batch, bit-identical to an
   uninterrupted run.
 """

@@ -1,4 +1,4 @@
-"""Warm-standby shard replicas: a base cut plus the log, and supervised failover.
+"""Warm-standby shard replicas: the log is the standby, and supervised failover.
 
 A WAL-enabled :class:`~repro.service.service.SamplerService` already
 recovers bit-identically after a crash — but *offline*: a
@@ -7,18 +7,14 @@ someone restarts the process and calls
 :func:`~repro.service.wal.recover_service`. This module keeps the service
 *serving through* the crash. Three pieces:
 
-* :class:`ShardReplicaSet` — the warm standby, kept as a *base* (the
-  per-shard states of a committed-watermark snapshot cut, plus the
-  reserved RNG states of the shards the cut holds no state for) and the
-  committed log beyond it.
-  The service takes the base when replication starts (construction or
-  recovery) and retakes it only at every paired checkpoint; the standby
-  does no per-batch work. Promotion
-  rebuilds the samplers from the base and replays ``(base, committed]``
-  once through :meth:`~repro.service.wal.WriteAheadLog.collect_replay` —
-  the reader, and the checkpoint-plus-replay argument, of offline
-  recovery. The operator's checkpoint cadence bounds that replay, as it
-  bounds offline recovery's.
+* :class:`ShardReplicaSet` — the warm standby, which is the log itself:
+  its base record (the paired checkpoint) and the committed batches behind
+  it. Nothing else is kept, so the standby can never drift from the log,
+  and it does no work until a promotion. Promotion reads the base, rebuilds
+  the samplers from it and replays the committed tail once through
+  :func:`~repro.service.wal.replay_tail` — offline recovery's replay, run
+  inside the live service. The operator's checkpoint cadence bounds that
+  replay, as it bounds offline recovery.
 * :class:`FailureDetector` — declares the worker pool failed from two
   passive signals: process liveness (the driver-side mirror of the
   workers' orphan watchdog) and acknowledgement staleness (the pool's ack
@@ -37,15 +33,17 @@ Why promotion is safe (the watermark argument)
 its commit point — *before* it is dispatched to any worker. So every batch
 the driver has ever observed as ingested is durably committed in the log,
 no matter how far the pipelined workers got with it. Failover therefore
-never salvages worker state: the pool is discarded wholesale, the base is
-rebuilt and the committed tail ``(base, committed]`` replayed into it, and
-the promoted samplers are bit-identical to an uninterrupted run through
-the last committed batch — independent of *when* the failure was
-detected, with no batch dropped and none double-applied. The base stays
-valid across a promotion (the promoted trajectory is the same one), so a
-second failure before the next checkpoint promotes from it again. Truncation
-must never drop a frame the base still needs: a paired checkpoint adopts
-its own cut as the base *before* it truncates the log.
+never salvages worker state: the pool is discarded wholesale, the log's
+base is rebuilt and its committed tail replayed into it, and the promoted
+samplers are bit-identical to an uninterrupted run through the last
+committed batch — independent of *when* the failure was detected, with no
+batch dropped and none double-applied. Whatever the last checkpoint did —
+swapped in its segment, or failed before or after the swap — the log on
+disk is a base plus every commit since, so promotion needs no ordering
+rule of its own. The one log it cannot promote is one of another shard
+layout, which only a reshard whose segment swap failed leaves behind; the
+service refuses to fail over onto it until a ``checkpoint()`` installs the
+new layout's log.
 
 RNG rule
 --------
@@ -53,26 +51,24 @@ RNG rule
 Every factory call gets a fresh copy of the shard's reserved stream, and
 reserved streams change only on reshard — so a shard active in the base is
 rebuilt from its cut state (which embeds its generator), and any other
-shard's factory gets a copy of its reserved state on its first replayed
-frame, exactly as the primary's did.
+shard's factory gets a copy of its reserved state, read from the base, on
+its first replayed frame, exactly as the primary's did.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Callable
+from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
 from repro.core.base import Sampler
-from repro.core.random_utils import generator_state
 from repro.engine.errors import FailoverError
-from repro.engine.shards import build_shard_sampler
-from repro.service.wal import WALError, WriteAheadLog
+from repro.service import checkpoint
+from repro.service.wal import WALError, WriteAheadLog, replay_tail
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
     from repro.engine.transport import ShardWorkerPool
-    from repro.service.service import SamplerService, ServiceSnapshot
 
 __all__ = [
     "ReplicationConfig",
@@ -87,8 +83,8 @@ __all__ = [
 class ReplicationConfig:
     """Deployment knobs for warm-standby replication.
 
-    The standby's base moves at every paired checkpoint, so the
-    deployment's checkpoint cadence bounds a promotion's replay.
+    The standby is the log, whose base moves at every paired checkpoint,
+    so the deployment's checkpoint cadence bounds a promotion's replay.
 
     Parameters
     ----------
@@ -121,123 +117,57 @@ class ReplicationConfig:
 
 
 class ShardReplicaSet:
-    """The warm standby: a base cut of every shard plus the committed log.
+    """The warm standby, which is the log: its base record plus the committed tail.
 
-    The base lives driver-side (the driver survives worker crashes — the
-    failure domain replication defends against is the worker pool) and is
-    never advanced batch by batch: the service replaces the whole replica
-    set with a fresh :meth:`capture` at every paired checkpoint.
-    :meth:`catch_up` rebuilds the samplers from the base and replays the
-    committed tail beyond it through ``ingest_stream`` — the
-    identical replay path offline recovery uses, so the rebuilt samplers
-    are bit-identical to the primary's at the replayed watermark.
+    Holds no shard state — only the factory that builds shards the base
+    holds none for, and the log. :meth:`catch_up` reads the log's base
+    record (the paired checkpoint) and replays the committed tail behind
+    it through :func:`~repro.service.wal.replay_tail`, the replay offline
+    recovery runs, so the rebuilt samplers are bit-identical to the
+    primary's at the replayed watermark.
     """
 
     def __init__(
-        self,
-        factory: Callable[[np.random.Generator], Sampler],
-        wal: WriteAheadLog,
-        base_seq: int,
-        states: dict[int, dict[str, Any]],
-        rng_states: dict[int, dict[str, Any]],
+        self, factory: Callable[[np.random.Generator], Sampler], wal: WriteAheadLog
     ) -> None:
         self._factory = factory
         self._wal = wal
-        #: Global sequence number of the last batch the base covers.
-        self.base_seq = int(base_seq)
-        #: ``state_dict()`` of every shard active at the base, by shard id.
-        self._states = states
-        #: Reserved-stream states of the shards not active at the base,
-        #: handed to the factory on a first replayed frame.
-        self._rng_states = rng_states
-        #: Samplers rebuilt by :meth:`catch_up`, by shard id; handed over
-        #: (and cleared) by :meth:`promote`.
-        self.samplers: dict[int, Sampler] = {}
 
-    @classmethod
-    def capture(cls, service: "SamplerService", cut: "ServiceSnapshot") -> "ShardReplicaSet":
-        """Take ``cut`` — a state-bearing cut at the committed watermark — as the base.
+    def catch_up(self, through_seq: int) -> dict[int, Sampler]:
+        """Rebuild every shard from the log's base and replay ``(base, through_seq]``.
 
-        The caller holds the service lock and took ``cut`` with
-        ``include_state=True`` at the current watermark. The cut's states
-        are kept as they are (cuts are immutable); shards without a view
-        contribute only their reserved-stream state (see the RNG rule in the
-        module docstring).
-        """
-        assert service._wal is not None  # replication requires a WAL
-        states: dict[int, dict[str, Any]] = {}
-        rng_states: dict[int, dict[str, Any]] = {}
-        for shard_id in range(service.num_shards):
-            view = cut.views.get(shard_id)
-            if view is None:
-                rng_states[shard_id] = generator_state(service._shard_rngs[shard_id])
-            elif view.state is None:
-                raise ValueError(
-                    "a standby base needs a state-bearing cut; take the "
-                    "snapshot with include_state=True"
-                )
-            else:
-                states[shard_id] = view.state
-        return cls(service._factory, service._wal, cut.watermark, states, rng_states)
-
-    def lag(self, committed_seq: int) -> int:
-        """How many committed batches lie beyond the base."""
-        return int(committed_seq) - self.base_seq
-
-    def catch_up(self, through_seq: int) -> set[int]:
-        """Rebuild the samplers from the base and replay ``(base, through_seq]``.
-
-        Returns the shards the replay touched. ``through_seq`` is the
+        Returns the rebuilt samplers by shard id. ``through_seq`` is the
         driver's committed sequence number; the log must end exactly there
-        and hold every commit beyond the base. A missing commit means
-        frames the base needs were truncated away (or the log is damaged),
-        and promoting such a standby would silently lose batches — that is
-        a :class:`~repro.engine.errors.FailoverError`, never a quiet gap.
+        and hold every commit beyond its base. A missing commit means the
+        log is damaged, and promoting it would silently lose batches — that
+        is a :class:`~repro.engine.errors.FailoverError`, never a quiet gap.
         """
         through_seq = int(through_seq)
         try:
-            plan = self._wal.collect_replay(self.base_seq)
-        except WALError as error:
+            state, watermark = checkpoint.load_service_delta(self._wal.directory)
+            samplers = {
+                int(shard_id): Sampler.from_state_dict(shard_state)
+                for shard_id, shard_state in state["shards"].items()
+            }
+            plan = replay_tail(
+                self._wal,
+                watermark,
+                samplers,
+                self._factory,
+                state["shard_rng_states"],
+            )
+        except (WALError, checkpoint.MissingCheckpointError) as error:
             raise FailoverError(
-                f"the standby's base is batch {self.base_seq}, but the log "
-                f"cannot replay the committed tail beyond it ({error}); "
-                "restore offline from the last checkpoint"
+                "the log cannot replay the committed batches behind its base "
+                f"({error}); restore offline from the last checkpoint"
             ) from error
         if plan.last_seq != through_seq:
             raise FailoverError(
                 f"the log's last commit is batch {plan.last_seq}, but the "
                 f"driver committed through batch {through_seq}; committed "
-                "frames left the log (truncated past the standby's base "
-                f"{self.base_seq}) or the log is damaged — restore offline "
+                "frames left the log or the log is damaged — restore offline "
                 "from the last checkpoint"
             )
-        samplers = {
-            shard_id: Sampler.from_state_dict(self._states[shard_id])
-            for shard_id in sorted(self._states)
-        }
-        for shard_id in sorted(plan.per_shard):
-            sampler = samplers.get(shard_id)
-            if sampler is None:
-                sampler = build_shard_sampler(
-                    self._factory, self._rng_states[shard_id]
-                )
-                samplers[shard_id] = sampler
-            batches, times = plan.per_shard[shard_id]
-            sampler.ingest_stream(
-                batches, times=times, arrivals=plan.arrivals[shard_id]
-            )
-        self.samplers = samplers
-        return set(plan.per_shard)
-
-    def promote(self) -> dict[int, Sampler]:
-        """Hand over the samplers :meth:`catch_up` rebuilt.
-
-        The caller (the service's failover) adopts them as the new
-        primaries. The base is kept: it still describes the promoted
-        trajectory, so a later promotion replays from it again until the
-        next cut replaces it.
-        """
-        samplers, self.samplers = self.samplers, {}
         return samplers
 
 
@@ -306,7 +236,6 @@ class ReplicationRuntime:
     """Live replication state a service carries alongside its config."""
 
     config: ReplicationConfig
-    replica: ShardReplicaSet
     detector: FailureDetector
     #: Completed promotions over this service's lifetime.
     failovers: int = 0

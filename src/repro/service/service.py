@@ -363,12 +363,11 @@ class SamplerService:
         lag bounded by the last flush.
     replication:
         Optional :class:`~repro.service.replication.ReplicationConfig`
-        enabling a warm standby: a driver-side base cut of every shard,
-        taken at construction (or recovery) and retaken at every paired
-        checkpoint, plus the committed WAL beyond it. A
+        enabling a warm standby, which is the WAL itself: its base record
+        (the paired checkpoint) plus the committed batches behind it. A
         :class:`~repro.engine.errors.WorkerCrashError` (or a failed health
-        probe) promotes the standby *in place* — the base is rebuilt, the
-        committed log tail beyond it is replayed, and pipelined ingest
+        probe) promotes the standby *in place* — the log's base is rebuilt,
+        the committed tail behind it is replayed, and pipelined ingest
         resumes on a fresh worker pool without dropping a batch;
         post-failover trajectories are bit-identical to an uninterrupted
         run. Requires ``wal_dir`` (the
@@ -402,7 +401,7 @@ class SamplerService:
         if replication is not None and wal_dir is None:
             raise ValueError(
                 "replication requires a write-ahead log (promotion replays the "
-                "committed log beyond the standby's base); pass wal_dir= as well"
+                "committed log behind its base); pass wal_dir= as well"
             )
         self._factory = sampler_factory
         self.num_shards = int(num_shards)
@@ -476,8 +475,8 @@ class SamplerService:
         #: The write-ahead log, when durability is enabled (``wal_dir=`` at
         #: construction, or attached by ``recover_service``).
         self._wal: WriteAheadLog | None = None
-        #: Warm-standby replication state (config + replica + failure
-        #: detector), or ``None`` when replication is off.
+        #: Warm-standby replication state (config + failure detector), or
+        #: ``None`` when replication is off.
         self._replication: ReplicationRuntime | None = None
         #: Wall time per ingest phase and the batches it covers, since
         #: construction or restore. The key set is fixed here, so
@@ -562,15 +561,6 @@ class SamplerService:
                 )
             return Sampler.from_state_dict(state)
 
-    def _get_or_create_shard(self, shard_id: int) -> Sampler:
-        """The sampler behind one shard, created lazily on first arrival."""
-        sampler = self._shards.get(shard_id)
-        if sampler is None:
-            sampler = self._build_shard(shard_id)
-            self._shards[shard_id] = sampler
-            self._activated.add(shard_id)
-        return sampler
-
     def _build_shard(self, shard_id: int) -> Sampler:
         """A fresh sampler for one shard, built on a copy of its reserved stream.
 
@@ -617,7 +607,7 @@ class SamplerService:
             :meth:`stats`.
         include_state:
             Include a full restorable ``state_dict()`` per view — the tier
-            :meth:`checkpoint` and replica capture serialize from.
+            :meth:`checkpoint` and :meth:`state_dict` serialize from.
         """
         # Stale-tolerant fast path, deliberately outside the lock: the
         # cached cut is immutable once published and the staleness bound is
@@ -759,8 +749,8 @@ class SamplerService:
             None
             if rt is None
             else {
-                "standby_base_seq": rt.replica.base_seq,
-                "standby_lag_batches": rt.replica.lag(self._batches_seen - 1),
+                "standby_base_seq": self._wal.watermark,
+                "standby_lag_batches": self._batches_seen - 1 - self._wal.watermark,
                 "failovers": rt.failovers,
                 "failure_detection": (
                     "liveness+ack-staleness"
@@ -1230,11 +1220,6 @@ class SamplerService:
             save_service_delta(
                 self._scalar_state(), shard_states, self._wal, cut.watermark
             )
-            if self._replication is not None:
-                # The new segment holds no batch at or below the cut, and
-                # promotion replays from the standby's base: the base moves
-                # up to this very cut.
-                self._replication.replica = ShardReplicaSet.capture(self, cut)
 
     # ------------------------------------------------------------------
     # shard host dispatch
@@ -1371,12 +1356,12 @@ class SamplerService:
     # warm-standby replication & supervised failover
     # ------------------------------------------------------------------
     def _enable_replication(self, config: ReplicationConfig) -> None:
-        """Capture a warm standby of the current state and start supervising.
+        """Start supervising the worker pool, with the log as the warm standby.
 
         Called from the constructor (``replication=``) and by
-        :func:`~repro.service.wal.recover_service`. The standby's first base
-        is a cut at the current committed watermark; from then on it trails
-        the primary only by the committed log beyond its base.
+        :func:`~repro.service.wal.recover_service`. It takes no cut: a
+        promotion reads the log's base record and replays the committed
+        batches behind it.
         """
         if self._wal is None:
             raise ValueError(
@@ -1385,12 +1370,8 @@ class SamplerService:
             )
         if self._replication is not None:
             raise ValueError("replication is already enabled on this service")
-        # The base is the same committed-watermark cut the checkpoint path
-        # serializes: a state-bearing snapshot, not a drain barrier.
-        cut = self.snapshot(include_items=False, include_state=True)
         self._replication = ReplicationRuntime(
             config=config,
-            replica=ShardReplicaSet.capture(self, cut),
             detector=FailureDetector(
                 clock=config.clock, ack_timeout=config.ack_timeout
             ),
@@ -1403,8 +1384,7 @@ class SamplerService:
         batches are committed and dispatched — never between commit and
         dispatch, where a promotion would replay a batch into the promoted
         samplers and the still-pending dispatch would then double-apply
-        it. The standby's base does not move here: only a paired
-        :meth:`checkpoint` retakes it.
+        it.
         """
         rt = self._replication
         if rt is None:
@@ -1457,13 +1437,20 @@ class SamplerService:
         Without a standby, a worker crash (``error``) is re-raised as is.
 
         The safety argument: every batch the driver ever observed as
-        ingested was committed to the WAL *before* dispatch, so the
-        standby's base plus the committed log beyond it — replayed through
-        the last committed sequence number — is bit-identical to an
+        ingested was committed to the WAL *before* dispatch, so the log's
+        base plus the committed batches behind it — replayed through the
+        last committed sequence number — is bit-identical to an
         uninterrupted run through that batch. Worker
         state is therefore never salvaged: the pool is discarded wholesale,
         whatever pipeline position it died at, and no batch is dropped or
         double-applied regardless of when the failure was detected.
+
+        A log of another shard layout than the service's — left by a
+        reshard whose segment swap failed — is refused with
+        :class:`~repro.engine.errors.FailoverError` before anything changes:
+        it holds the old layout, and promoting it would put retained items
+        on shards they do not hash to. A ``checkpoint()`` installs the new
+        layout's log.
         """
         rt = self._replication
         if rt is None:
@@ -1485,6 +1472,14 @@ class SamplerService:
                 "offline and investigate",
                 cause=error,
             )
+        if self._wal.num_shards != self.num_shards:
+            raise FailoverError(
+                f"the log still holds the {self._wal.num_shards}-shard layout, "
+                f"but the service runs {self.num_shards} shards: the checkpoint "
+                "of a reshard failed; call checkpoint() to install the new "
+                "layout's log first",
+                cause=error,
+            )
         # 1. Condemn the host. Surviving workers hold shards at
         # indeterminate pipeline positions; none of that state is salvaged
         # — the log is the authority. Releasing the host discards every
@@ -1496,13 +1491,11 @@ class SamplerService:
         # Cached cuts may reference the condemned pool's shard states.
         self._snapshot_cache = None
         self._executor.shutdown()
-        # 2. Rebuild the base, replay the log through the last committed
-        # batch, then promote the samplers in place. The reserved RNG
-        # streams never moved, so they need no reconciling. The base stays:
-        # it describes this same trajectory.
+        # 2. Rebuild the log's base, replay the log through the last
+        # committed batch, then promote the samplers in place. The reserved
+        # RNG streams never moved, so they need no reconciling.
         committed = self._batches_seen - 1
-        rt.replica.catch_up(committed)
-        samplers = rt.replica.promote()
+        samplers = ShardReplicaSet(self._factory, self._wal).catch_up(committed)
         self._shards = samplers
         self._activated = set(samplers)
         self._mirrors = None
@@ -1518,7 +1511,7 @@ class SamplerService:
 
         Runs the exact promotion the failure detector performs on a worker
         crash: the current (possibly healthy) worker pool is discarded,
-        the standby's base is rebuilt and the committed log tail beyond it
+        the log's base is rebuilt and the committed batches behind it
         replayed, and the service
         continues on the promoted samplers — bit-identically to never
         having failed over, on any backend. Requires ``replication=``;
@@ -1739,9 +1732,9 @@ class SamplerService:
             try:
                 self._detach_all_shards()
             except WorkerCrashError as error:
-                # The old layout's log still holds every batch beyond the
-                # standby's base, so promotion loses nothing; the reshard
-                # proceeds on the promoted samplers.
+                # The old layout's log still holds every batch beyond its
+                # base, so promotion loses nothing; the reshard proceeds on
+                # the promoted samplers.
                 self._failover(error)
         # Bring every active shard to the service clock so the split sees
         # fully decayed bookkeeping (idle shards decay by their whole gap).
@@ -1785,8 +1778,8 @@ class SamplerService:
             # One swap replaces the old layout's log (its checkpoint and
             # every batch since, keyed by the old shard ids) with a log for
             # the new layout whose base is the re-homed state: a crash on
-            # either side of it recovers a whole deployment. The checkpoint
-            # also makes the re-homed state the standby's base.
+            # either side of it recovers a whole deployment, and a promotion
+            # replays from the re-homed state.
             self.checkpoint()
             if self._replication is not None:
                 self._replication.detector.reset()

@@ -89,11 +89,15 @@ from typing import Any, Callable, Sequence
 
 import numpy as np
 
+from repro.core.base import Sampler
+from repro.engine.shards import build_shard_sampler
+
 __all__ = [
     "WALError",
     "WALLayoutError",
     "WriteAheadLog",
     "recover_service",
+    "replay_tail",
     "read_log_records",
 ]
 
@@ -736,10 +740,7 @@ class WriteAheadLog:
         before the new segment replaces the old one, the log, its handle,
         :attr:`num_shards` and :attr:`watermark` are unchanged and the call
         can be retried; if the directory fsync after it raises, the new
-        segment is the log. A replication caller must move its standby's
-        base up to the watermark as the swap lands — promotion replays from
-        the base, and the new segment holds no batch at or below the
-        watermark.
+        segment is the log.
         """
         self._log.replace(
             int(num_shards), [_WATERMARK.pack(int(watermark)), *checkpoint]
@@ -794,6 +795,38 @@ class WriteAheadLog:
         )
 
 
+def replay_tail(
+    wal: WriteAheadLog,
+    watermark: int,
+    samplers: dict[int, Sampler],
+    factory: Callable[[np.random.Generator], Sampler],
+    rng_states: Sequence[dict[str, Any]],
+) -> ReplayPlan:
+    """Replay the log's committed batches beyond ``watermark`` into ``samplers``.
+
+    The one replay of the log, run by offline recovery
+    (:func:`recover_service`) and by a warm standby's promotion
+    (:meth:`~repro.service.replication.ShardReplicaSet.catch_up`).
+    ``samplers`` holds the shards of the base cut at ``watermark`` and is
+    updated in place: each shard ingests its sub-batches through
+    ``ingest_stream``, and a shard the base holds none for is built on its
+    first replayed frame by ``factory``, on a copy of its reserved stream
+    ``rng_states[shard_id]`` — as the live service built it. Returns the
+    :meth:`~WriteAheadLog.collect_replay` plan, whose ``last_seq`` is the
+    batch the samplers now stand at.
+    """
+    plan = wal.collect_replay(watermark)
+    for shard_id in sorted(plan.per_shard):
+        sampler = samplers.get(shard_id)
+        if sampler is None:
+            sampler = samplers[shard_id] = build_shard_sampler(
+                factory, rng_states[shard_id]
+            )
+        batches, times = plan.per_shard[shard_id]
+        sampler.ingest_stream(batches, times=times, arrivals=plan.arrivals[shard_id])
+    return plan
+
+
 def recover_service(
     wal_dir: str | os.PathLike,
     sampler_factory,
@@ -806,11 +839,11 @@ def recover_service(
 
     Restores the log's base record (the paired checkpoint), replays each
     shard's sub-batches from the batch records behind it through the normal
-    ``ingest_stream`` path, and returns a live service with the WAL
-    re-attached for continued appends. By the determinism contract the
-    result is bit-identical to the uninterrupted run through the last
-    *committed* batch — on any executor backend. ``service.batches_seen``
-    tells the producer where to resume its stream.
+    ``ingest_stream`` path (:func:`replay_tail`), and returns a live service
+    with the WAL re-attached for continued appends. By the determinism
+    contract the result is bit-identical to the uninterrupted run through
+    the last *committed* batch — on any executor backend.
+    ``service.batches_seen`` tells the producer where to resume its stream.
 
     A torn log tail (crash mid-append) is tolerated: recovery stops at the
     last committed batch, and the next append cuts the debris off. A
@@ -821,7 +854,8 @@ def recover_service(
 
     ``replication=`` (a :class:`~repro.service.replication.ReplicationConfig`)
     re-enables warm-standby replication on the recovered service, exactly as
-    ``SamplerService(replication=...)`` would for a fresh one.
+    ``SamplerService(replication=...)`` would for a fresh one: its standby
+    is the same log, so a promotion replays from the log's base.
     """
     from repro.service.checkpoint import load_service_delta
     from repro.service.service import SamplerService
@@ -831,11 +865,10 @@ def recover_service(
         state, sampler_factory, key_fn=key_fn, executor=executor
     )
     wal = WriteAheadLog.attach(wal_dir, service.num_shards, fsync=fsync)
-    plan = wal.collect_replay(watermark)
-    for shard_id in sorted(plan.per_shard):
-        batches, times = plan.per_shard[shard_id]
-        sampler = service._get_or_create_shard(shard_id)
-        sampler.ingest_stream(batches, times=times, arrivals=plan.arrivals[shard_id])
+    plan = replay_tail(
+        wal, watermark, service._shards, sampler_factory, state["shard_rng_states"]
+    )
+    service._activated.update(service._shards)
     if plan.last_seq > watermark:
         service._time = plan.last_time
         service._batches_seen = plan.last_seq + 1

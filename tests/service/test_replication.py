@@ -1,17 +1,19 @@
-"""Warm-standby replication: base cuts, failover, and the layout guards.
+"""Warm-standby replication: the log as the standby, failover, and the layout guards.
 
 Covers the replication module's layers plus the robustness satellites
 that ride with it:
 
-* :class:`~repro.service.replication.ShardReplicaSet` bit-identity (a base
-  cut plus one replay of the committed log), long tails, and gap
-  detection, and :class:`FailureDetector` verdicts under an injected
-  clock;
-* the standby's base on ``serial`` and ``process:2``, each run ending
-  bit-identical to ``tests/faults.py::golden_state``: shards that first
-  activate after the base, a worker killed while a checkpoint cut's markers
-  are in flight, and a crash right after ``checkpoint()`` truncated the
-  log;
+* :class:`~repro.service.replication.ShardReplicaSet` bit-identity (the
+  log's base plus one replay of the committed tail behind it), long tails,
+  and gap detection, and :class:`FailureDetector` verdicts under an
+  injected clock;
+* promotion on ``serial`` and ``process:2``, each run ending bit-identical
+  to ``tests/faults.py::golden_state``: shards that first activate after
+  the log's base, a worker killed while a checkpoint cut's markers are in
+  flight, a crash right after ``checkpoint()`` truncated the log, and
+  checkpoints whose segment swap failed — after the replace (a failed
+  directory fsync: promotion replays the new segment) and in a reshard
+  (the old layout's log is refused until a checkpoint);
 * forced failover on ``serial`` and ``process:2`` (the process backend's
   SIGKILL sweep lives in ``test_replication_chaos.py``);
 * ``close()`` idempotency after a worker crash (satellite: double-close
@@ -23,6 +25,7 @@ that ride with it:
 
 from __future__ import annotations
 
+import errno
 import os
 import signal
 import time
@@ -32,6 +35,7 @@ import pytest
 
 from repro.core import RTBS
 import repro.engine.transport as transport
+import repro.service.wal as wal_module
 from repro.engine import FailoverError, ShardWorkerPool, WorkerCrashError
 from repro.service import (
     MissingCheckpointError,
@@ -70,9 +74,10 @@ def _routed(batch: np.ndarray, num_shards: int = 2) -> list:
 # ----------------------------------------------------------------------
 # ShardReplicaSet
 # ----------------------------------------------------------------------
-def _base(service: SamplerService) -> ShardReplicaSet:
-    return ShardReplicaSet.capture(
-        service, service.snapshot(include_items=False, include_state=True)
+def _standby(service: SamplerService) -> ShardReplicaSet:
+    """The service's standby, read through a second handle on its log."""
+    return ShardReplicaSet(
+        _factory(), WriteAheadLog.attach(service.wal_dir, service.num_shards)
     )
 
 
@@ -83,13 +88,17 @@ class TestShardReplicaSet:
         service = SamplerService(
             _factory(), num_shards=3, rng=11, wal_dir=tmp_path / "wal"
         )
-        replica = _base(service)
+        standby = _standby(service)
         for seq, batch in enumerate(_batches(12)):
             service.ingest_batch(batch)
-            replica.catch_up(seq)
+            if seq % 5 == 4:
+                # The log's base moves; the same standby reads the new one.
+                service.checkpoint()
+            samplers = standby.catch_up(seq)
+            assert sorted(samplers) == service.active_shards
             for shard_id in service.active_shards:
                 assert_states_equal(
-                    replica.samplers[shard_id].state_dict(),
+                    samplers[shard_id].state_dict(),
                     service.shard(shard_id).state_dict(),
                 )
         service.close()
@@ -99,36 +108,42 @@ class TestShardReplicaSet:
         service = SamplerService(
             _factory(), num_shards=2, rng=7, wal_dir=tmp_path / "wal"
         )
-        replica = _base(service)
         for batch in batches:
             service.ingest_batch(batch)
-        assert replica.catch_up(99) == {0, 1}
+        samplers = _standby(service).catch_up(99)
+        assert sorted(samplers) == [0, 1]
         reference = SamplerService(_factory(), num_shards=2, rng=7)
         reference.ingest(batches)
         for shard_id in reference.active_shards:
             assert_states_equal(
-                replica.samplers[shard_id].state_dict(),
+                samplers[shard_id].state_dict(),
                 reference.shard(shard_id).state_dict(),
             )
         service.close()
 
     def test_catch_up_refuses_a_gap_in_the_committed_tail(self, tmp_path):
         service = SamplerService(
-            _factory(), num_shards=2, rng=11, wal_dir=tmp_path / "wal"
+            _factory(),
+            num_shards=2,
+            rng=11,
+            wal_dir=tmp_path / "wal",
+            replication=ReplicationConfig(),
         )
-        # A base taken before any batch, left behind while the primary
-        # checkpointed and truncated, has lost the frames it needs:
-        # promotion from it would silently drop batches, so it must refuse
-        # — whether or not newer commits follow the truncation.
-        replica = _base(service)
         for batch in _batches(5):
             service.ingest_batch(batch)
-        service.checkpoint()
-        with pytest.raises(FailoverError, match="truncat"):
-            replica.catch_up(service.batches_seen - 1)
-        service.ingest_batch(_batches(1, start=5)[0])
-        with pytest.raises(FailoverError, match="truncat"):
-            replica.catch_up(service.batches_seen - 1)
+        # The log lost the driver's last committed batch (a damaged or
+        # partially copied file): promoting it would silently drop that
+        # batch, so it must refuse.
+        log = os.path.join(service.wal_dir, "batches.wal")
+        last = read_log_records(log).records[-1]
+        assert last.seq == service.batches_seen - 1
+        with open(log, "r+b") as fh:
+            fh.truncate(last.start)
+        with pytest.raises(FailoverError, match="committed through batch 4"):
+            _standby(service).catch_up(service.batches_seen - 1)
+        # So does the live service's own promotion.
+        with pytest.raises(FailoverError, match="committed through batch 4"):
+            service.failover()
         service.close()
 
 
@@ -335,7 +350,7 @@ class TestIngestBuildsNoSample:
 
 
 # ----------------------------------------------------------------------
-# The standby's base: construction cut, checkpoint cuts, late activation
+# The log's base: construction, checkpoints, late activation
 # ----------------------------------------------------------------------
 BASE_BACKENDS = [None, "process:2"]
 BASE_IDS = ["serial", "process"]
@@ -368,7 +383,7 @@ def _kill_worker(service: SamplerService, worker: int = 0) -> None:
 class TestStandbyBase:
     @pytest.mark.parametrize("backend", BASE_BACKENDS, ids=BASE_IDS)
     def test_bulk_ingest_cuts_see_every_dispatched_batch(self, tmp_path, backend):
-        """A windowed ingest never moves the base; a checkpoint's cut covers it all."""
+        """A windowed ingest never moves the log's base; a checkpoint's cut covers it all."""
         batches = faults.workload_batches()
         service = _replicated(tmp_path, backend)
         try:
@@ -405,9 +420,9 @@ class TestStandbyBase:
                 handed.append(generator_state(rng))
             return inner(rng)
 
-        # No checkpoint: the base stays the empty cut the constructor
-        # took, so every shard first activates during the promotion's
-        # replay.
+        # No checkpoint: the log's base stays the empty cut the
+        # constructor wrote, so every shard first activates during the
+        # promotion's replay.
         service = _replicated(tmp_path, backend, factory=factory)
         try:
             for index, batch in enumerate(faults.workload_batches()):
@@ -456,9 +471,9 @@ class TestStandbyBase:
     def test_worker_killed_with_cut_markers_in_flight(self, tmp_path, monkeypatch):
         """A worker dies while a checkpoint's cut markers are in flight.
 
-        The promotion comes from the previous checkpoint's base, takes no
-        cut of its own, and the checkpoint then adopts the promoted cut as
-        the new base.
+        The promotion replays from the previous checkpoint's base, takes no
+        cut of its own, and the checkpoint then writes the promoted cut as
+        the log's new base.
         """
         from repro.engine.transport import ShardWorkerPool
 
@@ -490,7 +505,8 @@ class TestStandbyBase:
             return snapshot(svc, *args, **kwargs)
 
         def recording_catch_up(replica, through_seq):
-            promoted_from.append(replica.base_seq)
+            log = os.path.join(service.wal_dir, "batches.wal")
+            promoted_from.append(read_log_records(log, base_only=True).watermark)
             return catch_up(replica, through_seq)
 
         def recording_failover(svc, error):
@@ -511,8 +527,8 @@ class TestStandbyBase:
                     service.checkpoint()
             # Checkpoints after batches 3 and 7; the second's cut found the
             # pool dead, promoted from the first's base (batch 3) without
-            # taking another cut, and the checkpoint adopted the promoted
-            # state as the base and as its watermark.
+            # taking another cut, and the checkpoint wrote the promoted
+            # state as the log's base.
             assert cuts == [3, 7]
             assert promoted_from == [3]
             assert snapshots_during_failover == []
@@ -538,7 +554,7 @@ class TestStandbyBase:
                     service.checkpoint()
                 if index == 2 * faults.CKPT_EVERY - 1:
                     # The checkpoint truncated every frame, and its own cut
-                    # is the base: promotion needs nothing truncation took.
+                    # is the log's base: promotion replays nothing.
                     log = os.path.join(service.wal_dir, "batches.wal")
                     assert read_log_records(log).records == []
                     stats = service.stats()["durability"]
@@ -552,6 +568,98 @@ class TestStandbyBase:
             assert_states_equal(service.state_dict(), faults.golden_state())
         finally:
             service.close()
+
+
+# ----------------------------------------------------------------------
+# Promotion after a checkpoint's segment swap failed
+# ----------------------------------------------------------------------
+def _failing_at(prefix: str, code: int):
+    """A failpoint hook raising ``OSError(code)`` at the sites named ``prefix``."""
+
+    def hook(site: str) -> None:
+        if site.startswith(prefix):
+            raise OSError(code, os.strerror(code))
+
+    return hook
+
+
+class TestPromotionAfterAFailedSwap:
+    @pytest.mark.parametrize("backend", BASE_BACKENDS, ids=BASE_IDS)
+    def test_a_failed_directory_fsync_promotes_from_the_new_segment(
+        self, tmp_path, backend
+    ):
+        """The swap landed but its directory fsync raised: the new segment is the log.
+
+        Promotion reads that segment's base and replays the batches behind
+        it, so nothing the driver committed is missing from the standby.
+        """
+        batches = faults.workload_batches()
+        service = _replicated(tmp_path, backend)
+        try:
+            service.ingest(batches[:6])
+            wal_module._FAULT_HOOK = _failing_at("wal.segment-dirsync", errno.EIO)
+            try:
+                with pytest.raises(OSError) as raised:
+                    service.checkpoint()
+            finally:
+                wal_module._FAULT_HOOK = None
+            assert raised.value.errno == errno.EIO
+            assert service.stats()["durability"]["checkpoint_watermark"] == 5
+            service.ingest(batches[6:8])
+            service.failover()
+            stats = _replication_stats(service)
+            assert stats["failovers"] == 1
+            assert stats["standby_base_seq"] == 5
+            assert stats["standby_lag_batches"] == 2
+            service.ingest(batches[8:])
+            assert_states_equal(service.state_dict(), faults.golden_state())
+        finally:
+            service.close()
+
+    @pytest.mark.parametrize("backend", BASE_BACKENDS, ids=BASE_IDS)
+    def test_a_failed_reshard_swap_refuses_promotion_until_a_checkpoint(
+        self, tmp_path, backend
+    ):
+        """The log of the old layout is never promoted into the new one."""
+        batches = faults.workload_batches()
+        reference = SamplerService(
+            faults.make_factory(), num_shards=faults.NUM_SHARDS, rng=faults.SEED
+        )
+        reference.ingest(batches[:6])
+        reference.reshard(3)
+        reference.ingest(batches[6:])
+        service = _replicated(tmp_path, backend)
+        try:
+            service.ingest(batches[:6])
+            wal_module._FAULT_HOOK = _failing_at("wal.segment-write", errno.ENOSPC)
+            try:
+                with pytest.raises(OSError, match="No space left"):
+                    service.reshard(3)
+            finally:
+                wal_module._FAULT_HOOK = None
+            before = service.state_dict()
+            with pytest.raises(FailoverError, match="4-shard layout"):
+                service.failover()
+            # Refused before anything changed.
+            assert service.num_shards == 3
+            assert _replication_stats(service)["failovers"] == 0
+            assert_states_equal(service.state_dict(), before)
+            # The checkpoint installs the new layout's log, and promotion
+            # replays from it.
+            service.checkpoint()
+            service.ingest(batches[6:8])
+            service.failover()
+            assert _replication_stats(service)["failovers"] == 1
+            service.ingest(batches[8:])
+            live = service.state_dict()
+            assert_states_equal(live, reference.state_dict())
+        finally:
+            service.close()
+        recovered = recover_service(tmp_path / "wal", faults.make_factory())
+        try:
+            assert_states_equal(recovered.state_dict(), live)
+        finally:
+            recovered.close()
 
 
 class TestIngestBatchCountsAfterFailover:

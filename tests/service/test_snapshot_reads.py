@@ -160,8 +160,8 @@ class TestStaleTolerantReadsDuringAWindow:
     ):
         """A bounded read is served within its bound, from cache or a fresh cut.
 
-        The standby's base moves only at checkpoints, so nothing refreshes
-        the cached cut inside a 16-batch window: a read whose bound the
+        The standby takes no cuts of its own, so nothing refreshes the
+        cached cut inside a 16-batch window: a read whose bound the
         cached cut exceeds takes the lock and waits for the window to end.
         Either way its watermark may trail the ``batches_seen`` read just
         before the call by at most the bound.
